@@ -19,6 +19,7 @@ import time
 from . import __version__
 from . import chains as ch
 from . import homology as hm
+from .expr import ExprDomainError, domain_site
 from .glue import GlueInput, InputCompatibilityError, Triangulation, glue as glue_op
 from .manifest import (
     ManifestError,
@@ -28,7 +29,7 @@ from .manifest import (
     triangulation_to_manifest,
 )
 from .periods import GeometricCycle, NotClosedError, period_matrix
-from .quad import QuadConfig, finite_volume_check
+from .quad import VERIFY_CONFIG, QuadConfig, finite_volume_check
 from .stokes import NonManifoldError, check_chain, stokes_residual
 
 EXIT_PASS = 0
@@ -101,8 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> QuadConfig:
-    cfg = QuadConfig(max_depth=80)
-    cfg = dataclasses.replace(cfg, rel_tol=args.tol / 100.0, abs_tol=args.tol / 100.0)
+    cfg = VERIFY_CONFIG.with_tol(args.tol / 100.0)
     if args.abs_tol is not None:
         cfg = dataclasses.replace(cfg, abs_tol=args.abs_tol)
     if args.max_depth is not None:
@@ -162,7 +162,7 @@ def run(argv=None) -> int:
     try:
         return _dispatch(args, started)
     except (ManifestError, NotClosedError, InputCompatibilityError, NonManifoldError,
-            FileNotFoundError, ValueError) as err:
+            ExprDomainError, FileNotFoundError, ValueError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_INPUT
 
@@ -174,16 +174,18 @@ def _dispatch(args, started: float) -> int:
     if cmd == "check-volume":
         man = load_manifest(args.manifest)
         sigma = man.resolve("simplices", args.simplex)
-        rep = finite_volume_check(sigma, args.tol, cfg)
-        results = {"simplex": args.simplex, "volume": rep.to_dict()}
-        ok = rep.verdict == "yes"
-        if args.faces and sigma.dim >= 1:
-            face_reports = {}
-            for i in range(sigma.dim + 1):
-                frep = finite_volume_check(sigma.face(i), args.tol, cfg)
-                face_reports[f"face_{i}"] = frep.to_dict()
-                ok = ok and frep.verdict == "yes"
-            results["faces"] = face_reports
+        with domain_site(f"simplex {args.simplex!r}"):
+            rep = finite_volume_check(sigma, args.tol, cfg)
+            results = {"simplex": args.simplex, "volume": rep.to_dict()}
+            ok = rep.verdict == "yes"
+            if args.faces and sigma.dim >= 1:
+                face_reports = {}
+                for i in range(sigma.dim + 1):
+                    with domain_site(f"face {i}"):
+                        frep = finite_volume_check(sigma.face(i), args.tol, cfg)
+                    face_reports[f"face_{i}"] = frep.to_dict()
+                    ok = ok and frep.verdict == "yes"
+                results["faces"] = face_reports
         _emit(args, _report(args, results, started))
         return EXIT_PASS if ok else EXIT_FAIL
 
@@ -194,12 +196,14 @@ def _dispatch(args, started: float) -> int:
             raise ManifestError("check-stokes needs exactly one of --chain/--simplex")
         if args.chain is not None:
             chain = man.resolve("chains", args.chain)
-            rep = check_chain(chain, omega, args.tol, cfg)
+            with domain_site(f"chain {args.chain!r}"):
+                rep = check_chain(chain, omega, args.tol, cfg)
             results = {"chain": args.chain, "form": args.form, "stokes": rep.to_dict()}
             verdict = rep.verdict
         else:
             sigma = man.resolve("simplices", args.simplex)
-            rep = stokes_residual(sigma, omega, args.tol, cfg)
+            with domain_site(f"simplex {args.simplex!r}"):
+                rep = stokes_residual(sigma, omega, args.tol, cfg)
             results = {"simplex": args.simplex, "form": args.form, "stokes": rep.to_dict()}
             verdict = rep.verdict
         _emit(args, _report(args, results, started))

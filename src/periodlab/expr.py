@@ -9,6 +9,7 @@ every form coefficient in the package.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +20,7 @@ __all__ = [
     "ExprError",
     "ExprSyntaxError",
     "ExprDomainError",
+    "domain_site",
     "parse",
     "to_string",
     "evaluate",
@@ -58,6 +60,17 @@ class ExprDomainError(ExprError):
     def __init__(self, message: str, subexpr: "Expr"):
         super().__init__(f"{message} in {to_string(subexpr)}")
         self.subexpr = subexpr
+
+
+@contextlib.contextmanager
+def domain_site(where: str):
+    """Prefix the message of an ExprDomainError raised in the block with
+    ``where`` (a simplex, a face), so that reports name the site."""
+    try:
+        yield
+    except ExprDomainError as err:
+        err.args = (f"{where}: {err}",)
+        raise
 
 
 @dataclass(frozen=True)

@@ -124,24 +124,6 @@ def exterior_derivative(omega: Form) -> Form:
     return Form._from_signed(omega.degree + 1, omega.ambient, raw)
 
 
-def _minor_det(jac: np.ndarray, rows, cols) -> float:
-    sub = jac[np.ix_(rows, cols)]
-    n = sub.shape[0]
-    if n == 0:
-        return 1.0
-    if n == 1:
-        return sub[0, 0]
-    if n == 2:
-        return sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0]
-    if n == 3:
-        return (
-            sub[0, 0] * (sub[1, 1] * sub[2, 2] - sub[1, 2] * sub[2, 1])
-            - sub[0, 1] * (sub[1, 0] * sub[2, 2] - sub[1, 2] * sub[2, 0])
-            + sub[0, 2] * (sub[1, 0] * sub[2, 1] - sub[1, 1] * sub[2, 0])
-        )
-    return float(np.linalg.det(sub))
-
-
 def pullback_components(sigma: SingularSimplex, omega: Form, point) -> dict:
     """All components of sigma^*(omega) at an interior point of the domain,
     keyed by the strictly increasing subsets of domain coordinates (1-based)."""
@@ -159,7 +141,7 @@ def pullback_components(sigma: SingularSimplex, omega: Form, point) -> dict:
         total = 0.0
         for (idx, _), c in zip(omega.terms, coeffs):
             rows = [i - 1 for i in idx]
-            total += c * _minor_det(jac, rows, list(cols)) if p > 0 else c
+            total += c * _det_many(jac[np.ix_(rows, cols)][None])[0] if p > 0 else c
         out[tuple(i + 1 for i in cols)] = total
     return out
 
@@ -225,7 +207,7 @@ class DecompAB:
         x = self.prism.evaluate(np.concatenate(([t], b)))
         h = self.eta._fns[0](x)
         jac = self.sigma.jacobian(b)
-        det = _minor_det(jac, list(range(d)), list(range(d)))
+        det = _det_many(jac[None, :d, :d])[0]
         return h * self._f((t,)) ** d * det
 
     def B_density(self, t: float, b) -> dict:
@@ -247,7 +229,7 @@ class DecompAB:
             total = 0.0
             for i in range(1, d + 1):
                 rows = [r for r in range(d) if r != i - 1]
-                total += (-1) ** (i - 1) * sig[i - 1] * _minor_det(jac, rows, list(cols))
+                total += (-1) ** (i - 1) * sig[i - 1] * _det_many(jac[np.ix_(rows, cols)][None])[0]
             out[tuple(c + 1 for c in cols)] = lead * total
         return out
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import AffineSimplex, Composed, SingularSimplex
-from .homology import SimplicialComplex
+from .homology import SimplicialComplex, maximal_flags
 
 __all__ = [
     "Triangulation",
@@ -253,39 +253,11 @@ class Triangulation:
         return f"<Triangulation {self.complex!r} marks={sorted(self.marks)}>"
 
 
-def _flags_of(K: SimplicialComplex):
-    """(names, flags): barycentric-subdivision vertices indexed by simplex,
-    and per maximal simplex the list of its maximal face chains."""
-    names = {}
-    for d in range(K.dim + 1):
-        for s in K.simplices[d]:
-            names[s] = len(names)
-    flags = []
-
-    def descend(chain, s):
-        if len(s) == 1:
-            flags.append(chain + [s])
-            return
-        for f in itertools.combinations(s, len(s) - 1):
-            descend(chain + [s], f)
-
-    for d in range(K.dim + 1):
-        for s in K.simplices[d]:
-            is_max = d == K.dim or all(
-                tuple(sorted(set(s) | {v})) not in K._index.get(d + 1, {})
-                for v in K.vertices
-                if v not in s
-            )
-            if is_max:
-                descend([], s)
-    return names, flags
-
-
 def subdivide_triangulation(T: Triangulation) -> Triangulation:
     """Geometric barycentric subdivision: flag complex plus evaluators that
     restrict the old ones along the affine barycenter embeddings."""
     K = T.complex
-    names, flags = _flags_of(K)
+    names, flags = maximal_flags(K)
     simplices = []
     evaluators = {}
     for flag in flags:

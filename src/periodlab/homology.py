@@ -19,6 +19,7 @@ __all__ = [
     "smith_normal_form",
     "homology",
     "barycentric_subdivide_complex",
+    "maximal_flags",
 ]
 
 
@@ -291,29 +292,36 @@ def homology(K: SimplicialComplex) -> HomologyResult:
     return HomologyResult(betti, torsion, reps)
 
 
-def barycentric_subdivide_complex(K: SimplicialComplex) -> SimplicialComplex:
-    """Flag complex of the face poset: vertices are the simplices of K, top
-    cells the maximal chains of proper faces below each maximal simplex."""
+def maximal_flags(K: SimplicialComplex):
+    """(names, flags) for the barycentric subdivision of K: ``names`` numbers
+    the simplices of K (the new vertices) by dimension, then sorted order;
+    ``flags`` lists, for each maximal simplex in that order, every chain of
+    codimension-one faces from it down to a vertex, top first."""
     names = {}
     for d in range(K.dim + 1):
         for s in K.simplices[d]:
             names[s] = len(names)
-    tops = []
+    flags = []
 
-    def chains(prefix, s):
+    def descend(chain, s):
         if len(s) == 1:
-            tops.append(tuple(prefix + [names[s]]))
+            flags.append(chain + [s])
             return
         for f in itertools.combinations(s, len(s) - 1):
-            chains(prefix + [names[s]], f)
+            descend(chain + [s], f)
 
-    for d in range(K.dim + 1):
-        for s in K.simplices[d]:
-            is_maximal = d == K.dim or all(
-                tuple(sorted(set(s) | {v})) not in K._index[d + 1]
-                for (v,) in K.simplices[0]
-                if v not in s
-            )
-            if is_maximal:
-                chains([], s)
-    return SimplicialComplex(tops)
+    for s in names:
+        d = len(s) - 1
+        is_maximal = d == K.dim or all(
+            tuple(sorted(set(s) | {v})) not in K._index[d + 1] for v in K.vertices if v not in s
+        )
+        if is_maximal:
+            descend([], s)
+    return names, flags
+
+
+def barycentric_subdivide_complex(K: SimplicialComplex) -> SimplicialComplex:
+    """Flag complex of the face poset: vertices are the simplices of K, top
+    cells the maximal chains of proper faces below each maximal simplex."""
+    names, flags = maximal_flags(K)
+    return SimplicialComplex([tuple(names[s] for s in flag) for flag in flags])

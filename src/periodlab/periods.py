@@ -16,7 +16,7 @@ import numpy as np
 
 from .chains import Chain, boundary, interior_grid
 from .forms import Form, exterior_derivative
-from .quad import QuadConfig, QuadResult, integrate_simplex
+from .quad import VERIFY_CONFIG, QuadConfig, QuadResult, integrate_simplex
 
 __all__ = [
     "GeometricCycle",
@@ -138,9 +138,7 @@ def period_matrix(
 ) -> PeriodMatrix:
     """Pair each cycle with each closed form; rejects non-cycles and
     non-closed forms with diagnostics."""
-    # representatives may be singular along boundary faces; convergence there
-    # costs one bisection level per digit pair, so allow deep grading
-    config = config or QuadConfig(max_depth=80)
+    config = config or VERIFY_CONFIG
     named_forms = [(f"form{i}", w) if isinstance(w, Form) else w for i, w in enumerate(forms)]
     if check_inputs:
         for cyc in cycles:

@@ -8,9 +8,11 @@ axis give exactness at total degree 7; the embedded three-point variant
 interior, so evaluators are never queried on the boundary where pullbacks of
 maps that are merely C^1 on open faces may blow up.
 
-Cells are refined by longest-edge bisection driven by a priority queue, with
-a refinement bonus for cells touching the boundary.  Absolute-value sums are
-tracked across refinement depths; sustained growth is reported as divergence.
+One driver refines cells of the form [t0, t1] x simplex (a simplex-domain
+cell has no interval) through a priority queue, with a refinement bonus for
+cells touching the boundary: a cell bisects t or its longest simplex edge,
+whichever carries more of its error.  Absolute-value sums are tracked across
+refinement depths; sustained growth is reported as divergence.
 That verdict is a diagnostic, not a proof: integrability is not numerically
 decidable, and pathologically conditioned integrands may be flagged
 inconclusive.
@@ -39,6 +41,7 @@ from .forms import Form, pullback_top_many
 
 __all__ = [
     "QuadConfig",
+    "VERIFY_CONFIG",
     "QuadResult",
     "VolumeReport",
     "integrate_simplex",
@@ -69,6 +72,12 @@ class QuadConfig:
         if tol is None:
             return self
         return dataclasses.replace(self, rel_tol=tol, abs_tol=tol)
+
+
+# The default of the verification layers (CLI, Stokes checks, period
+# matrices): boundary-singular integrands converge one bisection level per
+# digit pair, so verification allows deeper refinement than bare quadrature.
+VERIFY_CONFIG = QuadConfig(max_depth=80)
 
 
 @dataclass
@@ -180,7 +189,7 @@ def _interval_rule(n: int):
 
 
 # ---------------------------------------------------------------------------
-# Adaptive simplex integration.
+# Adaptive integration over cells [t0, t1] x simplex.
 # ---------------------------------------------------------------------------
 
 
@@ -255,161 +264,92 @@ class _Tracker:
             self.diverging = True
 
 
-class _SimplexCell:
-    __slots__ = ("verts", "depth", "q7", "q5", "a7", "err", "touches")
+class _Cell:
+    """A cell [t0, t1] x simplex, or the bare simplex when ``t`` is None.
 
-    def __init__(self, verts, depth, density, rule7, rule5):
-        self.verts = verts
-        self.depth = depth
-        self.touches = _touches_boundary(verts)
+    A simplex cell compares its degree-7 and degree-5 rules (``err_b``; its
+    ``err_t`` is 0).  A prism cell evaluates the 4-point interval rule times
+    the degree-7 simplex rule and one embedded variant per axis, so that the
+    driver can refine in the direction that carries the error.  A simplex
+    cell keeps its own dot products: a prism with a one-node t-rule would
+    round differently.
+    """
+
+    __slots__ = ("t", "verts", "depth", "q", "a", "err_t", "err_b", "err", "touches")
+
+    def __init__(self, t, verts, depth, density, rules):
+        self.t, self.verts, self.depth = t, verts, depth
+        t_rules, (b7, bw7), (b5, bw5) = rules
+        on_t_end = t is not None and (t[0] <= 1e-13 or t[1] >= 1.0 - 1e-13)
+        self.touches = on_t_end or _touches_boundary(verts)
         d = verts.shape[1]
         lin = (verts[1:] - verts[0]).T
         scale = abs(float(np.linalg.det(lin))) if d > 0 else 1.0
-        p7, w7 = rule7
-        p5, w5 = rule5
-        v7 = density(verts[0] + p7 @ lin.T)
-        v5 = density(verts[0] + p5 @ lin.T)
-        self.q7 = scale * float(w7 @ v7)
-        self.q5 = scale * float(w5 @ v5)
-        self.a7 = scale * float(w7 @ np.abs(v7))
-        self.err = abs(self.q7 - self.q5)
-
-    def children(self, density, rule7, rule5):
-        i, j = _longest_edge(self.verts)
-        mid = 0.5 * (self.verts[i] + self.verts[j])
-        va = self.verts.copy()
-        va[j] = mid
-        vb = self.verts.copy()
-        vb[i] = mid
-        return (
-            _SimplexCell(va, self.depth + 1, density, rule7, rule5),
-            _SimplexCell(vb, self.depth + 1, density, rule7, rule5),
-        )
-
-
-def _adapt_simplex(density, d: int, cfg: QuadConfig) -> QuadResult:
-    if d == 0:
-        v = float(density(np.zeros((1, 0)))[0])
-        return QuadResult(v, 0.0, abs(v), True, 0)
-    rule7 = simplex_rule(d, 4)
-    rule5 = simplex_rule(d, 3)
-    root = _SimplexCell(np.vstack([np.zeros((1, d)), np.eye(d)]), 0, density, rule7, rule5)
-    heap = []
-    seq = itertools.count()
-
-    def push(c):
-        bonus = cfg.boundary_bonus if c.touches else 1.0
-        heapq.heappush(heap, (-c.err * bonus, next(seq), c))
-
-    push(root)
-    value = root.q7
-    err = root.err
-    abs_total = root.a7
-    tracker = _Tracker(cfg)
-    splits = 0
-    ncells = 1
-    while heap:
-        if err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
-            return QuadResult(value, err, abs_total, True, splits)
-        if tracker.diverging:
-            break
-        _, _, cell = heapq.heappop(heap)
-        i, j = _longest_edge(cell.verts)
-        width = float(np.sqrt(((cell.verts[i] - cell.verts[j]) ** 2).sum()))
-        if cell.depth >= cfg.max_depth or width < cfg.min_cell_width:
-            continue  # frozen: its error stays in the running total
-        if ncells >= cfg.max_cells:
-            break
-        ca, cb = cell.children(density, rule7, rule5)
-        value += ca.q7 + cb.q7 - cell.q7
-        err += ca.err + cb.err - cell.err
-        abs_total += ca.a7 + cb.a7 - cell.a7
-        splits += 1
-        ncells += 1
-        push(ca)
-        push(cb)
-        tracker.on_split(ca.depth, abs_total, cell.touches)
-    if not tracker.diverging:
-        tracker.check_at_exhaustion()
-    converged = err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)) and not tracker.diverging
-    return QuadResult(value, err, abs_total, converged, splits, tracker.diverging)
-
-
-# ---------------------------------------------------------------------------
-# Adaptive product (prism) integration with directional refinement.
-# ---------------------------------------------------------------------------
-
-
-class _PrismCell:
-    __slots__ = ("t0", "t1", "verts", "depth", "q77", "a77", "err_t", "err_b", "err", "touches")
-
-    def __init__(self, t0, t1, verts, depth, density, rules):
-        self.t0, self.t1, self.verts, self.depth = t0, t1, verts, depth
-        self.touches = t0 <= 1e-13 or t1 >= 1.0 - 1e-13 or _touches_boundary(verts)
-        (t4, tw4), (t3, tw3), (b7, bw7), (b5, bw5) = rules
-        d = verts.shape[1]
-        lin = (verts[1:] - verts[0]).T
-        scale = (t1 - t0) * (abs(float(np.linalg.det(lin))) if d > 0 else 1.0)
-        tn4 = t0 + (t1 - t0) * t4
-        tn3 = t0 + (t1 - t0) * t3
         bp7 = verts[0] + b7 @ lin.T
         bp5 = verts[0] + b5 @ lin.T
+        if t is None:
+            v7 = density(bp7)
+            v5 = density(bp5)
+            self.q = scale * float(bw7 @ v7)
+            self.a = scale * float(bw7 @ np.abs(v7))
+            self.err_t = 0.0
+            self.err_b = abs(self.q - scale * float(bw5 @ v5))
+        else:
+            t0, t1 = t
+            (t4, tw4), (t3, tw3) = t_rules
+            scale = (t1 - t0) * scale
+            tn4 = t0 + (t1 - t0) * t4
+            tn3 = t0 + (t1 - t0) * t3
 
-        def grid(ts, bs):
-            nt, nb = ts.shape[0], bs.shape[0]
-            pts = np.empty((nt * nb, d + 1))
-            pts[:, 0] = np.repeat(ts, nb)
-            pts[:, 1:] = np.tile(bs, (nt, 1))
-            return density(pts).reshape(nt, nb)
+            def grid(ts, bs):
+                nt, nb = ts.shape[0], bs.shape[0]
+                pts = np.empty((nt * nb, d + 1))
+                pts[:, 0] = np.repeat(ts, nb)
+                pts[:, 1:] = np.tile(bs, (nt, 1))
+                return density(pts).reshape(nt, nb)
 
-        v44 = grid(tn4, bp7)
-        q77 = scale * float(tw4 @ v44 @ bw7)
-        self.a77 = scale * float(tw4 @ np.abs(v44) @ bw7)
-        q57 = scale * float(tw3 @ grid(tn3, bp7) @ bw7)
-        q75 = scale * float(tw4 @ grid(tn4, bp5) @ bw5)
-        self.q77 = q77
-        self.err_t = abs(q77 - q57)
-        self.err_b = abs(q77 - q75)
+            v44 = grid(tn4, bp7)
+            self.q = scale * float(tw4 @ v44 @ bw7)
+            self.a = scale * float(tw4 @ np.abs(v44) @ bw7)
+            self.err_t = abs(self.q - scale * float(tw3 @ grid(tn3, bp7) @ bw7))
+            self.err_b = abs(self.q - scale * float(tw4 @ grid(tn4, bp5) @ bw5))
         self.err = self.err_t + self.err_b
 
-    def _b_width(self):
-        if self.verts.shape[1] == 0:
-            return 0.0
-        i, j = _longest_edge(self.verts)
-        return float(np.sqrt(((self.verts[i] - self.verts[j]) ** 2).sum()))
-
     def children(self, density, rules, min_width):
-        split_t = self.err_t >= self.err_b
-        if split_t and self.t1 - self.t0 < min_width:
-            split_t = False
-        if not split_t and self._b_width() < min_width:
-            if self.t1 - self.t0 >= min_width:
-                split_t = True
-            else:
-                return None
+        """Split t when it carries at least the simplex error and is wide
+        enough, else bisect the longest simplex edge; None when the cell is
+        too thin on every axis (frozen)."""
+        verts = self.verts
+        if verts.shape[1] > 0:
+            i, j = _longest_edge(verts)
+            b_width = float(np.sqrt(((verts[i] - verts[j]) ** 2).sum()))
+        else:
+            b_width = 0.0
+        t_wide = self.t is not None and self.t[1] - self.t[0] >= min_width
+        split_t = t_wide and (self.err_t >= self.err_b or b_width < min_width)
+        if not split_t and b_width < min_width:
+            return None
         if split_t:
-            tm = 0.5 * (self.t0 + self.t1)
-            return (
-                _PrismCell(self.t0, tm, self.verts, self.depth + 1, density, rules),
-                _PrismCell(tm, self.t1, self.verts, self.depth + 1, density, rules),
-            )
-        i, j = _longest_edge(self.verts)
-        mid = 0.5 * (self.verts[i] + self.verts[j])
-        va = self.verts.copy()
-        va[j] = mid
-        vb = self.verts.copy()
-        vb[i] = mid
-        return (
-            _PrismCell(self.t0, self.t1, va, self.depth + 1, density, rules),
-            _PrismCell(self.t0, self.t1, vb, self.depth + 1, density, rules),
-        )
+            t0, t1 = self.t
+            tm = 0.5 * (t0 + t1)
+            halves = (((t0, tm), verts), ((tm, t1), verts))
+        else:
+            mid = 0.5 * (verts[i] + verts[j])
+            va = verts.copy()
+            va[j] = mid
+            vb = verts.copy()
+            vb[i] = mid
+            halves = ((self.t, va), (self.t, vb))
+        return tuple(_Cell(t, v, self.depth + 1, density, rules) for t, v in halves)
 
 
-def _adapt_prism(density, d: int, cfg: QuadConfig) -> QuadResult:
-    """Batch density over (t, b) points integrated on [0,1] x Delta_d."""
-    rules = (_interval_rule(4), _interval_rule(3), simplex_rule(d, 4), simplex_rule(d, 3))
-    verts = np.vstack([np.zeros((1, d)), np.eye(d)]) if d > 0 else np.zeros((1, 0))
-    root = _PrismCell(0.0, 1.0, verts, 0, density, rules)
+def _adapt(density, d: int, prism: bool, cfg: QuadConfig) -> QuadResult:
+    """Adaptive cubature of a batch density over Delta_d, or over the prism
+    [0,1] x Delta_d (points (t, b)) when ``prism``."""
+    t_rules = (_interval_rule(4), _interval_rule(3)) if prism else None
+    rules = (t_rules, simplex_rule(d, 4), simplex_rule(d, 3))
+    verts = np.vstack([np.zeros((1, d)), np.eye(d)])
+    root = _Cell((0.0, 1.0) if prism else None, verts, 0, density, rules)
     heap = []
     seq = itertools.count()
 
@@ -418,10 +358,9 @@ def _adapt_prism(density, d: int, cfg: QuadConfig) -> QuadResult:
         heapq.heappush(heap, (-c.err * bonus, next(seq), c))
 
     push(root)
-    value, err, abs_total = root.q77, root.err, root.a77
+    value, err, abs_total = root.q, root.err, root.a
     tracker = _Tracker(cfg)
     splits = 0
-    ncells = 1
     while heap:
         if err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
             return QuadResult(value, err, abs_total, True, splits)
@@ -430,17 +369,16 @@ def _adapt_prism(density, d: int, cfg: QuadConfig) -> QuadResult:
         _, _, cell = heapq.heappop(heap)
         if cell.depth >= cfg.max_depth:
             continue  # frozen: its error stays in the running total
-        if ncells >= cfg.max_cells:
+        if splits + 1 >= cfg.max_cells:
             break
         kids = cell.children(density, rules, cfg.min_cell_width)
         if kids is None:
-            continue
+            continue  # frozen, as above
         ca, cb = kids
-        value += ca.q77 + cb.q77 - cell.q77
+        value += ca.q + cb.q - cell.q
         err += ca.err + cb.err - cell.err
-        abs_total += ca.a77 + cb.a77 - cell.a77
+        abs_total += ca.a + cb.a - cell.a
         splits += 1
-        ncells += 1
         push(ca)
         push(cb)
         tracker.on_split(ca.depth, abs_total, cell.touches)
@@ -455,6 +393,21 @@ def _adapt_prism(density, d: int, cfg: QuadConfig) -> QuadResult:
 # ---------------------------------------------------------------------------
 
 
+def _pullback_density(sigma: SingularSimplex, omega: Form, cfg: QuadConfig):
+    """(density, d, prism): the signed density of sigma^*(omega) and its
+    domain, Delta_d or, for a cone routed through the prism, [0,1] x Delta_d."""
+    if isinstance(sigma, Cone) and cfg.route_cones_via_prism:
+        return _prism_density(sigma.inner, "1 - t", omega), sigma.inner.dim, True
+    return (lambda pts: pullback_top_many(sigma, omega, pts)), sigma.dim, False
+
+
+def _prism_density(sigma: SingularSimplex, profile, omega: Form):
+    # q reverses the dt ^ db orientation: the sign makes prism values match
+    # the direct cone integral
+    prism = PrismMap(sigma, profile)
+    return lambda pts: -pullback_top_many(prism, omega, pts)
+
+
 def integrate_simplex(
     sigma: SingularSimplex, omega: Form, tol: float | None = None, config: QuadConfig | None = None
 ) -> QuadResult:
@@ -464,13 +417,7 @@ def integrate_simplex(
         raise ValueError("integrate_simplex needs deg(omega) == dim(sigma)")
     if sigma.domain == "prism":
         raise ValueError("prism-domain maps go through integrate_prism")
-    if isinstance(sigma, Cone) and cfg.route_cones_via_prism:
-        return integrate_prism(sigma.inner, "1 - t", omega, tol, config)
-
-    def density(pts):
-        return pullback_top_many(sigma, omega, pts)
-
-    return _adapt_simplex(density, sigma.dim, cfg)
+    return _adapt(*_pullback_density(sigma, omega, cfg), cfg)
 
 
 def integrate_prism(
@@ -486,12 +433,7 @@ def integrate_prism(
     cfg = (config or QuadConfig()).with_tol(tol)
     if omega.degree != sigma.dim + 1:
         raise ValueError("integrate_prism needs deg(omega) == dim(sigma) + 1")
-    prism = PrismMap(sigma, profile)
-
-    def density(pts):
-        return -pullback_top_many(prism, omega, pts)
-
-    return _adapt_prism(density, sigma.dim, cfg)
+    return _adapt(_prism_density(sigma, profile, omega), sigma.dim, True, cfg)
 
 
 def finite_volume_check(
@@ -506,22 +448,9 @@ def finite_volume_check(
     cfg = (config or QuadConfig()).with_tol(tol)
     d = sigma.dim
     results = {}
-    route = isinstance(sigma, Cone) and cfg.route_cones_via_prism
     for idx in itertools.combinations(range(1, sigma.ambient + 1), d):
-        omega = Form(d, sigma.ambient, [(idx, "1")])
-        if route:
-            prism = PrismMap(sigma.inner, "1 - t")
-
-            def density(pts, prism=prism, omega=omega):
-                return np.abs(pullback_top_many(prism, omega, pts))
-
-            results[idx] = _adapt_prism(density, sigma.inner.dim, cfg)
-        else:
-
-            def density(pts, sigma=sigma, omega=omega):
-                return np.abs(pullback_top_many(sigma, omega, pts))
-
-            results[idx] = _adapt_simplex(density, d, cfg)
+        density, dom, prism = _pullback_density(sigma, Form(d, sigma.ambient, [(idx, "1")]), cfg)
+        results[idx] = _adapt(lambda pts: np.abs(density(pts)), dom, prism, cfg)
     if any(r.diverging for r in results.values()):
         verdict = "no"
     elif all(r.converged for r in results.values()):

@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chains import Chain, SingularSimplex
+from .expr import domain_site
 from .forms import Form, exterior_derivative
-from .quad import QuadConfig, QuadResult, integrate_simplex
+from .quad import VERIFY_CONFIG, QuadConfig, QuadResult, integrate_simplex
 
 __all__ = [
     "StokesReport",
@@ -70,17 +71,15 @@ def stokes_residual(
     d = sigma.dim
     if omega.degree != d - 1:
         raise ValueError("stokes_residual needs deg(omega) == dim(sigma) - 1")
-    # boundary-singular integrands converge one bisection level per digit
-    # pair, so the verification default allows deeper refinement than the
-    # bare quadrature default
-    cfg = (config or QuadConfig(max_depth=80)).with_tol(
+    cfg = (config or VERIFY_CONFIG).with_tol(
         quad_tol if quad_tol is not None else tol / 100.0
     )
     lhs = integrate_simplex(sigma, exterior_derivative(omega), config=cfg)
     rhs_faces = []
     rhs = 0.0
     for i in range(d + 1):
-        r = integrate_simplex(sigma.face(i), omega, config=cfg)
+        with domain_site(f"face {i}"):
+            r = integrate_simplex(sigma.face(i), omega, config=cfg)
         rhs_faces.append(r)
         rhs += (-1) ** i * r.value
     residual = abs(lhs.value - rhs)
@@ -166,7 +165,7 @@ def triangulated_stokes(
     contributions of every interior (d-1)-face cancel, and returns the
     uncancelled faces (the boundary chain) with their summed integral.
     """
-    cfg = (config or QuadConfig()).with_tol(tol / 100.0)
+    cfg = (config or VERIFY_CONFIG).with_tol(tol / 100.0)
     domega = exterior_derivative(omega)
     total_lhs = 0.0
     contributions: dict[tuple, list] = {}

@@ -204,6 +204,29 @@ def test_cli_bad_manifest_is_input_error(tmp_path):
     assert "/simplices/0" in res.stderr
 
 
+def test_cli_domain_error_is_input_error(tmp_path):
+    # a face evaluates t*sin(1/t) at t = 0
+    res = run_cli(
+        ["check-volume", "manifests/circle.json", "--simplex", "tsin_graph", "--faces",
+         "--max-depth", "8", "--deterministic"]
+    )
+    assert res.returncode == 2
+    assert "error: simplex 'tsin_graph': face 1: division by zero in 1/a1" in res.stderr
+    assert "Traceback" not in res.stderr
+    # the Jacobian of sqrt(a1) on the face a1 = 0 of a 2-simplex
+    sheet = tmp_path / "sheet.json"
+    sheet.write_text(json.dumps({
+        "schema": "periodlab/1",
+        "ambient_dim": 2,
+        "simplices": [{"name": "sheet", "dim": 2, "components": ["sqrt(a1)", "a2"]}],
+        "forms": [{"name": "dy", "degree": 1, "terms": [{"indices": [2], "coeff": "1"}]}],
+    }))
+    res = run_cli(["check-stokes", str(sheet), "--simplex", "sheet", "--form", "dy"])
+    assert res.returncode == 2
+    assert "error: simplex 'sheet': face 1: division by zero in 1/(2*sqrt(a1))" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_cli_subdivide_chain_roundtrip(tmp_path):
     out_file = tmp_path / "sd.json"
     res = run_cli(

@@ -218,3 +218,59 @@ def test_interior_evaluation_never_touches_boundary():
     sigma = ch.ExprMap(["a1", "a2", "sqrt(a1) + sqrt(a2) + sqrt(1 - a1 - a2)"], 2)
     rep = qd.finite_volume_check(sigma, 1e-4, qd.QuadConfig(max_cells=1500))
     assert rep.verdict in ("yes", "inconclusive")
+
+
+SQRT_GRAPH = ch.ExprMap(["t", "sqrt(t)"], 1)
+EXP_2 = fo.Form(2, 2, [((1, 2), "exp(3*a1)")])  # varies along the cone rays: t splits too
+
+# The driver's exact refinement record: value, error estimate and absolute
+# integral (as float.hex) and the number of splits.  Any change to the split
+# rule, the rules' arithmetic or the order in which cells refine shows here.
+GOLDEN = {
+    "singular-1d": (
+        lambda: qd.integrate_simplex(
+            SQRT_GRAPH, fo.Form(1, 2, [((2,), "1")]), 1e-8, qd.QuadConfig(max_depth=60)
+        ),
+        ("0x1.ffffffb956621p-1", "0x1.44c268f14c7e0p-27", "0x1.ffffffb956621p-1", 95),
+    ),
+    "vertex-singular-2d": (
+        lambda: qd.integrate_simplex(ch.ExprMap(["a1", "sqrt(a1 + a2)"], 2), form_d(2, 2), 1e-8),
+        ("0x1.5555554ff98acp-2", "0x1.563ef814b681ap-27", "0x1.5555554ff98acp-2", 196),
+    ),
+    "0-simplex": (
+        lambda: qd.integrate_simplex(
+            ch.AffineSimplex([[2.0, 5.0]]), fo.Form(0, 2, [((), "a1*a2")]), 1e-10
+        ),
+        ("0x1.4000000000000p+3", "0x0.0p+0", "0x1.4000000000000p+3", 0),
+    ),
+    "cone-via-prism": (
+        lambda: qd.integrate_simplex(ch.Cone(SQRT_GRAPH), EXP_2, 1e-9),
+        ("-0x1.6d2a054077f27p-1", "0x1.0ccdd5eb4651cp-30", "0x1.6d2a054077f27p-1", 101),
+    ),
+    # max_cells runs out while cells frozen at max_depth are still queued
+    "budget-with-frozen-simplex": (
+        lambda: qd.integrate_simplex(
+            ch.ExprMap(["a1", "sqrt(a2)"], 2), form_d(2, 2), 1e-15,
+            qd.QuadConfig(max_depth=6, max_cells=40),
+        ),
+        ("0x1.48e356827de56p-1", "0x1.03d9bcc71f7eep-7", "0x1.48e356827de56p-1", 39),
+    ),
+    "budget-with-frozen-prism": (
+        lambda: qd.integrate_simplex(
+            ch.Cone(SQRT_GRAPH), EXP_2, 1e-15, qd.QuadConfig(max_depth=6, max_cells=40)
+        ),
+        ("-0x1.6d2a3ae8de67dp-1", "0x1.f413ce46f4d00p-20", "0x1.6d2a3ae8de67dp-1", 39),
+    ),
+    "cone-volume": (
+        lambda: qd.finite_volume_check(ch.Cone(SQRT_GRAPH), 1e-6).per_index[(1, 2)],
+        ("0x1.5555a1bb171d9p-3", "0x1.a29b287ef6400p-21", "0x1.5555a1bb171d9p-3", 6),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_refinement_is_pinned(name):
+    run, (value, err, abs_int, splits) = GOLDEN[name]
+    r = run()
+    got = (r.value.hex(), r.error_estimate.hex(), r.abs_integral_estimate.hex(), r.subdivisions)
+    assert got == (value, err, abs_int, splits)
