@@ -4,7 +4,10 @@ The standard d-simplex is ``{(a_1,...,a_d) : a_i >= 0, sum a_i <= 1}`` with
 vertex 0 at the origin and vertex k at the k-th basis vector.  A singular
 simplex is a continuous map of the closed simplex into R^N, C^1 on each open
 face; evaluators come in five flavours (expression-backed, affine, cone,
-prism, composed) and every one exposes an exact Jacobian at interior points.
+prism, composed; glue adds a sixth) and every one exposes an exact Jacobian
+at interior points.  Evaluators implement only the batch methods
+``evaluate_many``/``jacobian_many``; ``evaluate``/``jacobian`` at one point
+are a batch of one.
 """
 
 from __future__ import annotations
@@ -75,18 +78,19 @@ class SingularSimplex:
     domain = "simplex"
 
     def evaluate(self, point) -> np.ndarray:
-        raise NotImplementedError
+        return self.evaluate_many(np.asarray(point, dtype=float)[None])[0]
 
     def jacobian(self, point) -> np.ndarray:
         """ambient x dim matrix of partial derivatives at an interior point."""
+        return self.jacobian_many(np.asarray(point, dtype=float)[None])[0]
+
+    def evaluate_many(self, points: np.ndarray) -> np.ndarray:
+        """(n, ambient) values at an (n, dim) batch of points."""
         raise NotImplementedError
 
-    # batch variants; subclasses on the quadrature hot path override them
-    def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        return np.array([self.evaluate(p) for p in points])
-
     def jacobian_many(self, points: np.ndarray) -> np.ndarray:
-        return np.array([self.jacobian(p) for p in points])
+        """(n, ambient, dim) Jacobians at an (n, dim) batch of interior points."""
+        raise NotImplementedError
 
     def key(self):
         raise NotImplementedError
@@ -114,20 +118,10 @@ class ExprMap(SingularSimplex):
         self.components = tuple(comps)
         self.dim = dim
         self.ambient = len(comps)
-        self._fns = [ex.compile_expr(c) for c in self.components]
-        self._jac_fns = [
-            [ex.compile_expr(ex.diff(c, j + 1)) for j in range(dim)] for c in self.components
-        ]
         self._vfns = [ex.compile_vec(c) for c in self.components]
         self._vjac_fns = [
             [ex.compile_vec(ex.diff(c, j + 1)) for j in range(dim)] for c in self.components
         ]
-
-    def evaluate(self, point):
-        return np.array([f(point) for f in self._fns])
-
-    def jacobian(self, point):
-        return np.array([[f(point) for f in row] for row in self._jac_fns])
 
     def evaluate_many(self, points):
         cols = np.asarray(points, dtype=float).T
@@ -158,14 +152,6 @@ class AffineSimplex(SingularSimplex):
         self.ambient = v.shape[1]
         self._linear = (v[1:] - v[0]).T if self.dim > 0 else np.zeros((self.ambient, 0))
 
-    def evaluate(self, point):
-        if self.dim == 0:
-            return self.vertices[0].copy()
-        return self.vertices[0] + self._linear @ np.asarray(point, dtype=float)
-
-    def jacobian(self, point):
-        return self._linear.copy()
-
     def evaluate_many(self, points):
         p = np.asarray(points, dtype=float)
         return self.vertices[0] + p @ self._linear.T
@@ -179,7 +165,7 @@ class AffineSimplex(SingularSimplex):
 
     def compose_affine(self, inner: "AffineSimplex") -> "AffineSimplex":
         """self o inner, as an affine simplex (inner maps into our domain)."""
-        return AffineSimplex(np.array([self.evaluate(w) for w in inner.vertices]))
+        return AffineSimplex(self.evaluate_many(inner.vertices))
 
     def key(self):
         return ("affine", tuple(map(tuple, self.vertices.tolist())))
@@ -196,31 +182,13 @@ class Cone(SingularSimplex):
         self.dim = inner.dim + 1
         self.ambient = inner.ambient
 
-    def evaluate(self, point):
-        p = np.asarray(point, dtype=float)
-        a = p.sum()
-        if a <= 0.0:
-            return np.zeros(self.ambient)
-        return a * self.inner.evaluate(p[1:] / a)
-
-    def jacobian(self, point):
-        p = np.asarray(point, dtype=float)
-        a = p.sum()
-        u = p[1:] / a
-        val = self.inner.evaluate(u)
-        jac = self.inner.jacobian(u)
-        base = val - jac @ u
-        out = np.empty((self.ambient, self.dim))
-        out[:, 0] = base
-        out[:, 1:] = base[:, None] + jac
-        return out
-
     def evaluate_many(self, points):
         p = np.asarray(points, dtype=float)
         a = p.sum(axis=1)
-        safe = np.where(a > 0.0, a, 1.0)
-        vals = self.inner.evaluate_many(p[:, 1:] / safe[:, None])
-        return np.where(a[:, None] > 0.0, a[:, None] * vals, 0.0)
+        out = np.zeros((p.shape[0], self.ambient))
+        pos = a > 0.0  # the cone point itself never queries the wrapped simplex
+        out[pos] = a[pos, None] * self.inner.evaluate_many(p[pos, 1:] / a[pos, None])
+        return out
 
     def jacobian_many(self, points):
         p = np.asarray(points, dtype=float)
@@ -261,25 +229,8 @@ class PrismMap(SingularSimplex):
         self.profile = ex.parse(profile, 1) if isinstance(profile, str) else profile
         self.dim = inner.dim + 1
         self.ambient = inner.ambient
-        self._f = ex.compile_expr(self.profile)
-        self._df = ex.compile_expr(ex.diff(self.profile, 1))
         self._vf = ex.compile_vec(self.profile)
         self._vdf = ex.compile_vec(ex.diff(self.profile, 1))
-
-    def evaluate(self, point):
-        p = np.asarray(point, dtype=float)
-        t = (p[0],)
-        return self._f(t) * self.inner.evaluate(p[1:])
-
-    def jacobian(self, point):
-        p = np.asarray(point, dtype=float)
-        t = (p[0],)
-        val = self.inner.evaluate(p[1:])
-        jac = self.inner.jacobian(p[1:])
-        out = np.empty((self.ambient, self.dim))
-        out[:, 0] = self._df(t) * val
-        out[:, 1:] = self._f(t) * jac
-        return out
 
     def evaluate_many(self, points):
         p = np.asarray(points, dtype=float)
@@ -323,15 +274,6 @@ class Composed(SingularSimplex):
         self.inner = inner
         self.dim = inner.dim
         self.ambient = outer.ambient
-
-    def evaluate(self, point):
-        return self.outer.evaluate(self.inner.evaluate(point))
-
-    def jacobian(self, point):
-        if self.dim == 0:
-            return np.zeros((self.ambient, 0))
-        mid = self.inner.evaluate(point)
-        return self.outer.jacobian(mid) @ self.inner.jacobian(point)
 
     def evaluate_many(self, points):
         return self.outer.evaluate_many(self.inner.evaluate_many(points))
@@ -499,21 +441,12 @@ def check_continuity(sigma: SingularSimplex, depth: int = 20, grid_m: int = 3) -
     if d == 0:
         return 0.0
     center = np.full(d, 1.0 / (d + 1))
+    grid = np.array(interior_grid(d - 1, grid_m))
+    offsets = 2.0 ** -np.arange(4, depth + 1, 4)
     worst = 0.0
-    targets = []
-    for i in range(d + 1):
-        fm = face_map(d, i)
-        for c in interior_grid(d - 1, grid_m):
-            targets.append(fm.evaluate(c))
-    for x0 in targets:
-        boundary_val = sigma.evaluate(x0)
-        direction = center - x0
-        prev = None
-        for k in range(4, depth + 1, 4):
-            val = sigma.evaluate(x0 + (2.0**-k) * direction)
-            gap = float(np.abs(val - boundary_val).max())
-            if prev is not None and gap > prev + 1e-9:
-                worst = max(worst, gap)
-            prev = gap
-        worst = max(worst, prev)
+    for x0 in np.vstack([face_map(d, i).evaluate_many(grid) for i in range(d + 1)]):
+        vals = sigma.evaluate_many(np.vstack([x0, x0 + offsets[:, None] * (center - x0)]))
+        gaps = np.abs(vals[1:] - vals[0]).max(axis=1)
+        rising = gaps[1:] > gaps[:-1] + 1e-9
+        worst = max(worst, float(gaps[1:][rising].max(initial=0.0)), float(gaps[-1]))
     return worst

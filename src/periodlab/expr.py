@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+import numpy as np
+
 __all__ = [
     "Expr",
     "ExprError",
@@ -25,6 +27,7 @@ __all__ = [
     "to_string",
     "evaluate",
     "compile_expr",
+    "compile_vec",
     "diff",
     "const",
     "var",
@@ -408,88 +411,31 @@ def to_string(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation.  compile_expr builds nested closures once per AST; evaluate()
-# caches the compiled form.  Both are pure and safe to share across threads.
+# Evaluation.  compile_vec is the one compiler: it builds nested numpy
+# closures once per AST.  compile_expr and evaluate() are batches of one over
+# it.  All are pure and safe to share across threads.
 # ---------------------------------------------------------------------------
 
 
+def compile_vec(e: Expr) -> Callable:
+    """Batch evaluator: takes an (arity, n) array of points (one column per
+    point), returns an (n,) array.  A domain check fires if any point in the
+    batch violates it."""
+    inner, _ = _compile_vec(e)
+
+    def run(cols):
+        out = np.asarray(inner(cols), dtype=float)
+        if out.ndim == 0:
+            out = np.full(cols.shape[1], float(out))
+        return out
+
+    return run
+
+
 def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
-    kind = e.kind
-    if kind == "const":
-        v = float(e.value)
-        return lambda x: v
-    if kind == "pi":
-        return lambda x: math.pi
-    if kind == "var":
-        i = e.value - 1
-        return lambda x: x[i]
-    if kind == "neg":
-        f = compile_expr(e.args[0])
-        return lambda x: -f(x)
-    if kind in ("add", "sub", "mul", "div"):
-        f = compile_expr(e.args[0])
-        g = compile_expr(e.args[1])
-        if kind == "add":
-            return lambda x: f(x) + g(x)
-        if kind == "sub":
-            return lambda x: f(x) - g(x)
-        if kind == "mul":
-            return lambda x: f(x) * g(x)
-
-        def _div(x, f=f, g=g, e=e):
-            d = g(x)
-            if d == 0.0:
-                raise ExprDomainError("division by zero", e)
-            return f(x) / d
-
-        return _div
-    if kind == "pow":
-        f = compile_expr(e.args[0])
-        r: Fraction = e.value
-        if r.denominator == 1:
-            n = r.numerator
-
-            def _ipow(x, f=f, n=n, e=e):
-                b = f(x)
-                if b == 0.0 and n < 0:
-                    raise ExprDomainError("zero base with negative exponent", e)
-                return b**n
-
-            return _ipow
-        rf = float(r)
-
-        def _rpow(x, f=f, rf=rf, e=e):
-            b = f(x)
-            if b < 0.0:
-                raise ExprDomainError("negative base of rational power", e)
-            if b == 0.0:
-                if rf <= 0.0:
-                    raise ExprDomainError("zero base with nonpositive rational power", e)
-                return 0.0
-            return b**rf
-
-        return _rpow
-    f = compile_expr(e.args[0])
-    if kind == "sqrt":
-
-        def _sqrt(x, f=f, e=e):
-            u = f(x)
-            if u < 0.0:
-                raise ExprDomainError("sqrt of negative value", e)
-            return math.sqrt(u)
-
-        return _sqrt
-    if kind == "log":
-
-        def _log(x, f=f, e=e):
-            u = f(x)
-            if u <= 0.0:
-                raise ExprDomainError("log of nonpositive value", e)
-            return math.log(u)
-
-        return _log
-    fn = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "atan": math.atan}[kind]
-    return lambda x: fn(f(x))
+    """Point evaluator: a batch of one through compile_vec."""
+    run = compile_vec(e)
+    return lambda point: float(run(np.asarray(point, dtype=float).reshape(-1, 1))[0])
 
 
 _COMPILED: dict[Expr, Callable] = {}
@@ -502,25 +448,22 @@ def evaluate(e: Expr, point: Sequence[float]) -> float:
     return fn(point)
 
 
-def compile_vec(e: Expr) -> Callable:
-    """Batch evaluator: takes an (arity, n) array of points (one column per
-    point), returns an (n,) array.  Domain checks mirror the scalar
-    evaluator but fire if any point in the batch violates them."""
-    import numpy as np
-
-    inner = _compile_vec(e, np)
-
-    def run(cols):
-        out = inner(cols)
-        out = np.asarray(out, dtype=float)
-        if out.ndim == 0:
-            out = np.full(cols.shape[1], float(out))
-        return out
-
-    return run
+def _compile_vec(e: Expr):
+    """(closure, variable-free).  A variable-free subtree is evaluated once
+    here, with the same operations as at run time; one that fails its domain
+    check stays a closure, so that the error is raised on evaluation."""
+    kids = [_compile_vec(a) for a in e.args]
+    fn = _closure(e, [f for f, _ in kids])
+    if e.kind == "var" or not all(free for _, free in kids):
+        return fn, False
+    try:
+        v = fn(None)
+    except ExprDomainError:
+        return fn, True
+    return (lambda X: v), True
 
 
-def _compile_vec(e: Expr, np):  # numpy passed in: expr stays import-light
+def _closure(e: Expr, args):
     kind = e.kind
     if kind == "const":
         v = float(e.value)
@@ -531,11 +474,10 @@ def _compile_vec(e: Expr, np):  # numpy passed in: expr stays import-light
         i = e.value - 1
         return lambda X: X[i]
     if kind == "neg":
-        f = _compile_vec(e.args[0], np)
+        (f,) = args
         return lambda X: -f(X)
     if kind in ("add", "sub", "mul", "div"):
-        f = _compile_vec(e.args[0], np)
-        g = _compile_vec(e.args[1], np)
+        f, g = args
         if kind == "add":
             return lambda X: f(X) + g(X)
         if kind == "sub":
@@ -543,52 +485,51 @@ def _compile_vec(e: Expr, np):  # numpy passed in: expr stays import-light
         if kind == "mul":
             return lambda X: f(X) * g(X)
 
-        def _div(X, f=f, g=g, e=e):
+        def _div(X):
             d = np.asarray(g(X))
-            if np.any(d == 0.0):
+            if (d == 0.0).any():
                 raise ExprDomainError("division by zero", e)
             return f(X) / d
 
         return _div
+    (f,) = args
     if kind == "pow":
-        f = _compile_vec(e.args[0], np)
         r: Fraction = e.value
         if r.denominator == 1:
             n = r.numerator
 
-            def _ipow(X, f=f, n=n, e=e):
+            def _ipow(X):
                 b = np.asarray(f(X), dtype=float)
-                if n < 0 and np.any(b == 0.0):
+                if n < 0 and (b == 0.0).any():
                     raise ExprDomainError("zero base with negative exponent", e)
                 return b ** float(n)
 
             return _ipow
         rf = float(r)
 
-        def _rpow(X, f=f, rf=rf, e=e):
+        def _rpow(X):
             b = np.asarray(f(X), dtype=float)
-            if np.any(b < 0.0):
+            if (b < 0.0).any():
                 raise ExprDomainError("negative base of rational power", e)
-            if np.any(b == 0.0) and rf <= 0.0:
+            if rf <= 0.0 and (b == 0.0).any():
                 raise ExprDomainError("zero base with nonpositive rational power", e)
             return b**rf
 
         return _rpow
-    f = _compile_vec(e.args[0], np)
     if kind == "sqrt":
 
-        def _sqrt(X, f=f, e=e):
+        def _sqrt(X):
             u = np.asarray(f(X), dtype=float)
-            if np.any(u < 0.0):
+            if (u < 0.0).any():
                 raise ExprDomainError("sqrt of negative value", e)
             return np.sqrt(u)
 
         return _sqrt
     if kind == "log":
 
-        def _log(X, f=f, e=e):
+        def _log(X):
             u = np.asarray(f(X), dtype=float)
-            if np.any(u <= 0.0):
+            if (u <= 0.0).any():
                 raise ExprDomainError("log of nonpositive value", e)
             return np.log(u)
 

@@ -21,6 +21,7 @@ __all__ = [
     "exterior_derivative",
     "pullback_density",
     "pullback_components",
+    "pullback_many",
     "DecompAB",
     "decompose_AB",
 ]
@@ -72,7 +73,6 @@ class Form:
                 coeff = ex.parse(coeff, ambient)
             parsed.append((idx, 1, coeff))
         self.terms = _merge_terms(parsed, degree, ambient)
-        self._fns = [ex.compile_expr(c) for _, c in self.terms]
         self._vfns = [ex.compile_vec(c) for _, c in self.terms]
 
     @classmethod
@@ -81,7 +81,6 @@ class Form:
         f.degree = degree
         f.ambient = ambient
         f.terms = _merge_terms(raw, degree, ambient)
-        f._fns = [ex.compile_expr(c) for _, c in f.terms]
         f._vfns = [ex.compile_vec(c) for _, c in f.terms]
         return f
 
@@ -89,7 +88,8 @@ class Form:
         return not self.terms
 
     def coefficients_at(self, x) -> dict:
-        return {idx: fn(x) for (idx, _), fn in zip(self.terms, self._fns)}
+        cols = np.asarray(x, dtype=float).reshape(-1, 1)
+        return {idx: float(fn(cols)[0]) for (idx, _), fn in zip(self.terms, self._vfns)}
 
     def __add__(self, other: "Form") -> "Form":
         if (other.degree, other.ambient) != (self.degree, self.ambient):
@@ -124,34 +124,41 @@ def exterior_derivative(omega: Form) -> Form:
     return Form._from_signed(omega.degree + 1, omega.ambient, raw)
 
 
-def pullback_components(sigma: SingularSimplex, omega: Form, point) -> dict:
-    """All components of sigma^*(omega) at an interior point of the domain,
-    keyed by the strictly increasing subsets of domain coordinates (1-based)."""
+def pullback_many(sigma: SingularSimplex, omega: Form, points: np.ndarray) -> dict:
+    """All components of sigma^*(omega) at a batch of interior points of the
+    domain, keyed by the strictly increasing subsets of domain coordinates
+    (1-based); each value holds one entry per point."""
     if omega.ambient != sigma.ambient:
         raise ValueError("form and simplex live in different ambient spaces")
     k = sigma.dim
     p = omega.degree
     if p > k:
         return {}
-    x = sigma.evaluate(point)
-    jac = sigma.jacobian(point) if p > 0 else None
-    coeffs = [fn(x) for fn in omega._fns]
-    out = {}
-    for cols in itertools.combinations(range(k), p):
-        total = 0.0
-        for (idx, _), c in zip(omega.terms, coeffs):
-            rows = [i - 1 for i in idx]
-            total += c * _det_many(jac[np.ix_(rows, cols)][None])[0] if p > 0 else c
-        out[tuple(i + 1 for i in cols)] = total
+    pts = np.asarray(points, dtype=float)
+    x = sigma.evaluate_many(pts)
+    subsets = list(itertools.combinations(range(k), p))
+    out = {tuple(i + 1 for i in cols): np.zeros(pts.shape[0]) for cols in subsets}
+    if not omega.terms:
+        return out
+    jac = sigma.jacobian_many(pts) if p > 0 else None
+    coords = x.T
+    for (idx, _), vf in zip(omega.terms, omega._vfns):
+        c = vf(coords)
+        rows = jac[:, [i - 1 for i in idx]] if p > 0 else None
+        for cols, total in zip(subsets, out.values()):
+            total += c * _det_many(rows[:, :, cols]) if p > 0 else c
     return out
+
+
+def pullback_components(sigma: SingularSimplex, omega: Form, point) -> dict:
+    """All components of sigma^*(omega) at one interior point."""
+    batch = pullback_many(sigma, omega, np.asarray(point, dtype=float)[None])
+    return {key: float(v[0]) for key, v in batch.items()}
 
 
 def pullback_density(sigma: SingularSimplex, omega: Form, point) -> float:
     """Coefficient of sigma^*(omega) against da_1 ^ ... ^ da_d (top degree)."""
-    if omega.degree != sigma.dim:
-        raise ValueError("pullback density needs deg(omega) == dim(sigma)")
-    comps = pullback_components(sigma, omega, point)
-    return comps[tuple(range(1, sigma.dim + 1))]
+    return float(pullback_top_many(sigma, omega, np.asarray(point, dtype=float)[None])[0])
 
 
 def _det_many(sub: np.ndarray) -> np.ndarray:
@@ -167,23 +174,9 @@ def _det_many(sub: np.ndarray) -> np.ndarray:
 
 def pullback_top_many(sigma: SingularSimplex, omega: Form, points: np.ndarray) -> np.ndarray:
     """Batch top-degree pullback densities at many interior points."""
-    d = sigma.dim
-    if omega.degree != d:
+    if omega.degree != sigma.dim:
         raise ValueError("pullback density needs deg(omega) == dim(sigma)")
-    pts = np.asarray(points, dtype=float)
-    x = sigma.evaluate_many(pts)
-    out = np.zeros(pts.shape[0])
-    if not omega.terms:
-        return out
-    jac = sigma.jacobian_many(pts) if d > 0 else None
-    cols = x.T
-    for (idx, _), vf in zip(omega.terms, omega._vfns):
-        c = vf(cols)
-        if d > 0:
-            rows = [i - 1 for i in idx]
-            c = c * _det_many(jac[:, rows, :])
-        out += c
-    return out
+    return pullback_many(sigma, omega, points)[tuple(range(1, sigma.dim + 1))]
 
 
 @dataclass
@@ -198,17 +191,16 @@ class DecompAB:
 
     def __post_init__(self):
         self.prism = PrismMap(self.sigma, self.profile)
-        self._f = ex.compile_expr(self.prism.profile)
-        self._df = ex.compile_expr(ex.diff(self.prism.profile, 1))
+        self._dprofile = ex.diff(self.prism.profile, 1)
 
     def A_density(self, t: float, b) -> float:
         """Component of A against db_1 ^ ... ^ db_d at (t, b)."""
         d = self.sigma.dim
         x = self.prism.evaluate(np.concatenate(([t], b)))
-        h = self.eta._fns[0](x)
+        h = ex.evaluate(self.eta.terms[0][1], x)
         jac = self.sigma.jacobian(b)
         det = _det_many(jac[None, :d, :d])[0]
-        return h * self._f((t,)) ** d * det
+        return h * ex.evaluate(self.prism.profile, (t,)) ** d * det
 
     def B_density(self, t: float, b) -> dict:
         """Components of B against dt ^ db_J for (d-1)-subsets J at (t, b).
@@ -218,12 +210,12 @@ class DecompAB:
         i.e. the coefficient rides at the prism image while the differentials
         are those of the unscaled sigma."""
         d = self.sigma.dim
-        fval = self._f((t,))
+        fval = ex.evaluate(self.prism.profile, (t,))
         x = self.prism.evaluate(np.concatenate(([t], b)))
-        h = self.eta._fns[0](x)
+        h = ex.evaluate(self.eta.terms[0][1], x)
         sig = self.sigma.evaluate(b)
         jac = self.sigma.jacobian(b)
-        lead = self._df((t,)) * fval ** (d - 1) * h
+        lead = ex.evaluate(self._dprofile, (t,)) * fval ** (d - 1) * h
         out = {}
         for cols in itertools.combinations(range(d), d - 1):
             total = 0.0

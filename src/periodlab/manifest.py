@@ -10,6 +10,7 @@ so emitted triangulations re-ingest without loss.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -304,9 +305,8 @@ def _canon(obj, out: list):
     elif isinstance(obj, bool) or obj is None:
         out.append(json.dumps(obj))
     elif isinstance(obj, float):
-        if obj != obj or obj in (float("inf"), float("-inf")):
-            raise ValueError("non-finite float in report")
-        out.append(f"{obj:.17g}")
+        # JSON has no NaN or infinity; a non-finite result reads as null
+        out.append(f"{obj:.17g}" if math.isfinite(obj) else "null")
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, str):

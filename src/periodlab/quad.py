@@ -51,21 +51,23 @@ __all__ = [
 ]
 
 
+BOUNDARY_BONUS = 4.0  # refinement priority factor of boundary-touching cells
+# cells thinner than this freeze: beyond it coordinate arithmetic near the
+# boundary collapses in float64 and "interior" nodes stop being interior
+MIN_CELL_WIDTH = 1e-14
+# divergence diagnostics (see module docstring)
+GROWTH_FACTOR = 1.5
+GROWTH_WINDOW = 5
+SUSTAIN_WINDOW = 8
+SUSTAIN_RATIO = 0.97
+
+
 @dataclass(frozen=True)
 class QuadConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-8
     max_depth: int = 40
     max_cells: int = 20000
-    boundary_bonus: float = 4.0
-    # cells thinner than this freeze: beyond it coordinate arithmetic near the
-    # boundary collapses in float64 and "interior" nodes stop being interior
-    min_cell_width: float = 1e-14
-    # divergence diagnostics (see module docstring)
-    growth_factor: float = 1.5
-    growth_window: int = 5
-    sustain_window: int = 8
-    sustain_ratio: float = 0.97
     route_cones_via_prism: bool = True
 
     def with_tol(self, tol: float | None) -> "QuadConfig":
@@ -213,8 +215,7 @@ def _longest_edge(verts: np.ndarray):
 class _Tracker:
     """Bookkeeping for the divergence diagnostics across depth levels."""
 
-    def __init__(self, cfg: QuadConfig):
-        self.cfg = cfg
+    def __init__(self):
         self.max_depth_seen = 0
         self.abs_history: list[float] = []
         self.boundary_flags: list[bool] = []
@@ -233,13 +234,11 @@ class _Tracker:
 
     def _check_growth(self):
         h = self.abs_history
-        w = self.cfg.growth_window
+        w = GROWTH_WINDOW
         if len(h) < w + 1 or not self._boundary_dominated(w):
             return
         base = h[-w - 1 :]
-        if all(
-            base[i] > 0 and base[i + 1] >= self.cfg.growth_factor * base[i] for i in range(w)
-        ):
+        if all(base[i] > 0 and base[i + 1] >= GROWTH_FACTOR * base[i] for i in range(w)):
             self.diverging = True
 
     def check_at_exhaustion(self):
@@ -250,8 +249,8 @@ class _Tracker:
         convergent boundary singularity the window-to-window growth decays
         geometrically instead."""
         h = self.abs_history
-        k = max(self.cfg.sustain_window, len(h) // 3)
-        if len(h) < 3 * self.cfg.sustain_window or not self._boundary_dominated(k):
+        k = max(SUSTAIN_WINDOW, len(h) // 3)
+        if len(h) < 3 * SUSTAIN_WINDOW or not self._boundary_dominated(k):
             return
         k = len(h) // 3
         m0 = sum(h[:k]) / k
@@ -260,7 +259,7 @@ class _Tracker:
         g0, g1 = m1 - m0, m2 - m1
         if g1 <= 1e-3 * (1.0 + abs(h[-1])) or g0 <= 0:
             return
-        if g1 >= self.cfg.sustain_ratio * g0:
+        if g1 >= SUSTAIN_RATIO * g0:
             self.diverging = True
 
 
@@ -272,7 +271,9 @@ class _Cell:
     the degree-7 simplex rule and one embedded variant per axis, so that the
     driver can refine in the direction that carries the error.  A simplex
     cell keeps its own dot products: a prism with a one-node t-rule would
-    round differently.
+    round differently.  Each cell evaluates all its nodes in one density
+    call; the density is elementwise, so the values do not depend on how the
+    nodes are batched.
     """
 
     __slots__ = ("t", "verts", "depth", "q", "a", "err_t", "err_b", "err", "touches")
@@ -287,9 +288,10 @@ class _Cell:
         scale = abs(float(np.linalg.det(lin))) if d > 0 else 1.0
         bp7 = verts[0] + b7 @ lin.T
         bp5 = verts[0] + b5 @ lin.T
+        n7 = bp7.shape[0]
         if t is None:
-            v7 = density(bp7)
-            v5 = density(bp5)
+            v = density(np.vstack([bp7, bp5]))
+            v7, v5 = v[:n7], v[n7:]
             self.q = scale * float(bw7 @ v7)
             self.a = scale * float(bw7 @ np.abs(v7))
             self.err_t = 0.0
@@ -302,20 +304,20 @@ class _Cell:
             tn3 = t0 + (t1 - t0) * t3
 
             def grid(ts, bs):
-                nt, nb = ts.shape[0], bs.shape[0]
-                pts = np.empty((nt * nb, d + 1))
-                pts[:, 0] = np.repeat(ts, nb)
-                pts[:, 1:] = np.tile(bs, (nt, 1))
-                return density(pts).reshape(nt, nb)
+                return np.column_stack([np.repeat(ts, bs.shape[0]), np.tile(bs, (ts.shape[0], 1))])
 
-            v44 = grid(tn4, bp7)
+            v = density(np.vstack([grid(tn4, bp7), grid(tn3, bp7), grid(tn4, bp5)]))
+            k4, k3 = tn4.shape[0] * n7, tn3.shape[0] * n7
+            v44 = v[:k4].reshape(tn4.shape[0], n7)
+            v34 = v[k4 : k4 + k3].reshape(tn3.shape[0], n7)
+            v45 = v[k4 + k3 :].reshape(tn4.shape[0], -1)
             self.q = scale * float(tw4 @ v44 @ bw7)
             self.a = scale * float(tw4 @ np.abs(v44) @ bw7)
-            self.err_t = abs(self.q - scale * float(tw3 @ grid(tn3, bp7) @ bw7))
-            self.err_b = abs(self.q - scale * float(tw4 @ grid(tn4, bp5) @ bw5))
+            self.err_t = abs(self.q - scale * float(tw3 @ v34 @ bw7))
+            self.err_b = abs(self.q - scale * float(tw4 @ v45 @ bw5))
         self.err = self.err_t + self.err_b
 
-    def children(self, density, rules, min_width):
+    def children(self, density, rules):
         """Split t when it carries at least the simplex error and is wide
         enough, else bisect the longest simplex edge; None when the cell is
         too thin on every axis (frozen)."""
@@ -325,9 +327,9 @@ class _Cell:
             b_width = float(np.sqrt(((verts[i] - verts[j]) ** 2).sum()))
         else:
             b_width = 0.0
-        t_wide = self.t is not None and self.t[1] - self.t[0] >= min_width
-        split_t = t_wide and (self.err_t >= self.err_b or b_width < min_width)
-        if not split_t and b_width < min_width:
+        t_wide = self.t is not None and self.t[1] - self.t[0] >= MIN_CELL_WIDTH
+        split_t = t_wide and (self.err_t >= self.err_b or b_width < MIN_CELL_WIDTH)
+        if not split_t and b_width < MIN_CELL_WIDTH:
             return None
         if split_t:
             t0, t1 = self.t
@@ -345,7 +347,8 @@ class _Cell:
 
 def _adapt(density, d: int, prism: bool, cfg: QuadConfig) -> QuadResult:
     """Adaptive cubature of a batch density over Delta_d, or over the prism
-    [0,1] x Delta_d (points (t, b)) when ``prism``."""
+    [0,1] x Delta_d (points (t, b)) when ``prism``.  A non-finite running
+    value or error ends it, unconverged: no refinement can repair it."""
     t_rules = (_interval_rule(4), _interval_rule(3)) if prism else None
     rules = (t_rules, simplex_rule(d, 4), simplex_rule(d, 3))
     verts = np.vstack([np.zeros((1, d)), np.eye(d)])
@@ -354,14 +357,16 @@ def _adapt(density, d: int, prism: bool, cfg: QuadConfig) -> QuadResult:
     seq = itertools.count()
 
     def push(c):
-        bonus = cfg.boundary_bonus if c.touches else 1.0
+        bonus = BOUNDARY_BONUS if c.touches else 1.0
         heapq.heappush(heap, (-c.err * bonus, next(seq), c))
 
     push(root)
     value, err, abs_total = root.q, root.err, root.a
-    tracker = _Tracker(cfg)
+    tracker = _Tracker()
     splits = 0
     while heap:
+        if not (math.isfinite(value) and math.isfinite(err)):
+            return QuadResult(value, err, abs_total, False, splits)
         if err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
             return QuadResult(value, err, abs_total, True, splits)
         if tracker.diverging:
@@ -371,7 +376,7 @@ def _adapt(density, d: int, prism: bool, cfg: QuadConfig) -> QuadResult:
             continue  # frozen: its error stays in the running total
         if splits + 1 >= cfg.max_cells:
             break
-        kids = cell.children(density, rules, cfg.min_cell_width)
+        kids = cell.children(density, rules)
         if kids is None:
             continue  # frozen, as above
         ca, cb = kids

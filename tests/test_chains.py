@@ -205,18 +205,27 @@ def test_jacobians_match_finite_differences():
                 assert np.abs(jac[:, j] - fd).max() <= 1e-5 * (1 + np.abs(fd).max())
 
 
-def test_batch_evaluation_matches_scalar():
+def glued_cap():
+    """A glued 2-simplex: the half-disk cap over a segment of its diameter."""
+    from periodlab import glue as gl
+
+    cap = ch.ExprMap(["cos(pi*a2/2)*(1 - a2 - 2*a1)/(1 - a2)", "sin(pi*a2/2)"], 2)
+    segment = ch.AffineSimplex([[1.0, 0.0], [0.2, 0.0]])
+    return gl.GluedMap(cap, segment, [2], [("w", 0), ("w", 1), ("v", 0)])
+
+
+def test_batch_of_many_matches_batch_of_one():
     rng = np.random.default_rng(8)
     sigma = ch.ExprMap(["a1*a2", "sin(a1) + a2"], 2)
-    maps = [sigma, ch.Cone(sigma), ch.PrismMap(sigma, "1 - t"),
-            ch.Composed(sigma, ch.face_map(2, 0))]
+    maps = [sigma, ch.AffineSimplex([[0, 0, 0], [1, 2, 0], [0, 1, 1]]), ch.Cone(sigma),
+            ch.PrismMap(sigma, "1 - t"), ch.Composed(sigma, ch.face_map(2, 0)), glued_cap()]
     for m in maps:
         pts = np.array([ch.random_interior_point(m.dim, rng) for _ in range(7)])
         ev = m.evaluate_many(pts)
         jc = m.jacobian_many(pts)
         for k, p in enumerate(pts):
-            assert np.abs(ev[k] - m.evaluate(p)).max() <= 1e-14
-            assert np.abs(jc[k] - m.jacobian(p)).max() <= 1e-14
+            np.testing.assert_array_equal(ev[k], m.evaluate(p))
+            np.testing.assert_array_equal(jc[k], m.jacobian(p))
 
 
 def test_continuity_spot_check():

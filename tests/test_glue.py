@@ -1,9 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from periodlab import chains as ch
+from periodlab import forms as fo
 from periodlab import glue as gl
 from periodlab import homology as hm
+from periodlab import periods as pe
+from periodlab import quad as qd
 
 
 def arc(theta0, theta1):
@@ -57,6 +62,19 @@ def test_newton_inverse_affine_and_nonlinear():
     assert np.abs(curved.evaluate(x) - target).max() <= 1e-11
     with pytest.raises(gl.InputCompatibilityError):
         gl.invert_simplex_map(aff, np.array([5.0, 5.0]))
+
+
+def test_batched_inverse_matches_per_point_solves():
+    curved = ch.ExprMap(["a1 + a2^2", "a2"], 2)
+    rng = np.random.default_rng(12)
+    xs = np.vstack([[ch.random_interior_point(2, rng) for _ in range(6)], np.eye(2), [[0.0, 0.0]]])
+    ys = curved.evaluate_many(xs)
+    batch = gl.invert_simplex_map(curved, ys)
+    for y, x in zip(ys, batch):
+        np.testing.assert_array_equal(x, gl.invert_simplex_map(curved, y))
+    assert np.abs(curved.evaluate_many(batch) - ys).max() <= 1e-12
+    with pytest.raises(gl.InputCompatibilityError):
+        gl.invert_simplex_map(curved, np.vstack([ys, [[5.0, 5.0]]]))
 
 
 def test_enforce_b_condition_identity_when_already_full():
@@ -156,6 +174,62 @@ def test_glued_evaluator_continuity_at_vanishing_w_mass():
             assert gap <= prev_gap + 1e-12
         prev_gap = gap
     assert prev_gap <= 1e-6
+
+
+def disk_glue_input():
+    """The half-disk cap glued over a two-triangle base along the diameter,
+    which the base splits at x = 0.2."""
+    cap = gl.Triangulation(
+        hm.SimplicialComplex([(0, 1, 2)]),
+        {
+            (0, 1, 2): ch.ExprMap(["cos(pi*a2/2)*(1 - a2 - 2*a1)/(1 - a2)", "sin(pi*a2/2)"], 2),
+            (0, 1): ch.AffineSimplex([[1.0, 0.0], [-1.0, 0.0]]),
+            (0,): point(1, 0),
+            (1,): point(-1, 0),
+            (2,): point(0, 1),
+        },
+        marks={"B": {(0,), (1,), (0, 1)}},
+    )
+    xy = {0: (-1.0, 0.0), 1: (0.2, 0.0), 2: (1.0, 0.0), 3: (0.1, -0.8)}
+    base = gl.Triangulation(
+        hm.SimplicialComplex([(0, 1, 3), (1, 2, 3)]),
+        {s: ch.AffineSimplex([xy[v] for v in s]) for s in ((0, 1, 3), (1, 2, 3))},
+        marks={"B": {(0,), (1,), (2,), (0, 1), (1, 2)}},
+    )
+    table = {(0,): (1,), (2,): (0,), (1,): (0, 1), (0, 1): (0, 1), (1, 2): (0, 1)}
+    return gl.GlueInput(cap, base, table)
+
+
+def test_glued_jacobian_matches_central_differences():
+    rng = np.random.default_rng(11)
+    for inp in (circle_glue_input(), disk_glue_input()):
+        G = gl.glue(inp)
+        glued = [e for e in G.evaluators.values() if isinstance(e, gl.GluedMap)]
+        assert {e.dim for e in glued} == {1, inp.t1.complex.dim}
+        for ev in glued:
+            pts = np.array([0.8 * ch.random_interior_point(ev.dim, rng) + 0.05 for _ in range(5)])
+            jac = ev.jacobian_many(pts)
+            h = 1e-6
+            for j in range(ev.dim):
+                step = h * np.eye(ev.dim)[j]
+                fd = (ev.evaluate_many(pts + step) - ev.evaluate_many(pts - step)) / (2 * h)
+                assert np.abs(jac[:, :, j] - fd).max() <= 1e-7 * (1 + np.abs(fd).max())
+
+
+def test_glued_circle_period_converges_at_1e_10():
+    # the exact Jacobian carries no finite-difference noise, so the glued
+    # edges integrate d(theta) to 2 pi at a tolerance of 1e-10
+    G = gl.glue(circle_glue_input())
+    dtheta = fo.Form(1, 2, [((1,), "-a2/(a1^2 + a2^2)"), ((2,), "a1/(a1^2 + a2^2)")])
+    terms = []
+    for s in G.top_simplices():
+        ev = G.evaluators[s]
+        p, q = ev.evaluate(np.array([0.25])), ev.evaluate(np.array([0.75]))
+        terms.append((ev, 1 if p[0] * q[1] - p[1] * q[0] > 0 else -1))  # counterclockwise
+    config = dataclasses.replace(qd.VERIFY_CONFIG, max_cells=300)
+    r = pe.chain_integral(ch.Chain(1, terms), dtheta, 1e-10, config)
+    assert r.converged
+    assert abs(r.value - 2 * np.pi) <= r.error_estimate + 1e-13
 
 
 def test_glue_empty_overlap_is_disjoint_union():

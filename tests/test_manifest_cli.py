@@ -227,6 +227,24 @@ def test_cli_domain_error_is_input_error(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+def test_cli_non_finite_integral_is_inconclusive(tmp_path):
+    # the pullback of dx overflows to infinity: no refinement can repair the
+    # sum, so the check stops at once and reports it as null
+    steep = tmp_path / "steep.json"
+    steep.write_text(json.dumps({
+        "schema": "periodlab/1",
+        "ambient_dim": 2,
+        "simplices": [{"name": "steep", "dim": 1, "components": ["exp(1000*t)", "t"]}],
+    }))
+    res = run_cli(["check-volume", str(steep), "--simplex", "steep", "--deterministic"], timeout=60)
+    assert res.returncode == 1, res.stderr
+    volume = json.loads(res.stdout)["results"]["volume"]
+    assert volume["verdict"] == "inconclusive"
+    dx = volume["per_index"]["dx_1"]
+    assert dx["value"] is None and not dx["converged"] and dx["subdivisions"] == 0
+    assert volume["per_index"]["dx_2"]["converged"]
+
+
 def test_cli_subdivide_chain_roundtrip(tmp_path):
     out_file = tmp_path / "sd.json"
     res = run_cli(

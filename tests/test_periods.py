@@ -77,6 +77,10 @@ def test_closedness_checks():
     assert pe.form_is_closed(winding_form())  # numeric fallback path
     assert pe.form_is_closed(fo.Form(1, 2, [((1,), "a2"), ((2,), "a1")]))  # symbolic
     assert not pe.form_is_closed(fo.Form(1, 2, [((1,), "a2*a2")]))
+    # closed, but d(omega) overflows to infinity for a1 > 0.87: resampled
+    assert pe.form_is_closed(
+        fo.Form(1, 2, [((1,), "a2*exp(16*a1)"), ((2,), "exp(16*a1)*2^1000*2^(-1000)/16")])
+    )
 
 
 def test_identical_representatives_agree_exactly():
