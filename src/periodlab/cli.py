@@ -16,6 +16,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from . import chains as ch
 from . import homology as hm
@@ -160,7 +162,8 @@ def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        return _dispatch(args, started)
+        with np.errstate(all="ignore"):  # an overflow shows in the report itself
+            return _dispatch(args, started)
     except (ManifestError, NotClosedError, InputCompatibilityError, NonManifoldError,
             ExprDomainError, FileNotFoundError, ValueError) as err:
         sys.stderr.write(f"error: {err}\n")
@@ -230,12 +233,10 @@ def _dispatch(args, started: float) -> int:
         if args.chain is not None:
             chain = man.resolve("chains", args.chain)
             sd = ch.barycentric_subdivide(chain)
-            names = {}
             derived = []
             terms = []
             for k, (sigma, n) in enumerate(sorted(sd.items(), key=lambda kv: repr(kv[0].key()))):
                 name = f"{args.chain}_sd_{k}"
-                names[sigma] = name
                 derived.append({"name": name, "map": evaluator_to_dict(sigma)})
                 terms.append({"simplex": name, "coeff": n})
             results = {
@@ -252,7 +253,7 @@ def _dispatch(args, started: float) -> int:
                 "complexes": [
                     {
                         "name": f"{args.complex_}_sd",
-                        "simplices": [list(s) for s in Ksd.simplices[Ksd.dim]],
+                        "simplices": [list(s) for s in hm.maximal_simplices(Ksd)],
                     }
                 ],
             }

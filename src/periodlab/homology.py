@@ -1,13 +1,14 @@
-"""Integer simplicial homology via Smith normal form.
+"""Integer simplicial homology: sparse elimination of unit pivots, then the
+Smith normal form of the small block that is left.
 
-Everything is exact: boundary matrices have entries in {-1, 0, 1}, the Smith
-reduction runs over Python's arbitrary-precision integers, and homology
-generators come from the kernel lattice re-expressed so the image subgroup is
-diagonal.  Orientation of an abstract simplex is its increasing vertex order.
+Everything is exact: boundary matrices have entries in {-1, 0, 1}, and all
+arithmetic runs over Python's arbitrary-precision integers.  Orientation of an
+abstract simplex is its increasing vertex order.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ __all__ = [
     "homology",
     "barycentric_subdivide_complex",
     "maximal_flags",
+    "maximal_simplices",
 ]
 
 
@@ -68,19 +70,19 @@ class SimplicialComplex:
         return f"<SimplicialComplex cells={counts}>"
 
 
+def _boundary_columns(K: SimplicialComplex, d: int) -> list:
+    """The columns of ``boundary_matrix(K, d)`` as dicts, row -> nonzero entry."""
+    index = K._index[d - 1]
+    return [{index[s[:i] + s[i + 1 :]]: (-1) ** i for i in range(d + 1)} for s in K.simplices[d]]
+
+
 def boundary_matrix(K: SimplicialComplex, d: int):
     """Integer matrix of the d-th boundary map, rows (d-1)-cells, columns
     d-cells; entry (F, s) = (-1)^i when F is s with vertex i removed."""
     if d < 1 or d > K.dim:
         raise ValueError(f"degree {d} out of range")
-    rows = K.n_cells(d - 1)
-    cols = K.n_cells(d)
-    M = [[0] * cols for _ in range(rows)]
-    for j, s in enumerate(K.simplices[d]):
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1 :]
-            M[K._index[d - 1][face]][j] = (-1) ** i
-    return M
+    cols = _boundary_columns(K, d)
+    return [[col.get(i, 0) for col in cols] for i in range(K.n_cells(d - 1))]
 
 
 @dataclass
@@ -102,44 +104,28 @@ def smith_normal_form(M) -> SNFResult:
     A = [row[:] for row in M]
     m = len(A)
     n = len(A[0]) if m else 0
-    U, Ui = _identity(m), _identity(m)
-    V, Vi = _identity(n), _identity(n)
+    # U^-1 and V are kept transposed, so every operation on the four is on rows
+    U, Uit, Vt, Vi = _identity(m), _identity(m), _identity(n), _identity(n)
+
+    def row_add(dst, src, k):  # R_dst += k R_src; U^-1 takes the inverse column op
+        for X, i, j, c in ((A, dst, src, k), (U, dst, src, k), (Uit, src, dst, -k)):
+            X[i] = [a + c * b for a, b in zip(X[i], X[j])]
+
+    def col_add(dst, src, k):  # C_dst += k C_src; V^-1 takes the inverse row op
+        for row in A:
+            row[dst] += k * row[src]
+        for X, i, j, c in ((Vt, dst, src, k), (Vi, src, dst, -k)):
+            X[i] = [a + c * b for a, b in zip(X[i], X[j])]
 
     def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-        Ui_col_swap(i, j)
-
-    def Ui_col_swap(i, j):
-        for r in range(m):
-            Ui[r][i], Ui[r][j] = Ui[r][j], Ui[r][i]
+        for X in (A, U, Uit):
+            X[i], X[j] = X[j], X[i]
 
     def col_swap(i, j):
-        for r in range(m):
-            A[r][i], A[r][j] = A[r][j], A[r][i]
-        for r in range(n):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-        Vi[i], Vi[j] = Vi[j], Vi[i]
-
-    def row_add(dst, src, k):
-        # R_dst += k R_src  (U likewise; U_inv gets the inverse column op)
-        A[dst] = [a + k * b for a, b in zip(A[dst], A[src])]
-        U[dst] = [a + k * b for a, b in zip(U[dst], U[src])]
-        for r in range(m):
-            Ui[r][src] -= k * Ui[r][dst]
-
-    def col_add(dst, src, k):
-        for r in range(m):
-            A[r][dst] += k * A[r][src]
-        for r in range(n):
-            V[r][dst] += k * V[r][src]
-        Vi[src] = [a - k * b for a, b in zip(Vi[src], Vi[dst])]
-
-    def row_negate(i):
-        A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
-        for r in range(m):
-            Ui[r][i] = -Ui[r][i]
+        for row in A:
+            row[i], row[j] = row[j], row[i]
+        for X in (Vt, Vi):
+            X[i], X[j] = X[j], X[i]
 
     def clear_around(t):
         """Euclidean reduction of row/column t until the pivot divides out."""
@@ -161,28 +147,19 @@ def smith_normal_form(M) -> SNFResult:
                         col_swap(j, t)
                         dirty = True
         if A[t][t] < 0:
-            row_negate(t)
+            for X in (A, U, Uit):
+                X[t] = [-a for a in X[t]]
 
-    t = 0
-    while True:
-        # minimal-magnitude nonzero pivot in the remaining block
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                a = A[i][j]
-                if a != 0 and (best is None or abs(a) < best):
-                    best = abs(a)
-                    piv = (i, j)
-        if piv is None:
+    rank = 0
+    while True:  # pivot: least nonzero magnitude in the remaining block, first in row order
+        block = [(abs(A[i][j]), i, j) for i in range(rank, m) for j in range(rank, n) if A[i][j]]
+        if not block:
             break
-        if piv[0] != t:
-            row_swap(t, piv[0])
-        if piv[1] != t:
-            col_swap(t, piv[1])
-        clear_around(t)
-        t += 1
-    rank = t
+        _, i, j = min(block)
+        row_swap(rank, i)
+        col_swap(rank, j)
+        clear_around(rank)
+        rank += 1
     # enforce the divisibility chain: a violating pair (a, b) is replaced by
     # (gcd, lcm) by folding column k+1 into column k and re-reducing
     changed = True
@@ -195,28 +172,13 @@ def smith_normal_form(M) -> SNFResult:
                 clear_around(k)
                 clear_around(k + 1)
     diag = [A[i][i] for i in range(min(m, n))]
+    Ui, V = ([list(col) for col in zip(*X)] for X in (Uit, Vt))
     return SNFResult(diag, U, Ui, V, Vi, rank)
 
 
 def _mat_mul(A, B):
-    if not A or not B:
-        return []
-    n, k, m = len(A), len(B), len(B[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for j in range(m):
-            out[i][j] = sum(Ai[t] * B[t][j] for t in range(k))
-    return out
-
-
-def _kernel_basis(M, n_cols):
-    """Columns generating the integer kernel lattice of M (via SNF's V)."""
-    if not M or not M[0]:
-        return _identity(n_cols), None
-    snf = smith_normal_form(M)
-    basis = [[snf.V[r][c] for c in range(snf.rank, n_cols)] for r in range(n_cols)]
-    return basis, snf
+    cols = list(zip(*B))
+    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A]
 
 
 @dataclass
@@ -238,57 +200,98 @@ class HomologyResult:
         }
 
 
+def _add_to(dst: dict, src: dict, c: int) -> None:
+    """dst += c * src for sparse integer vectors; zero entries are dropped."""
+    for k, v in src.items():
+        w = dst.get(k, 0) + c * v
+        if w:
+            dst[k] = w
+        else:
+            del dst[k]
+
+
+def _eliminate(cols: list) -> tuple:
+    """Gaussian elimination of sparse integer columns (row -> entry dicts),
+    in place, on +-1 pivots: shortest column first, on its unit entry in the
+    shortest row, until no column left has a unit entry.  Returns the pivots
+    (column -> row) and, per column, the combination of original columns it
+    is now the image of.  Non-pivot columns end as their Schur complement."""
+    rows: dict = {}
+    for j, col in enumerate(cols):
+        for i in col:
+            rows.setdefault(i, {})[j] = None
+    chains = [{j: 1} for j in range(len(cols))]
+    pivots = {}
+    heap = sorted((len(col), j) for j, col in enumerate(cols) if col)  # a sorted list is a heap
+    while heap:
+        n, b = heapq.heappop(heap)
+        col = cols[b]
+        if b in pivots or len(col) != n:
+            continue  # stale entry: the column changed after it was queued
+        a = min((i for i, v in col.items() if v in (1, -1)), key=lambda i: (len(rows[i]), i), default=None)
+        if a is None:
+            continue
+        pivots[b] = a
+        for i in col:
+            del rows[i][b]
+        for x in rows.pop(a):
+            cx = cols[x]
+            c = -cx[a] * col[a]  # clears row a: col[a] is +-1
+            _add_to(cx, col, c)
+            for i in col:  # keep the row index in step with cx
+                if i in cx:
+                    rows[i][x] = None
+                elif i != a:
+                    rows[i].pop(x, None)
+            _add_to(chains[x], chains[b], c)
+            if cx:
+                heapq.heappush(heap, (len(cx), x))
+    return pivots, chains
+
+
 def homology(K: SimplicialComplex) -> HomologyResult:
     """Betti numbers, torsion coefficients, and representative cycles.
 
-    For each degree the kernel lattice of the boundary map is re-expressed so
-    the image of the next boundary map becomes diagonal; basis vectors beyond
-    the image rank generate the free part, diagonal entries > 1 its torsion.
-    """
-    betti = []
-    torsion = {}
-    reps = {}
+    Each boundary map, on the rows the one below left, is eliminated on its
+    unit pivots; the cells no pivot pairs off span a small chain complex with
+    the same homology.  Per degree, the Smith normal form of its boundary
+    block in kernel coordinates gives the torsion (diagonal entries > 1), the
+    free generators (row operations) and the next kernel basis (column
+    operations).  Generators lift to cycles of K through the elimination's
+    column operations: a deterministic Z-basis of the free part."""
+    left = [list(range(K.n_cells(0)))]  # cells no pivot has paired off
+    blocks, lifts, pivots = [], [[{x: 1} for x in left[0]]], {}
+    for d in range(1, K.dim + 1):
+        # rows the degree below paired off (its pivot columns) are dropped
+        cols = [{i: v for i, v in col.items() if i not in pivots} for col in _boundary_columns(K, d)]
+        pivots, chains = _eliminate(cols)
+        paired = set(pivots.values())
+        left[d - 1] = [x for x in left[d - 1] if x not in paired]
+        left.append([x for x in range(len(cols)) if x not in pivots])
+        blocks.append(cols)
+        lifts.append(chains)
+    betti, torsion, reps = [], {}, {}
+    basis = coords = _identity(len(left[0]))  # kernel of the block below
     for d in range(K.dim + 1):
-        n_d = K.n_cells(d)
-        bd = boundary_matrix(K, d) if d >= 1 else []
-        kernel, _ = _kernel_basis(bd, n_d)
-        k_rank = len(kernel[0]) if kernel and kernel[0] is not None else 0
-        if d + 1 <= K.dim:
-            bd_next = boundary_matrix(K, d + 1)
+        above = left[d + 1] if d < K.dim else []
+        B = _mat_mul(coords, [[blocks[d][x].get(i, 0) for x in above] for i in left[d]])
+        r, torsion[d] = 0, []
+        if any(map(any, B)):
+            snf = smith_normal_form(B)
+            r, torsion[d] = snf.rank, [x for x in snf.diagonal if x > 1]
+            basis = _mat_mul(basis, snf.U_inv)
+            next_basis, coords = [row[r:] for row in snf.V], snf.V_inv[r:]
         else:
-            bd_next = []
-        if not bd_next or not bd_next[0]:
-            rank_next = 0
-            betti.append(k_rank)
-            torsion[d] = []
-            gens = [[kernel[r][c] for r in range(n_d)] for c in range(k_rank)]
-        else:
-            # express image columns in kernel coordinates: kernel * B = bd_next
-            snf_k = smith_normal_form(kernel)
-            um = _mat_mul(snf_k.U, bd_next)
-            B = [[0] * len(bd_next[0]) for _ in range(k_rank)]
-            for i in range(k_rank):
-                s = snf_k.diagonal[i]
-                for j in range(len(bd_next[0])):
-                    q, r = divmod(um[i][j], s)
-                    if r != 0:
-                        raise ArithmeticError("image does not lie in the kernel lattice")
-                B[i] = [um[i][j] // s for j in range(len(bd_next[0]))]
-            for i in range(k_rank, len(um)):
-                if any(x != 0 for x in um[i]):
-                    raise ArithmeticError("image does not lie in the kernel lattice")
-            B = _mat_mul(snf_k.V, B)
-            snf_b = smith_normal_form(B)
-            rank_next = snf_b.rank
-            betti.append(k_rank - rank_next)
-            torsion[d] = [x for x in snf_b.diagonal[: snf_b.rank] if x > 1]
-            new_basis = _mat_mul(kernel, snf_b.U_inv)
-            gens = [
-                [new_basis[r][c] for r in range(n_d)] for c in range(rank_next, k_rank)
-            ]
-        reps[d] = [
-            [(K.simplices[d][r], g[r]) for r in range(n_d) if g[r] != 0] for g in gens
-        ]
+            next_basis = coords = _identity(len(above))
+        reps[d] = []
+        for g in list(zip(*basis))[r:]:
+            chain: dict = {}
+            for x, c in zip(left[d], g):
+                if c:
+                    _add_to(chain, lifts[d][x], c)
+            reps[d].append([(K.simplices[d][i], c) for i, c in sorted(chain.items())])
+        betti.append(len(reps[d]))
+        basis = next_basis
     return HomologyResult(betti, torsion, reps)
 
 
@@ -296,28 +299,22 @@ def maximal_flags(K: SimplicialComplex):
     """(names, flags) for the barycentric subdivision of K: ``names`` numbers
     the simplices of K (the new vertices) by dimension, then sorted order;
     ``flags`` lists, for each maximal simplex in that order, every chain of
-    codimension-one faces from it down to a vertex, top first."""
-    names = {}
-    for d in range(K.dim + 1):
-        for s in K.simplices[d]:
-            names[s] = len(names)
-    flags = []
-
-    def descend(chain, s):
-        if len(s) == 1:
-            flags.append(chain + [s])
-            return
-        for f in itertools.combinations(s, len(s) - 1):
-            descend(chain + [s], f)
-
-    for s in names:
-        d = len(s) - 1
-        is_maximal = d == K.dim or all(
-            tuple(sorted(set(s) | {v})) not in K._index[d + 1] for v in K.vertices if v not in s
-        )
-        if is_maximal:
-            descend([], s)
+    codimension-one faces from it down to a vertex, top first, dropping the
+    largest vertex first."""
+    names = {s: i for i, s in enumerate(s for d in range(K.dim + 1) for s in K.simplices[d])}
+    flags = [
+        [tuple(sorted(order[k:])) for k in range(len(s))]
+        for s in maximal_simplices(K)
+        for order in itertools.permutations(reversed(s))
+    ]
     return names, flags
+
+
+def maximal_simplices(K: SimplicialComplex) -> list:
+    """The simplices of K that are a face of no other one (as K is closed under
+    faces: a facet of none), by dimension, then sorted order."""
+    facets = {s[:i] + s[i + 1 :] for d in range(1, K.dim + 1) for s in K.simplices[d] for i in range(d + 1)}
+    return [s for d in range(K.dim + 1) for s in K.simplices[d] if s not in facets]
 
 
 def barycentric_subdivide_complex(K: SimplicialComplex) -> SimplicialComplex:

@@ -9,6 +9,7 @@ vanishes at 100 deterministic sample points.
 
 from __future__ import annotations
 
+import contextvars
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -164,12 +165,13 @@ def period_matrix(
     entries = [[None] * len(named_forms) for _ in cycles]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for i, j, r in pool.map(run, tasks):
-                entries[i][j] = r
+            # a copy of the caller's context carries numpy's error state to the workers
+            futures = [pool.submit(contextvars.copy_context().run, run, t) for t in tasks]
+            results = [fut.result() for fut in futures]
     else:
-        for t in tasks:
-            i, j, r = run(t)
-            entries[i][j] = r
+        results = map(run, tasks)
+    for i, j, r in results:
+        entries[i][j] = r
     return PeriodMatrix([c.name for c in cycles], [n for n, _ in named_forms], entries)
 
 

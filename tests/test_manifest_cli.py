@@ -238,11 +238,63 @@ def test_cli_non_finite_integral_is_inconclusive(tmp_path):
     }))
     res = run_cli(["check-volume", str(steep), "--simplex", "steep", "--deterministic"], timeout=60)
     assert res.returncode == 1, res.stderr
+    assert res.stderr == ""  # the overflow is in the report, not a numpy warning
     volume = json.loads(res.stdout)["results"]["volume"]
     assert volume["verdict"] == "inconclusive"
     dx = volume["per_index"]["dx_1"]
     assert dx["value"] is None and not dx["converged"] and dx["subdivisions"] == 0
     assert volume["per_index"]["dx_2"]["converged"]
+
+
+def test_cli_overflow_in_worker_threads_prints_no_warning(tmp_path):
+    # --jobs 2 integrates in pool threads, which start from an empty context
+    loop = tmp_path / "loop.json"
+    loop.write_text(json.dumps({
+        "schema": "periodlab/1",
+        "ambient_dim": 2,
+        "simplices": [
+            {"name": "e0", "dim": 1, "components": ["t", "0"]},
+            {"name": "e1", "dim": 1, "components": ["1", "t"]},
+            {"name": "e2", "dim": 1, "components": ["1 - t", "1 - t"]},
+        ],
+        "chains": [{"name": "loop", "terms": [
+            {"simplex": "e0", "coeff": 1}, {"simplex": "e1", "coeff": 1}, {"simplex": "e2", "coeff": 1},
+        ]}],
+        "forms": [
+            {"name": "steep", "degree": 1, "terms": [{"indices": [1], "coeff": "exp(1000*a1)"}]},
+            {"name": "steeper", "degree": 1, "terms": [{"indices": [1], "coeff": "exp(2000*a1)"}]},
+        ],
+    }))
+    reports = []
+    for jobs in ("1", "2"):
+        res = run_cli(["periods", str(loop), "--cycles", "loop", "--forms", "steep,steeper",
+                       "--jobs", jobs, "--deterministic"], timeout=60)
+        assert res.returncode == 1, res.stderr
+        assert res.stderr == ""
+        reports.append(json.loads(res.stdout)["results"]["periods"])
+    assert reports[0] == reports[1]
+    assert reports[0]["values"] == [[None, None]] and not reports[0]["converged"]
+
+
+def test_cli_subdivide_complex_keeps_lower_dimensional_maximal_simplices(tmp_path):
+    # a triangle and a separate hollow triangle: Betti numbers [2, 1, 0]
+    src = tmp_path / "mixed.json"
+    src.write_text(json.dumps({
+        "schema": "periodlab/1",
+        "complexes": [{"name": "mixed", "simplices": [[0, 1, 2], [3, 4], [4, 5], [3, 5]]}],
+    }))
+    out_file = tmp_path / "mixed_sd.json"
+    res = run_cli(["subdivide", str(src), "--complex", "mixed", "--deterministic", "--out", str(out_file)])
+    assert res.returncode == 0, res.stderr
+    K = mf.load_manifest(str(out_file)).complexes["mixed_sd"]
+    assert hm.homology(K).betti == [2, 1, 0]
+    assert K.n_cells(2) == 6 and K.n_cells(1) == 12 + 6
+    # a pure complex emits exactly its top simplices, as before
+    out_file = tmp_path / "t7_sd.json"
+    res = run_cli(["subdivide", "manifests/torus.json", "--complex", "T7", "--deterministic", "--out", str(out_file)])
+    emitted = json.loads(out_file.read_text())["complexes"][0]["simplices"]
+    Ksd = hm.barycentric_subdivide_complex(mf.load_manifest(str(MANIFESTS / "torus.json")).complexes["T7"])
+    assert emitted == [list(s) for s in Ksd.simplices[2]]
 
 
 def test_cli_subdivide_chain_roundtrip(tmp_path):
