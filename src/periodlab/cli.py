@@ -10,9 +10,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import os
 import sys
 import time
 
@@ -31,7 +29,7 @@ from .manifest import (
     triangulation_to_manifest,
 )
 from .periods import GeometricCycle, NotClosedError, period_matrix
-from .quad import VERIFY_CONFIG, QuadConfig, finite_volume_check
+from .quad import QuadConfig, finite_volume_check
 from .stokes import NonManifoldError, check_chain, stokes_residual
 
 EXIT_PASS = 0
@@ -48,10 +46,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=1e-6, help="verdict tolerance")
-        p.add_argument("--abs-tol", type=float, default=None, help="absolute quadrature tolerance")
+        p.add_argument(
+            "--tol", type=float, default=1e-6,
+            help="verdict tolerance; check-volume integrates at it, check-stokes and periods "
+            "at tol/100",
+        )
         p.add_argument("--max-depth", type=int, default=None, help="maximum refinement depth")
-        p.add_argument("--jobs", type=int, default=None, help="worker threads (PERIODLAB_JOBS)")
+        p.add_argument("--jobs", type=int, default=1, help="worker threads")
         p.add_argument("--deterministic", action="store_true", help="byte-stable reports")
         p.add_argument("--output", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=int, default=20260808, help="seed for sampled diagnostics")
@@ -104,19 +105,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> QuadConfig:
-    cfg = VERIFY_CONFIG.with_tol(args.tol / 100.0)
-    if args.abs_tol is not None:
-        cfg = dataclasses.replace(cfg, abs_tol=args.abs_tol)
-    if args.max_depth is not None:
-        cfg = dataclasses.replace(cfg, max_depth=args.max_depth)
-    return cfg
+    return QuadConfig() if args.max_depth is None else QuadConfig(max_depth=args.max_depth)
 
 
 def _jobs(args) -> int:
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    envval = os.environ.get("PERIODLAB_JOBS")
-    return max(1, int(envval)) if envval else 1
+    return max(1, args.jobs)
 
 
 def _emit(args, report: dict, body_csv: str | None = None) -> None:
@@ -137,7 +130,6 @@ def _report(args, results: dict, started: float) -> dict:
         "command": args.command,
         "config": {
             "tol": args.tol,
-            "abs_tol": args.abs_tol,
             "max_depth": args.max_depth,
             "jobs": _jobs(args),
             "deterministic": args.deterministic,

@@ -128,24 +128,24 @@ def smith_normal_form(M) -> SNFResult:
             X[i], X[j] = X[j], X[i]
 
     def clear_around(t):
-        """Euclidean reduction of row/column t until the pivot divides out."""
-        dirty = True
-        while dirty:
-            dirty = False
+        """Euclidean reduction of row/column t: move their least nonzero
+        entry to the pivot, reduce both by it, repeat until both are clear.
+        Always dividing by the least entry keeps the coefficients small."""
+        while True:
+            line = [(abs(A[i][t]), 0, i) for i in range(t, m) if A[i][t]]
+            line += [(abs(A[t][j]), 1, j) for j in range(t + 1, n) if A[t][j]]
+            if not line:
+                break
+            _, is_col, k = min(line)
+            (col_swap if is_col else row_swap)(t, k)
+            if len(line) == 1:
+                break
             for i in range(t + 1, m):
-                if A[i][t] != 0:
-                    q = A[i][t] // A[t][t]
-                    row_add(i, t, -q)
-                    if A[i][t] != 0:  # remainder smaller than pivot: promote
-                        row_swap(i, t)
-                        dirty = True
+                if A[i][t]:
+                    row_add(i, t, -(A[i][t] // A[t][t]))
             for j in range(t + 1, n):
-                if A[t][j] != 0:
-                    q = A[t][j] // A[t][t]
-                    col_add(j, t, -q)
-                    if A[t][j] != 0:
-                        col_swap(j, t)
-                        dirty = True
+                if A[t][j]:
+                    col_add(j, t, -(A[t][j] // A[t][t]))
         if A[t][t] < 0:
             for X in (A, U, Uit):
                 X[t] = [-a for a in X[t]]

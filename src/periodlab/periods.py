@@ -19,7 +19,7 @@ import numpy as np
 from .chains import Chain, boundary, interior_grid
 from .expr import ExprDomainError
 from .forms import Form, exterior_derivative
-from .quad import VERIFY_CONFIG, QuadConfig, QuadResult, integrate_simplex
+from .quad import QuadConfig, QuadResult, integrate_simplex
 
 __all__ = [
     "GeometricCycle",
@@ -117,7 +117,7 @@ class PeriodMatrix:
 
 
 def chain_integral(
-    c: Chain, omega: Form, tol: float | None = None, config: QuadConfig | None = None
+    c: Chain, omega: Form, tol: float = 1e-8, config: QuadConfig | None = None
 ) -> QuadResult:
     """Integral of omega over a chain: coefficient-weighted simplex integrals."""
     value = err = absint = 0.0
@@ -144,7 +144,6 @@ def period_matrix(
 ) -> PeriodMatrix:
     """Pair each cycle with each closed form; rejects non-cycles and
     non-closed forms with diagnostics."""
-    config = config or VERIFY_CONFIG
     named_forms = [(f"form{i}", w) if isinstance(w, Form) else w for i, w in enumerate(forms)]
     if check_inputs:
         for cyc in cycles:

@@ -17,7 +17,7 @@ That verdict is a diagnostic, not a proof: integrability is not numerically
 decidable, and pathologically conditioned integrands may be flagged
 inconclusive.
 
-Cone evaluators are integrated on the prism [0,1] x Delta_d by default: the
+Cone evaluators are always integrated on the prism [0,1] x Delta_d: the
 reparametrisation q collapsing {1} x Delta_d to the cone point is a
 diffeomorphism away from a null set, and the product domain lets refinement
 grade anisotropically into the wrapped simplex's singular faces.  q reverses
@@ -27,7 +27,6 @@ sign and match the direct cone integral.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import itertools
 import math
@@ -41,7 +40,6 @@ from .forms import Form, pullback_top_many
 
 __all__ = [
     "QuadConfig",
-    "VERIFY_CONFIG",
     "QuadResult",
     "VolumeReport",
     "integrate_simplex",
@@ -64,22 +62,13 @@ SUSTAIN_RATIO = 0.97
 
 @dataclass(frozen=True)
 class QuadConfig:
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-8
-    max_depth: int = 40
+    """The refinement budgets of one integral; the tolerance is an argument
+    of each entry point."""
+
+    # boundary-singular integrands converge one bisection level per digit
+    # pair, so verification needs deep refinement
+    max_depth: int = 80
     max_cells: int = 20000
-    route_cones_via_prism: bool = True
-
-    def with_tol(self, tol: float | None) -> "QuadConfig":
-        if tol is None:
-            return self
-        return dataclasses.replace(self, rel_tol=tol, abs_tol=tol)
-
-
-# The default of the verification layers (CLI, Stokes checks, period
-# matrices): boundary-singular integrands converge one bisection level per
-# digit pair, so verification allows deeper refinement than bare quadrature.
-VERIFY_CONFIG = QuadConfig(max_depth=80)
 
 
 @dataclass
@@ -345,10 +334,12 @@ class _Cell:
         return tuple(_Cell(t, v, self.depth + 1, density, rules) for t, v in halves)
 
 
-def _adapt(density, d: int, prism: bool, cfg: QuadConfig) -> QuadResult:
+def _adapt(density, d: int, prism: bool, tol: float, cfg: QuadConfig | None) -> QuadResult:
     """Adaptive cubature of a batch density over Delta_d, or over the prism
-    [0,1] x Delta_d (points (t, b)) when ``prism``.  A non-finite running
-    value or error ends it, unconverged: no refinement can repair it."""
+    [0,1] x Delta_d (points (t, b)) when ``prism``, until the error estimate
+    is at most tol * max(1, |value|).  A non-finite running value or error
+    ends it, unconverged: no refinement can repair it."""
+    cfg = cfg or QuadConfig()
     t_rules = (_interval_rule(4), _interval_rule(3)) if prism else None
     rules = (t_rules, simplex_rule(d, 4), simplex_rule(d, 3))
     verts = np.vstack([np.zeros((1, d)), np.eye(d)])
@@ -367,7 +358,7 @@ def _adapt(density, d: int, prism: bool, cfg: QuadConfig) -> QuadResult:
     while heap:
         if not (math.isfinite(value) and math.isfinite(err)):
             return QuadResult(value, err, abs_total, False, splits)
-        if err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+        if err <= max(tol, tol * abs(value)):
             return QuadResult(value, err, abs_total, True, splits)
         if tracker.diverging:
             break
@@ -389,7 +380,7 @@ def _adapt(density, d: int, prism: bool, cfg: QuadConfig) -> QuadResult:
         tracker.on_split(ca.depth, abs_total, cell.touches)
     if not tracker.diverging:
         tracker.check_at_exhaustion()
-    converged = err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)) and not tracker.diverging
+    converged = err <= max(tol, tol * abs(value)) and not tracker.diverging
     return QuadResult(value, err, abs_total, converged, splits, tracker.diverging)
 
 
@@ -398,10 +389,10 @@ def _adapt(density, d: int, prism: bool, cfg: QuadConfig) -> QuadResult:
 # ---------------------------------------------------------------------------
 
 
-def _pullback_density(sigma: SingularSimplex, omega: Form, cfg: QuadConfig):
+def _pullback_density(sigma: SingularSimplex, omega: Form):
     """(density, d, prism): the signed density of sigma^*(omega) and its
-    domain, Delta_d or, for a cone routed through the prism, [0,1] x Delta_d."""
-    if isinstance(sigma, Cone) and cfg.route_cones_via_prism:
+    domain, Delta_d or, for a cone, the prism [0,1] x Delta_d."""
+    if isinstance(sigma, Cone):
         return _prism_density(sigma.inner, "1 - t", omega), sigma.inner.dim, True
     return (lambda pts: pullback_top_many(sigma, omega, pts)), sigma.dim, False
 
@@ -414,31 +405,29 @@ def _prism_density(sigma: SingularSimplex, profile, omega: Form):
 
 
 def integrate_simplex(
-    sigma: SingularSimplex, omega: Form, tol: float | None = None, config: QuadConfig | None = None
+    sigma: SingularSimplex, omega: Form, tol: float = 1e-8, config: QuadConfig | None = None
 ) -> QuadResult:
     """Estimate of the integral of sigma^*(omega) over the standard simplex."""
-    cfg = (config or QuadConfig()).with_tol(tol)
     if omega.degree != sigma.dim:
         raise ValueError("integrate_simplex needs deg(omega) == dim(sigma)")
     if sigma.domain == "prism":
         raise ValueError("prism-domain maps go through integrate_prism")
-    return _adapt(*_pullback_density(sigma, omega, cfg), cfg)
+    return _adapt(*_pullback_density(sigma, omega), tol, config)
 
 
 def integrate_prism(
     sigma: SingularSimplex,
     profile,
     omega: Form,
-    tol: float | None = None,
+    tol: float = 1e-8,
     config: QuadConfig | None = None,
 ) -> QuadResult:
     """Integral of the pullback of omega along (t,b) |-> f(t) sigma(b) over
     [0,1] x Delta_d, oriented so that it matches the direct cone integral
     when f(t) = 1 - t (q reverses the dt^db coordinate orientation)."""
-    cfg = (config or QuadConfig()).with_tol(tol)
     if omega.degree != sigma.dim + 1:
         raise ValueError("integrate_prism needs deg(omega) == dim(sigma) + 1")
-    return _adapt(_prism_density(sigma, profile, omega), sigma.dim, True, cfg)
+    return _adapt(_prism_density(sigma, profile, omega), sigma.dim, True, tol, config)
 
 
 def finite_volume_check(
@@ -450,12 +439,11 @@ def finite_volume_check(
     "no" means the divergence diagnostic fired; anything else is
     inconclusive.  Faces are the caller's responsibility (compose with
     face_map and check each face)."""
-    cfg = (config or QuadConfig()).with_tol(tol)
     d = sigma.dim
     results = {}
     for idx in itertools.combinations(range(1, sigma.ambient + 1), d):
-        density, dom, prism = _pullback_density(sigma, Form(d, sigma.ambient, [(idx, "1")]), cfg)
-        results[idx] = _adapt(lambda pts: np.abs(density(pts)), dom, prism, cfg)
+        density, dom, prism = _pullback_density(sigma, Form(d, sigma.ambient, [(idx, "1")]))
+        results[idx] = _adapt(lambda pts: np.abs(density(pts)), dom, prism, tol, config)
     if any(r.diverging for r in results.values()):
         verdict = "no"
     elif all(r.converged for r in results.values()):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .chains import Chain, SingularSimplex
 from .expr import domain_site
 from .forms import Form, exterior_derivative
-from .quad import VERIFY_CONFIG, QuadConfig, QuadResult, integrate_simplex
+from .quad import QuadConfig, QuadResult, integrate_simplex
 
 __all__ = [
     "StokesReport",
@@ -31,10 +31,10 @@ class NonManifoldError(Exception):
     """A (d-1)-face met more than two top simplices."""
 
 
-def _verdict(residual, lhs, rhs, all_converged, abs_tol, rel_tol):
+def _verdict(residual, lhs, rhs, all_converged, floor, tol):
     if not all_converged:
         return "inconclusive"
-    bound = max(abs_tol, rel_tol * (abs(lhs) + abs(rhs)))
+    bound = max(floor, tol * (abs(lhs) + abs(rhs)))
     return "pass" if residual <= bound else "fail"
 
 
@@ -61,25 +61,21 @@ def stokes_residual(
     omega: Form,
     tol: float = 1e-6,
     config: QuadConfig | None = None,
-    quad_tol: float | None = None,
 ) -> StokesReport:
     """Check int sigma^*(d omega) == sum_i (-1)^i int (sigma o face_i)^*(omega).
 
     ``tol`` is the verdict threshold; the component quadratures run at
-    ``quad_tol`` (default tol/100) so quadrature noise stays below it.
+    tol/100 so quadrature noise stays below it.
     """
     d = sigma.dim
     if omega.degree != d - 1:
         raise ValueError("stokes_residual needs deg(omega) == dim(sigma) - 1")
-    cfg = (config or VERIFY_CONFIG).with_tol(
-        quad_tol if quad_tol is not None else tol / 100.0
-    )
-    lhs = integrate_simplex(sigma, exterior_derivative(omega), config=cfg)
+    lhs = integrate_simplex(sigma, exterior_derivative(omega), tol / 100.0, config)
     rhs_faces = []
     rhs = 0.0
     for i in range(d + 1):
         with domain_site(f"face {i}"):
-            r = integrate_simplex(sigma.face(i), omega, config=cfg)
+            r = integrate_simplex(sigma.face(i), omega, tol / 100.0, config)
         rhs_faces.append(r)
         rhs += (-1) ** i * r.value
     residual = abs(lhs.value - rhs)
@@ -165,23 +161,16 @@ def triangulated_stokes(
     contributions of every interior (d-1)-face cancel, and returns the
     uncancelled faces (the boundary chain) with their summed integral.
     """
-    cfg = (config or VERIFY_CONFIG).with_tol(tol / 100.0)
-    domega = exterior_derivative(omega)
     total_lhs = 0.0
     contributions: dict[tuple, list] = {}
     ok = True
     for verts, sigma in tops:
-        d = sigma.dim
-        r = integrate_simplex(sigma, domega, config=cfg)
-        ok = ok and r.converged
-        total_lhs += r.value
-        for i in range(d + 1):
-            fkey = tuple(v for k, v in enumerate(verts) if k != i)
-            ri = integrate_simplex(sigma.face(i), omega, config=cfg)
-            ok = ok and ri.converged
-            contributions.setdefault(tuple(sorted(fkey)), []).append(
-                (verts, (-1) ** i, ri.value)
-            )
+        rep = stokes_residual(sigma, omega, tol, config)
+        ok = ok and rep.verdict != "inconclusive"
+        total_lhs += rep.lhs.value
+        for i, r in enumerate(rep.rhs_faces):
+            fkey = tuple(sorted(v for k, v in enumerate(verts) if k != i))
+            contributions.setdefault(fkey, []).append((verts, (-1) ** i, r.value))
     total_rhs = sum(s * v for group in contributions.values() for _, s, v in group)
     interior = {}
     boundary_terms = []

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -226,7 +224,7 @@ def test_glued_circle_period_converges_at_1e_10():
         ev = G.evaluators[s]
         p, q = ev.evaluate(np.array([0.25])), ev.evaluate(np.array([0.75]))
         terms.append((ev, 1 if p[0] * q[1] - p[1] * q[0] > 0 else -1))  # counterclockwise
-    config = dataclasses.replace(qd.VERIFY_CONFIG, max_cells=300)
+    config = qd.QuadConfig(max_cells=300)
     r = pe.chain_integral(ch.Chain(1, terms), dtheta, 1e-10, config)
     assert r.converged
     assert abs(r.value - 2 * np.pi) <= r.error_estimate + 1e-13

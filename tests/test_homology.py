@@ -1,6 +1,8 @@
+import contextlib
 import itertools
 import math
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -170,23 +172,63 @@ def test_snf_examples():
     assert s.diagonal == [1, 1, 0]
 
 
+def assert_smith_form(M, s):
+    """U M V = D with D diagonal, nonnegative and a divisibility chain;
+    U and V invertible with the returned inverses."""
+    m, n = len(M), len(M[0])
+    S = hm._mat_mul(hm._mat_mul(s.U, M), s.V)
+    for i in range(m):
+        for j in range(n):
+            want = s.diagonal[i] if i == j and i < len(s.diagonal) else 0
+            assert S[i][j] == want
+    nz = [x for x in s.diagonal if x != 0]
+    assert len(nz) == s.rank
+    assert all(x > 0 for x in nz)
+    assert all(nz[i + 1] % nz[i] == 0 for i in range(len(nz) - 1))
+    assert hm._mat_mul(s.U, s.U_inv) == hm._identity(m)
+    assert hm._mat_mul(s.V, s.V_inv) == hm._identity(n)
+
+
+@contextlib.contextmanager
+def finishes_within(seconds):
+    """Fail with TimeoutError, rather than hang, when the body runs long."""
+
+    def timeout(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_snf_properties_random():
+    # dense matrices up to 7 x 7: large enough for a poor choice of Euclid
+    # divisor to blow the coefficients up
     rng = random.Random(42)
-    for _ in range(60):
-        m = rng.randint(1, 6)
-        n = rng.randint(1, 6)
-        M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+    with finishes_within(30):
+        for _ in range(400):
+            m = rng.randint(1, 7)
+            n = rng.randint(1, 7)
+            M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+            assert_smith_form(M, hm.smith_normal_form(M))
+
+
+def test_snf_dense_matrix_finishes():
+    # reducing by each remainder as it appears, rather than by the least
+    # entry of the row and column, grows these entries past 2^129 by the
+    # fourth pivot
+    M = [
+        [0, 0, 0, -4, 2], [4, 5, 5, -2, -1], [8, -9, 0, 0, -4], [0, 5, 0, 2, -4],
+        [-5, -2, -4, 6, 0], [8, -9, 0, 0, 0], [3, 6, 7, 9, -8],
+    ]
+    with finishes_within(2):
         s = hm.smith_normal_form(M)
-        S = hm._mat_mul(hm._mat_mul(s.U, M), s.V)
-        for i in range(m):
-            for j in range(n):
-                want = s.diagonal[i] if i == j and i < len(s.diagonal) else 0
-                assert S[i][j] == want
-        nz = [x for x in s.diagonal if x != 0]
-        assert all(x > 0 for x in nz)
-        assert all(nz[i + 1] % nz[i] == 0 for i in range(len(nz) - 1))
-        assert hm._mat_mul(s.U, s.U_inv) == hm._identity(m)
-        assert hm._mat_mul(s.V, s.V_inv) == hm._identity(n)
+    assert_smith_form(M, s)
+    assert s.diagonal == [1, 1, 1, 1, 2]
 
 
 def test_homology_classics():

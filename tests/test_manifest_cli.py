@@ -190,6 +190,119 @@ def test_cli_check_volume_verdicts():
     assert res.returncode == 1
 
 
+# check-volume integrates at --tol; check-stokes and periods integrate at
+# --tol/100, so that quadrature noise stays below the verdict threshold.
+# Floats as float.hex: the tolerance each command hands to quadrature fixes
+# the values, error estimates and subdivision counts bit for bit.
+TOLERANCE_GOLDEN = {
+    "check-volume manifests/circle.json --simplex upper_sqrt": {
+        "volume/per_index/dx_1/error_estimate": "0x1.0000000000000p-52",
+        "volume/per_index/dx_1/subdivisions": 0,
+        "volume/per_index/dx_1/value": "0x1.fffffffffffffp+0",
+        "volume/per_index/dx_2/error_estimate": "0x1.f24b35cde6b92p-20",
+        "volume/per_index/dx_2/subdivisions": 98,
+        "volume/per_index/dx_2/value": "0x1.fffffafe5b40cp+0",
+    },
+    "check-volume manifests/circle.json --simplex sqrt_graph --faces": {
+        "faces/face_0/per_index/dx_/error_estimate": 0,
+        "faces/face_0/per_index/dx_/subdivisions": 0,
+        "faces/face_0/per_index/dx_/value": 1,
+        "faces/face_1/per_index/dx_/error_estimate": 0,
+        "faces/face_1/per_index/dx_/subdivisions": 0,
+        "faces/face_1/per_index/dx_/value": 1,
+        "volume/per_index/dx_1/error_estimate": "0x1.0000000000000p-53",
+        "volume/per_index/dx_1/subdivisions": 0,
+        "volume/per_index/dx_1/value": "0x1.fffffffffffffp-1",
+        "volume/per_index/dx_2/error_estimate": "0x1.008143d5f34dep-20",
+        "volume/per_index/dx_2/subdivisions": 45,
+        "volume/per_index/dx_2/value": "0x1.fffff91baedd2p-1",
+    },
+    "check-stokes manifests/circle.json --chain gamma_semialg --form f_xy --tol 1e-4": {
+        "stokes/per_term/0/report/lhs/error_estimate": "0x1.0b7b26da4d69bp-20",
+        "stokes/per_term/0/report/lhs/subdivisions": 109,
+        "stokes/per_term/0/report/lhs/value": "-0x1.3cd41c5ad2658p-23",
+        "stokes/per_term/0/report/rhs_faces/0/error_estimate": 0,
+        "stokes/per_term/0/report/rhs_faces/0/subdivisions": 0,
+        "stokes/per_term/0/report/rhs_faces/0/value": 0,
+        "stokes/per_term/0/report/rhs_faces/1/error_estimate": 0,
+        "stokes/per_term/0/report/rhs_faces/1/subdivisions": 0,
+        "stokes/per_term/0/report/rhs_faces/1/value": 0,
+        "stokes/per_term/1/report/lhs/error_estimate": "0x1.0b7b26da4d69bp-20",
+        "stokes/per_term/1/report/lhs/subdivisions": 109,
+        "stokes/per_term/1/report/lhs/value": "-0x1.3cd41c5ad2658p-23",
+        "stokes/per_term/1/report/rhs_faces/0/error_estimate": 0,
+        "stokes/per_term/1/report/rhs_faces/0/subdivisions": 0,
+        "stokes/per_term/1/report/rhs_faces/0/value": 0,
+        "stokes/per_term/1/report/rhs_faces/1/error_estimate": 0,
+        "stokes/per_term/1/report/rhs_faces/1/subdivisions": 0,
+        "stokes/per_term/1/report/rhs_faces/1/value": 0,
+    },
+    "check-stokes manifests/circle.json --simplex upper_sqrt --form f_xy --tol 1e-4": {
+        "stokes/lhs/error_estimate": "0x1.0b7b26da4d69bp-20",
+        "stokes/lhs/subdivisions": 109,
+        "stokes/lhs/value": "-0x1.3cd41c5ad2658p-23",
+        "stokes/rhs_faces/0/error_estimate": 0,
+        "stokes/rhs_faces/0/subdivisions": 0,
+        "stokes/rhs_faces/0/value": 0,
+        "stokes/rhs_faces/1/error_estimate": 0,
+        "stokes/rhs_faces/1/subdivisions": 0,
+        "stokes/rhs_faces/1/value": 0,
+    },
+    "periods manifests/circle.json --cycles gamma_semialg --forms dtheta,d_xy --tol 1e-4": {
+        "periods/error_estimates/0/0": "0x1.a163822e38cf9p-18",
+        "periods/error_estimates/0/1": "0x1.0b7b26da4d69bp-19",
+        "periods/values/0/0": "0x1.921fb04ca11bbp+2",
+        "periods/values/0/1": "-0x1.3cd41c5ad2658p-22",
+    },
+    "periods manifests/torus.json --cycles cycle_a,cycle_b --forms dtheta_1,dtheta_2,exact_1": {
+        "periods/error_estimates/0/0": "0x1.0000000000000p-50",
+        "periods/error_estimates/0/1": 0,
+        "periods/error_estimates/0/2": "0x1.474eec7f00000p-27",
+        "periods/error_estimates/1/0": 0,
+        "periods/error_estimates/1/1": "0x1.0000000000000p-50",
+        "periods/error_estimates/1/2": "0x1.b46781be87498p-47",
+        "periods/values/0/0": "0x1.921fb54442d19p+2",
+        "periods/values/0/1": 0,
+        "periods/values/0/2": "0x1.cd7a000000000p-42",
+        "periods/values/1/0": 0,
+        "periods/values/1/1": "0x1.921fb54442d19p+2",
+        "periods/values/1/2": "-0x1.7b0ca7db00553p-46",
+    },
+}
+
+
+def _pinned_leaves(node, path=(), keep=False):
+    """(path, leaf) for every value, error estimate and subdivision count."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _pinned_leaves(
+                v, path + (k,), keep or k in {"value", "values", "error_estimate",
+                                              "error_estimates", "subdivisions"}
+            )
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _pinned_leaves(v, path + (i,), keep)
+    elif keep:
+        yield "/".join(map(str, path)), node.hex() if isinstance(node, float) else node
+
+
+@pytest.mark.parametrize("command", list(TOLERANCE_GOLDEN))
+def test_cli_quadrature_tolerance_per_command(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "report.json"
+    assert cli.run(command.split() + ["--deterministic", "--out", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    assert dict(_pinned_leaves(results)) == TOLERANCE_GOLDEN[command]
+
+
+def test_cli_tolerance_has_one_flag():
+    # --tol is the only way to set a quadrature tolerance
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["periods", str(MANIFESTS / "circle.json"), "--cycles", "gamma",
+                 "--forms", "dtheta", "--abs-tol", "1e-3"])
+    assert exc.value.code == 2
+
+
 def test_cli_missing_manifest_is_input_error():
     res = run_cli(["homology", "no_such_file.json", "--complex", "T7"])
     assert res.returncode == 2

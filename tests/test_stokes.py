@@ -7,6 +7,7 @@ from periodlab import chains as ch
 from periodlab import forms as fo
 from periodlab import quad as qd
 from periodlab import stokes as st
+from periodlab.expr import ExprDomainError
 
 
 def test_fundamental_theorem_on_sqrt_curve():
@@ -159,6 +160,15 @@ def test_triangulated_nonmanifold_rejected():
     tops = [((0, 1, 2), tri), ((0, 1, 3), tri), ((0, 1, 4), tri)]
     with pytest.raises(st.NonManifoldError):
         st.triangulated_stokes(tops, fo.Form(1, 2, [((2,), "a1")]), 1e-6)
+
+
+def test_triangulated_face_domain_error_names_the_face():
+    # face 1 lies on a1 = 0, where the Jacobian of sqrt(a1) divides by zero
+    tri = ch.AffineSimplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    sheet = ch.ExprMap(["a2", "sqrt(a1)"], 2)
+    message = r"^face 1: division by zero in 1/\(2\*sqrt\(a1\)\)"
+    with pytest.raises(ExprDomainError, match=message):
+        st.triangulated_stokes([((0, 1, 2), tri), ((1, 2, 3), sheet)], fo.Form(1, 2, [((1,), "1")]))
 
 
 def test_closed_form_corpus_with_finite_volume_passes_stokes():
