@@ -34,21 +34,21 @@ __all__ = [
     "prism_q_inverse",
     "barycentric_subdivide",
     "reference_subdivision",
-    "in_standard_simplex",
+    "reference_vertices",
     "interior_grid",
     "random_interior_point",
 ]
 
 
-def in_standard_simplex(point, tol: float = 1e-12) -> bool:
-    p = np.asarray(point, dtype=float)
-    return bool(np.all(p >= -tol) and p.sum() <= 1.0 + tol)
+def reference_vertices(d: int) -> np.ndarray:
+    """(d+1, d) vertices of the standard d-simplex: the origin, then e_1..e_d."""
+    return np.vstack([np.zeros((1, d)), np.eye(d)])
 
 
-def interior_grid(d: int, m: int = 4, shrink: float = 1e-3):
-    """Deterministic strictly-interior sample points of the open d-simplex."""
+def interior_grid(d: int, m: int = 4, shrink: float = 1e-3) -> np.ndarray:
+    """(n, d) deterministic strictly-interior sample points of the open d-simplex."""
     if d == 0:
-        return [np.zeros(0)]
+        return np.zeros((1, 0))
     pts = []
     for idx in itertools.product(range(1, m + 1), repeat=d):
         if sum(idx) > m + d:
@@ -58,7 +58,7 @@ def interior_grid(d: int, m: int = 4, shrink: float = 1e-3):
             pts.append(p)
     if not pts:
         pts = [np.full(d, 1.0 / (2 * d + 2))]
-    return pts
+    return np.array(pts)
 
 
 def random_interior_point(d: int, rng) -> np.ndarray:
@@ -301,9 +301,7 @@ def face_map(d: int, i: int) -> AffineSimplex:
         raise ValueError("face_map needs dimension >= 1")
     if not 0 <= i <= d:
         raise IndexError(f"face index {i} out of range for dimension {d}")
-    verts = [np.zeros(d)] + [row for row in np.eye(d)]
-    del verts[i]
-    return AffineSimplex(np.array(verts))
+    return AffineSimplex(np.delete(reference_vertices(d), i, axis=0))
 
 
 def cone(sigma: SingularSimplex) -> Cone:
@@ -417,8 +415,7 @@ def _sd_affine(sign: int, verts: np.ndarray):
 
 def reference_subdivision(d: int):
     """Signed affine self-maps of Delta_d giving its barycentric subdivision."""
-    verts = np.vstack([np.zeros((1, d)), np.eye(d)])
-    return [(s, AffineSimplex(w)) for s, w in _sd_affine(1, verts)]
+    return [(s, AffineSimplex(w)) for s, w in _sd_affine(1, reference_vertices(d))]
 
 
 def barycentric_subdivide(c: Chain) -> Chain:
@@ -441,7 +438,7 @@ def check_continuity(sigma: SingularSimplex, depth: int = 20, grid_m: int = 3) -
     if d == 0:
         return 0.0
     center = np.full(d, 1.0 / (d + 1))
-    grid = np.array(interior_grid(d - 1, grid_m))
+    grid = interior_grid(d - 1, grid_m)
     offsets = 2.0 ** -np.arange(4, depth + 1, 4)
     worst = 0.0
     for x0 in np.vstack([face_map(d, i).evaluate_many(grid) for i in range(d + 1)]):

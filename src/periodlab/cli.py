@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "at tol/100",
         )
         p.add_argument("--max-depth", type=int, default=None, help="maximum refinement depth")
-        p.add_argument("--jobs", type=int, default=1, help="worker threads")
+        p.add_argument("--jobs", type=int, default=1, help="no effect: integration is serial")
         p.add_argument("--deterministic", action="store_true", help="byte-stable reports")
         p.add_argument("--output", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=int, default=20260808, help="seed for sampled diagnostics")
@@ -108,10 +108,6 @@ def _config(args) -> QuadConfig:
     return QuadConfig() if args.max_depth is None else QuadConfig(max_depth=args.max_depth)
 
 
-def _jobs(args) -> int:
-    return max(1, args.jobs)
-
-
 def _emit(args, report: dict, body_csv: str | None = None) -> None:
     if args.output == "csv" and body_csv is not None:
         text = body_csv
@@ -131,7 +127,7 @@ def _report(args, results: dict, started: float) -> dict:
         "config": {
             "tol": args.tol,
             "max_depth": args.max_depth,
-            "jobs": _jobs(args),
+            "jobs": args.jobs,
             "deterministic": args.deterministic,
             "seed": args.seed,
         },
@@ -163,6 +159,8 @@ def run(argv=None) -> int:
 
 
 def _dispatch(args, started: float) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = _config(args)
     cmd = args.command
 
@@ -265,9 +263,7 @@ def _dispatch(args, started: float) -> int:
         for name in args.cycles.split(","):
             cycles.append(GeometricCycle(name, man.resolve("chains", name)))
         forms = [(name, man.resolve("forms", name)) for name in args.forms.split(",")]
-        pm = period_matrix(
-            cycles, forms, args.tol / 100.0, cfg, jobs=_jobs(args), check_seed=args.seed
-        )
+        pm = period_matrix(cycles, forms, args.tol / 100, cfg, jobs=args.jobs, check_seed=args.seed)
         results = {"periods": pm.to_dict()}
         csv_lines = ["cycle," + ",".join(pm.form_names)]
         for cname, row in zip(pm.cycle_names, pm.entries):

@@ -25,7 +25,6 @@ __all__ = [
     "domain_site",
     "parse",
     "to_string",
-    "evaluate",
     "compile_expr",
     "compile_vec",
     "diff",
@@ -412,8 +411,8 @@ def to_string(e: Expr) -> str:
 
 # ---------------------------------------------------------------------------
 # Evaluation.  compile_vec is the one compiler: it builds nested numpy
-# closures once per AST.  compile_expr and evaluate() are batches of one over
-# it.  All are pure and safe to share across threads.
+# closures once per AST; compile_expr is a batch of one over it.  Both are
+# pure.
 # ---------------------------------------------------------------------------
 
 
@@ -436,16 +435,6 @@ def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
     """Point evaluator: a batch of one through compile_vec."""
     run = compile_vec(e)
     return lambda point: float(run(np.asarray(point, dtype=float).reshape(-1, 1))[0])
-
-
-_COMPILED: dict[Expr, Callable] = {}
-
-
-def evaluate(e: Expr, point: Sequence[float]) -> float:
-    fn = _COMPILED.get(e)
-    if fn is None:
-        fn = _COMPILED[e] = compile_expr(e)
-    return fn(point)
 
 
 def _compile_vec(e: Expr):

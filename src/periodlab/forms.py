@@ -19,9 +19,8 @@ from .chains import PrismMap, SingularSimplex
 __all__ = [
     "Form",
     "exterior_derivative",
-    "pullback_density",
-    "pullback_components",
     "pullback_many",
+    "pullback_top_many",
     "DecompAB",
     "decompose_AB",
 ]
@@ -150,17 +149,6 @@ def pullback_many(sigma: SingularSimplex, omega: Form, points: np.ndarray) -> di
     return out
 
 
-def pullback_components(sigma: SingularSimplex, omega: Form, point) -> dict:
-    """All components of sigma^*(omega) at one interior point."""
-    batch = pullback_many(sigma, omega, np.asarray(point, dtype=float)[None])
-    return {key: float(v[0]) for key, v in batch.items()}
-
-
-def pullback_density(sigma: SingularSimplex, omega: Form, point) -> float:
-    """Coefficient of sigma^*(omega) against da_1 ^ ... ^ da_d (top degree)."""
-    return float(pullback_top_many(sigma, omega, np.asarray(point, dtype=float)[None])[0])
-
-
 def _det_many(sub: np.ndarray) -> np.ndarray:
     p = sub.shape[1]
     if p == 0:
@@ -191,46 +179,48 @@ class DecompAB:
 
     def __post_init__(self):
         self.prism = PrismMap(self.sigma, self.profile)
-        self._dprofile = ex.diff(self.prism.profile, 1)
 
-    def A_density(self, t: float, b) -> float:
-        """Component of A against db_1 ^ ... ^ db_d at (t, b)."""
+    def _at(self, t, b):
+        """f(t), f'(t), sigma(b), its Jacobian and h at the prism image
+        f(t) sigma(b), for a batch t of shape (n,) and b of shape (n, d)."""
+        t = np.asarray(t, dtype=float)[None]
+        b = np.asarray(b, dtype=float)
+        f = self.prism._vf(t)
+        sig = self.sigma.evaluate_many(b)
+        h = self.eta._vfns[0]((f[:, None] * sig).T)
+        return f, self.prism._vdf(t), sig, self.sigma.jacobian_many(b), h
+
+    def A_density(self, t, b) -> np.ndarray:
+        """Component of A against db_1 ^ ... ^ db_d at each (t, b)."""
         d = self.sigma.dim
-        x = self.prism.evaluate(np.concatenate(([t], b)))
-        h = ex.evaluate(self.eta.terms[0][1], x)
-        jac = self.sigma.jacobian(b)
-        det = _det_many(jac[None, :d, :d])[0]
-        return h * ex.evaluate(self.prism.profile, (t,)) ** d * det
+        f, _, _, jac, h = self._at(t, b)
+        return h * f**d * _det_many(jac[:, :d, :d])
 
-    def B_density(self, t: float, b) -> dict:
-        """Components of B against dt ^ db_J for (d-1)-subsets J at (t, b).
+    def B_density(self, t, b) -> dict:
+        """Components of B against dt ^ db_J for (d-1)-subsets J at each (t, b).
 
         Expanded per the product-rule splitting of d(tau_1)^...^d(tau_d):
         B = (h o tau) sum_i (-1)^{i-1} f' f^{d-1} sigma_i dt ^ dsigma_(omit i),
         i.e. the coefficient rides at the prism image while the differentials
         are those of the unscaled sigma."""
         d = self.sigma.dim
-        fval = ex.evaluate(self.prism.profile, (t,))
-        x = self.prism.evaluate(np.concatenate(([t], b)))
-        h = ex.evaluate(self.eta.terms[0][1], x)
-        sig = self.sigma.evaluate(b)
-        jac = self.sigma.jacobian(b)
-        lead = ex.evaluate(self._dprofile, (t,)) * fval ** (d - 1) * h
+        f, df, sig, jac, h = self._at(t, b)
+        lead = df * f ** (d - 1) * h
         out = {}
         for cols in itertools.combinations(range(d), d - 1):
             total = 0.0
             for i in range(1, d + 1):
                 rows = [r for r in range(d) if r != i - 1]
-                total += (-1) ** (i - 1) * sig[i - 1] * _det_many(jac[np.ix_(rows, cols)][None])[0]
+                total += (-1) ** (i - 1) * sig[:, i - 1] * _det_many(jac[:, rows][:, :, cols])
             out[tuple(c + 1 for c in cols)] = lead * total
         return out
 
-    def direct(self, t: float, b) -> dict:
+    def direct(self, t, b) -> dict:
         """Components of the direct pullback of eta along the prism map,
         keyed over (t, b)-coordinate subsets (1 = t)."""
-        return pullback_components(self.prism, self.eta, np.concatenate(([t], b)))
+        return pullback_many(self.prism, self.eta, np.column_stack([t, b]))
 
-    def combined(self, t: float, b) -> dict:
+    def combined(self, t, b) -> dict:
         """A + B assembled in the same component convention as direct()."""
         d = self.sigma.dim
         out = {tuple(range(2, d + 2)): self.A_density(t, b)}

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import AffineSimplex, Composed, SingularSimplex
+from .chains import AffineSimplex, Composed, SingularSimplex, interior_grid, reference_vertices
 from .homology import SimplicialComplex, maximal_flags
 
 __all__ = [
@@ -35,10 +35,6 @@ __all__ = [
 
 class InputCompatibilityError(Exception):
     pass
-
-
-def _ref_vertices(d: int) -> np.ndarray:
-    return np.vstack([np.zeros((1, d)), np.eye(d)]) if d > 0 else np.zeros((1, 0))
 
 
 def _project_to_simplex(x: np.ndarray) -> np.ndarray:
@@ -82,7 +78,7 @@ def invert_simplex_map(f: SingularSimplex, y, tol: float = 1e-12, max_iter: int 
         raise InputCompatibilityError("target not in the affine simplex image")
     d = f.dim
     centre = np.full(d, 1.0 / (d + 1))
-    seeds = [centre] + [0.9 * v + 0.1 * centre for v in _ref_vertices(d)]
+    seeds = [centre] + [0.9 * v + 0.1 * centre for v in reference_vertices(d)]
     out = np.empty((y.shape[0], d))
     best = np.full(y.shape[0], np.inf)
     todo = np.arange(y.shape[0])
@@ -240,7 +236,7 @@ class Triangulation:
         for d in range(len(s), self.complex.dim + 1):
             for parent in self.complex.simplices.get(d, []):
                 if set(s) <= set(parent) and parent in self.evaluators:
-                    ref = _ref_vertices(len(parent) - 1)
+                    ref = reference_vertices(len(parent) - 1)
                     pos = [parent.index(v) for v in s]
                     return Composed(self.evaluators[parent], AffineSimplex(ref[pos]))
         raise KeyError(f"no evaluator covers simplex {s}")
@@ -251,11 +247,9 @@ class Triangulation:
     def validate(self, grid_m: int = 3, face_tol: float = 1e-10, collision_tol: float = 1e-7):
         """Sampled structural checks: shared-face agreement of top evaluators
         and injectivity (no collisions between distinct top interiors)."""
-        from .chains import interior_grid
-
         d = self.complex.dim
         tops = self.top_simplices()
-        ref = _ref_vertices(d)
+        ref = reference_vertices(d)
         shared = []  # (face, the tops that carry it), for faces of two or more
         for ftuple in self.complex.simplices.get(d - 1, []) if d >= 1 else []:
             carriers = [t for t in tops if set(ftuple) <= set(t)]
@@ -263,11 +257,11 @@ class Triangulation:
                 shared.append((ftuple, carriers))
         # one batch per top: the interior grid, then the grid of each shared
         # face mapped into the top's reference simplex
-        cloud = np.array(interior_grid(d, grid_m))
+        cloud = interior_grid(d, grid_m)
         batches = {t: [cloud] for t in tops}
         rows = {}
         for ftuple, carriers in shared:
-            face_grid = np.array(interior_grid(d - 1, grid_m))
+            face_grid = interior_grid(d - 1, grid_m)
             for t in carriers:
                 start = sum(len(b) for b in batches[t])
                 rows[ftuple, t] = slice(start, start + len(face_grid))
@@ -310,7 +304,7 @@ def subdivide_triangulation(T: Triangulation) -> Triangulation:
     for flag in flags:
         top = flag[0]
         d = len(top) - 1
-        ref = _ref_vertices(d)
+        ref = reference_vertices(d)
         tup = tuple(names[s] for s in flag)
         order = sorted(range(len(flag)), key=lambda k: tup[k])
         new_simplex = tuple(tup[k] for k in order)
@@ -499,16 +493,22 @@ def cover_and_triangulate(first: Triangulation, rest: list) -> Triangulation:
     """Fold glue() over (piece, containment) steps.  The overlap marks for
     each step are derived from the containment table (targets on the
     accumulated side, keys on the piece side); every output simplex is
-    chart-tagged with its source piece via marks named chart:<k>."""
-    acc = first
-    acc.marks.setdefault("chart:0", set()).update(
-        s for d in range(acc.complex.dim + 1) for s in acc.complex.simplices[d]
-    )
+    chart-tagged with its source piece via marks named chart:<k>.  The
+    inputs are left unchanged; with no further pieces ``first`` comes back
+    as it is."""
+    if not rest:
+        return first
+
+    def with_marks(T, extra):
+        return Triangulation(T.complex, T.evaluators, {**T.marks, **extra})
+
+    def chart(T, k):
+        cells = {s for d in range(T.complex.dim + 1) for s in T.complex.simplices[d]}
+        return {f"chart:{k}": T.marks.get(f"chart:{k}", set()) | cells}
+
+    acc = with_marks(first, chart(first, 0))
     for k, (piece, containment) in enumerate(rest, start=1):
-        piece.marks.setdefault(f"chart:{k}", set()).update(
-            s for d in range(piece.complex.dim + 1) for s in piece.complex.simplices[d]
-        )
-        acc.marks["B"] = _face_closure(containment.values())
-        piece.marks["B"] = _face_closure(containment.keys())
+        acc = with_marks(acc, {"B": _face_closure(containment.values())})
+        piece = with_marks(piece, {**chart(piece, k), "B": _face_closure(containment.keys())})
         acc = glue(GlueInput(acc, piece, containment))
     return acc

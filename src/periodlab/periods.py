@@ -9,9 +9,7 @@ vanishes at 100 deterministic sample points.
 
 from __future__ import annotations
 
-import contextvars
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +43,7 @@ def chain_vanishes_geometrically(c: Chain, tol: float = 1e-10, grid_m: int = 3) 
     terms = c.items()
     if not terms:
         return True
-    grid = np.array(interior_grid(c.degree, grid_m))
+    grid = interior_grid(c.degree, grid_m)
     groups: list[list] = []  # [(fingerprint, coeff_sum)]
     for sigma, n in terms:
         fp = sigma.evaluate_many(grid)
@@ -143,7 +141,8 @@ def period_matrix(
     check_seed: int = 20260808,
 ) -> PeriodMatrix:
     """Pair each cycle with each closed form; rejects non-cycles and
-    non-closed forms with diagnostics."""
+    non-closed forms with diagnostics.  Entries are integrated one after
+    another; ``jobs`` is accepted and has no effect."""
     named_forms = [(f"form{i}", w) if isinstance(w, Form) else w for i, w in enumerate(forms)]
     if check_inputs:
         for cyc in cycles:
@@ -151,26 +150,9 @@ def period_matrix(
         for name, w in named_forms:
             if not form_is_closed(w, rng_seed=check_seed):
                 raise NotClosedError(f"form {name!r} is not closed")
-    tasks = [
-        (i, j, cyc.chain, w)
-        for i, cyc in enumerate(cycles)
-        for j, (_, w) in enumerate(named_forms)
+    entries = [
+        [chain_integral(cyc.chain, w, tol, config) for _, w in named_forms] for cyc in cycles
     ]
-
-    def run(task):
-        i, j, chain, w = task
-        return i, j, chain_integral(chain, w, tol, config)
-
-    entries = [[None] * len(named_forms) for _ in cycles]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            # a copy of the caller's context carries numpy's error state to the workers
-            futures = [pool.submit(contextvars.copy_context().run, run, t) for t in tasks]
-            results = [fut.result() for fut in futures]
-    else:
-        results = map(run, tasks)
-    for i, j, r in results:
-        entries[i][j] = r
     return PeriodMatrix([c.name for c in cycles], [n for n, _ in named_forms], entries)
 
 

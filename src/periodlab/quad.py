@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chains import Cone, PrismMap, SingularSimplex
+from .chains import Cone, PrismMap, SingularSimplex, reference_vertices
 from .forms import Form, pullback_top_many
 
 __all__ = [
@@ -69,6 +69,10 @@ class QuadConfig:
     # pair, so verification needs deep refinement
     max_depth: int = 80
     max_cells: int = 20000
+
+    def __post_init__(self):
+        if self.max_depth < 0 or self.max_cells < 1:
+            raise ValueError(f"need max_depth >= 0 and max_cells >= 1, got {self}")
 
 
 @dataclass
@@ -339,11 +343,12 @@ def _adapt(density, d: int, prism: bool, tol: float, cfg: QuadConfig | None) -> 
     [0,1] x Delta_d (points (t, b)) when ``prism``, until the error estimate
     is at most tol * max(1, |value|).  A non-finite running value or error
     ends it, unconverged: no refinement can repair it."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     cfg = cfg or QuadConfig()
     t_rules = (_interval_rule(4), _interval_rule(3)) if prism else None
     rules = (t_rules, simplex_rule(d, 4), simplex_rule(d, 3))
-    verts = np.vstack([np.zeros((1, d)), np.eye(d)])
-    root = _Cell((0.0, 1.0) if prism else None, verts, 0, density, rules)
+    root = _Cell((0.0, 1.0) if prism else None, reference_vertices(d), 0, density, rules)
     heap = []
     seq = itertools.count()
 
@@ -389,7 +394,7 @@ def _adapt(density, d: int, prism: bool, tol: float, cfg: QuadConfig | None) -> 
 # ---------------------------------------------------------------------------
 
 
-def _pullback_density(sigma: SingularSimplex, omega: Form):
+def _signed_density(sigma: SingularSimplex, omega: Form):
     """(density, d, prism): the signed density of sigma^*(omega) and its
     domain, Delta_d or, for a cone, the prism [0,1] x Delta_d."""
     if isinstance(sigma, Cone):
@@ -412,7 +417,7 @@ def integrate_simplex(
         raise ValueError("integrate_simplex needs deg(omega) == dim(sigma)")
     if sigma.domain == "prism":
         raise ValueError("prism-domain maps go through integrate_prism")
-    return _adapt(*_pullback_density(sigma, omega), tol, config)
+    return _adapt(*_signed_density(sigma, omega), tol, config)
 
 
 def integrate_prism(
@@ -442,7 +447,7 @@ def finite_volume_check(
     d = sigma.dim
     results = {}
     for idx in itertools.combinations(range(1, sigma.ambient + 1), d):
-        density, dom, prism = _pullback_density(sigma, Form(d, sigma.ambient, [(idx, "1")]))
+        density, dom, prism = _signed_density(sigma, Form(d, sigma.ambient, [(idx, "1")]))
         results[idx] = _adapt(lambda pts: np.abs(density(pts)), dom, prism, tol, config)
     if any(r.diverging for r in results.values()):
         verdict = "no"

@@ -111,40 +111,39 @@ def test_criterion_3_decomposition():
     worst_face = 0.0
     for d, (sigma, eta) in cases.items():
         dec = fo.decompose_AB(sigma, "1 - t^2", eta)
-        for _ in range(120):
-            t = 0.999 * rng.random() + 0.0005
-            b = ch.random_interior_point(d, rng)
-            direct = dec.direct(t, b)
-            combined = dec.combined(t, b)
-            for key, val in direct.items():
-                worst = max(worst, abs(val - combined[key]) / (1 + abs(val)))
+        t = 0.999 * rng.random(120) + 0.0005
+        b = np.array([ch.random_interior_point(d, rng) for _ in range(120)])
+        direct = dec.direct(t, b)
+        combined = dec.combined(t, b)
+        for key, val in direct.items():
+            worst = max(worst, float(np.max(np.abs(val - combined[key]) / (1 + np.abs(val)))))
         # restriction claims: on I x F the restricted pullback equals the
         # B part alone; on {0,1} x Delta_d the spatial component is A alone
         import itertools as it
 
-        for _ in range(25):
-            t = 0.999 * rng.random() + 0.0005
-            for i in range(d + 1):
-                face = ch.face_map(d, i)
-                c = ch.random_interior_point(d - 1, rng)
-                restricted = ch.PrismMap(ch.Composed(sigma, face), dec.prism.profile)
-                direct = fo.pullback_components(restricted, eta, np.concatenate(([t], c)))
-                beta = dec.B_density(t, face.evaluate(c))
-                jac = face.jacobian(c)
-                for K in it.combinations(range(1, d), d - 1):
-                    cols = [k - 1 for k in K]
-                    want = sum(
-                        bval * np.linalg.det(jac[np.ix_([j - 1 for j in J], cols)])
-                        for J, bval in beta.items()
-                    )
-                    got = direct[(1,) + tuple(k + 1 for k in K)]
-                    worst_face = max(worst_face, abs(got - want) / (1 + abs(got)))
-            b = ch.random_interior_point(d, rng)
-            for t_edge in (0.0, 1.0):
-                direct = dec.direct(t_edge, b)
-                spatial = tuple(range(2, d + 2))
-                gap = abs(direct[spatial] - dec.A_density(t_edge, b))
-                worst_face = max(worst_face, gap / (1 + abs(direct[spatial])))
+        t = 0.999 * rng.random(25) + 0.0005
+        for i in range(d + 1):
+            face = ch.face_map(d, i)
+            c = np.array([ch.random_interior_point(d - 1, rng) for _ in range(25)])
+            restricted = ch.PrismMap(ch.Composed(sigma, face), dec.prism.profile)
+            direct = fo.pullback_many(restricted, eta, np.column_stack([t, c]))
+            beta = dec.B_density(t, face.evaluate_many(c))
+            jac = face.jacobian_many(c)
+            for K in it.combinations(range(1, d), d - 1):
+                cols = [k - 1 for k in K]
+                want = sum(
+                    bval * np.linalg.det(jac[:, [j - 1 for j in J]][:, :, cols])
+                    for J, bval in beta.items()
+                )
+                got = direct[(1,) + tuple(k + 1 for k in K)]
+                worst_face = max(worst_face, float(np.max(np.abs(got - want) / (1 + np.abs(got)))))
+        b = np.array([ch.random_interior_point(d, rng) for _ in range(25)])
+        spatial = tuple(range(2, d + 2))
+        for t_edge in (0.0, 1.0):
+            t = np.full(25, t_edge)
+            direct = dec.direct(t, b)[spatial]
+            gap = np.abs(direct - dec.A_density(t, b)) / (1 + np.abs(direct))
+            worst_face = max(worst_face, float(np.max(gap)))
     ok = worst <= 1e-10 and worst_face <= 1e-10
     report(
         "criterion 3 (A+B splitting, 1e-10)",

@@ -45,25 +45,25 @@ def test_rational_literal_binds_tightly():
 
 
 def test_eval_examples():
-    assert ex.evaluate(ex.parse("a1*a1", 1), (0.5,)) == 0.25
-    assert ex.evaluate(ex.parse("sqrt(a1)", 1), (0.0,)) == 0.0
+    assert ex.compile_expr(ex.parse("a1*a1", 1))((0.5,)) == 0.25
+    assert ex.compile_expr(ex.parse("sqrt(a1)", 1))((0.0,)) == 0.0
     with pytest.raises(ex.ExprDomainError):
-        ex.evaluate(ex.parse("1/a1", 1), (0.0,))
+        ex.compile_expr(ex.parse("1/a1", 1))((0.0,))
 
 
 def test_eval_domain_errors_carry_subexpression():
     with pytest.raises(ex.ExprDomainError) as err:
-        ex.evaluate(ex.parse("log(a1 - 2)", 1), (1.0,))
+        ex.compile_expr(ex.parse("log(a1 - 2)", 1))((1.0,))
     assert "log" in str(err.value)
 
 
 def test_pow_zero_base_conventions():
     e = ex.parse("a1^(1/2)", 1)
-    assert ex.evaluate(e, (0.0,)) == 0.0
+    assert ex.compile_expr(e)((0.0,)) == 0.0
     with pytest.raises(ex.ExprDomainError):
-        ex.evaluate(ex.parse("a1^(-1/2)", 1), (0.0,))
+        ex.compile_expr(ex.parse("a1^(-1/2)", 1))((0.0,))
     with pytest.raises(ex.ExprDomainError):
-        ex.evaluate(ex.parse("a1^(1/2)", 1), (-1.0,))
+        ex.compile_expr(ex.parse("a1^(1/2)", 1))((-1.0,))
 
 
 def test_diff_power_rule():
@@ -81,9 +81,10 @@ def test_diff_sqrt_at_quarter():
     # finite-difference oracle at 0.25, step 1e-6
     e = ex.parse("sqrt(a1)", 1)
     h = 1e-6
-    fd = (ex.evaluate(e, (0.25 + h,)) - ex.evaluate(e, (0.25 - h,))) / (2 * h)
-    assert abs(ex.evaluate(d, (0.25,)) - fd) <= 1e-6
-    assert abs(ex.evaluate(d, (0.25,)) - 1.0) <= 1e-12
+    f, df = ex.compile_expr(e), ex.compile_expr(d)
+    fd = (f((0.25 + h,)) - f((0.25 - h,))) / (2 * h)
+    assert abs(df((0.25,)) - fd) <= 1e-6
+    assert abs(df((0.25,)) - 1.0) <= 1e-12
 
 
 # -- generators ------------------------------------------------------------
@@ -139,8 +140,9 @@ def test_diff_matches_central_difference(e, x, y, i):
     up[i - 1] += h
     dn[i - 1] -= h
     try:
-        fd = (ex.evaluate(e, up) - ex.evaluate(e, dn)) / (2 * h)
-        sym = ex.evaluate(ex.diff(e, i), pt)
+        f = ex.compile_expr(e)
+        fd = (f(up) - f(dn)) / (2 * h)
+        sym = ex.compile_expr(ex.diff(e, i))(pt)
     except ex.ExprDomainError:
         return
     if not (math.isfinite(fd) and math.isfinite(sym)):
@@ -152,9 +154,10 @@ def test_diff_matches_central_difference(e, x, y, i):
 @given(e=_safe_exprs(2, 3), x=st.floats(min_value=0.1, max_value=0.9))
 def test_eval_deterministic(e, x):
     pt = (x, 1.0 - x / 2)
+    fn = ex.compile_expr(e)
     try:
-        v1 = ex.evaluate(e, pt)
-        v2 = ex.evaluate(e, pt)
+        v1 = fn(pt)
+        v2 = fn(pt)
         v3 = ex.compile_expr(e)(pt)
     except ex.ExprDomainError:
         return

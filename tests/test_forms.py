@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ def test_exterior_derivative_rotational():
     assert len(d.terms) == 1
     idx, coeff = d.terms[0]
     assert idx == (1, 2)
-    assert ex.evaluate(coeff, (0.3, 0.7)) == 2.0
+    assert ex.compile_expr(coeff)((0.3, 0.7)) == 2.0
 
 
 def test_dd_is_zero_symbolically():
@@ -42,30 +44,29 @@ def test_form_merge_requires_increasing_indices():
 def test_pullback_identity_density():
     ident = ch.ExprMap(["a1", "a2"], 2)
     w = fo.Form(2, 2, [((1, 2), "1")])
-    for p in ch.interior_grid(2, 4):
-        assert fo.pullback_density(ident, w, p) == pytest.approx(1.0)
+    assert fo.pullback_top_many(ident, w, ch.interior_grid(2, 4)) == pytest.approx(1.0)
 
 
 def test_pullback_sqrt_curve():
     sigma = ch.ExprMap(["t", "sqrt(t)"], 1)
     w = fo.Form(1, 2, [((2,), "1")])
-    assert fo.pullback_density(sigma, w, np.array([0.25])) == pytest.approx(1.0)
+    assert fo.pullback_top_many(sigma, w, np.array([[0.25]])) == pytest.approx([1.0])
 
 
 def test_pullback_parabola():
     sigma = ch.ExprMap(["a1^2", "a2"], 2)
     w = fo.Form(2, 2, [((1, 2), "1")])
-    assert fo.pullback_density(sigma, w, np.array([0.5, 0.1])) == pytest.approx(1.0)
+    assert fo.pullback_top_many(sigma, w, np.array([[0.5, 0.1]])) == pytest.approx([1.0])
 
 
 def test_pullback_linear_in_form_and_chain_terms():
     sigma = ch.ExprMap(["a1 + a2", "a1*a2", "a2"], 2)
     w1 = fo.Form(2, 3, [((1, 2), "a3")])
     w2 = fo.Form(2, 3, [((1, 3), "a1"), ((2, 3), "1")])
-    p = np.array([0.2, 0.3])
-    combined = fo.pullback_density(sigma, w1 + w2, p)
+    p = np.array([[0.2, 0.3]])
+    combined = fo.pullback_top_many(sigma, w1 + w2, p)
     assert combined == pytest.approx(
-        fo.pullback_density(sigma, w1, p) + fo.pullback_density(sigma, w2, p)
+        fo.pullback_top_many(sigma, w1, p) + fo.pullback_top_many(sigma, w2, p)
     )
 
 
@@ -86,8 +87,8 @@ def test_pullback_against_finite_difference_jacobian():
         expected = 0.0
         for idx, coeff in w.terms:
             rows = [i - 1 for i in idx]
-            expected += ex.evaluate(coeff, x) * np.linalg.det(jac_fd[rows, :])
-        got = fo.pullback_density(sigma, w, p)
+            expected += ex.compile_expr(coeff)(x) * np.linalg.det(jac_fd[rows, :])
+        got = fo.pullback_top_many(sigma, w, p[None])[0]
         assert abs(got - expected) <= 1e-6 * (1 + abs(got))
 
 
@@ -98,23 +99,31 @@ def test_pullback_batch_matches_pointwise():
     pts = np.array([ch.random_interior_point(2, rng) for _ in range(9)])
     batch = fo.pullback_top_many(sigma, w, pts)
     for k, p in enumerate(pts):
-        assert batch[k] == pytest.approx(fo.pullback_density(sigma, w, p))
+        assert batch[k] == pytest.approx(fo.pullback_top_many(sigma, w, p[None])[0])
 
 
 # -- the A + B splitting ----------------------------------------------------
+
+AB_CASES = {
+    1: (ch.ExprMap(["sin(t) + 1", "t^2"], 1), fo.Form(1, 2, [((1,), "a1*a2 + 1")])),
+    2: (ch.ExprMap(["a1 + a2^2", "a2", "a1*a2"], 2), fo.Form(2, 3, [((1, 2), "a1*a3 + 1")])),
+}
+
+
+def prism_points(rng, n, d, lo=0.0, hi=1.0):
+    """n points (t, b) of [lo, hi] x Delta_d: t of shape (n,), b of shape (n, d)."""
+    t = lo + (hi - lo) * rng.random(n)
+    return t, np.array([ch.random_interior_point(d, rng) for _ in range(n)])
 
 
 def test_decompose_constant_profile_has_no_B():
     sigma = ch.ExprMap(["sin(t)", "t^2"], 1)
     eta = fo.Form(1, 2, [((1,), "a1 + a2^2")])
     dec = fo.decompose_AB(sigma, "1", eta)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        t = rng.random()
-        b = ch.random_interior_point(1, rng)
-        assert all(abs(v) == 0.0 for v in dec.B_density(t, b).values())
-        # and A alone carries the pullback, independent of t
-        assert dec.A_density(t, b) == pytest.approx(dec.A_density(0.5, b))
+    t, b = prism_points(np.random.default_rng(0), 20, 1)
+    assert all(np.all(v == 0.0) for v in dec.B_density(t, b).values())
+    # and A alone carries the pullback, independent of t
+    assert dec.A_density(t, b) == pytest.approx(dec.A_density(np.full(20, 0.5), b))
 
 
 def test_decompose_d1_explicit():
@@ -122,79 +131,69 @@ def test_decompose_d1_explicit():
     sigma = ch.ExprMap(["t"], 1)
     eta = fo.Form(1, 1, [((1,), "1")])
     dec = fo.decompose_AB(sigma, "1 - t", eta)
-    rng = np.random.default_rng(1)
-    for _ in range(30):
-        t = rng.random()
-        b = ch.random_interior_point(1, rng)
-        assert dec.A_density(t, b) == pytest.approx(1.0 - t)
-        assert dec.B_density(t, b)[()] == pytest.approx(-b[0])
+    t, b = prism_points(np.random.default_rng(1), 30, 1)
+    assert dec.A_density(t, b) == pytest.approx(1.0 - t)
+    assert dec.B_density(t, b)[()] == pytest.approx(-b[:, 0])
 
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_decompose_matches_direct_pullback(d):
-    rng = np.random.default_rng(d)
-    if d == 1:
-        sigma = ch.ExprMap(["sin(t) + 1", "t^2"], 1)
-        eta = fo.Form(1, 2, [((1,), "a1*a2 + 1")])
-    else:
-        sigma = ch.ExprMap(["a1 + a2^2", "a2", "a1*a2"], 2)
-        eta = fo.Form(2, 3, [((1, 2), "a1*a3 + 1")])
+    sigma, eta = AB_CASES[d]
     dec = fo.decompose_AB(sigma, "1 - t^2", eta)
-    for _ in range(100):
-        t = 0.999 * rng.random() + 0.0005
-        b = ch.random_interior_point(d, rng)
-        direct = dec.direct(t, b)
-        combined = dec.combined(t, b)
-        assert set(direct) == set(combined)
-        for key, val in direct.items():
-            assert abs(val - combined[key]) <= 1e-10 * (1 + abs(val))
+    t, b = prism_points(np.random.default_rng(d), 100, d, 0.0005, 0.9995)
+    direct = dec.direct(t, b)
+    combined = dec.combined(t, b)
+    assert set(direct) == set(combined)
+    for key, val in direct.items():
+        assert np.all(np.abs(val - combined[key]) <= 1e-10 * (1 + np.abs(val)))
+    # values do not depend on how the points are batched: A and B on the
+    # batch equal the same points taken as batches of one, bit for bit
+    singles = [dec.combined(t[k : k + 1], b[k : k + 1]) for k in range(len(t))]
+    for key, val in combined.items():
+        np.testing.assert_array_equal(val, np.concatenate([one[key] for one in singles]))
 
 
 def test_decompose_face_restrictions():
+    for d in AB_CASES:
+        check_face_restrictions(d)
+
+
+def check_face_restrictions(d):
     # A vanishes on I x F (the restriction of the full pullback equals the
     # restricted B part); only A survives on {0,1} x Delta_d
-    sigma = ch.ExprMap(["a1 + a2^2", "a2", "a1*a2"], 2)
-    eta = fo.Form(2, 3, [((1, 2), "a1*a3 + 1")])
+    sigma, eta = AB_CASES[d]
     dec = fo.decompose_AB(sigma, "1 - t^2", eta)
     rng = np.random.default_rng(9)
-    d = 2
-    import itertools
-
-    for _ in range(40):
-        t = 0.999 * rng.random() + 0.0005
-        for i in range(d + 1):
-            face = ch.face_map(d, i)
-            c = ch.random_interior_point(d - 1, rng)
-            b = face.evaluate(c)
-            # direct restriction: pull eta back along (t, c) |-> f(t) sigma(face(c))
-            restricted_prism = ch.PrismMap(ch.Composed(sigma, face), dec.prism.profile)
-            direct = fo.pullback_components(
-                restricted_prism, eta, np.concatenate(([t], c))
-            )
-            # B restricted through the face embedding
-            beta = dec.B_density(t, b)
-            jac_face = face.jacobian(c)
-            for K in itertools.combinations(range(1, d), d - 1):
-                cols = [k - 1 for k in K]
-                want = 0.0
-                for J, bval in beta.items():
-                    rows = [j - 1 for j in J]
-                    want += bval * np.linalg.det(jac_face[np.ix_(rows, cols)])
-                got = direct[(1,) + tuple(k + 1 for k in K)]
-                assert abs(got - want) <= 1e-10 * (1 + abs(got))
-            # the pure-spatial component on the face (the A side) vanishes:
-            # the face domain has only d-1 spatial directions, so there is no
-            # spatial d-subset at all
-            spatial_keys = [k for k in direct if 1 not in k]
-            assert all(len(k) < d + 1 for k in spatial_keys)
-        # on {0,1} x Delta_d the dt components die: direct == A alone
-        b = ch.random_interior_point(d, rng)
-        for t_edge in (0.0, 1.0):
-            direct = dec.direct(t_edge, b)
-            spatial = tuple(range(2, d + 2))
-            assert abs(direct[spatial] - dec.A_density(t_edge, b)) <= 1e-10 * (
-                1 + abs(direct[spatial])
-            )
+    n = 100
+    for i in range(d + 1):
+        face = ch.face_map(d, i)
+        t, c = prism_points(rng, n, d - 1, 0.0005, 0.9995)
+        # direct restriction: pull eta back along (t, c) |-> f(t) sigma(face(c))
+        restricted_prism = ch.PrismMap(ch.Composed(sigma, face), dec.prism.profile)
+        direct = fo.pullback_many(restricted_prism, eta, np.column_stack([t, c]))
+        # B restricted through the face embedding
+        beta = dec.B_density(t, face.evaluate_many(c))
+        jac_face = face.jacobian_many(c)
+        for K in itertools.combinations(range(1, d), d - 1):
+            cols = [k - 1 for k in K]
+            want = 0.0
+            for J, bval in beta.items():
+                rows = [j - 1 for j in J]
+                want += bval * np.linalg.det(jac_face[:, rows][:, :, cols])
+            got = direct[(1,) + tuple(k + 1 for k in K)]
+            assert np.all(np.abs(got - want) <= 1e-10 * (1 + np.abs(got)))
+        # the pure-spatial component on the face (the A side) vanishes:
+        # the face domain has only d-1 spatial directions, so there is no
+        # spatial d-subset at all
+        spatial_keys = [k for k in direct if 1 not in k]
+        assert all(len(k) < d + 1 for k in spatial_keys)
+    # on {0,1} x Delta_d the dt components die: direct == A alone
+    _, b = prism_points(rng, n, d)
+    spatial = tuple(range(2, d + 2))
+    for t_edge in (0.0, 1.0):
+        t = np.full(n, t_edge)
+        direct = dec.direct(t, b)[spatial]
+        assert np.all(np.abs(direct - dec.A_density(t, b)) <= 1e-10 * (1 + np.abs(direct)))
 
 
 def test_decompose_rejects_multi_term_eta():

@@ -361,6 +361,21 @@ def test_cover_and_triangulate_three_arcs():
     assert all_simplices <= tagged
 
 
+def test_cover_and_triangulate_leaves_inputs_alone():
+    p1, p2, p3 = three_arc_pieces()
+    G = gl.cover_and_triangulate(p1, [(p2, {(0,): (1,)}), (p3, {(0,): (1,), (2,): (2,)})])
+    assert [p.marks for p in (p1, p2, p3)] == [{}, {}, {}]
+    # the output is the one the in-place version produced
+    assert {name: sorted(m) for name, m in G.marks.items()} == {
+        "B": [(0,), (2,)],
+        "chart:0": [(2, 3)],
+        "chart:1": [(0, 3), (3,)],
+        "chart:2": [(0,), (0, 1), (1,), (1, 2), (2,)],
+    }
+    assert sorted(G.complex.simplices[1]) == [(0, 1), (0, 3), (1, 2), (2, 3)]
+    assert sorted(G.evaluators) == sorted(s for d in (0, 1) for s in G.complex.simplices[d])
+
+
 def test_single_piece_cover_is_identity():
     T = upper_semicircle()
     G = gl.cover_and_triangulate(T, [])

@@ -2,6 +2,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -303,6 +304,34 @@ def test_cli_tolerance_has_one_flag():
     assert exc.value.code == 2
 
 
+SQRT_GRAPH_CHECK = ["check-volume", str(MANIFESTS / "circle.json"), "--simplex", "sqrt_graph"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [SQRT_GRAPH_CHECK + flag for flag in (
+        ["--tol", "inf"], ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"],
+        ["--max-depth", "-1"], ["--jobs", "0"], ["--jobs", "-3"],
+    )] + [
+        ["check-stokes", str(MANIFESTS / "circle.json"), "--simplex", "sqrt_graph",
+         "--form", "f_xy", "--tol", "nan"],
+        ["periods", str(MANIFESTS / "circle.json"), "--cycles", "gamma", "--forms", "dtheta",
+         "--tol", "0"],
+    ],
+    ids=lambda argv: " ".join([argv[0]] + argv[-2:]),
+)
+def test_cli_invalid_quadrature_input_is_input_error(argv, capsys):
+    # a tolerance that is not finite and positive, a negative depth or fewer
+    # than one job is rejected before any refinement
+    started = time.monotonic()
+    rc = cli.run(argv)
+    elapsed = time.monotonic() - started
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert elapsed < 1.0
+
+
 def test_cli_missing_manifest_is_input_error():
     res = run_cli(["homology", "no_such_file.json", "--complex", "T7"])
     assert res.returncode == 2
@@ -360,7 +389,8 @@ def test_cli_non_finite_integral_is_inconclusive(tmp_path):
 
 
 def test_cli_overflow_in_worker_threads_prints_no_warning(tmp_path):
-    # --jobs 2 integrates in pool threads, which start from an empty context
+    # --jobs has no effect: both runs integrate serially under the CLI's
+    # numpy error state and print no warning
     loop = tmp_path / "loop.json"
     loop.write_text(json.dumps({
         "schema": "periodlab/1",

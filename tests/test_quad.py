@@ -216,6 +216,23 @@ def test_converged_respects_tolerance_contract():
     assert r.error_estimate <= max(1e-6, 1e-6 * abs(r.value))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.inf, math.nan])
+def test_tolerance_must_be_finite_and_positive(tol):
+    sigma = ch.ExprMap(["t", "sqrt(t)"], 1)
+    with pytest.raises(ValueError, match="tolerance"):
+        qd.integrate_simplex(sigma, fo.Form(1, 2, [((2,), "1")]), tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        qd.finite_volume_check(sigma, tol)
+
+
+def test_quad_config_rejects_empty_budgets():
+    with pytest.raises(ValueError):
+        qd.QuadConfig(max_depth=-1)
+    with pytest.raises(ValueError):
+        qd.QuadConfig(max_cells=0)
+    assert qd.QuadConfig(max_depth=0, max_cells=1).max_cells == 1
+
+
 def test_interior_evaluation_never_touches_boundary():
     # a map whose derivative blows up on the whole boundary: every rule node
     # must stay interior (no domain error), whatever the verdict
