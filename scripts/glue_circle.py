@@ -51,7 +51,7 @@ if __name__ == "__main__":
         p1, [(p2, {(0,): (1,)}), (p3, {(0,): (1,), (2,): (2,)})]
     )
     print("glued complex:", glued.complex)
-    print("validation:", glued.validate(face_tol=1e-10))
+    print("validation:", glued.validate())
     print("homology:", hm.homology(glued.complex).betti)
     for s in sorted(glued.complex.simplices[1]):
         charts = [n for n, m in glued.marks.items() if n.startswith("chart:") and s in m]

@@ -45,8 +45,12 @@ def reference_vertices(d: int) -> np.ndarray:
     return np.vstack([np.zeros((1, d)), np.eye(d)])
 
 
-def interior_grid(d: int, m: int = 4, shrink: float = 1e-3) -> np.ndarray:
-    """(n, d) deterministic strictly-interior sample points of the open d-simplex."""
+GRID_SHRINK = 1e-3  # interior_grid keeps points at least this far inside the far face
+
+
+def interior_grid(d: int, m: int = 3) -> np.ndarray:
+    """(n, d) deterministic strictly-interior sample points of the open d-simplex,
+    at ``m`` steps per axis (every sampled check in the library uses 3)."""
     if d == 0:
         return np.zeros((1, 0))
     pts = []
@@ -54,7 +58,7 @@ def interior_grid(d: int, m: int = 4, shrink: float = 1e-3) -> np.ndarray:
         if sum(idx) > m + d:
             continue
         p = np.array(idx, dtype=float) / (m + d + 1)
-        if p.sum() < 1.0 - shrink:
+        if p.sum() < 1.0 - GRID_SHRINK:
             pts.append(p)
     if not pts:
         pts = [np.full(d, 1.0 / (2 * d + 2))]
@@ -365,7 +369,8 @@ class Chain:
         return not self.terms
 
     def items(self):
-        return list(self.terms.items())
+        """The (simplex, coefficient) terms, in one fixed order: by repr of the key."""
+        return sorted(self.terms.items(), key=lambda kv: repr(kv[0].key()))
 
     def __len__(self):
         return len(self.terms)
@@ -427,19 +432,23 @@ def barycentric_subdivide(c: Chain) -> Chain:
     return out
 
 
-def check_continuity(sigma: SingularSimplex, depth: int = 20, grid_m: int = 3) -> float:
+CONTINUITY_DEPTH = 20  # check_continuity probes down to 2^-CONTINUITY_DEPTH
+
+
+def check_continuity(sigma: SingularSimplex) -> float:
     """Spot-check continuity on a boundary-approaching grid.
 
     For sample points on each facet, evaluates along the inward segment at
-    offsets 2^-k down to 2^-depth and returns the largest gap between the
-    deepest sample and the facet value.  A validation, not a proof: small
-    output is evidence of continuity at the boundary, nothing more."""
+    offsets 2^-k down to 2^-CONTINUITY_DEPTH and returns the largest gap
+    between the deepest sample and the facet value.  A validation, not a
+    proof: small output is evidence of continuity at the boundary, nothing
+    more."""
     d = sigma.dim
     if d == 0:
         return 0.0
     center = np.full(d, 1.0 / (d + 1))
-    grid = interior_grid(d - 1, grid_m)
-    offsets = 2.0 ** -np.arange(4, depth + 1, 4)
+    grid = interior_grid(d - 1)
+    offsets = 2.0 ** -np.arange(4, CONTINUITY_DEPTH + 1, 4)
     worst = 0.0
     for x0 in np.vstack([face_map(d, i).evaluate_many(grid) for i in range(d + 1)]):
         vals = sigma.evaluate_many(np.vstack([x0, x0 + offsets[:, None] * (center - x0)]))

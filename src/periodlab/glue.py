@@ -33,6 +33,13 @@ __all__ = [
 ]
 
 
+NEWTON_TOL = 1e-12  # invert_simplex_map's residual tolerance, relative to 1 + |y|
+NEWTON_MAX_ITER = 80  # Gauss-Newton steps per start
+FACE_TOL = 1e-10  # largest disagreement of two tops on a shared face
+COLLISION_TOL = 1e-7  # closest approach of two distinct top interiors
+MAX_B_ROUNDS = 5  # subdivisions enforce_B_condition tries
+
+
 class InputCompatibilityError(Exception):
     pass
 
@@ -57,7 +64,7 @@ def _max_abs(r: np.ndarray) -> np.ndarray:
     return np.abs(r).max(axis=1, initial=0.0)
 
 
-def invert_simplex_map(f: SingularSimplex, y, tol: float = 1e-12, max_iter: int = 80):
+def invert_simplex_map(f: SingularSimplex, y):
     """Solve f(x) = y for x in the closed domain simplex.  ``y`` is one
     target or an (n, ambient) batch of them; x has the matching shape.
 
@@ -68,12 +75,12 @@ def invert_simplex_map(f: SingularSimplex, y, tol: float = 1e-12, max_iter: int 
     start converges for some point (its target is not in the image)."""
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
-        return invert_simplex_map(f, y[None], tol, max_iter)[0]
+        return invert_simplex_map(f, y[None])[0]
     scale = 1.0 + _max_abs(y)
     if isinstance(f, AffineSimplex):
         x = np.linalg.lstsq(f._linear, (y - f.vertices[0]).T, rcond=None)[0].T
         inside = np.all(x >= -1e-9, axis=1) & (x.sum(axis=1) <= 1.0 + 1e-9)
-        if np.all(inside & (_max_abs(f.evaluate_many(x) - y) <= tol * scale)):
+        if np.all(inside & (_max_abs(f.evaluate_many(x) - y) <= NEWTON_TOL * scale)):
             return _project_to_simplex(x)
         raise InputCompatibilityError("target not in the affine simplex image")
     d = f.dim
@@ -83,12 +90,12 @@ def invert_simplex_map(f: SingularSimplex, y, tol: float = 1e-12, max_iter: int 
     best = np.full(y.shape[0], np.inf)
     todo = np.arange(y.shape[0])
     for seed in seeds:
-        yt, lim = y[todo], tol * scale[todo]
+        yt, lim = y[todo], NEWTON_TOL * scale[todo]
         x = np.tile(seed, (todo.size, 1))
         r = f.evaluate_many(x) - yt
         res = _max_abs(r)
         live = res > lim
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             idx = np.flatnonzero(live)
             if idx.size == 0:
                 break
@@ -107,7 +114,7 @@ def invert_simplex_map(f: SingularSimplex, y, tol: float = 1e-12, max_iter: int 
         if todo.size == 0:
             return out
     raise InputCompatibilityError(
-        f"Newton inverse failed: residual {best[todo].max():.3e} at tolerance {tol:.1e}"
+        f"Newton inverse failed: residual {best[todo].max():.3e} at tolerance {NEWTON_TOL:.1e}"
     )
 
 
@@ -244,7 +251,7 @@ class Triangulation:
     def vertex_point(self, v) -> np.ndarray:
         return self.evaluator_for((v,)).evaluate(np.zeros(0))
 
-    def validate(self, grid_m: int = 3, face_tol: float = 1e-10, collision_tol: float = 1e-7):
+    def validate(self):
         """Sampled structural checks: shared-face agreement of top evaluators
         and injectivity (no collisions between distinct top interiors)."""
         d = self.complex.dim
@@ -257,11 +264,11 @@ class Triangulation:
                 shared.append((ftuple, carriers))
         # one batch per top: the interior grid, then the grid of each shared
         # face mapped into the top's reference simplex
-        cloud = interior_grid(d, grid_m)
+        cloud = interior_grid(d)
         batches = {t: [cloud] for t in tops}
         rows = {}
         for ftuple, carriers in shared:
-            face_grid = interior_grid(d - 1, grid_m)
+            face_grid = interior_grid(d - 1)
             for t in carriers:
                 start = sum(len(b) for b in batches[t])
                 rows[ftuple, t] = slice(start, start + len(face_grid))
@@ -273,14 +280,14 @@ class Triangulation:
             first = vals[carriers[0]][rows[ftuple, carriers[0]]]
             for t in carriers[1:]:
                 face_worst = max(face_worst, float(np.abs(vals[t][rows[ftuple, t]] - first).max()))
-        if face_worst > face_tol:
+        if face_worst > FACE_TOL:
             raise InputCompatibilityError(f"face evaluators disagree by {face_worst:.2e}")
         # injectivity sampling
         clouds = [vals[t][: len(cloud)] for t in tops]
         for i in range(len(clouds)):
             for j in range(i + 1, len(clouds)):
                 dists = np.linalg.norm(clouds[i][:, None, :] - clouds[j][None, :, :], axis=2)
-                if dists.min() < collision_tol:
+                if dists.min() < COLLISION_TOL:
                     raise InputCompatibilityError(
                         f"interiors of {tops[i]} and {tops[j]} collide in sampling"
                     )
@@ -313,15 +320,12 @@ def subdivide_triangulation(T: Triangulation) -> Triangulation:
         simplices.append(new_simplex)
         evaluators[new_simplex] = ev
     Ksd = SimplicialComplex(simplices)
-    marks = {}
-    for name, members in T.marks.items():
-        new_members = set()
-        for d in range(Ksd.dim + 1):
-            for s in Ksd.simplices[d]:
-                originals = [orig for orig, nm in names.items() if nm in s]
-                if all(orig in members for orig in originals):
-                    new_members.add(s)
-        marks[name] = new_members
+    original = list(names)  # new vertex -> the simplex of K it stands for
+    cells = [s for d in range(Ksd.dim + 1) for s in Ksd.simplices[d]]
+    marks = {
+        name: {s for s in cells if all(original[v] in members for v in s)}
+        for name, members in T.marks.items()
+    }
     return Triangulation(Ksd, evaluators, marks)
 
 
@@ -334,7 +338,7 @@ def _violates_b_condition(K: SimplicialComplex, members: set) -> bool:
     return False
 
 
-def enforce_B_condition(T: Triangulation, mark: str = "B", max_rounds: int = 5) -> Triangulation:
+def enforce_B_condition(T: Triangulation, mark: str = "B") -> Triangulation:
     """Subdivide until every simplex whose vertices all lie in the marked set
     lies in the marked set itself.  The mark must be subcomplex-supported;
     a non-terminating input trips the round guard."""
@@ -345,12 +349,12 @@ def enforce_B_condition(T: Triangulation, mark: str = "B", max_rounds: int = 5) 
                 if f not in members:
                     raise InputCompatibilityError(f"mark {mark!r} is not face-closed at {f}")
     current = T
-    for _ in range(max_rounds):
+    for _ in range(MAX_B_ROUNDS):
         if not _violates_b_condition(current.complex, current.marks.get(mark, set())):
             return current
         current = subdivide_triangulation(current)
     raise InputCompatibilityError(
-        f"B-condition still violated after {max_rounds} subdivisions; "
+        f"B-condition still violated after {MAX_B_ROUNDS} subdivisions; "
         f"is {mark!r} subcomplex-supported?"
     )
 
@@ -398,19 +402,23 @@ def glue(inp: GlueInput) -> Triangulation:
     b1_verts = {v for s in b1 for v in s}
 
     n2 = max(t2.complex.vertices, default=-1) + 1
-    remap1 = {}  # K1 vertex (not in B) -> glued id
-    for v in t1.complex.vertices:
-        if v not in b1_verts:
-            remap1[v] = n2 + len(remap1)
+    outside = [v for v in t1.complex.vertices if v not in b1_verts]
+    remap1 = {v: n2 + k for k, v in enumerate(outside)}  # K1 vertex -> glued id
 
     simplices = []
     evaluators = {}
-    source_of = {}  # glued simplex -> ("t1", sigma) | ("t2", tau) for marks
+    marks = {name: set() for name in itertools.chain(t1.marks, t2.marks)}
+
+    def add(simplex, ev, piece, source):
+        # the new simplex carries every mark of the simplex it comes from
+        simplices.append(simplex)
+        evaluators[simplex] = ev
+        for name, members in piece.marks.items():
+            if source in members:
+                marks[name].add(simplex)
 
     for tau in (s for d in range(t2.complex.dim + 1) for s in t2.complex.simplices[d]):
-        simplices.append(tau)
-        evaluators[tau] = t2.evaluator_for(tau)
-        source_of.setdefault(tau, []).append(("t2", tau))
+        add(tau, t2.evaluator_for(tau), t2, tau)
 
     for d in range(t1.complex.dim + 1):
         for sigma in t1.complex.simplices[d]:
@@ -419,10 +427,7 @@ def glue(inp: GlueInput) -> Triangulation:
             if not v_part:
                 continue  # fully inside the overlap: replaced by t2
             if not b_part:
-                new_simplex = tuple(sorted(remap1[v] for v in v_part))
-                simplices.append(new_simplex)
-                evaluators[new_simplex] = t1.evaluator_for(sigma)
-                source_of.setdefault(new_simplex, []).append(("t1", sigma))
+                add(tuple(sorted(remap1[v] for v in v_part)), t1.evaluator_for(sigma), t1, sigma)
                 continue
             if b_part not in b1:
                 raise InputCompatibilityError(
@@ -433,51 +438,21 @@ def glue(inp: GlueInput) -> Triangulation:
             for tau, carrier in inp.containment.items():
                 if not set(carrier) <= set(b_part):
                     continue
-                new_glued = _build_glued(t1, sigma, v_part, b_part, t2, tau, remap1, h1_sigma)
-                new_simplex, ev = new_glued
-                simplices.append(new_simplex)
-                evaluators[new_simplex] = ev
                 # a mixed simplex maps into h1 of the source simplex, so it
                 # inherits only the first piece's marks; its tau-face carries
                 # the second piece's marks on its own
-                source_of.setdefault(new_simplex, []).append(("t1", sigma))
+                add(*_build_glued(sigma, v_part, t2, tau, remap1, h1_sigma), t1, sigma)
 
-    K = SimplicialComplex(simplices)
-    marks = {}
-    for name, members in itertools.chain(t1.marks.items(), t2.marks.items()):
-        marks.setdefault(name, set())
-    for name in marks:
-        m1 = t1.marks.get(name, set())
-        m2 = t2.marks.get(name, set())
-        for s, sources in source_of.items():
-            keep = False
-            for side, orig in sources:
-                if side == "t1" and orig in m1:
-                    keep = True
-                if side == "t2" and orig in m2:
-                    keep = True
-            if keep:
-                marks[name].add(s)
-    out = Triangulation(K, evaluators, marks)
-    return out
+    return Triangulation(SimplicialComplex(simplices), evaluators, marks)
 
 
-def _build_glued(t1, sigma, v_part, b_part, t2, tau, remap1, h1_sigma):
-    sigma_sorted = tuple(sorted(sigma))
+def _build_glued(sigma, v_part, t2, tau, remap1, h1_sigma):
     new_v = [remap1[v] for v in v_part]
     new_tuple = tuple(sorted(list(tau) + new_v))
     # roles per reference slot of the new simplex, in sorted-tuple order
-    tau_set = set(tau)
-    roles = []
-    for vid in new_tuple:
-        if vid in tau_set:
-            roles.append(("w", tau.index(vid)))
-        else:
-            roles.append(("v", new_v.index(vid)))
-    v_slots = [sigma_sorted.index(v) for v in v_part]
-    h2_tau = t2.evaluator_for(tau)
-    ev = GluedMap(h1_sigma, h2_tau, v_slots, roles)
-    return new_tuple, ev
+    roles = [("w", tau.index(v)) if v in tau else ("v", new_v.index(v)) for v in new_tuple]
+    v_slots = [sigma.index(v) for v in v_part]  # sigma is sorted, as K1 keeps it
+    return new_tuple, GluedMap(h1_sigma, t2.evaluator_for(tau), v_slots, roles)
 
 
 def _face_closure(simplices):

@@ -54,7 +54,7 @@ class SimplicialComplex:
     def n_cells(self, d: int) -> int:
         return len(self.simplices.get(d, []))
 
-    def index_of(self, simplex, d=None) -> int:
+    def index_of(self, simplex) -> int:
         s = tuple(sorted(simplex))
         return self._index[len(s) - 1][s]
 

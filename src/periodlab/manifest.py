@@ -24,6 +24,7 @@ __all__ = [
     "Manifest",
     "ManifestError",
     "load_manifest",
+    "load_glue_table",
     "evaluator_to_dict",
     "evaluator_from_dict",
     "triangulation_to_manifest",
@@ -44,14 +45,28 @@ def _expect(cond, message, path):
         raise ManifestError(message, path)
 
 
-def _get(obj, key, types, path, default=_expect):
+def _get(obj, key, types, path, default=_expect, items=None):
+    """``obj[key]``, checked to be of ``types`` (a list: with items of ``items``)."""
+    _expect(isinstance(obj, dict), "expected a JSON object", path)
     if key not in obj:
         if default is not _expect:
             return default
         raise ManifestError(f"missing key {key!r}", path)
     val = obj[key]
     _expect(isinstance(val, types), f"key {key!r} has wrong type", f"{path}/{key}")
+    if items is not None:
+        bad = next((i for i, item in enumerate(val) if not isinstance(item, items)), None)
+        _expect(bad is None, "item has wrong type", f"{path}/{key}/{bad}")
     return val
+
+
+def _simplices(vals, path) -> list:
+    """Vertex tuples of a list of simplices, each a non-empty list of integers."""
+    _expect(isinstance(vals, list), "expected a list of simplices", path)
+    for k, s in enumerate(vals):
+        if not (isinstance(s, list) and set(map(type, s)) == {int}):
+            raise ManifestError("a simplex is a non-empty list of integer vertices", f"{path}/{k}")
+    return [tuple(s) for s in vals]
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +112,8 @@ def evaluator_from_dict(desc: dict, path: str = "/evaluator") -> SingularSimplex
     kind = _get(desc, "kind", str, path)
     try:
         if kind == "expr":
-            return ExprMap(_get(desc, "components", list, path), _get(desc, "dim", int, path))
+            comps = _get(desc, "components", list, path, items=str)
+            return ExprMap(comps, _get(desc, "dim", int, path))
         if kind == "affine":
             return AffineSimplex(np.array(_get(desc, "vertices", list, path), dtype=float))
         if kind == "cone":
@@ -116,9 +132,11 @@ def evaluator_from_dict(desc: dict, path: str = "/evaluator") -> SingularSimplex
             return GluedMap(
                 evaluator_from_dict(_get(desc, "sigma", dict, path), f"{path}/sigma"),
                 evaluator_from_dict(_get(desc, "tau", dict, path), f"{path}/tau"),
-                _get(desc, "v_slots", list, path),
-                [tuple(r) for r in _get(desc, "roles", list, path)],
+                _get(desc, "v_slots", list, path, items=int),
+                [tuple(r) for r in _get(desc, "roles", list, path, items=list)],
             )
+    except ManifestError:
+        raise  # already carries its path
     except (ex.ExprError, ValueError) as err:
         raise ManifestError(str(err), path) from err
     raise ManifestError(f"unknown evaluator kind {kind!r}", path)
@@ -145,7 +163,7 @@ class Manifest:
             p = f"{path}/simplices/{i}"
             name = self._fresh(_get(entry, "name", str, p), p)
             dim = _get(entry, "dim", int, p)
-            comps = _get(entry, "components", list, p)
+            comps = _get(entry, "components", list, p, items=str)
             _expect(
                 self.ambient == 0 or len(comps) == self.ambient,
                 f"expected {self.ambient} components, found {len(comps)}",
@@ -165,7 +183,7 @@ class Manifest:
             p = f"{path}/chains/{i}"
             name = self._fresh(_get(entry, "name", str, p), p)
             terms = []
-            degree = entry.get("degree")
+            degree = _get(entry, "degree", int, p, None)
             for j, term in enumerate(_get(entry, "terms", list, p)):
                 tp = f"{p}/terms/{j}"
                 ref = _get(term, "simplex", str, tp)
@@ -186,7 +204,7 @@ class Manifest:
             terms = []
             for j, term in enumerate(_get(entry, "terms", list, p)):
                 tp = f"{p}/terms/{j}"
-                idx = tuple(_get(term, "indices", list, tp))
+                idx = tuple(_get(term, "indices", list, tp, items=int))
                 terms.append((idx, _get(term, "coeff", str, tp)))
             try:
                 self.forms[name] = Form(degree, self.ambient, terms)
@@ -198,7 +216,7 @@ class Manifest:
             name = self._fresh(_get(entry, "name", str, p), p)
             simplices = _get(entry, "simplices", list, p)
             _expect(bool(simplices), "complex needs at least one simplex", f"{p}/simplices")
-            self.complexes[name] = SimplicialComplex([tuple(s) for s in simplices])
+            self.complexes[name] = SimplicialComplex(_simplices(simplices, f"{p}/simplices"))
 
         for i, entry in enumerate(_get(data, "triangulations", list, path, [])):
             p = f"{path}/triangulations/{i}"
@@ -209,7 +227,7 @@ class Manifest:
             evaluators = {}
             for j, ee in enumerate(_get(entry, "evaluators", list, p)):
                 ep = f"{p}/evaluators/{j}"
-                simplex = tuple(sorted(_get(ee, "simplex", list, ep)))
+                simplex = tuple(sorted(_get(ee, "simplex", list, ep, items=int)))
                 _expect(simplex in K, f"simplex {simplex} not in complex", f"{ep}/simplex")
                 if "map" in ee:
                     evaluators[simplex] = evaluator_from_dict(ee["map"], f"{ep}/map")
@@ -218,7 +236,7 @@ class Manifest:
                     _expect(ref in self.simplices, f"unresolved simplex {ref!r}", f"{ep}/named")
                     evaluators[simplex] = self.simplices[ref]
             marks = {
-                mname: [tuple(s) for s in members]
+                mname: _simplices(members, f"{p}/marks/{mname}")
                 for mname, members in _get(entry, "marks", dict, p, {}).items()
             }
             try:
@@ -241,15 +259,30 @@ class Manifest:
         return table[name]
 
 
+def _load_json(path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as err:
+        raise ManifestError(f"invalid JSON: {err}") from err
+
+
 def load_manifest(path_or_data) -> Manifest:
     if isinstance(path_or_data, dict):
         return Manifest(path_or_data)
-    try:
-        with open(path_or_data) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as err:
-        raise ManifestError(f"invalid JSON: {err}") from err
-    return Manifest(data)
+    return Manifest(_load_json(path_or_data))
+
+
+def load_glue_table(path) -> tuple[dict, str]:
+    """The containment table ``{"containment": [{"tau": [...], "sigma": [...]}, ...],
+    "mark": "B"}`` of a glue, as (tau -> sigma dict, mark name)."""
+    table = _load_json(path)
+    containment = {}
+    for i, row in enumerate(_get(table, "containment", list, "", [])):
+        p = f"/containment/{i}"
+        tau = tuple(_get(row, "tau", list, p, items=int))
+        containment[tau] = tuple(_get(row, "sigma", list, p, items=int))
+    return containment, _get(table, "mark", str, "", "B")
 
 
 def triangulation_to_manifest(name: str, T: Triangulation) -> dict:

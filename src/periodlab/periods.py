@@ -31,24 +31,25 @@ __all__ = [
 ]
 
 
+CANCEL_TOL = 1e-10  # terms within this of each other on the grid cancel
+CLOSED_SAMPLES = 100  # points at which a numerically closed form must vanish
+
+
 class NotClosedError(ValueError):
     """Input failed the closedness diagnostics."""
 
 
-def chain_vanishes_geometrically(c: Chain, tol: float = 1e-10, grid_m: int = 3) -> bool:
+def chain_vanishes_geometrically(c: Chain) -> bool:
     """True when the chain's terms cancel up to pointwise-equal geometry.
 
     Structurally equal terms already merged in the Chain; what remains is
     grouped by comparing evaluations on an interior grid."""
-    terms = c.items()
-    if not terms:
-        return True
-    grid = interior_grid(c.degree, grid_m)
+    grid = interior_grid(c.degree)
     groups: list[list] = []  # [(fingerprint, coeff_sum)]
-    for sigma, n in terms:
+    for sigma, n in c.items():
         fp = sigma.evaluate_many(grid)
         for g in groups:
-            if g[0].shape == fp.shape and np.abs(g[0] - fp).max() <= tol:
+            if g[0].shape == fp.shape and np.abs(g[0] - fp).max() <= CANCEL_TOL:
                 g[1] += n
                 break
         else:
@@ -56,14 +57,14 @@ def chain_vanishes_geometrically(c: Chain, tol: float = 1e-10, grid_m: int = 3) 
     return all(g[1] == 0 for g in groups)
 
 
-def form_is_closed(omega: Form, rng_seed: int = 20260808, samples: int = 100) -> bool:
+def form_is_closed(omega: Form, rng_seed: int = 20260808) -> bool:
     dw = exterior_derivative(omega)
     if dw.is_zero():
         return True
     rng = np.random.default_rng(rng_seed)
     checked = 0
     attempts = 0
-    while checked < samples and attempts < samples * 50:
+    while checked < CLOSED_SAMPLES and attempts < CLOSED_SAMPLES * 50:
         attempts += 1
         x = rng.uniform(-2.0, 2.0, omega.ambient)
         try:
@@ -76,7 +77,7 @@ def form_is_closed(omega: Form, rng_seed: int = 20260808, samples: int = 100) ->
         if any(abs(v) > 1e-8 for v in vals):
             return False
         checked += 1
-    return checked == samples
+    return checked == CLOSED_SAMPLES
 
 
 @dataclass
@@ -85,10 +86,10 @@ class GeometricCycle:
     chain: Chain
     provenance: str = "hand-built"
 
-    def check_closed(self, tol: float = 1e-10):
+    def check_closed(self):
         if self.chain.degree == 0:
             return
-        if not chain_vanishes_geometrically(boundary(self.chain), tol):
+        if not chain_vanishes_geometrically(boundary(self.chain)):
             raise NotClosedError(f"cycle {self.name!r}: boundary does not cancel")
 
 
@@ -121,7 +122,7 @@ def chain_integral(
     value = err = absint = 0.0
     conv = True
     splits = 0
-    for sigma, n in sorted(c.items(), key=lambda kv: repr(kv[0].key())):
+    for sigma, n in c.items():
         r = integrate_simplex(sigma, omega, tol, config)
         value += n * r.value
         err += abs(n) * r.error_estimate
@@ -137,19 +138,17 @@ def period_matrix(
     tol: float = 1e-8,
     config: QuadConfig | None = None,
     jobs: int = 1,
-    check_inputs: bool = True,
     check_seed: int = 20260808,
 ) -> PeriodMatrix:
     """Pair each cycle with each closed form; rejects non-cycles and
     non-closed forms with diagnostics.  Entries are integrated one after
     another; ``jobs`` is accepted and has no effect."""
     named_forms = [(f"form{i}", w) if isinstance(w, Form) else w for i, w in enumerate(forms)]
-    if check_inputs:
-        for cyc in cycles:
-            cyc.check_closed()
-        for name, w in named_forms:
-            if not form_is_closed(w, rng_seed=check_seed):
-                raise NotClosedError(f"form {name!r} is not closed")
+    for cyc in cycles:
+        cyc.check_closed()
+    for name, w in named_forms:
+        if not form_is_closed(w, rng_seed=check_seed):
+            raise NotClosedError(f"form {name!r} is not closed")
     entries = [
         [chain_integral(cyc.chain, w, tol, config) for _, w in named_forms] for cyc in cycles
     ]

@@ -110,7 +110,7 @@ def check_chain(
     per_term = []
     lhs = rhs = sum_abs = 0.0
     ok = True
-    for sigma, n in sorted(c.items(), key=lambda kv: repr(kv[0].key())):
+    for sigma, n in c.items():
         rep = stokes_residual(sigma, omega, tol, config)
         per_term.append((n, rep))
         lhs += n * rep.lhs.value

@@ -310,14 +310,14 @@ def test_criterion_7_gluing():
     )
 
     two = gl.glue(circle_glue_input())
-    rep2 = two.validate(face_tol=1e-10)
+    rep2 = two.validate()
     ok = hm.homology(two.complex).betti == [1, 1]
 
     p1, p2, p3 = three_arc_pieces()
     three = gl.cover_and_triangulate(
         p1, [(p2, {(0,): (1,)}), (p3, {(0,): (1,), (2,): (2,)})]
     )
-    rep3 = three.validate(face_tol=1e-10)
+    rep3 = three.validate()
     ok = ok and hm.homology(three.complex).betti == [1, 1]
     tagged = set()
     for name, members in three.marks.items():

@@ -117,7 +117,7 @@ def test_glue_circle_complex_and_homology():
     G = gl.glue(circle_glue_input())
     assert G.complex.n_cells(0) == 4 and G.complex.n_cells(1) == 4
     assert hm.homology(G.complex).betti == [1, 1]
-    report = G.validate(face_tol=1e-10)
+    report = G.validate()
     assert report["face_agreement"] <= 1e-10
 
 
@@ -349,7 +349,7 @@ def test_cover_and_triangulate_three_arcs():
     step2 = {(0,): (1,), (2,): (2,)}
     G = gl.cover_and_triangulate(p1, [(p2, step1), (p3, step2)])
     assert hm.homology(G.complex).betti == [1, 1]
-    G.validate(face_tol=1e-10)
+    G.validate()
     # the glued loop really closes up on the unit circle
     for s in G.complex.simplices[0]:
         assert np.hypot(*G.vertex_point(s[0])) == pytest.approx(1.0, abs=1e-9)

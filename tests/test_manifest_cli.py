@@ -1,3 +1,4 @@
+import argparse
 import json
 import pathlib
 import subprocess
@@ -332,6 +333,124 @@ def test_cli_invalid_quadrature_input_is_input_error(argv, capsys):
     assert elapsed < 1.0
 
 
+QUADRATURE_FLAGS = {"--tol", "--max-depth", "--jobs"}
+COMMAND_FLAGS = {
+    "check-volume": QUADRATURE_FLAGS | {"--simplex", "--faces"},
+    "check-stokes": QUADRATURE_FLAGS | {"--chain", "--simplex", "--form"},
+    "cone": {"--simplex"},
+    "subdivide": {"--chain", "--complex"},
+    "homology": {"--complex"},
+    "periods": QUADRATURE_FLAGS | {"--cycles", "--forms", "--seed", "--output"},
+    "glue": {"--table", "--t1", "--t2", "--name"},
+}
+
+
+def test_cli_each_command_takes_only_the_flags_it_reads():
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(COMMAND_FLAGS)
+    for command, parser in sub.choices.items():
+        options = {opt for action in parser._actions for opt in action.option_strings}
+        assert options == COMMAND_FLAGS[command] | {"-h", "--help", "--deterministic", "--out"}, command
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["homology", str(MANIFESTS / "torus.json"), "--complex", "T7", "--tol", "1e-3"],
+        ["cone", str(MANIFESTS / "circle.json"), "--simplex", "sqrt_graph", "--max-depth", "3"],
+        SQRT_GRAPH_CHECK + ["--output", "csv"],
+        ["glue", str(MANIFESTS / "circle_upper.json"), str(MANIFESTS / "circle_lower.json"),
+         "--table", str(MANIFESTS / "circle_btable.json"), "--seed", "1"],
+    ],
+    ids=lambda argv: " ".join([argv[0]] + argv[-2:-1]),
+)
+def test_cli_rejects_a_flag_the_command_does_not_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 2
+
+
+def test_cli_report_config_lists_the_commands_own_flags(capsys):
+    assert cli.run(["homology", str(MANIFESTS / "torus.json"), "--complex", "T7",
+                    "--deterministic"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"] == {"deterministic": True}
+    assert cli.run(SQRT_GRAPH_CHECK + ["--deterministic"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config == {"tol": 1e-6, "max_depth": None, "jobs": 1, "deterministic": True}
+
+
+def _circle_glue(table):
+    return ["glue", str(MANIFESTS / "circle_upper.json"), str(MANIFESTS / "circle_lower.json"),
+            "--table", table]
+
+
+def _manifest_with(**sections):
+    return {"schema": "periodlab/1", "ambient_dim": 2,
+            "complexes": [{"name": "K", "simplices": [[0, 1]]}], **sections}
+
+
+# each case once escaped cli.run as a TypeError, KeyError, AttributeError or
+# IsADirectoryError; argv reads {} as the path of the file written from the JSON
+MALFORMED_INPUTS = {
+    "chain-degree-string": (
+        ["periods", "{}", "--cycles", "c", "--forms", "w"],
+        _manifest_with(
+            chains=[{"name": "c", "degree": "1", "terms": []}],
+            forms=[{"name": "w", "degree": 1, "terms": [{"indices": [1], "coeff": "1"}]}],
+        ),
+        "/chains/0/degree",
+    ),
+    "glue-table-list": (_circle_glue("{}"), [], "/"),
+    "glue-row-without-sigma": (
+        _circle_glue("{}"), {"containment": [{"tau": [0]}, {"tau": [2], "sigma": [0]}]},
+        "/containment/0",
+    ),
+    "complex-vertex-string": (
+        ["homology", "{}", "--complex", "K"],
+        {"complexes": [{"name": "K", "simplices": [[0, "a"]]}]},
+        "/complexes/0/simplices/0",
+    ),
+    "complex-simplex-int": (
+        ["homology", "{}", "--complex", "K"],
+        {"complexes": [{"name": "K", "simplices": [3]}]},
+        "/complexes/0/simplices/0",
+    ),
+    "evaluator-map-int": (
+        ["homology", "{}", "--complex", "K"],
+        _manifest_with(triangulations=[
+            {"name": "T", "complex": "K", "evaluators": [{"simplex": [0, 1], "map": 5}]}
+        ]),
+        "/triangulations/0/evaluators/0/map",
+    ),
+    "evaluator-component-int": (
+        ["homology", "{}", "--complex", "K"],
+        _manifest_with(triangulations=[{"name": "T", "complex": "K", "evaluators": [
+            {"simplex": [0, 1], "map": {"kind": "expr", "dim": 1, "components": [5, 6]}}
+        ]}]),
+        "/triangulations/0/evaluators/0/map/components/0: item has wrong type",
+    ),
+    "form-index-string": (
+        ["homology", "{}", "--complex", "K"],
+        _manifest_with(forms=[{"name": "w", "degree": 1, "terms": [{"indices": ["1"], "coeff": "1"}]}]),
+        "/forms/0/terms/0/indices/0",
+    ),
+    "out-is-a-directory": (
+        ["homology", "{}", "--complex", "K", "--out", "/"], _manifest_with(), "[Errno 21]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_cli_malformed_input_is_input_error(case, tmp_path, capsys):
+    argv, content, where = MALFORMED_INPUTS[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    rc = cli.run([str(path) if a == "{}" else a for a in argv] + ["--deterministic"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {where}") and "Traceback" not in err
+
+
 def test_cli_missing_manifest_is_input_error():
     res = run_cli(["homology", "no_such_file.json", "--complex", "T7"])
     assert res.returncode == 2
@@ -477,7 +596,7 @@ def test_cli_glue_roundtrip(tmp_path):
     man = mf.load_manifest(str(out_file))
     T = man.triangulations["glued"]
     assert hm.homology(T.complex).betti == [1, 1]
-    T.validate(face_tol=1e-10)
+    T.validate()
 
 
 def test_cli_in_process_runner_matches_subprocess():
