@@ -3,10 +3,12 @@
 
 Compares a smooth trigonometric representative, a semialgebraic square-root
 representative (singular pullback at the arc endpoints), and the barycentric
-subdivision of the smooth one.  All three must agree with 2*pi.
+subdivision of the smooth one.  All three must converge to within 1e-6 of
+2*pi; the script exits 1 otherwise.
 """
 
 import math
+import sys
 
 from periodlab import chains as ch
 from periodlab import forms as fo
@@ -50,3 +52,6 @@ if __name__ == "__main__":
             f"  (err est {entry.error_estimate:.1e}, {entry.subdivisions} splits,"
             f" converged={entry.converged})"
         )
+    ok = all(e.converged and abs(e.value - 2 * math.pi) <= 1e-6 for e, in pm.entries)
+    print("all three within 1e-6 of 2*pi:", ok)
+    sys.exit(0 if ok else 1)

@@ -3,8 +3,11 @@
 
 Each arc is its own chart piece; the fold tags every output simplex with its
 source piece, validates face agreement and injectivity by sampling, and
-checks the homology of the result.
+checks the homology of the result: Betti numbers [1, 1] on 4 edges, or the
+script exits 1.
 """
+
+import sys
 
 import numpy as np
 
@@ -51,9 +54,14 @@ if __name__ == "__main__":
         p1, [(p2, {(0,): (1,)}), (p3, {(0,): (1,), (2,): (2,)})]
     )
     print("glued complex:", glued.complex)
-    print("validation:", glued.validate())
-    print("homology:", hm.homology(glued.complex).betti)
+    report = glued.validate()
+    betti = hm.homology(glued.complex).betti
+    print("validation:", report)
+    print("homology:", betti)
     for s in sorted(glued.complex.simplices[1]):
         charts = [n for n, m in glued.marks.items() if n.startswith("chart:") and s in m]
         mid = glued.evaluators[s].evaluate(np.array([0.5]))
         print(f"  edge {s}: midpoint ({mid[0]: .4f}, {mid[1]: .4f}), charts {charts}")
+    ok = betti == [1, 1] and report["tops"] == 4
+    print("a circle of 4 edges:", ok)
+    sys.exit(0 if ok else 1)

@@ -1,7 +1,12 @@
 #!/usr/bin/env python3
-"""Period matrix of the flat torus in R^4 against its two angular forms."""
+"""Period matrix of the flat torus in R^4 against its two angular forms.
+
+The matrix must converge to 2*pi times the identity, to within 1e-8; the
+script exits 1 otherwise.
+"""
 
 import math
+import sys
 
 from periodlab import chains as ch
 from periodlab import forms as fo
@@ -32,3 +37,10 @@ if __name__ == "__main__":
     for name, row in zip(pm.cycle_names, pm.entries):
         print(f"{name:>4}" + " ".join(f"{e.value:16.12f}" for e in row))
     print("converged:", pm.all_converged())
+    ok = pm.all_converged() and all(
+        abs(e.value - (2 * math.pi if i == j else 0.0)) <= 1e-8
+        for i, row in enumerate(pm.entries)
+        for j, e in enumerate(row)
+    )
+    print("2*pi times the identity within 1e-8:", ok)
+    sys.exit(0 if ok else 1)

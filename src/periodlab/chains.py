@@ -17,6 +17,7 @@ import itertools
 import numpy as np
 
 from . import expr as ex
+from .homology import SimplicialComplex, maximal_flags
 
 __all__ = [
     "SingularSimplex",
@@ -28,11 +29,11 @@ __all__ = [
     "Chain",
     "face_map",
     "boundary",
-    "cone",
     "cone_chain",
     "prism_q",
     "prism_q_inverse",
     "barycentric_subdivide",
+    "flag_simplex",
     "reference_subdivision",
     "reference_vertices",
     "interior_grid",
@@ -308,10 +309,6 @@ def face_map(d: int, i: int) -> AffineSimplex:
     return AffineSimplex(np.delete(reference_vertices(d), i, axis=0))
 
 
-def cone(sigma: SingularSimplex) -> Cone:
-    return Cone(sigma)
-
-
 def prism_q(t: float, b) -> np.ndarray:
     """Reparametrisation [0,1] x Delta_d -> Delta_{d+1} collapsing {1} x Delta_d
     to the origin; satisfies prism = cone o q."""
@@ -403,24 +400,24 @@ def cone_chain(c: Chain) -> Chain:
     return Chain(c.degree + 1, [(Cone(s), n) for s, n in c.terms.items()])
 
 
-def _sd_affine(sign: int, verts: np.ndarray):
-    """First barycentric subdivision of an affine simplex, as signed affine
-    simplices: cone at the barycenter over the subdivided boundary."""
-    k = verts.shape[0] - 1
-    if k == 0:
-        return [(sign, verts)]
-    bary = verts.mean(axis=0)
-    out = []
-    for i in range(k + 1):
-        face = np.delete(verts, i, axis=0)
-        for s, w in _sd_affine(sign * (-1) ** i, face):
-            out.append((s, np.vstack([bary[None, :], w])))
-    return out
+def flag_simplex(top, faces) -> AffineSimplex:
+    """Affine map into Delta_d, d = len(top) - 1, whose k-th vertex is the
+    barycenter of ``faces[k]``, a face of ``top`` given by its vertices."""
+    ref = reference_vertices(len(top) - 1)
+    return AffineSimplex([ref[[top.index(v) for v in f]].mean(axis=0) for f in faces])
 
 
 def reference_subdivision(d: int):
-    """Signed affine self-maps of Delta_d giving its barycentric subdivision."""
-    return [(s, AffineSimplex(w)) for s, w in _sd_affine(1, reference_vertices(d))]
+    """Signed affine self-maps of Delta_d giving its barycentric subdivision:
+    one per flag of faces, signed by the parity of the order in which the
+    flag drops the vertices (so each piece is signed like its determinant)."""
+    top = tuple(range(d + 1))
+    out = []
+    for flag in maximal_flags(SimplicialComplex([top]))[1]:
+        drops = [next(v for v in f if v not in g) for f, g in zip(flag, flag[1:])] + list(flag[-1])
+        parity = sum(a > b for a, b in itertools.combinations(drops, 2)) % 2
+        out.append(((-1) ** parity, flag_simplex(top, flag)))
+    return out
 
 
 def barycentric_subdivide(c: Chain) -> Chain:

@@ -14,6 +14,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -23,7 +24,7 @@ from . import __version__
 from . import chains as ch
 from . import homology as hm
 from .expr import ExprDomainError, domain_site
-from .glue import GlueInput, InputCompatibilityError, Triangulation, glue as glue_op
+from .glue import InputCompatibilityError, Triangulation, glue as glue_op
 from .manifest import (
     ManifestError,
     canonical_json,
@@ -187,12 +188,13 @@ def _glue(args) -> int:
     t1 = _single_triangulation(load_manifest(args.manifest1), args.t1)
     t2 = _single_triangulation(load_manifest(args.manifest2), args.t2)
     containment, mark = load_glue_table(args.table)
-    glued = glue_op(GlueInput(t1, t2, containment, mark=mark))
+    glued = glue_op(t1, t2, containment, mark=mark)
     glued.validate()
     _emit(args, triangulation_to_manifest(args.name, glued))
     return EXIT_PASS
 
 
+@functools.cache  # built on first use, once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="periodlab",

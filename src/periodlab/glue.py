@@ -1,28 +1,31 @@
 """Triangulation gluing: extend a triangulation across an affine piece.
 
-A Triangulation pairs a simplicial complex with per-simplex geometric
-evaluators and named marked subsets.  glue() implements the interpolation
-construction: a simplex of the first triangulation whose vertices split into
-a part outside the overlap B and a face inside B is replaced by the join of
-its outside part with every second-triangulation simplex refining that face;
-the new evaluator interpolates between the outside part and the refined face
-through the first evaluator, with the refining map transported by a numeric
-inverse.  cover_and_triangulate() folds glue() over a list of pieces.
+A Triangulation pairs a simplicial complex with per-simplex evaluators and
+named marked subsets.  ``glue(t1, t2, containment, mark)`` implements the
+interpolation construction: a simplex of t1 whose vertices split into a part
+outside the marked overlap B and a face inside B is replaced by the join of
+its outside part with every t2-simplex that the containment table sends into
+that face; the new evaluator interpolates between the outside part and the
+refined face through the first evaluator, with the refining map transported
+by a numeric inverse.  subdivide_triangulation() restricts each evaluator
+along the barycenters of a flag (chains.flag_simplex), enforce_B_condition()
+subdivides until B is a full subcomplex, and cover_and_triangulate() folds
+glue() over a list of pieces.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import AffineSimplex, Composed, SingularSimplex, interior_grid, reference_vertices
+from .chains import (
+    AffineSimplex, Composed, SingularSimplex, flag_simplex, interior_grid, reference_vertices,
+)
 from .homology import SimplicialComplex, maximal_flags
 
 __all__ = [
     "Triangulation",
-    "GlueInput",
     "GluedMap",
     "InputCompatibilityError",
     "enforce_B_condition",
@@ -163,6 +166,16 @@ class GluedMap(SingularSimplex):
         self.h2_tau = h2_tau
         self.v_slots = tuple(v_slots)  # slot of v_i in sigma's barycentric refs
         self.roles = tuple(roles)  # per new-reference slot: ("v", i) | ("w", j)
+        if {k for k, _ in self.roles} - {"v", "w"}:
+            raise ValueError("a glued role is ('v', i) or ('w', j)")
+        if not all(type(i) is int for i in [i for _, i in self.roles] + list(self.v_slots)):
+            raise ValueError("glued role indices and v_slots must be integers")
+        if not all(0 <= i < len(self.v_slots) for k, i in self.roles if k == "v"):
+            raise ValueError(f"a 'v' role points past the {len(self.v_slots)} v_slots")
+        if not all(0 <= s <= h1_sigma.dim for s in self.v_slots):
+            raise ValueError(f"v_slots must lie in 0..{h1_sigma.dim}, the vertices of sigma")
+        if sorted(j for k, j in self.roles if k == "w") != list(range(h2_tau.dim + 1)):
+            raise ValueError(f"the 'w' roles must name 0..{h2_tau.dim}, the vertices of tau, once each")
         self.dim = len(roles) - 1
         self.ambient = h1_sigma.ambient
         # barycentric coordinates bar (one per slot) scatter linearly: the
@@ -304,24 +317,15 @@ class Triangulation:
 def subdivide_triangulation(T: Triangulation) -> Triangulation:
     """Geometric barycentric subdivision: flag complex plus evaluators that
     restrict the old ones along the affine barycenter embeddings."""
-    K = T.complex
-    names, flags = maximal_flags(K)
-    simplices = []
+    names, flags = maximal_flags(T.complex)
     evaluators = {}
     for flag in flags:
-        top = flag[0]
-        d = len(top) - 1
-        ref = reference_vertices(d)
-        tup = tuple(names[s] for s in flag)
-        order = sorted(range(len(flag)), key=lambda k: tup[k])
-        new_simplex = tuple(tup[k] for k in order)
-        barys = [ref[[top.index(v) for v in flag[k]]].mean(axis=0) for k in order]
-        ev = Composed(T.evaluators[top], AffineSimplex(np.array(barys)))
-        simplices.append(new_simplex)
-        evaluators[new_simplex] = ev
-    Ksd = SimplicialComplex(simplices)
+        faces = flag[::-1]  # by dimension: the new vertex names increase
+        ev = Composed(T.evaluators[flag[0]], flag_simplex(flag[0], faces))
+        evaluators[tuple(names[f] for f in faces)] = ev
+    Ksd = SimplicialComplex(evaluators)
     original = list(names)  # new vertex -> the simplex of K it stands for
-    cells = [s for d in range(Ksd.dim + 1) for s in Ksd.simplices[d]]
+    cells = Ksd.cells()
     marks = {
         name: {s for s in cells if all(original[v] in members for v in s)}
         for name, members in T.marks.items()
@@ -331,11 +335,7 @@ def subdivide_triangulation(T: Triangulation) -> Triangulation:
 
 def _violates_b_condition(K: SimplicialComplex, members: set) -> bool:
     bverts = {v for s in members for v in s}
-    for d in range(1, K.dim + 1):
-        for s in K.simplices[d]:
-            if set(s) <= bverts and s not in members:
-                return True
-    return False
+    return any(len(s) > 1 and s not in members and set(s) <= bverts for s in K.cells())
 
 
 def enforce_B_condition(T: Triangulation, mark: str = "B") -> Triangulation:
@@ -343,11 +343,9 @@ def enforce_B_condition(T: Triangulation, mark: str = "B") -> Triangulation:
     lies in the marked set itself.  The mark must be subcomplex-supported;
     a non-terminating input trips the round guard."""
     members = T.marks.get(mark, set())
-    for s in members:
-        for k in range(1, len(s)):
-            for f in itertools.combinations(s, k):
-                if f not in members:
-                    raise InputCompatibilityError(f"mark {mark!r} is not face-closed at {f}")
+    missing = set(SimplicialComplex(members).cells()) - members
+    if missing:
+        raise InputCompatibilityError(f"mark {mark!r} is not face-closed at {min(missing)}")
     current = T
     for _ in range(MAX_B_ROUNDS):
         if not _violates_b_condition(current.complex, current.marks.get(mark, set())):
@@ -359,109 +357,76 @@ def enforce_B_condition(T: Triangulation, mark: str = "B") -> Triangulation:
     )
 
 
-@dataclass
-class GlueInput:
-    """t2 must triangulate its side so that the marked overlap of t1 is
-    refined by the marked overlap of t2; containment sends every marked
-    t2-simplex to the smallest marked t1-simplex containing its image."""
-
-    t1: Triangulation
-    t2: Triangulation
-    containment: dict  # tau tuple (in K2) -> sigma tuple (in K1)
-    mark: str = "B"
-
-    def __post_init__(self):
-        self.containment = {
-            tuple(sorted(k)): tuple(sorted(v)) for k, v in self.containment.items()
-        }
-        b2 = self.t2.marks.get(self.mark, set())
-        missing = [s for s in b2 if s not in self.containment]
-        if missing:
-            raise InputCompatibilityError(
-                f"containment table misses marked simplices of the second piece: {missing[:3]}"
-            )
-        b1 = self.t1.marks.get(self.mark, set())
-        bad = [v for v in self.containment.values() if v not in b1]
-        if bad:
-            raise InputCompatibilityError(
-                f"containment targets are not marked in the first piece: {bad[:3]}"
-            )
-
-
-def glue(inp: GlueInput) -> Triangulation:
+def glue(t1: Triangulation, t2: Triangulation, containment: dict, mark: str = "B") -> Triangulation:
     """Glued triangulation of the union; all second-piece simplices survive,
     first-piece simplices with no face in the overlap survive, and mixed
-    simplices join an outside part with a refining simplex of the overlap."""
-    t1, t2 = inp.t1, inp.t2
-    if _violates_b_condition(t1.complex, t1.marks.get(inp.mark, set())):
+    simplices join an outside part with a refining simplex of the overlap.
+
+    ``t2`` must triangulate its side so that the marked overlap of ``t1`` is
+    refined by the marked overlap of ``t2``; ``containment`` sends every
+    marked t2-simplex to the smallest marked t1-simplex containing its image."""
+    containment = {tuple(sorted(k)): tuple(sorted(v)) for k, v in containment.items()}
+    b1 = t1.marks.get(mark, set())
+    b2 = t2.marks.get(mark, set())
+    missing = [s for s in b2 if s not in containment]
+    if missing:
+        raise InputCompatibilityError(
+            f"containment table misses marked simplices of the second piece: {missing[:3]}"
+        )
+    bad = [v for v in containment.values() if v not in b1]
+    if bad:
+        raise InputCompatibilityError(f"containment targets are not marked in the first piece: {bad[:3]}")
+    if _violates_b_condition(t1.complex, b1):
         raise InputCompatibilityError("first piece violates the B-condition; subdivide first")
-    if _violates_b_condition(t2.complex, t2.marks.get(inp.mark, set())):
+    if _violates_b_condition(t2.complex, b2):
         raise InputCompatibilityError("second piece violates the B-condition; subdivide first")
-    b1 = t1.marks.get(inp.mark, set())
-    b2 = t2.marks.get(inp.mark, set())
     b1_verts = {v for s in b1 for v in s}
 
     n2 = max(t2.complex.vertices, default=-1) + 1
     outside = [v for v in t1.complex.vertices if v not in b1_verts]
     remap1 = {v: n2 + k for k, v in enumerate(outside)}  # K1 vertex -> glued id
 
-    simplices = []
     evaluators = {}
     marks = {name: set() for name in itertools.chain(t1.marks, t2.marks)}
 
     def add(simplex, ev, piece, source):
         # the new simplex carries every mark of the simplex it comes from
-        simplices.append(simplex)
         evaluators[simplex] = ev
         for name, members in piece.marks.items():
             if source in members:
                 marks[name].add(simplex)
 
-    for tau in (s for d in range(t2.complex.dim + 1) for s in t2.complex.simplices[d]):
+    for tau in t2.complex.cells():
         add(tau, t2.evaluator_for(tau), t2, tau)
 
-    for d in range(t1.complex.dim + 1):
-        for sigma in t1.complex.simplices[d]:
-            v_part = tuple(v for v in sigma if v not in b1_verts)
-            b_part = tuple(v for v in sigma if v in b1_verts)
-            if not v_part:
-                continue  # fully inside the overlap: replaced by t2
-            if not b_part:
-                add(tuple(sorted(remap1[v] for v in v_part)), t1.evaluator_for(sigma), t1, sigma)
+    for sigma in t1.complex.cells():
+        v_part = tuple(v for v in sigma if v not in b1_verts)
+        b_part = tuple(v for v in sigma if v in b1_verts)
+        if not v_part:
+            continue  # fully inside the overlap: replaced by t2
+        new_v = [remap1[v] for v in v_part]
+        if not b_part:
+            add(tuple(sorted(new_v)), t1.evaluator_for(sigma), t1, sigma)
+            continue
+        if b_part not in b1:
+            raise InputCompatibilityError(
+                f"simplex {sigma}: face {b_part} has all vertices in the overlap "
+                "but is not marked (B-condition)"
+            )
+        h1_sigma = t1.evaluator_for(sigma)
+        v_slots = [sigma.index(v) for v in v_part]  # sigma is sorted, as K1 keeps it
+        for tau, carrier in containment.items():
+            if not set(carrier) <= set(b_part):
                 continue
-            if b_part not in b1:
-                raise InputCompatibilityError(
-                    f"simplex {sigma}: face {b_part} has all vertices in the overlap "
-                    "but is not marked (B-condition)"
-                )
-            h1_sigma = t1.evaluator_for(sigma)
-            for tau, carrier in inp.containment.items():
-                if not set(carrier) <= set(b_part):
-                    continue
-                # a mixed simplex maps into h1 of the source simplex, so it
-                # inherits only the first piece's marks; its tau-face carries
-                # the second piece's marks on its own
-                add(*_build_glued(sigma, v_part, t2, tau, remap1, h1_sigma), t1, sigma)
+            new = tuple(sorted(tau + tuple(new_v)))
+            # roles per reference slot of the new simplex, in sorted-tuple order
+            roles = [("w", tau.index(v)) if v in tau else ("v", new_v.index(v)) for v in new]
+            # a mixed simplex maps into h1 of the source simplex, so it
+            # inherits only the first piece's marks; its tau-face carries
+            # the second piece's marks on its own
+            add(new, GluedMap(h1_sigma, t2.evaluator_for(tau), v_slots, roles), t1, sigma)
 
-    return Triangulation(SimplicialComplex(simplices), evaluators, marks)
-
-
-def _build_glued(sigma, v_part, t2, tau, remap1, h1_sigma):
-    new_v = [remap1[v] for v in v_part]
-    new_tuple = tuple(sorted(list(tau) + new_v))
-    # roles per reference slot of the new simplex, in sorted-tuple order
-    roles = [("w", tau.index(v)) if v in tau else ("v", new_v.index(v)) for v in new_tuple]
-    v_slots = [sigma.index(v) for v in v_part]  # sigma is sorted, as K1 keeps it
-    return new_tuple, GluedMap(h1_sigma, t2.evaluator_for(tau), v_slots, roles)
-
-
-def _face_closure(simplices):
-    out = set()
-    for s in simplices:
-        s = tuple(sorted(s))
-        for k in range(1, len(s) + 1):
-            out.update(itertools.combinations(s, k))
-    return out
+    return Triangulation(SimplicialComplex(evaluators), evaluators, marks)
 
 
 def cover_and_triangulate(first: Triangulation, rest: list) -> Triangulation:
@@ -478,12 +443,11 @@ def cover_and_triangulate(first: Triangulation, rest: list) -> Triangulation:
         return Triangulation(T.complex, T.evaluators, {**T.marks, **extra})
 
     def chart(T, k):
-        cells = {s for d in range(T.complex.dim + 1) for s in T.complex.simplices[d]}
-        return {f"chart:{k}": T.marks.get(f"chart:{k}", set()) | cells}
+        return {f"chart:{k}": T.marks.get(f"chart:{k}", set()) | set(T.complex.cells())}
 
     acc = with_marks(first, chart(first, 0))
     for k, (piece, containment) in enumerate(rest, start=1):
-        acc = with_marks(acc, {"B": _face_closure(containment.values())})
-        piece = with_marks(piece, {**chart(piece, k), "B": _face_closure(containment.keys())})
-        acc = glue(GlueInput(acc, piece, containment))
+        acc = with_marks(acc, {"B": set(SimplicialComplex(containment.values()).cells())})
+        piece = with_marks(piece, {**chart(piece, k), "B": set(SimplicialComplex(containment).cells())})
+        acc = glue(acc, piece, containment)
     return acc

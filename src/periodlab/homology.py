@@ -47,6 +47,10 @@ class SimplicialComplex:
             d: {s: i for i, s in enumerate(self.simplices[d])} for d in range(self.dim + 1)
         }
 
+    def cells(self) -> list:
+        """Every simplex, by dimension, then sorted order."""
+        return [s for d in range(self.dim + 1) for s in self.simplices[d]]
+
     @property
     def vertices(self):
         return [v for (v,) in self.simplices.get(0, [])]
@@ -301,7 +305,7 @@ def maximal_flags(K: SimplicialComplex):
     ``flags`` lists, for each maximal simplex in that order, every chain of
     codimension-one faces from it down to a vertex, top first, dropping the
     largest vertex first."""
-    names = {s: i for i, s in enumerate(s for d in range(K.dim + 1) for s in K.simplices[d])}
+    names = {s: i for i, s in enumerate(K.cells())}
     flags = [
         [tuple(sorted(order[k:])) for k in range(len(s))]
         for s in maximal_simplices(K)
@@ -313,8 +317,9 @@ def maximal_flags(K: SimplicialComplex):
 def maximal_simplices(K: SimplicialComplex) -> list:
     """The simplices of K that are a face of no other one (as K is closed under
     faces: a facet of none), by dimension, then sorted order."""
-    facets = {s[:i] + s[i + 1 :] for d in range(1, K.dim + 1) for s in K.simplices[d] for i in range(d + 1)}
-    return [s for d in range(K.dim + 1) for s in K.simplices[d] if s not in facets]
+    cells = K.cells()
+    facets = {s[:i] + s[i + 1 :] for s in cells for i in range(len(s))}
+    return [s for s in cells if s not in facets]
 
 
 def barycentric_subdivide_complex(K: SimplicialComplex) -> SimplicialComplex:

@@ -267,10 +267,8 @@ def _load_json(path):
         raise ManifestError(f"invalid JSON: {err}") from err
 
 
-def load_manifest(path_or_data) -> Manifest:
-    if isinstance(path_or_data, dict):
-        return Manifest(path_or_data)
-    return Manifest(_load_json(path_or_data))
+def load_manifest(path) -> Manifest:
+    return Manifest(_load_json(path))
 
 
 def load_glue_table(path) -> tuple[dict, str]:

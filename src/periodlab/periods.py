@@ -164,16 +164,6 @@ class RepresentativeComparison:
     max_difference: float
     all_converged: bool
 
-    def to_dict(self):
-        return {
-            "forms": self.form_names,
-            "periods_first": self.periods_1,
-            "periods_second": self.periods_2,
-            "differences": self.differences,
-            "max_difference": self.max_difference,
-            "converged": self.all_converged,
-        }
-
 
 def compare_representatives(
     c1: GeometricCycle,

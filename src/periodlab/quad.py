@@ -27,6 +27,7 @@ sign and match the direct cone integral.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -147,19 +148,12 @@ def _solve_fraction(mat, rhs):
     return [a[i][n] / a[i][i] for i in range(n)]
 
 
-_RULE_CACHE: dict = {}
-
-
+@functools.cache
 def simplex_rule(d: int, n: int):
     """Positive-weight interior cubature on the standard d-simplex, exact for
     polynomials of total degree <= 2n-1.  Returns (points, weights)."""
-    key = (d, n)
-    if key in _RULE_CACHE:
-        return _RULE_CACHE[key]
     if d == 0:
-        out = (np.zeros((1, 0)), np.ones(1))
-        _RULE_CACHE[key] = out
-        return out
+        return np.zeros((1, 0)), np.ones(1)
     axes = [_gauss_jacobi_01(n, d - 1 - j) for j in range(d)]
     pts = []
     wts = []
@@ -174,9 +168,7 @@ def simplex_rule(d: int, n: int):
             w *= axes[j][1][k]
         pts.append(a)
         wts.append(w)
-    out = (np.array(pts), np.array(wts))
-    _RULE_CACHE[key] = out
-    return out
+    return np.array(pts), np.array(wts)
 
 
 def _interval_rule(n: int):

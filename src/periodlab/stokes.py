@@ -126,26 +126,10 @@ def check_chain(
 @dataclass
 class TriangulatedStokesReport:
     total_lhs: float
-    total_rhs: float
     interior_residuals: dict
     boundary_terms: list  # (face key, top simplex key index, sign, integral)
     boundary_integral: float
     verdict: str
-
-    def to_dict(self):
-        return {
-            "total_lhs": self.total_lhs,
-            "total_rhs": self.total_rhs,
-            "boundary_integral": self.boundary_integral,
-            "interior_residuals": {
-                "_".join(map(str, k)): v for k, v in self.interior_residuals.items()
-            },
-            "boundary_faces": [
-                {"face": list(f), "from_top": list(t), "sign": s, "integral": v}
-                for f, t, s, v in self.boundary_terms
-            ],
-            "verdict": self.verdict,
-        }
 
 
 def triangulated_stokes(
@@ -171,7 +155,6 @@ def triangulated_stokes(
         for i, r in enumerate(rep.rhs_faces):
             fkey = tuple(sorted(v for k, v in enumerate(verts) if k != i))
             contributions.setdefault(fkey, []).append((verts, (-1) ** i, r.value))
-    total_rhs = sum(s * v for group in contributions.values() for _, s, v in group)
     interior = {}
     boundary_terms = []
     boundary_integral = 0.0
@@ -187,6 +170,4 @@ def triangulated_stokes(
     residual = abs(total_lhs - boundary_integral)
     cancel_ok = all(v <= max(tol, tol * abs(total_lhs)) for v in interior.values())
     verdict = _verdict(residual, total_lhs, boundary_integral, ok and cancel_ok, tol, tol)
-    return TriangulatedStokesReport(
-        total_lhs, total_rhs, interior, boundary_terms, boundary_integral, verdict
-    )
+    return TriangulatedStokesReport(total_lhs, interior, boundary_terms, boundary_integral, verdict)

@@ -309,7 +309,7 @@ def test_criterion_7_gluing():
         upper_semicircle,
     )
 
-    two = gl.glue(circle_glue_input())
+    two = gl.glue(*circle_glue_input())
     rep2 = two.validate()
     ok = hm.homology(two.complex).betti == [1, 1]
 
@@ -332,11 +332,9 @@ def test_criterion_7_gluing():
     t1 = upper_semicircle()
     t2 = lower_semicircle()
     empty = gl.glue(
-        gl.GlueInput(
-            gl.Triangulation(t1.complex, dict(t1.evaluators), marks={}),
-            gl.Triangulation(t2.complex, dict(t2.evaluators), marks={}),
-            {},
-        )
+        gl.Triangulation(t1.complex, dict(t1.evaluators), marks={}),
+        gl.Triangulation(t2.complex, dict(t2.evaluators), marks={}),
+        {},
     )
     ok = ok and empty.complex.n_cells(0) == 6 and empty.complex.n_cells(1) == 4
     ok = ok and hm.homology(empty.complex).betti == [2, 0]
@@ -360,7 +358,7 @@ def test_criterion_7_gluing():
         marks={"B": {(0,), (1,), (2,), (0, 1), (1, 2)}},
     )
     table = {(0,): (0, 1), (1,): (0, 1), (2,): (1,), (0, 1): (0, 1), (1, 2): (0, 1)}
-    same = gl.glue(gl.GlueInput(T1, T2, table))
+    same = gl.glue(T1, T2, table)
     ok = ok and sorted(same.complex.simplices[1]) == [(0, 1), (1, 2)]
     ok = ok and all(same.evaluators[s] is T2.evaluators[s] for s in same.complex.simplices[1])
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,6 +159,19 @@ def test_subdivide_triangle_integral_agreement():
     assert len(sd) == 6
     total = sum(n * qd.integrate_simplex(s, omega, 1e-10).value for s, n in sd.items())
     assert abs(total - direct.value) <= 1e-8
+
+
+@pytest.mark.parametrize("d", range(5))
+def test_reference_subdivision_pieces_are_signed_by_orientation(d):
+    # one piece per flag, (d+1)! of them, each 1/(d+1)! of the volume and
+    # signed like the determinant of its linear part
+    pieces = ch.reference_subdivision(d)
+    assert len(pieces) == math.factorial(d + 1)
+    assert len({piece.key() for _, piece in pieces}) == len(pieces)
+    for sign, piece in pieces:
+        det = np.linalg.det(piece.jacobian_many(np.zeros((1, d)))[0])
+        assert sign == np.sign(det)
+        assert abs(det) == pytest.approx(1.0 / math.factorial(d + 1))
 
 
 def test_subdivide_commutes_with_boundary():

@@ -109,12 +109,32 @@ def test_enforce_b_condition_rejects_non_face_closed_mark():
         gl.enforce_B_condition(bad)
 
 
+SEGMENT = ch.AffineSimplex([[0.0, 0.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "v_slots, roles",
+    [
+        ([0], [("x", 0), ("w", 0), ("w", 1)]),  # a role kind other than v/w
+        ([0], [("v", 3), ("w", 0), ("w", 1)]),  # a v role past v_slots
+        ([2], [("v", 0), ("w", 0), ("w", 1)]),  # a v slot past sigma's vertices
+        ([0], [("v", 0), ("w", 0), ("w", 2)]),  # w roles that are not tau's vertices
+        ([0], [("v", 0), ("w", 0)]),  # a vertex of tau without a role
+        ([0], [("v", 0.0), ("w", 0), ("w", 1)]),  # an index that is not an integer
+    ],
+    ids=["kind", "v-role", "v-slot", "w-roles", "w-missing", "float-index"],
+)
+def test_glued_map_rejects_descriptions_out_of_range(v_slots, roles):
+    with pytest.raises(ValueError):
+        gl.GluedMap(SEGMENT, SEGMENT, v_slots, roles)
+
+
 def circle_glue_input():
-    return gl.GlueInput(upper_semicircle(), lower_semicircle(), {(0,): (2,), (2,): (0,)})
+    return upper_semicircle(), lower_semicircle(), {(0,): (2,), (2,): (0,)}
 
 
 def test_glue_circle_complex_and_homology():
-    G = gl.glue(circle_glue_input())
+    G = gl.glue(*circle_glue_input())
     assert G.complex.n_cells(0) == 4 and G.complex.n_cells(1) == 4
     assert hm.homology(G.complex).betti == [1, 1]
     report = G.validate()
@@ -124,7 +144,7 @@ def test_glue_circle_complex_and_homology():
 def test_glued_evaluator_face_restrictions():
     # restricted to the w-face the glued map is h2 on that simplex; at the
     # v-vertex it is h1's value
-    G = gl.glue(circle_glue_input())
+    G = gl.glue(*circle_glue_input())
     t2 = lower_semicircle()
     glued_edges = [s for s, ev in G.evaluators.items() if isinstance(ev, gl.GluedMap)]
     assert glued_edges, "expected glued evaluators in the output"
@@ -151,7 +171,7 @@ def test_glued_evaluator_face_restrictions():
 
 
 def test_glued_evaluator_continuity_at_vanishing_w_mass():
-    G = gl.glue(circle_glue_input())
+    G = gl.glue(*circle_glue_input())
     ev = next(e for e in G.evaluators.values() if isinstance(e, gl.GluedMap))
     v_slot = next(i for i, r in enumerate(ev.roles) if r[0] == "v")
     w_slot = 1 - v_slot  # dim 1: two slots
@@ -195,15 +215,42 @@ def disk_glue_input():
         marks={"B": {(0,), (1,), (2,), (0, 1), (1, 2)}},
     )
     table = {(0,): (1,), (2,): (0,), (1,): (0, 1), (0, 1): (0, 1), (1, 2): (0, 1)}
-    return gl.GlueInput(cap, base, table)
+    return cap, base, table
+
+
+def test_glue_checks_and_normalises_the_containment_table():
+    upper, lower = upper_semicircle(), lower_semicircle()
+    with pytest.raises(gl.InputCompatibilityError, match="misses marked simplices"):
+        gl.glue(upper, lower, {(0,): (2,)})
+    with pytest.raises(gl.InputCompatibilityError, match="not marked in the first piece"):
+        gl.glue(upper, lower, {(0,): (2,), (2,): (1,)})
+    cap, base, table = disk_glue_input()
+    G = gl.glue(cap, base, table)
+    R = gl.glue(cap, base, {k[::-1]: v[::-1] for k, v in table.items()})
+    assert {s: ev.key() for s, ev in R.evaluators.items()} == {s: ev.key() for s, ev in G.evaluators.items()}
+
+
+def test_subdivide_triangulation_puts_each_vertex_at_its_barycenter():
+    # new vertex v stands for the simplex cells()[v] of the old complex and
+    # sits at the image of its barycenter; faces still agree after the split
+    for T in (upper_semicircle(), disk_glue_input()[1]):
+        sd = gl.subdivide_triangulation(T)
+        cells = T.complex.cells()
+        for v in sd.complex.vertices:
+            top = next(t for t in T.top_simplices() if set(cells[v]) <= set(t))
+            ref = ch.reference_vertices(len(top) - 1)
+            bary = ref[[top.index(x) for x in cells[v]]].mean(axis=0)
+            assert np.abs(sd.vertex_point(v) - T.evaluators[top].evaluate(bary)).max() <= 1e-12
+        assert sd.validate()["face_agreement"] <= 1e-12
+        assert hm.homology(sd.complex).betti == hm.homology(T.complex).betti
 
 
 def test_glued_jacobian_matches_central_differences():
     rng = np.random.default_rng(11)
     for inp in (circle_glue_input(), disk_glue_input()):
-        G = gl.glue(inp)
+        G = gl.glue(*inp)
         glued = [e for e in G.evaluators.values() if isinstance(e, gl.GluedMap)]
-        assert {e.dim for e in glued} == {1, inp.t1.complex.dim}
+        assert {e.dim for e in glued} == {1, inp[0].complex.dim}
         for ev in glued:
             pts = np.array([0.8 * ch.random_interior_point(ev.dim, rng) + 0.05 for _ in range(5)])
             jac = ev.jacobian_many(pts)
@@ -217,7 +264,7 @@ def test_glued_jacobian_matches_central_differences():
 def test_glued_circle_period_converges_at_1e_10():
     # the exact Jacobian carries no finite-difference noise, so the glued
     # edges integrate d(theta) to 2 pi at a tolerance of 1e-10
-    G = gl.glue(circle_glue_input())
+    G = gl.glue(*circle_glue_input())
     dtheta = fo.Form(1, 2, [((1,), "-a2/(a1^2 + a2^2)"), ((2,), "a1/(a1^2 + a2^2)")])
     terms = []
     for s in G.top_simplices():
@@ -235,7 +282,7 @@ def test_glue_empty_overlap_is_disjoint_union():
     t2 = lower_semicircle()
     t1e = gl.Triangulation(t1.complex, dict(t1.evaluators), marks={})
     t2e = gl.Triangulation(t2.complex, dict(t2.evaluators), marks={})
-    G = gl.glue(gl.GlueInput(t1e, t2e, {}))
+    G = gl.glue(t1e, t2e, {})
     assert G.complex.n_cells(0) == 6 and G.complex.n_cells(1) == 4
     assert hm.homology(G.complex).betti == [2, 0]
 
@@ -259,7 +306,7 @@ def test_glue_identical_pieces_returns_refinement():
         marks={"B": {(0,), (1,), (2,), (0, 1), (1, 2)}},
     )
     table = {(0,): (0, 1), (1,): (0, 1), (2,): (1,), (0, 1): (0, 1), (1, 2): (0, 1)}
-    G = gl.glue(gl.GlueInput(t1, t2, table))
+    G = gl.glue(t1, t2, table)
     assert sorted(G.complex.simplices[1]) == [(0, 1), (1, 2)]
     for s in G.complex.simplices[1]:
         assert G.evaluators[s] is t2.evaluators[s]
@@ -279,7 +326,7 @@ def test_glue_rejects_b_condition_violation():
         marks={"B": {(0,)}},
     )
     with pytest.raises(gl.InputCompatibilityError):
-        gl.glue(gl.GlueInput(t1, t2, {(0,): (0,)}))
+        gl.glue(t1, t2, {(0,): (0,)})
 
 
 def test_glue_rejects_image_mismatch():
@@ -290,8 +337,7 @@ def test_glue_rejects_image_mismatch():
         {(0,): point(5.0, 5.0)},
         marks={"B": {(0,)}},
     )
-    inp = gl.GlueInput(t1, t2, {(0,): (0,)})
-    G = gl.glue(inp)  # construction is lazy; evaluation trips the inverse
+    G = gl.glue(t1, t2, {(0,): (0,)})  # construction is lazy; evaluation trips the inverse
     ev = next(e for e in G.evaluators.values() if isinstance(e, gl.GluedMap))
     with pytest.raises(gl.InputCompatibilityError):
         mid = np.full(ev.dim, 1.0 / (ev.dim + 1))

@@ -113,7 +113,7 @@ def test_glued_evaluator_roundtrip():
 
     upper = semi("0")
     lower = semi("pi")
-    G = gl.glue(gl.GlueInput(upper, lower, {(0,): (2,), (2,): (0,)}))
+    G = gl.glue(upper, lower, {(0,): (2,), (2,): (0,)})
     data = mf.triangulation_to_manifest("glued", G)
     man = mf.Manifest(json.loads(json.dumps(data)))
     back = man.triangulations["glued"]
@@ -389,8 +389,17 @@ def _manifest_with(**sections):
             "complexes": [{"name": "K", "simplices": [[0, 1]]}], **sections}
 
 
-# each case once escaped cli.run as a TypeError, KeyError, AttributeError or
-# IsADirectoryError; argv reads {} as the path of the file written from the JSON
+def _glued_triangulation(v_slots, roles):
+    segment = {"kind": "affine", "vertices": [[0.0, 0.0], [1.0, 0.0]]}
+    glued = {"kind": "glued", "sigma": segment, "tau": segment, "v_slots": v_slots, "roles": roles}
+    return _manifest_with(triangulations=[
+        {"name": "T", "complex": "K", "evaluators": [{"simplex": [0, 1], "map": glued}]}
+    ])
+
+
+# each case once escaped cli.run as a TypeError, KeyError, AttributeError,
+# IndexError or IsADirectoryError; argv reads {} as the path of the file
+# written from the JSON
 MALFORMED_INPUTS = {
     "chain-degree-string": (
         ["periods", "{}", "--cycles", "c", "--forms", "w"],
@@ -428,6 +437,16 @@ MALFORMED_INPUTS = {
             {"simplex": [0, 1], "map": {"kind": "expr", "dim": 1, "components": [5, 6]}}
         ]}]),
         "/triangulations/0/evaluators/0/map/components/0: item has wrong type",
+    ),
+    "glued-v-role-past-v-slots": (
+        ["homology", "{}", "--complex", "K"],
+        _glued_triangulation([0], [["v", 3], ["w", 0]]),
+        "/triangulations/0/evaluators/0/map: a 'v' role points past",
+    ),
+    "glued-v-slot-and-role-kind": (
+        ["homology", "{}", "--complex", "K"],
+        _glued_triangulation([5], [["x", 0], ["w", 0]]),
+        "/triangulations/0/evaluators/0/map: a glued role is",
     ),
     "form-index-string": (
         ["homology", "{}", "--complex", "K"],

@@ -101,6 +101,16 @@ def test_finite_volume_oscillatory_no():
     assert rep.per_index[(1,)].converged
 
 
+def test_geometric_growth_says_no_before_the_budget():
+    # |d sin(1/t)/dt| = |cos(1/t)|/t^2: the absolute sums grow by a fixed
+    # factor per depth, so the verdict comes long before max_cells runs out
+    rep = qd.finite_volume_check(ch.ExprMap(["t", "sin(1/t)"], 1), 1e-6)
+    assert rep.verdict == "no"
+    assert rep.per_index[(2,)].diverging
+    assert rep.per_index[(2,)].subdivisions <= 40
+    assert rep.per_index[(1,)].converged
+
+
 def test_hard_but_integrable_is_not_flagged_no():
     # density ~ t^(-9/10): integrable; at an impossible tolerance the verdict
     # must degrade to inconclusive, never to a false "no"

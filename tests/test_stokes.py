@@ -19,6 +19,15 @@ def test_fundamental_theorem_on_sqrt_curve():
     assert rep.residual <= 1e-6
 
 
+def test_unconverged_side_makes_the_verdict_inconclusive():
+    # one cell cannot resolve the sqrt endpoint: no pass or fail is claimed
+    sigma = ch.ExprMap(["t", "sqrt(t)"], 1)
+    f = fo.Form(0, 2, [((), "a1*a2")])
+    rep = st.stokes_residual(sigma, f, 1e-6, qd.QuadConfig(max_cells=1))
+    assert not rep.lhs.converged
+    assert rep.verdict == "inconclusive"
+
+
 def test_parabola_sheet_stokes():
     sigma = ch.ExprMap(["a1^2", "a2"], 2)
     omega = fo.Form(1, 2, [((2,), "a1")])
