@@ -15,6 +15,7 @@ glue() over a list of pieces.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -142,11 +143,14 @@ def _gauss_newton(f, x, y, r, res, min_lam: float = 1e-12):
 
 
 def _lstsq(J: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Least-squares solutions (J^T J)^{-1} J^T B of a batch of systems J X = B."""
+    """Least-squares solutions (J^T J)^{-1} J^T B of a batch of systems J X = B,
+    each solved as it would be alone."""
     Jt = J.transpose(0, 2, 1)
     try:
         return np.linalg.solve(Jt @ J, Jt @ B)
     except np.linalg.LinAlgError:
+        if len(J) > 1:  # a rank-deficient system leaves the others alone
+            return np.concatenate([_lstsq(J[k : k + 1], B[k : k + 1]) for k in range(len(J))])
         return np.linalg.pinv(J) @ B  # rank-deficient: the minimum-norm solution
 
 
@@ -247,19 +251,31 @@ class Triangulation:
         d = self.complex.dim
         return list(self.complex.simplices[d])
 
+    @functools.cached_property
+    def _carriers(self) -> dict:
+        """Simplex -> its carrier: the first proper coface with an evaluator,
+        by dimension, then in the complex's order."""
+        carriers = {}
+        for d in range(1, self.complex.dim + 1):
+            for parent in self.complex.simplices[d]:
+                if parent in self.evaluators:
+                    for k in range(1, len(parent)):
+                        for face in itertools.combinations(parent, k):
+                            carriers.setdefault(face, parent)
+        return carriers
+
     def evaluator_for(self, simplex) -> SingularSimplex:
         s = tuple(sorted(simplex))
         ev = self.evaluators.get(s)
         if ev is not None:
             return ev
-        # restrict the evaluator of any carrier simplex
-        for d in range(len(s), self.complex.dim + 1):
-            for parent in self.complex.simplices.get(d, []):
-                if set(s) <= set(parent) and parent in self.evaluators:
-                    ref = reference_vertices(len(parent) - 1)
-                    pos = [parent.index(v) for v in s]
-                    return Composed(self.evaluators[parent], AffineSimplex(ref[pos]))
-        raise KeyError(f"no evaluator covers simplex {s}")
+        # restrict the evaluator of the carrier simplex
+        parent = self._carriers.get(s)
+        if parent is None:
+            raise KeyError(f"no evaluator covers simplex {s}")
+        ref = reference_vertices(len(parent) - 1)
+        pos = [parent.index(v) for v in s]
+        return Composed(self.evaluators[parent], AffineSimplex(ref[pos]))
 
     def vertex_point(self, v) -> np.ndarray:
         return self.evaluator_for((v,)).evaluate(np.zeros(0))

@@ -18,7 +18,7 @@ from . import expr as ex
 from .chains import AffineSimplex, Chain, Composed, Cone, ExprMap, PrismMap, SingularSimplex
 from .forms import Form
 from .glue import GluedMap, Triangulation
-from .homology import SimplicialComplex
+from .homology import SimplicialComplex, maximal_simplices
 
 __all__ = [
     "Manifest",
@@ -235,6 +235,10 @@ class Manifest:
                     ref = _get(ee, "named", str, ep)
                     _expect(ref in self.simplices, f"unresolved simplex {ref!r}", f"{ep}/named")
                     evaluators[simplex] = self.simplices[ref]
+            # every other simplex restricts the evaluator of a maximal one
+            bare = [s for s in maximal_simplices(K) if s not in evaluators]
+            if bare:
+                raise ManifestError(f"maximal simplex {bare[0]} has no evaluator", f"{p}/evaluators")
             marks = {
                 mname: _simplices(members, f"{p}/marks/{mname}")
                 for mname, members in _get(entry, "marks", dict, p, {}).items()

@@ -120,16 +120,22 @@ def chain_integral(
 ) -> QuadResult:
     """Integral of omega over a chain: coefficient-weighted simplex integrals."""
     value = err = absint = 0.0
-    conv = True
-    splits = 0
+    splits = calls = cells = 0
+    results = []
     for sigma, n in c.items():
         r = integrate_simplex(sigma, omega, tol, config)
         value += n * r.value
         err += abs(n) * r.error_estimate
         absint += abs(n) * r.abs_integral_estimate
-        conv = conv and r.converged
         splits += r.subdivisions
-    return QuadResult(value, err, absint, conv, splits)
+        calls += r.density_calls
+        cells += r.cells
+        results.append(r)
+    conv = all(r.converged for r in results)
+    # the chain stops for the reason of its first term that missed tol
+    reason = next((r.stop_reason for r in results if r.stop_reason != "tol"), "tol")
+    diverging = any(r.diverging for r in results)
+    return QuadResult(value, err, absint, conv, splits, diverging, reason, calls, cells)
 
 
 def period_matrix(

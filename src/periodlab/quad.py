@@ -11,11 +11,19 @@ maps that are merely C^1 on open faces may blow up.
 One driver refines cells of the form [t0, t1] x simplex (a simplex-domain
 cell has no interval) through a priority queue, with a refinement bonus for
 cells touching the boundary: a cell bisects t or its longest simplex edge,
-whichever carries more of its error.  Absolute-value sums are tracked across
-refinement depths; sustained growth is reported as divergence.
-That verdict is a diagnostic, not a proof: integrability is not numerically
-decidable, and pathologically conditioned integrands may be flagged
-inconclusive.
+whichever carries more of its error.  Cells split one at a time, but the
+density is evaluated in batches: when the driver pops a cell whose children
+are not yet known, one density call evaluates them together with the
+children of up to SPECULATE - 1 of the next queued cells, and each cell keeps
+its children until it is popped.  The density is elementwise, so the split
+order and every value are those of one call per split.  A batch that raises
+is thrown away, and the popped cell's children are evaluated one call each,
+so an error arises exactly where the sequential driver meets it.
+Absolute-value sums are tracked across refinement depths; sustained growth
+is reported as divergence.  That verdict is a diagnostic, not a proof:
+integrability is not numerically decidable, and pathologically conditioned
+integrands may be flagged inconclusive.  Each result carries its stop reason
+and the density calls and cells it cost.
 
 Cone evaluators are always integrated on the prism [0,1] x Delta_d: the
 reparametrisation q collapsing {1} x Delta_d to the cone point is a
@@ -59,6 +67,9 @@ GROWTH_FACTOR = 1.5
 GROWTH_WINDOW = 5
 SUSTAIN_WINDOW = 8
 SUSTAIN_RATIO = 0.97
+# cells whose children one density call evaluates (see _adapt); beyond 16
+# the children of cells that are never popped cost more than the calls saved
+SPECULATE = 16
 
 
 @dataclass(frozen=True)
@@ -83,7 +94,11 @@ class QuadResult:
     abs_integral_estimate: float
     converged: bool
     subdivisions: int
-    diverging: bool = False
+    diverging: bool
+    # tol | max_cells | frozen | non_finite | diverging:geometric | diverging:sustained
+    stop_reason: str
+    density_calls: int  # failed speculative calls included
+    cells: int  # cells evaluated, the root and speculative children included
 
     def to_dict(self):
         return {
@@ -181,12 +196,13 @@ def _interval_rule(n: int):
 
 
 def _touches_boundary(verts: np.ndarray, tol: float = 1e-13) -> bool:
-    if np.any(verts.min(axis=0) <= tol):
-        return True
-    return bool(verts.sum(axis=1).max() >= 1.0 - tol)
+    if verts.size == 0:
+        return False  # the 0-simplex
+    return bool(verts.min() <= tol or verts.sum(axis=1).max() >= 1.0 - tol)
 
 
 def _longest_edge(verts: np.ndarray):
+    """(i, j, squared length) of the first longest edge."""
     d1 = verts.shape[0]
     best, bi, bj = -1.0, 0, 1
     for i in range(d1):
@@ -194,7 +210,7 @@ def _longest_edge(verts: np.ndarray):
             l2 = float(((verts[i] - verts[j]) ** 2).sum())
             if l2 > best + 1e-18:
                 best, bi, bj = l2, i, j
-    return bi, bj
+    return bi, bj, best
 
 
 class _Tracker:
@@ -204,7 +220,11 @@ class _Tracker:
         self.max_depth_seen = 0
         self.abs_history: list[float] = []
         self.boundary_flags: list[bool] = []
-        self.diverging = False
+        self.trigger = None  # "geometric" or "sustained" once one fires
+
+    @property
+    def diverging(self) -> bool:
+        return self.trigger is not None
 
     def on_split(self, child_depth: int, abs_total: float, touches: bool):
         if child_depth > self.max_depth_seen:
@@ -224,7 +244,7 @@ class _Tracker:
             return
         base = h[-w - 1 :]
         if all(base[i] > 0 and base[i + 1] >= GROWTH_FACTOR * base[i] for i in range(w)):
-            self.diverging = True
+            self.trigger = "geometric"
 
     def check_at_exhaustion(self):
         """Sustained-growth trigger: absolute sums that keep climbing at an
@@ -245,27 +265,31 @@ class _Tracker:
         if g1 <= 1e-3 * (1.0 + abs(h[-1])) or g0 <= 0:
             return
         if g1 >= SUSTAIN_RATIO * g0:
-            self.diverging = True
+            self.trigger = "sustained"
 
 
 class _Cell:
     """A cell [t0, t1] x simplex, or the bare simplex when ``t`` is None.
 
-    A simplex cell compares its degree-7 and degree-5 rules (``err_b``; its
+    Construction fixes the geometry: the rule nodes, the volume scale and
+    whether the cell touches the boundary.  ``finish`` takes the density at
+    the nodes and sets the value, the absolute value and the errors.  A
+    simplex cell compares its degree-7 and degree-5 rules (``err_b``; its
     ``err_t`` is 0).  A prism cell evaluates the 4-point interval rule times
     the degree-7 simplex rule and one embedded variant per axis, so that the
     driver can refine in the direction that carries the error.  A simplex
     cell keeps its own dot products: a prism with a one-node t-rule would
-    round differently.  Each cell evaluates all its nodes in one density
-    call; the density is elementwise, so the values do not depend on how the
-    nodes are batched.
+    round differently.  ``kids`` holds the two children once they are
+    evaluated, or _FROZEN when the cell cannot split.
     """
 
-    __slots__ = ("t", "verts", "depth", "q", "a", "err_t", "err_b", "err", "touches")
+    __slots__ = ("t", "verts", "depth", "touches", "scale", "nodes", "q", "a", "err_t", "err_b",
+                 "err", "kids")
 
-    def __init__(self, t, verts, depth, density, rules):
+    def __init__(self, t, verts, depth, rules):
         self.t, self.verts, self.depth = t, verts, depth
-        t_rules, (b7, bw7), (b5, bw5) = rules
+        self.kids = None
+        t_rules, (b7, _), (b5, _) = rules
         on_t_end = t is not None and (t[0] <= 1e-13 or t[1] >= 1.0 - 1e-13)
         self.touches = on_t_end or _touches_boundary(verts)
         d = verts.shape[1]
@@ -273,74 +297,151 @@ class _Cell:
         scale = abs(float(np.linalg.det(lin))) if d > 0 else 1.0
         bp7 = verts[0] + b7 @ lin.T
         bp5 = verts[0] + b5 @ lin.T
-        n7 = bp7.shape[0]
         if t is None:
-            v = density(np.vstack([bp7, bp5]))
-            v7, v5 = v[:n7], v[n7:]
-            self.q = scale * float(bw7 @ v7)
-            self.a = scale * float(bw7 @ np.abs(v7))
-            self.err_t = 0.0
-            self.err_b = abs(self.q - scale * float(bw5 @ v5))
+            self.scale = scale
+            self.nodes = np.concatenate([bp7, bp5])
         else:
             t0, t1 = t
-            (t4, tw4), (t3, tw3) = t_rules
-            scale = (t1 - t0) * scale
+            (t4, _), (t3, _) = t_rules
+            self.scale = (t1 - t0) * scale
             tn4 = t0 + (t1 - t0) * t4
             tn3 = t0 + (t1 - t0) * t3
 
             def grid(ts, bs):
                 return np.column_stack([np.repeat(ts, bs.shape[0]), np.tile(bs, (ts.shape[0], 1))])
 
-            v = density(np.vstack([grid(tn4, bp7), grid(tn3, bp7), grid(tn4, bp5)]))
-            k4, k3 = tn4.shape[0] * n7, tn3.shape[0] * n7
-            v44 = v[:k4].reshape(tn4.shape[0], n7)
-            v34 = v[k4 : k4 + k3].reshape(tn3.shape[0], n7)
-            v45 = v[k4 + k3 :].reshape(tn4.shape[0], -1)
+            self.nodes = np.concatenate([grid(tn4, bp7), grid(tn3, bp7), grid(tn4, bp5)])
+
+    def finish(self, v, rules):
+        """Set q, a and the errors from the density ``v`` at the nodes."""
+        t_rules, (_, bw7), (_, bw5) = rules
+        scale, n7 = self.scale, bw7.shape[0]
+        self.nodes = None
+        if self.t is None:
+            v7, v5 = v[:n7], v[n7:]
+            self.q = scale * float(bw7 @ v7)
+            self.a = scale * float(bw7 @ np.abs(v7))
+            self.err_t = 0.0
+            self.err_b = abs(self.q - scale * float(bw5 @ v5))
+        else:
+            (_, tw4), (_, tw3) = t_rules
+            k4, k3 = tw4.shape[0] * n7, tw3.shape[0] * n7
+            v44 = v[:k4].reshape(tw4.shape[0], n7)
+            v34 = v[k4 : k4 + k3].reshape(tw3.shape[0], n7)
+            v45 = v[k4 + k3 :].reshape(tw4.shape[0], -1)
             self.q = scale * float(tw4 @ v44 @ bw7)
             self.a = scale * float(tw4 @ np.abs(v44) @ bw7)
             self.err_t = abs(self.q - scale * float(tw3 @ v34 @ bw7))
             self.err_b = abs(self.q - scale * float(tw4 @ v45 @ bw5))
         self.err = self.err_t + self.err_b
 
-    def children(self, density, rules):
-        """Split t when it carries at least the simplex error and is wide
-        enough, else bisect the longest simplex edge; None when the cell is
-        too thin on every axis (frozen)."""
-        verts = self.verts
-        if verts.shape[1] > 0:
-            i, j = _longest_edge(verts)
-            b_width = float(np.sqrt(((verts[i] - verts[j]) ** 2).sum()))
-        else:
-            b_width = 0.0
-        t_wide = self.t is not None and self.t[1] - self.t[0] >= MIN_CELL_WIDTH
-        split_t = t_wide and (self.err_t >= self.err_b or b_width < MIN_CELL_WIDTH)
-        if not split_t and b_width < MIN_CELL_WIDTH:
-            return None
-        if split_t:
-            t0, t1 = self.t
-            tm = 0.5 * (t0 + t1)
-            halves = (((t0, tm), verts), ((tm, t1), verts))
-        else:
-            mid = 0.5 * (verts[i] + verts[j])
-            va = verts.copy()
-            va[j] = mid
-            vb = verts.copy()
-            vb[i] = mid
-            halves = ((self.t, va), (self.t, vb))
-        return tuple(_Cell(t, v, self.depth + 1, density, rules) for t, v in halves)
+
+def _halves(cell):
+    """The (t, verts) of the two children of a finished cell: split t when it
+    carries at least the simplex error and is wide enough, else bisect the
+    longest simplex edge; None when the cell is too thin on every axis
+    (frozen)."""
+    verts = cell.verts
+    if verts.shape[1] > 0:
+        i, j, l2 = _longest_edge(verts)
+        b_width = math.sqrt(l2)
+    else:
+        b_width = 0.0
+    t_wide = cell.t is not None and cell.t[1] - cell.t[0] >= MIN_CELL_WIDTH
+    split_t = t_wide and (cell.err_t >= cell.err_b or b_width < MIN_CELL_WIDTH)
+    if not split_t and b_width < MIN_CELL_WIDTH:
+        return None
+    if split_t:
+        t0, t1 = cell.t
+        tm = 0.5 * (t0 + t1)
+        return ((t0, tm), verts), ((tm, t1), verts)
+    mid = 0.5 * (verts[i] + verts[j])
+    va = verts.copy()
+    va[j] = mid
+    vb = verts.copy()
+    vb[i] = mid
+    return (cell.t, va), (cell.t, vb)
+
+
+class _Density:
+    """The density of one integral, its rules and the counters of its calls."""
+
+    def __init__(self, density, rules):
+        self.density, self.rules = density, rules
+        self.calls = self.cells = 0
+
+    def evaluate(self, cells):
+        """Finish all ``cells`` from one density call at their nodes."""
+        nodes = [c.nodes for c in cells]
+        self.calls += 1
+        v = self.density(np.concatenate(nodes))
+        off = 0
+        for c, x in zip(cells, nodes):
+            c.finish(v[off : off + len(x)], self.rules)
+            off += len(x)
+        self.cells += len(cells)
+
+
+_FROZEN = object()  # the kids of a cell too thin on every axis to split
+
+
+def _by_priority(heap):
+    """The entries of a heap in pop order, without popping them."""
+    front = [(heap[0], 0)] if heap else []
+    while front:
+        entry, i = heapq.heappop(front)
+        yield entry
+        for j in (2 * i + 1, 2 * i + 2):
+            if j < len(heap):
+                heapq.heappush(front, (heap[j], j))
+
+
+def _expand(cell, heap, room: int, max_depth: int, density: _Density):
+    """Give the popped ``cell`` and up to ``room - 1`` queued cells their
+    children, evaluated in one density call.  The queued cells are those of
+    the next SPECULATE - 1 in pop order whose children are unknown and whose
+    depth is below ``max_depth``.  If the call raises, the queued cells'
+    children are thrown away and ``cell``'s are evaluated one call each, so
+    that an error arises exactly where the driver meets it without
+    speculation."""
+    group = [cell]
+    for _, _, c in itertools.islice(_by_priority(heap), SPECULATE - 1):
+        if len(group) >= room:
+            break
+        if c.kids is None and c.depth < max_depth:
+            group.append(c)
+    for c in group:
+        halves = _halves(c)
+        c.kids = _FROZEN if halves is None else tuple(
+            _Cell(t, v, c.depth + 1, density.rules) for t, v in halves
+        )
+    fresh = [k for c in group if c.kids is not _FROZEN for k in c.kids]
+    if not fresh:
+        return
+    try:
+        density.evaluate(fresh)
+    except Exception:  # whatever it is, the popped cell's own children raise it again
+        for c in group[1:]:
+            c.kids = None
+        if cell.kids is not _FROZEN:
+            cell.kids = tuple(_Cell(k.t, k.verts, k.depth, density.rules) for k in cell.kids)
+            for k in cell.kids:
+                density.evaluate([k])
 
 
 def _adapt(density, d: int, prism: bool, tol: float, cfg: QuadConfig | None) -> QuadResult:
     """Adaptive cubature of a batch density over Delta_d, or over the prism
     [0,1] x Delta_d (points (t, b)) when ``prism``, until the error estimate
     is at most tol * max(1, |value|).  A non-finite running value or error
-    ends it, unconverged: no refinement can repair it."""
+    ends it, unconverged: no refinement can repair it.  Cells split one at
+    a time; their children are evaluated in batches (see _expand)."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     cfg = cfg or QuadConfig()
     t_rules = (_interval_rule(4), _interval_rule(3)) if prism else None
-    rules = (t_rules, simplex_rule(d, 4), simplex_rule(d, 3))
-    root = _Cell((0.0, 1.0) if prism else None, reference_vertices(d), 0, density, rules)
+    density = _Density(density, (t_rules, simplex_rule(d, 4), simplex_rule(d, 3)))
+    root = _Cell((0.0, 1.0) if prism else None, reference_vertices(d), 0, density.rules)
+    density.evaluate([root])
     heap = []
     seq = itertools.count()
 
@@ -348,26 +449,37 @@ def _adapt(density, d: int, prism: bool, tol: float, cfg: QuadConfig | None) -> 
         bonus = BOUNDARY_BONUS if c.touches else 1.0
         heapq.heappush(heap, (-c.err * bonus, next(seq), c))
 
+    def result(converged, reason, diverging=False):
+        return QuadResult(value, err, abs_total, converged, splits, diverging, reason,
+                          density.calls, density.cells)
+
     push(root)
     value, err, abs_total = root.q, root.err, root.a
     tracker = _Tracker()
     splits = 0
+    reason = "frozen"  # the queue runs dry when every cell left is frozen
     while heap:
         if not (math.isfinite(value) and math.isfinite(err)):
-            return QuadResult(value, err, abs_total, False, splits)
+            return result(False, "non_finite")
         if err <= max(tol, tol * abs(value)):
-            return QuadResult(value, err, abs_total, True, splits)
+            return result(True, "tol")
         if tracker.diverging:
             break
         _, _, cell = heapq.heappop(heap)
         if cell.depth >= cfg.max_depth:
             continue  # frozen: its error stays in the running total
         if splits + 1 >= cfg.max_cells:
+            reason = "max_cells"
             break
-        kids = cell.children(density, rules)
-        if kids is None:
+        if cell.kids is None:
+            # no more cells than splits are left (the queue holds at most
+            # ``splits`` cells, so short runs speculate little anyway)
+            room = min(SPECULATE, cfg.max_cells - 1 - splits)
+            _expand(cell, heap, room, cfg.max_depth, density)
+        if cell.kids is _FROZEN:
             continue  # frozen, as above
-        ca, cb = kids
+        ca, cb = cell.kids
+        cell.kids = None  # the queue holds them now: the root must not keep the tree alive
         value += ca.q + cb.q - cell.q
         err += ca.err + cb.err - cell.err
         abs_total += ca.a + cb.a - cell.a
@@ -377,8 +489,10 @@ def _adapt(density, d: int, prism: bool, tol: float, cfg: QuadConfig | None) -> 
         tracker.on_split(ca.depth, abs_total, cell.touches)
     if not tracker.diverging:
         tracker.check_at_exhaustion()
+    if tracker.diverging:
+        reason = "diverging:" + tracker.trigger
     converged = err <= max(tol, tol * abs(value)) and not tracker.diverging
-    return QuadResult(value, err, abs_total, converged, splits, tracker.diverging)
+    return result(converged, reason, tracker.diverging)
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,18 @@ def test_batched_inverse_matches_per_point_solves():
         gl.invert_simplex_map(curved, np.vstack([ys, [[5.0, 5.0]]]))
 
 
+def test_least_squares_solves_each_system_alone():
+    # one rank-deficient system in a batch must not change how the others
+    # are solved: glued densities stay elementwise
+    rng = np.random.default_rng(5)
+    J = rng.normal(size=(4, 3, 2))
+    J[2] = [[1.0, 2.0], [2.0, 4.0], [0.0, 0.0]]  # rank 1: J^T J is singular
+    B = rng.normal(size=(4, 3, 2))
+    batch = gl._lstsq(J, B)
+    for k in range(4):
+        np.testing.assert_array_equal(batch[k], gl._lstsq(J[k : k + 1], B[k : k + 1])[0])
+
+
 def test_enforce_b_condition_identity_when_already_full():
     T = upper_semicircle()
     out = gl.enforce_B_condition(T)
@@ -228,6 +240,41 @@ def test_glue_checks_and_normalises_the_containment_table():
     G = gl.glue(cap, base, table)
     R = gl.glue(cap, base, {k[::-1]: v[::-1] for k, v in table.items()})
     assert {s: ev.key() for s, ev in R.evaluators.items()} == {s: ev.key() for s, ev in G.evaluators.items()}
+
+
+def scanned_evaluator(T, s):
+    """The evaluator of s by a scan of the whole complex: its own, else the
+    restriction of the first proper coface with an evaluator, by dimension,
+    then in the complex's order."""
+    if s in T.evaluators:
+        return T.evaluators[s]
+    for d in range(len(s), T.complex.dim + 1):
+        for parent in T.complex.simplices[d]:
+            if set(s) <= set(parent) and parent in T.evaluators:
+                ref = ch.reference_vertices(len(parent) - 1)
+                return ch.Composed(T.evaluators[parent], ch.AffineSimplex(ref[[parent.index(v) for v in s]]))
+    return None
+
+
+def test_evaluator_lookup_matches_a_scan_of_the_complex():
+    cap, base, _ = disk_glue_input()
+    twice = gl.subdivide_triangulation(gl.subdivide_triangulation(base))
+    # evaluators on an edge and on both tops: a vertex of the edge restricts
+    # the edge's, the lowest-dimensional carrier, and the shared edge (1, 2)
+    # the first top's
+    mixed = gl.Triangulation(
+        hm.SimplicialComplex([(0, 1, 2), (1, 2, 3)]),
+        {(0, 1, 2): ch.AffineSimplex([[0, 0], [1, 0], [0, 1]]),
+         (1, 2, 3): ch.AffineSimplex([[1, 0], [0, 1], [1, 1]]),
+         (2, 3): ch.AffineSimplex([[0, 1], [1, 1]])},
+    )
+    assert mixed._carriers[(2,)] == (2, 3) and mixed._carriers[(1, 2)] == (0, 1, 2)
+    for T in (cap, base, twice, mixed):
+        for s in T.complex.cells():
+            assert T.evaluator_for(s).key() == scanned_evaluator(T, s).key()
+    assert len(twice.complex.cells()) == 233
+    with pytest.raises(KeyError, match="no evaluator covers"):
+        gl.Triangulation(hm.SimplicialComplex([(0, 1)]), {(0,): point(0, 0)}).evaluator_for((1,))
 
 
 def test_subdivide_triangulation_puts_each_vertex_at_its_barycenter():

@@ -448,6 +448,16 @@ MALFORMED_INPUTS = {
         _glued_triangulation([5], [["x", 0], ["w", 0]]),
         "/triangulations/0/evaluators/0/map: a glued role is",
     ),
+    "triangulation-without-evaluator-coverage": (
+        ["glue", "{}", str(MANIFESTS / "circle_lower.json"),
+         "--table", str(MANIFESTS / "circle_btable.json")],
+        {"schema": "periodlab/1", "ambient_dim": 2,
+         "complexes": [{"name": "K", "simplices": [[0, 1], [1, 2]]}],
+         "triangulations": [{"name": "T", "complex": "K", "evaluators": [
+             {"simplex": [0], "map": {"kind": "affine", "vertices": [[1.0, 0.0]]}}
+         ], "marks": {"B": [[0], [2]]}}]},
+        "/triangulations/0/evaluators: maximal simplex (0, 1) has no evaluator",
+    ),
     "form-index-string": (
         ["homology", "{}", "--complex", "K"],
         _manifest_with(forms=[{"name": "w", "degree": 1, "terms": [{"indices": ["1"], "coeff": "1"}]}]),

@@ -145,3 +145,19 @@ def test_jobs_parallel_matches_serial():
     serial = pe.period_matrix([c], forms, 1e-8, jobs=1)
     parallel = pe.period_matrix([c], forms, 1e-8, jobs=4)
     assert serial.values().tolist() == parallel.values().tolist()
+
+
+def test_chain_integral_sums_the_costs_and_keeps_the_first_miss():
+    from periodlab import quad as qd
+
+    w, budget = winding_form(), qd.QuadConfig(max_cells=50)
+    smooth, sqrt_arcs = circle_trig().chain, circle_sqrt().chain
+    mixed = ch.Chain(1, list(smooth.items()) + list(sqrt_arcs.items()))
+    terms = [qd.integrate_simplex(s, w, 1e-12, budget) for s, _ in mixed.items()]
+    r = pe.chain_integral(mixed, w, 1e-12, budget)
+    assert [t.stop_reason for t in terms] == ["tol", "tol", "max_cells", "max_cells"]
+    assert (r.stop_reason, r.converged, r.diverging) == ("max_cells", False, False)
+    assert r.density_calls == sum(t.density_calls for t in terms)
+    assert r.cells == sum(t.cells for t in terms)
+    assert r.subdivisions == sum(t.subdivisions for t in terms)
+    assert pe.chain_integral(smooth, w, 1e-8).stop_reason == "tol"

@@ -1,11 +1,15 @@
+import gc
 import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from periodlab import chains as ch
+from periodlab import expr as ex
 from periodlab import forms as fo
+from periodlab import manifest as mf
 from periodlab import quad as qd
 
 
@@ -305,3 +309,154 @@ def test_refinement_is_pinned(name):
     r = run()
     got = (r.value.hex(), r.error_estimate.hex(), r.abs_integral_estimate.hex(), r.subdivisions)
     assert got == (value, err, abs_int, splits)
+
+
+CIRCLE = pathlib.Path(__file__).resolve().parent.parent / "manifests" / "circle.json"
+
+
+def circle_budget_runs():
+    """The budget-bound library calls of the periods-circle benchmark, on the
+    manifest the CLI tests use."""
+    man = mf.load_manifest(CIRCLE)
+    budget = qd.QuadConfig(max_depth=80, max_cells=1000)
+    return {
+        "upper_sqrt": lambda: qd.integrate_simplex(
+            man.simplices["upper_sqrt"], man.forms["dtheta"], 1e-12, budget
+        ),
+        "tsin_graph": lambda: qd.finite_volume_check(man.simplices["tsin_graph"], 1e-6, budget).per_index[(2,)],
+    }
+
+
+def record(r):
+    return (r.value.hex(), r.error_estimate.hex(), r.abs_integral_estimate.hex(), r.subdivisions,
+            r.converged, r.diverging, r.stop_reason)
+
+
+@pytest.mark.parametrize("name", list(GOLDEN) + ["upper_sqrt", "tsin_graph"])
+def test_speculation_changes_no_result(name, monkeypatch):
+    # one density call per split, as a driver without speculation makes
+    run = GOLDEN[name][0] if name in GOLDEN else circle_budget_runs()[name]
+    batched = run()
+    monkeypatch.setattr(qd, "SPECULATE", 1)
+    plain = run()
+    assert record(batched) == record(plain)
+    assert plain.density_calls == 1 + plain.subdivisions
+    assert plain.cells == 1 + 2 * plain.subdivisions
+    assert batched.cells >= plain.cells
+
+
+def test_speculation_batches_the_budget_call():
+    r = circle_budget_runs()["upper_sqrt"]()
+    assert r.subdivisions == 999 and r.stop_reason == "max_cells"
+    assert r.density_calls <= r.subdivisions // 4
+
+
+def test_speculation_stays_inside_the_budget():
+    # two splits allowed: the second pops one of two queued cells and may
+    # not evaluate the other's children
+    sqrt_dy = fo.Form(1, 2, [((2,), "1")])
+    r = qd.integrate_simplex(SQRT_GRAPH, sqrt_dy, 1e-15, qd.QuadConfig(max_cells=3))
+    assert (r.subdivisions, r.density_calls, r.cells) == (2, 3, 5)
+
+
+def test_split_cells_are_released(monkeypatch):
+    # the queue and the cached children hold the only live cells: a split
+    # cell, and the tree above it, are freed
+    live = []
+
+    def count_cells(tracker):
+        live.append(sum(isinstance(o, qd._Cell) for o in gc.get_objects()))
+
+    monkeypatch.setattr(qd._Tracker, "check_at_exhaustion", count_cells)
+    r = circle_budget_runs()["upper_sqrt"]()
+    cached = r.cells - 1 - 2 * r.subdivisions  # evaluated, never applied
+    assert len(live) == 1 and live[0] <= 1 + r.subdivisions + cached
+
+
+def test_speculative_errors_fall_back_to_the_cells_own_children(monkeypatch):
+    # a density that fails on every point the plain driver never evaluates:
+    # the batched driver must fall back, never raise, and give the plain result
+    seen = set()
+    plain_density = qd.pullback_top_many
+
+    def recording(sigma, omega, pts):
+        seen.update(p.tobytes() for p in pts)
+        return plain_density(sigma, omega, pts)
+
+    failures = []
+
+    def strict(sigma, omega, pts):
+        if any(p.tobytes() not in seen for p in pts):
+            failures.append(sigma)
+            raise ex.ExprDomainError("division by zero", ex.parse("1/a1", 1))
+        return plain_density(sigma, omega, pts)
+
+    for name in ("singular-1d", "vertex-singular-2d", "cone-via-prism", "budget-with-frozen-prism"):
+        run = GOLDEN[name][0]
+        seen.clear()
+        monkeypatch.setattr(qd, "SPECULATE", 1)
+        monkeypatch.setattr(qd, "pullback_top_many", recording)
+        plain = run()
+        monkeypatch.setattr(qd, "SPECULATE", 16)
+        monkeypatch.setattr(qd, "pullback_top_many", strict)
+        fallback = run()
+        assert record(fallback) == record(plain)
+        assert fallback.cells == plain.cells  # only the cells the plain driver evaluates
+    assert failures  # some speculative batches did fail
+
+
+def test_an_error_surfaces_at_the_split_that_meets_it(monkeypatch):
+    # the plain driver meets a failing point at its 40th density call; the
+    # batched driver evaluates that point earlier, speculatively, but must
+    # raise the same error there and not before
+    run = GOLDEN["vertex-singular-2d"][0]
+    plain_density = qd.pullback_top_many
+    batches = []
+
+    def recording(sigma, omega, pts):
+        batches.append({p.tobytes() for p in pts})
+        return plain_density(sigma, omega, pts)
+
+    monkeypatch.setattr(qd, "SPECULATE", 1)
+    monkeypatch.setattr(qd, "pullback_top_many", recording)
+    run()
+    bad = next(iter(batches[40] - set().union(*batches[:40])))
+    raised = []
+
+    def failing(sigma, omega, pts):
+        for p in pts:
+            if p.tobytes() == bad:
+                raised.append(len(pts))
+                raise ex.ExprDomainError("sqrt of negative value", ex.parse("sqrt(a1)", 1))
+        return plain_density(sigma, omega, pts)
+
+    outcomes = []
+    for spec in (1, 16):
+        raised.clear()
+        monkeypatch.setattr(qd, "SPECULATE", spec)
+        monkeypatch.setattr(qd, "pullback_top_many", failing)
+        with pytest.raises(ex.ExprDomainError) as err:
+            run()
+        outcomes.append((str(err.value), raised[-1], max(raised)))
+    # the failing call is the one child alone both times; before it, the
+    # batched driver met the point in batches of more than one cell
+    n_child = len(batches[1]) // 2
+    message = "sqrt of negative value in sqrt(a1)"
+    assert outcomes[0] == (message, n_child, 2 * n_child)
+    assert outcomes[1][:2] == (message, n_child) and outcomes[1][2] > 2 * n_child
+
+
+def test_every_stop_reason_is_reported():
+    sqrt_dy = fo.Form(1, 2, [((2,), "1")])
+    assert qd.integrate_simplex(SQRT_GRAPH, sqrt_dy, 1e-8).stop_reason == "tol"
+    assert GOLDEN["budget-with-frozen-simplex"][0]().stop_reason == "max_cells"
+    frozen = qd.integrate_simplex(SQRT_GRAPH, sqrt_dy, 1e-15, qd.QuadConfig(max_depth=3))
+    assert (frozen.stop_reason, frozen.subdivisions, frozen.converged) == ("frozen", 7, False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        steep = qd.finite_volume_check(ch.ExprMap(["exp(1000*t)", "t"], 1), 1e-6).per_index[(1,)]
+    assert (steep.stop_reason, steep.density_calls, steep.cells) == ("non_finite", 1, 1)
+    geometric = qd.finite_volume_check(ch.ExprMap(["t", "sin(1/t)"], 1), 1e-6).per_index[(2,)]
+    assert geometric.stop_reason == "diverging:geometric" and geometric.diverging
+    sustained = circle_budget_runs()["tsin_graph"]()
+    assert sustained.stop_reason == "diverging:sustained" and sustained.diverging
+    assert sustained.subdivisions == 999
