@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -401,7 +402,10 @@ def _print(e: Expr, ctx_prec: int) -> str:
         op, prec, rprec = "*", 2, 3
     else:
         op, prec, rprec = "/", 2, 3
-    s = _print(a, prec) + op + _print(b, rprec)
+    left, right = _print(a, prec), _print(b, rprec)
+    if op == "/" and right[0].isdigit() and re.search(r"(?<![\w^.])\d+$", left):
+        right = f"({right})"  # "2/3" after an integer would lex as one rational literal
+    s = left + op + right
     return f"({s})" if ctx_prec > prec else s
 
 

@@ -15,13 +15,15 @@ glue() over a list of pieces.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 
 import numpy as np
 
 from .chains import (
-    AffineSimplex, Composed, SingularSimplex, flag_simplex, interior_grid, reference_vertices,
+    AffineSimplex, Composed, SingularSimplex, face_map, flag_simplex, interior_grid,
+    reference_vertices,
 )
 from .homology import SimplicialComplex, maximal_flags
 
@@ -282,49 +284,34 @@ class Triangulation:
 
     def validate(self):
         """Sampled structural checks: shared-face agreement of top evaluators
-        and injectivity (no collisions between distinct top interiors)."""
-        d = self.complex.dim
-        tops = self.top_simplices()
-        ref = reference_vertices(d)
-        shared = []  # (face, the tops that carry it), for faces of two or more
-        for ftuple in self.complex.simplices.get(d - 1, []) if d >= 1 else []:
-            carriers = [t for t in tops if set(ftuple) <= set(t)]
-            if len(carriers) >= 2:
-                shared.append((ftuple, carriers))
-        # one batch per top: the interior grid, then the grid of each shared
-        # face mapped into the top's reference simplex
-        cloud = interior_grid(d)
-        batches = {t: [cloud] for t in tops}
-        rows = {}
-        for ftuple, carriers in shared:
-            face_grid = interior_grid(d - 1)
-            for t in carriers:
-                start = sum(len(b) for b in batches[t])
-                rows[ftuple, t] = slice(start, start + len(face_grid))
-                face = AffineSimplex(ref[[t.index(v) for v in ftuple]])
-                batches[t].append(face.evaluate_many(face_grid))
-        vals = {t: self.evaluators[t].evaluate_many(np.vstack(b)) for t, b in batches.items()}
-        face_worst = 0.0
-        for ftuple, carriers in shared:
-            first = vals[carriers[0]][rows[ftuple, carriers[0]]]
-            for t in carriers[1:]:
-                face_worst = max(face_worst, float(np.abs(vals[t][rows[ftuple, t]] - first).max()))
+        and injectivity.  Each top is evaluated once, on the interior grid and
+        on the face grid of each facet it shares with another top."""
+        d, tops = self.complex.dim, self.top_simplices()
+        facets = {t: [t[:i] + t[i + 1 :] for i in range(d + 1 if d else 0)] for t in tops}
+        carried = collections.Counter(f for fs in facets.values() for f in fs)
+        cloud, grid = interior_grid(d), interior_grid(max(d - 1, 0))
+        face_pts = [face_map(d, i).evaluate_many(grid) for i in range(d + 1 if d else 0)]
+        face_worst, first, clouds = 0.0, {}, []  # first: facet -> its first carrier's values
+        for t in tops:
+            shared = [i for i, f in enumerate(facets[t]) if carried[f] > 1]
+            pts = np.vstack([cloud] + [face_pts[i] for i in shared])
+            vals = self.evaluators[t].evaluate_many(pts)
+            clouds.append(vals[: len(cloud)])
+            for i, v in zip(shared, vals[len(cloud) :].reshape(-1, len(grid), self.ambient)):
+                ref = first.setdefault(facets[t][i], v)
+                face_worst = max(face_worst, float(np.abs(v - ref).max()))
         if face_worst > FACE_TOL:
             raise InputCompatibilityError(f"face evaluators disagree by {face_worst:.2e}")
-        # injectivity sampling
-        clouds = [vals[t][: len(cloud)] for t in tops]
-        for i in range(len(clouds)):
-            for j in range(i + 1, len(clouds)):
-                dists = np.linalg.norm(clouds[i][:, None, :] - clouds[j][None, :, :], axis=2)
-                if dists.min() < COLLISION_TOL:
+        lo = np.stack([c.min(axis=0) for c in clouds], axis=1) - COLLISION_TOL  # (ambient, tops)
+        hi = np.stack([c.max(axis=0) for c in clouds], axis=1) + COLLISION_TOL
+        for i, ci in enumerate(clouds):
+            # exact distances only to the later tops whose widened sample boxes meet ci's
+            meet = (lo[:, i + 1 :] <= hi[:, i, None]) & (hi[:, i + 1 :] >= lo[:, i, None])
+            for j in i + 1 + np.flatnonzero(meet.all(axis=0)):
+                if np.linalg.norm(ci[:, None] - clouds[j][None], axis=2).min() < COLLISION_TOL:
                     raise InputCompatibilityError(
-                        f"interiors of {tops[i]} and {tops[j]} collide in sampling"
-                    )
-        return {
-            "face_agreement": face_worst,
-            "tops": len(tops),
-            "status": "sampled, not certified",
-        }
+                        f"interiors of {tops[i]} and {tops[j]} collide in sampling")
+        return {"face_agreement": face_worst, "tops": len(tops), "status": "sampled, not certified"}
 
     def __repr__(self):
         return f"<Triangulation {self.complex!r} marks={sorted(self.marks)}>"

@@ -295,7 +295,7 @@ def triangulation_to_manifest(name: str, T: Triangulation) -> dict:
         "complexes": [
             {
                 "name": f"{name}_complex",
-                "simplices": [list(s) for s in K.simplices[K.dim]],
+                "simplices": [list(s) for s in maximal_simplices(K)],
             }
         ],
         "triangulations": [

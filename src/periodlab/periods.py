@@ -119,6 +119,8 @@ def chain_integral(
     c: Chain, omega: Form, tol: float = 1e-8, config: QuadConfig | None = None
 ) -> QuadResult:
     """Integral of omega over a chain: coefficient-weighted simplex integrals."""
+    if omega.degree != c.degree:
+        raise ValueError(f"chain_integral needs a degree-{c.degree} form, got degree {omega.degree}")
     value = err = absint = 0.0
     splits = calls = cells = 0
     results = []

@@ -202,13 +202,14 @@ def _touches_boundary(verts: np.ndarray, tol: float = 1e-13) -> bool:
 
 
 def _longest_edge(verts: np.ndarray):
-    """(i, j, squared length) of the first longest edge."""
+    """(i, j, squared length) of the first longest edge.  Cells are midpoint
+    splits of the reference simplex, so equal edges compare exactly equal."""
     d1 = verts.shape[0]
     best, bi, bj = -1.0, 0, 1
     for i in range(d1):
         for j in range(i + 1, d1):
             l2 = float(((verts[i] - verts[j]) ** 2).sum())
-            if l2 > best + 1e-18:
+            if l2 > best:
                 best, bi, bj = l2, i, j
     return bi, bj, best
 

@@ -107,6 +107,8 @@ def check_chain(
     c: Chain, omega: Form, tol: float = 1e-6, config: QuadConfig | None = None
 ) -> ChainStokesReport:
     """Termwise Stokes residuals, combined linearly over the chain."""
+    if omega.degree != c.degree - 1:
+        raise ValueError(f"check_chain needs a degree-{c.degree - 1} form, got degree {omega.degree}")
     per_term = []
     lhs = rhs = sum_abs = 0.0
     ok = True

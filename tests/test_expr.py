@@ -126,6 +126,18 @@ def test_print_parse_roundtrip(e):
     assert ex.parse(ex.to_string(e), 2) == e
 
 
+def test_print_keeps_an_integer_apart_from_the_divisor_after_it():
+    # printed as "cos(pi)/2/2", the "2/2" lexed as the rational literal 1
+    a1 = ex.var(1)
+    for e in (
+        ex.div(ex.div(ex.func("cos", ex.pi), ex.const(2)), ex.const(2)),
+        ex.div(ex.mul(a1, ex.const(2)), ex.const(3)),
+    ):
+        assert ex.parse(ex.to_string(e), 2) == e
+    assert ex.to_string(ex.div(ex.pow_(a1, 2), ex.const(2))) == "a1^2/2"
+    assert ex.to_string(ex.div(ex.div(a1, ex.const(2)), ex.var(2))) == "a1/2/a2"
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     e=_safe_exprs(2, 3),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from test_homology import finishes_within
 
 from periodlab import chains as ch
 from periodlab import forms as fo
@@ -275,6 +276,133 @@ def test_evaluator_lookup_matches_a_scan_of_the_complex():
     assert len(twice.complex.cells()) == 233
     with pytest.raises(KeyError, match="no evaluator covers"):
         gl.Triangulation(hm.SimplicialComplex([(0, 1)]), {(0,): point(0, 0)}).evaluator_for((1,))
+
+
+def reference_validate(T):
+    """Triangulation.validate by brute force: the carriers of each shared face
+    by a scan of every top, and the sample clouds of every pair of tops."""
+    d = T.complex.dim
+    tops = T.top_simplices()
+    ref = ch.reference_vertices(d)
+    shared = []  # (face, the tops that carry it), for faces of two or more
+    for ftuple in T.complex.simplices.get(d - 1, []) if d >= 1 else []:
+        carriers = [t for t in tops if set(ftuple) <= set(t)]
+        if len(carriers) >= 2:
+            shared.append((ftuple, carriers))
+    cloud = ch.interior_grid(d)
+    batches = {t: [cloud] for t in tops}
+    rows = {}
+    for ftuple, carriers in shared:
+        face_grid = ch.interior_grid(d - 1)
+        for t in carriers:
+            start = sum(len(b) for b in batches[t])
+            rows[ftuple, t] = slice(start, start + len(face_grid))
+            face = ch.AffineSimplex(ref[[t.index(v) for v in ftuple]])
+            batches[t].append(face.evaluate_many(face_grid))
+    vals = {t: T.evaluators[t].evaluate_many(np.vstack(b)) for t, b in batches.items()}
+    face_worst = 0.0
+    for ftuple, carriers in shared:
+        first = vals[carriers[0]][rows[ftuple, carriers[0]]]
+        for t in carriers[1:]:
+            face_worst = max(face_worst, float(np.abs(vals[t][rows[ftuple, t]] - first).max()))
+    if face_worst > gl.FACE_TOL:
+        raise gl.InputCompatibilityError(f"face evaluators disagree by {face_worst:.2e}")
+    clouds = [vals[t][: len(cloud)] for t in tops]
+    for i in range(len(clouds)):
+        for j in range(i + 1, len(clouds)):
+            dists = np.linalg.norm(clouds[i][:, None, :] - clouds[j][None, :, :], axis=2)
+            if dists.min() < gl.COLLISION_TOL:
+                raise gl.InputCompatibilityError(
+                    f"interiors of {tops[i]} and {tops[j]} collide in sampling"
+                )
+    return {"face_agreement": face_worst, "tops": len(tops), "status": "sampled, not certified"}
+
+
+def subdivided(T, k):
+    for _ in range(k):
+        T = gl.subdivide_triangulation(T)
+    return T
+
+
+def validation_cases():
+    cap, base, table = disk_glue_input()
+    for T in (cap, base, gl.glue(cap, base, table), gl.glue(*circle_glue_input())):
+        yield from (T, subdivided(T, 1), subdivided(T, 2))
+
+
+def test_validate_matches_the_brute_force_reference():
+    reports = [(T.validate(), reference_validate(T)) for T in validation_cases()]
+    assert [new for new, _ in reports] == [old for _, old in reports]
+    assert [new["tops"] for new, _ in reports] == [1, 6, 36, 2, 12, 72, 4, 24, 144, 4, 8, 16]
+
+
+def with_evaluators(T, replace=None, extra=()):
+    """T with the top evaluators in ``replace`` (top -> evaluator) swapped in
+    and the ``extra`` (top, evaluator) pairs added."""
+    K = hm.SimplicialComplex(T.top_simplices() + [s for s, _ in extra])
+    return gl.Triangulation(K, {**T.evaluators, **(replace or {}), **dict(extra)})
+
+
+def raised(validate, T):
+    with pytest.raises(gl.InputCompatibilityError) as info:
+        validate(T)
+    return str(info.value)
+
+
+def test_validate_reports_a_face_mismatch_as_the_reference_does():
+    T = subdivided(disk_glue_input()[1], 1)
+    top = T.top_simplices()[5]
+    corners = T.evaluators[top].evaluate_many(np.vstack([np.zeros((1, 2)), np.eye(2)]))
+    corners[2] += 1e-6  # one vertex off: the top no longer meets its neighbours
+    bad = with_evaluators(T, {top: ch.AffineSimplex(corners)})
+    message = raised(gl.Triangulation.validate, bad)
+    assert message == raised(reference_validate, bad)
+    assert message.startswith("face evaluators disagree by")
+
+
+def test_validate_reports_the_first_collision_as_the_reference_does():
+    # two extra tops, apart from the rest of the complex, with copies of the
+    # evaluators of tops 7 and 3; they sort last, as tops 12 and 13, so the
+    # first colliding pair is (3, 13)
+    T = subdivided(disk_glue_input()[1], 1)
+    tops = T.top_simplices()
+    n = len(T.complex.vertices)
+    extra = [((n, n + 1, n + 2), T.evaluators[tops[7]]),
+             ((n + 3, n + 4, n + 5), T.evaluators[tops[3]])]
+    bad = with_evaluators(T, extra=extra)
+    message = raised(gl.Triangulation.validate, bad)
+    assert message == raised(reference_validate, bad)
+    assert message == f"interiors of {tops[3]} and {(n + 3, n + 4, n + 5)} collide in sampling"
+
+
+def test_validate_leaves_boundary_facets_unevaluated():
+    # a2*log(a2) is undefined on the facet a2 = 0, which no other top shares
+    T = gl.Triangulation(
+        hm.SimplicialComplex([(0, 1, 2)]), {(0, 1, 2): ch.ExprMap(["a1", "a2*log(a2)"], 2)}
+    )
+    assert T.validate() == reference_validate(T)
+
+
+def test_validate_finds_a_collision_across_a_gap_between_the_sample_boxes():
+    # the samples of [0, 1] end at 0.6 and those of the overlapping segment
+    # start 5e-8 further on: the boxes do not meet, the samples still collide
+    a = 0.4 + 5e-8
+    T = gl.Triangulation(
+        hm.SimplicialComplex([(0, 1), (2, 3)]),
+        {(0, 1): ch.AffineSimplex([[0.0], [1.0]]), (2, 3): ch.AffineSimplex([[a], [a + 1.0]])},
+    )
+    message = raised(gl.Triangulation.validate, T)
+    assert message == raised(reference_validate, T)
+    assert message == "interiors of (0, 1) and (2, 3) collide in sampling"
+
+
+def test_validate_of_a_fine_triangulation_is_fast():
+    # the base after four subdivisions: 2,592 tops, which a pairwise scan of
+    # the sample clouds took about a minute to validate
+    T = subdivided(disk_glue_input()[1], 4)
+    with finishes_within(5):
+        report = T.validate()
+    assert report["tops"] == 2592 and report["face_agreement"] <= 1e-12
 
 
 def test_subdivide_triangulation_puts_each_vertex_at_its_barycenter():

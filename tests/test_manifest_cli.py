@@ -126,6 +126,21 @@ def test_glued_evaluator_roundtrip():
     assert back.marks["B"] == G.marks["B"]
 
 
+def test_triangulation_manifest_keeps_lower_dimensional_maximal_simplices():
+    # the edge (2, 3) is maximal; a manifest listing only the triangles drops
+    # it from the complex, and its evaluator no longer re-ingests
+    K = hm.SimplicialComplex([(0, 1, 2), (2, 3)])
+    T = gl.Triangulation(K, {(0, 1, 2): ch.AffineSimplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                             (2, 3): ch.AffineSimplex([[0.0, 1.0], [1.0, 1.0]])})
+    data = json.loads(json.dumps(mf.triangulation_to_manifest("T", T)))
+    assert data["complexes"][0]["simplices"] == [[2, 3], [0, 1, 2]]
+    back = mf.Manifest(data).triangulations["T"]
+    assert back.complex.cells() == K.cells()
+    assert {s: ev.key() for s, ev in back.evaluators.items()} == {
+        s: ev.key() for s, ev in T.evaluators.items()
+    }
+
+
 def test_canonical_json_fixed_format():
     s = mf.canonical_json({"b": [1.5, 2, True, None], "a": "x"})
     assert s == '{"a":"x","b":[1.5,2,true,null]}\n'
@@ -398,8 +413,8 @@ def _glued_triangulation(v_slots, roles):
 
 
 # each case once escaped cli.run as a TypeError, KeyError, AttributeError,
-# IndexError or IsADirectoryError; argv reads {} as the path of the file
-# written from the JSON
+# IndexError or IsADirectoryError, or exited 0 (a form of the wrong degree on
+# an empty chain); argv reads {} as the path of the file written from the JSON
 MALFORMED_INPUTS = {
     "chain-degree-string": (
         ["periods", "{}", "--cycles", "c", "--forms", "w"],
@@ -457,6 +472,22 @@ MALFORMED_INPUTS = {
              {"simplex": [0], "map": {"kind": "affine", "vertices": [[1.0, 0.0]]}}
          ], "marks": {"B": [[0], [2]]}}]},
         "/triangulations/0/evaluators: maximal simplex (0, 1) has no evaluator",
+    ),
+    "stokes-empty-chain-form-degree": (
+        ["check-stokes", "{}", "--chain", "e", "--form", "w2"],
+        _manifest_with(
+            chains=[{"name": "e", "degree": 1, "terms": []}],
+            forms=[{"name": "w2", "degree": 2, "terms": [{"indices": [1, 2], "coeff": "1"}]}],
+        ),
+        "check_chain needs a degree-0 form, got degree 2",
+    ),
+    "periods-empty-chain-form-degree": (
+        ["periods", "{}", "--cycles", "e", "--forms", "w2"],
+        _manifest_with(
+            chains=[{"name": "e", "degree": 1, "terms": []}],
+            forms=[{"name": "w2", "degree": 2, "terms": [{"indices": [1, 2], "coeff": "1"}]}],
+        ),
+        "chain_integral needs a degree-1 form, got degree 2",
     ),
     "form-index-string": (
         ["homology", "{}", "--complex", "K"],

@@ -247,6 +247,15 @@ def test_quad_config_rejects_empty_budgets():
     assert qd.QuadConfig(max_depth=0, max_cells=1).max_cells == 1
 
 
+def test_longest_edge_of_a_small_cell():
+    # squared edge lengths of order 1e-20 are not ties: the longest edge of
+    # this cell is (1, 2) at every scale
+    cell = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]])
+    for scale in (1.0, 1e-10):
+        i, j, l2 = qd._longest_edge(scale * cell)
+        assert (i, j) == (1, 2) and l2 == pytest.approx(10.0 * scale**2)
+
+
 def test_interior_evaluation_never_touches_boundary():
     # a map whose derivative blows up on the whole boundary: every rule node
     # must stay interior (no domain error), whatever the verdict
