@@ -29,15 +29,11 @@ __all__ = [
     "Chain",
     "face_map",
     "boundary",
-    "cone_chain",
-    "prism_q",
-    "prism_q_inverse",
     "barycentric_subdivide",
     "flag_simplex",
     "reference_subdivision",
     "reference_vertices",
     "interior_grid",
-    "random_interior_point",
 ]
 
 
@@ -64,15 +60,6 @@ def interior_grid(d: int, m: int = 3) -> np.ndarray:
     if not pts:
         pts = [np.full(d, 1.0 / (2 * d + 2))]
     return np.array(pts)
-
-
-def random_interior_point(d: int, rng) -> np.ndarray:
-    """Uniform point in the open simplex via sorted-uniform gaps."""
-    if d == 0:
-        return np.zeros(0)
-    cuts = np.sort(rng.random(d))
-    p = np.diff(np.concatenate(([0.0], cuts)))
-    return np.clip(p, 1e-12, None)
 
 
 class SingularSimplex:
@@ -309,22 +296,6 @@ def face_map(d: int, i: int) -> AffineSimplex:
     return AffineSimplex(np.delete(reference_vertices(d), i, axis=0))
 
 
-def prism_q(t: float, b) -> np.ndarray:
-    """Reparametrisation [0,1] x Delta_d -> Delta_{d+1} collapsing {1} x Delta_d
-    to the origin; satisfies prism = cone o q."""
-    b = np.asarray(b, dtype=float)
-    return np.concatenate(([(1.0 - t) * (1.0 - b.sum())], (1.0 - t) * b))
-
-
-def prism_q_inverse(a):
-    """Inverse of q away from the origin: (a_0,...,a_d) |-> (1-A, a_1/A,...)."""
-    a = np.asarray(a, dtype=float)
-    s = a.sum()
-    if s <= 0.0:
-        raise ValueError("q is not invertible at the origin")
-    return 1.0 - s, a[1:] / s
-
-
 class Chain:
     """Formal integer combination of singular simplices of one dimension."""
 
@@ -394,10 +365,6 @@ def boundary(c: Chain) -> Chain:
         for i in range(c.degree + 1):
             out._bump(sigma.face(i), n * (-1) ** i)
     return out
-
-
-def cone_chain(c: Chain) -> Chain:
-    return Chain(c.degree + 1, [(Cone(s), n) for s, n in c.terms.items()])
 
 
 def flag_simplex(top, faces) -> AffineSimplex:

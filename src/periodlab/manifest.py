@@ -60,6 +60,17 @@ def _get(obj, key, types, path, default=_expect, items=None):
     return val
 
 
+def _dim(obj, comps, path) -> int:
+    """``obj["dim"]`` of a map with components ``comps``: at most their
+    number, the ambient dimension, since no nonzero d-form lives on R^n for
+    d > n.  Checked before the map differentiates each component by each
+    coordinate."""
+    dim = _get(obj, "dim", int, path)
+    _expect(0 <= dim <= len(comps), f"dim must be between 0 and the ambient dimension {len(comps)}",
+            f"{path}/dim")
+    return dim
+
+
 def _simplices(vals, path) -> list:
     """Vertex tuples of a list of simplices, each a non-empty list of integers."""
     _expect(isinstance(vals, list), "expected a list of simplices", path)
@@ -113,9 +124,15 @@ def evaluator_from_dict(desc: dict, path: str = "/evaluator") -> SingularSimplex
     try:
         if kind == "expr":
             comps = _get(desc, "components", list, path, items=str)
-            return ExprMap(comps, _get(desc, "dim", int, path))
+            return ExprMap(comps, _dim(desc, comps, path))
         if kind == "affine":
-            return AffineSimplex(np.array(_get(desc, "vertices", list, path), dtype=float))
+            rows = _get(desc, "vertices", list, path, items=list)
+            for i, row in enumerate(rows):
+                bad = next((j for j, x in enumerate(row)
+                            if type(x) not in (int, float) or not math.isfinite(x)), None)
+                _expect(bad is None, "a vertex coordinate must be a finite number",
+                        f"{path}/vertices/{i}/{bad}")
+            return AffineSimplex(np.array(rows, dtype=float))
         if kind == "cone":
             return Cone(evaluator_from_dict(_get(desc, "of", dict, path), f"{path}/of"))
         if kind == "prism":
@@ -162,13 +179,13 @@ class Manifest:
         for i, entry in enumerate(_get(data, "simplices", list, path, [])):
             p = f"{path}/simplices/{i}"
             name = self._fresh(_get(entry, "name", str, p), p)
-            dim = _get(entry, "dim", int, p)
             comps = _get(entry, "components", list, p, items=str)
             _expect(
                 self.ambient == 0 or len(comps) == self.ambient,
                 f"expected {self.ambient} components, found {len(comps)}",
                 f"{p}/components",
             )
+            dim = _dim(entry, comps, p)
             try:
                 self.simplices[name] = ExprMap(comps, dim)
             except ex.ExprSyntaxError as err:

@@ -23,7 +23,6 @@ __all__ = [
     "GeometricCycle",
     "PeriodMatrix",
     "period_matrix",
-    "compare_representatives",
     "chain_integral",
     "chain_vanishes_geometrically",
     "form_is_closed",
@@ -122,7 +121,7 @@ def chain_integral(
     if omega.degree != c.degree:
         raise ValueError(f"chain_integral needs a degree-{c.degree} form, got degree {omega.degree}")
     value = err = absint = 0.0
-    splits = calls = cells = 0
+    splits = calls = cells = points = depth = frozen = 0
     results = []
     for sigma, n in c.items():
         r = integrate_simplex(sigma, omega, tol, config)
@@ -132,12 +131,16 @@ def chain_integral(
         splits += r.subdivisions
         calls += r.density_calls
         cells += r.cells
+        points += r.points
+        depth = max(depth, r.max_depth_reached)
+        frozen += r.frozen_cells
         results.append(r)
     conv = all(r.converged for r in results)
     # the chain stops for the reason of its first term that missed tol
     reason = next((r.stop_reason for r in results if r.stop_reason != "tol"), "tol")
     diverging = any(r.diverging for r in results)
-    return QuadResult(value, err, absint, conv, splits, diverging, reason, calls, cells)
+    return QuadResult(value, err, absint, conv, splits, diverging, reason, calls, cells, points,
+                      depth, frozen)
 
 
 def period_matrix(
@@ -161,38 +164,3 @@ def period_matrix(
         [chain_integral(cyc.chain, w, tol, config) for _, w in named_forms] for cyc in cycles
     ]
     return PeriodMatrix([c.name for c in cycles], [n for n, _ in named_forms], entries)
-
-
-@dataclass
-class RepresentativeComparison:
-    form_names: list
-    periods_1: list
-    periods_2: list
-    differences: list
-    max_difference: float
-    all_converged: bool
-
-
-def compare_representatives(
-    c1: GeometricCycle,
-    c2: GeometricCycle,
-    forms: list,
-    tol: float = 1e-8,
-    config: QuadConfig | None = None,
-) -> RepresentativeComparison:
-    """Per-form difference of periods of two homologous cycles.
-
-    Homology of c1 - c2 is the caller's assertion; this reports the numeric
-    consequence (differences should sit within combined quadrature error)."""
-    pm = period_matrix([c1, c2], forms, tol, config)
-    p1 = [e.value for e in pm.entries[0]]
-    p2 = [e.value for e in pm.entries[1]]
-    diffs = [a - b for a, b in zip(p1, p2)]
-    return RepresentativeComparison(
-        pm.form_names,
-        p1,
-        p2,
-        diffs,
-        max(abs(d) for d in diffs) if diffs else 0.0,
-        pm.all_converged(),
-    )

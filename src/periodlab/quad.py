@@ -11,19 +11,26 @@ maps that are merely C^1 on open faces may blow up.
 One driver refines cells of the form [t0, t1] x simplex (a simplex-domain
 cell has no interval) through a priority queue, with a refinement bonus for
 cells touching the boundary: a cell bisects t or its longest simplex edge,
-whichever carries more of its error.  Cells split one at a time, but the
-density is evaluated in batches: when the driver pops a cell whose children
-are not yet known, one density call evaluates them together with the
-children of up to SPECULATE - 1 of the next queued cells, and each cell keeps
-its children until it is popped.  The density is elementwise, so the split
-order and every value are those of one call per split.  A batch that raises
-is thrown away, and the popped cell's children are evaluated one call each,
-so an error arises exactly where the sequential driver meets it.
-Absolute-value sums are tracked across refinement depths; sustained growth
-is reported as divergence.  That verdict is a diagnostic, not a proof:
-integrability is not numerically decidable, and pathologically conditioned
-integrands may be flagged inconclusive.  Each result carries its stop reason
-and the density calls and cells it cost.
+whichever carries more of its error.  Cells split one at a time, but their
+children are built and evaluated in groups: when the driver pops a cell
+whose children are not yet known, it splits that cell and up to
+SPECULATE - 1 of the next queued cells at once, and each cell keeps its
+children until it is popped.  A group's children are built as arrays, as
+DCUHRE does on its shared subdivision: the halves of the whole group from
+its stacked vertices, then one determinant, one matmul per rule and one set
+of boundary flags for all children, one density call at all their nodes,
+and one batched reduction of the values to each child's value and errors.
+The root is a group of one cell.  Every operation acts elementwise on the
+stack and rounds as it would for one cell, and the density is elementwise,
+so the split order and every value are those of one call per split, bit for
+bit.  A group whose call raises is thrown away, and the popped cell's
+children are evaluated one call each, so an error arises exactly where the
+sequential driver meets it.  Absolute-value sums are tracked across
+refinement depths; sustained growth is reported as divergence.  That
+verdict is a diagnostic, not a proof: integrability is not numerically
+decidable, and pathologically conditioned integrands may be flagged
+inconclusive.  Each result carries its stop reason and what it cost: density
+calls, cells and points, the depth it reached and the cells that froze.
 
 Cone evaluators are always integrated on the prism [0,1] x Delta_d: the
 reparametrisation q collapsing {1} x Delta_d to the cone point is a
@@ -99,6 +106,9 @@ class QuadResult:
     stop_reason: str
     density_calls: int  # failed speculative calls included
     cells: int  # cells evaluated, the root and speculative children included
+    points: int  # density points, failed speculative calls included
+    max_depth_reached: int  # depth of the deepest split applied (the root is 0)
+    frozen_cells: int  # cells popped that could not split: at max_depth or too thin
 
     def to_dict(self):
         return {
@@ -195,25 +205,6 @@ def _interval_rule(n: int):
 # ---------------------------------------------------------------------------
 
 
-def _touches_boundary(verts: np.ndarray, tol: float = 1e-13) -> bool:
-    if verts.size == 0:
-        return False  # the 0-simplex
-    return bool(verts.min() <= tol or verts.sum(axis=1).max() >= 1.0 - tol)
-
-
-def _longest_edge(verts: np.ndarray):
-    """(i, j, squared length) of the first longest edge.  Cells are midpoint
-    splits of the reference simplex, so equal edges compare exactly equal."""
-    d1 = verts.shape[0]
-    best, bi, bj = -1.0, 0, 1
-    for i in range(d1):
-        for j in range(i + 1, d1):
-            l2 = float(((verts[i] - verts[j]) ** 2).sum())
-            if l2 > best:
-                best, bi, bj = l2, i, j
-    return bi, bj, best
-
-
 class _Tracker:
     """Bookkeeping for the divergence diagnostics across depth levels."""
 
@@ -270,117 +261,146 @@ class _Tracker:
 
 
 class _Cell:
-    """A cell [t0, t1] x simplex, or the bare simplex when ``t`` is None.
+    """A cell [t0, t1] x simplex, or the bare simplex when ``t`` is None: its
+    t-interval and vertices (rows of the arrays its group was built from),
+    depth, boundary flag, value ``q``, absolute value ``a`` and errors.  A
+    simplex cell's ``err_t`` is 0.  ``kids`` holds the two children once
+    they are evaluated, or _FROZEN when the cell cannot split."""
 
-    Construction fixes the geometry: the rule nodes, the volume scale and
-    whether the cell touches the boundary.  ``finish`` takes the density at
-    the nodes and sets the value, the absolute value and the errors.  A
-    simplex cell compares its degree-7 and degree-5 rules (``err_b``; its
-    ``err_t`` is 0).  A prism cell evaluates the 4-point interval rule times
-    the degree-7 simplex rule and one embedded variant per axis, so that the
-    driver can refine in the direction that carries the error.  A simplex
-    cell keeps its own dot products: a prism with a one-node t-rule would
-    round differently.  ``kids`` holds the two children once they are
-    evaluated, or _FROZEN when the cell cannot split.
-    """
+    __slots__ = ("t", "verts", "depth", "touches", "q", "a", "err_t", "err_b", "err", "kids")
 
-    __slots__ = ("t", "verts", "depth", "touches", "scale", "nodes", "q", "a", "err_t", "err_b",
-                 "err", "kids")
-
-    def __init__(self, t, verts, depth, rules):
-        self.t, self.verts, self.depth = t, verts, depth
+    def __init__(self, t, verts, depth, touches, q, a, err_t, err_b):
+        self.t, self.verts, self.depth, self.touches = t, verts, depth, touches
+        self.q, self.a, self.err_t, self.err_b = q, a, err_t, err_b
+        self.err = err_t + err_b
         self.kids = None
-        t_rules, (b7, _), (b5, _) = rules
-        on_t_end = t is not None and (t[0] <= 1e-13 or t[1] >= 1.0 - 1e-13)
-        self.touches = on_t_end or _touches_boundary(verts)
-        d = verts.shape[1]
-        lin = (verts[1:] - verts[0]).T
-        scale = abs(float(np.linalg.det(lin))) if d > 0 else 1.0
-        bp7 = verts[0] + b7 @ lin.T
-        bp5 = verts[0] + b5 @ lin.T
-        if t is None:
-            self.scale = scale
-            self.nodes = np.concatenate([bp7, bp5])
-        else:
-            t0, t1 = t
-            (t4, _), (t3, _) = t_rules
-            self.scale = (t1 - t0) * scale
-            tn4 = t0 + (t1 - t0) * t4
-            tn3 = t0 + (t1 - t0) * t3
-
-            def grid(ts, bs):
-                return np.column_stack([np.repeat(ts, bs.shape[0]), np.tile(bs, (ts.shape[0], 1))])
-
-            self.nodes = np.concatenate([grid(tn4, bp7), grid(tn3, bp7), grid(tn4, bp5)])
-
-    def finish(self, v, rules):
-        """Set q, a and the errors from the density ``v`` at the nodes."""
-        t_rules, (_, bw7), (_, bw5) = rules
-        scale, n7 = self.scale, bw7.shape[0]
-        self.nodes = None
-        if self.t is None:
-            v7, v5 = v[:n7], v[n7:]
-            self.q = scale * float(bw7 @ v7)
-            self.a = scale * float(bw7 @ np.abs(v7))
-            self.err_t = 0.0
-            self.err_b = abs(self.q - scale * float(bw5 @ v5))
-        else:
-            (_, tw4), (_, tw3) = t_rules
-            k4, k3 = tw4.shape[0] * n7, tw3.shape[0] * n7
-            v44 = v[:k4].reshape(tw4.shape[0], n7)
-            v34 = v[k4 : k4 + k3].reshape(tw3.shape[0], n7)
-            v45 = v[k4 + k3 :].reshape(tw4.shape[0], -1)
-            self.q = scale * float(tw4 @ v44 @ bw7)
-            self.a = scale * float(tw4 @ np.abs(v44) @ bw7)
-            self.err_t = abs(self.q - scale * float(tw3 @ v34 @ bw7))
-            self.err_b = abs(self.q - scale * float(tw4 @ v45 @ bw5))
-        self.err = self.err_t + self.err_b
 
 
-def _halves(cell):
-    """The (t, verts) of the two children of a finished cell: split t when it
-    carries at least the simplex error and is wide enough, else bisect the
-    longest simplex edge; None when the cell is too thin on every axis
-    (frozen)."""
-    verts = cell.verts
-    if verts.shape[1] > 0:
-        i, j, l2 = _longest_edge(verts)
-        b_width = math.sqrt(l2)
+def _geometry(t, verts, rules):
+    """The rule nodes (k, n, dim), volume scales (k,) and boundary flags (k,)
+    of k cells with vertices ``verts`` (k, d+1, d) and t-intervals ``t``
+    (k, 2), or None for simplex cells.  A prism cell's nodes are the 4-point
+    interval rule times the degree-7 simplex rule, then one embedded variant
+    per axis."""
+    t_rules, (b7, _), (b5, _) = rules
+    k, _, d = verts.shape
+    basis = verts[:, 1:] - verts[:, :1]  # rows verts[i] - verts[0]
+    if d:
+        scale = np.abs(np.linalg.det(basis.transpose(0, 2, 1)))
+        touches = (verts.min(axis=(1, 2)) <= 1e-13) | (verts.sum(axis=2).max(axis=1) >= 1.0 - 1e-13)
     else:
-        b_width = 0.0
-    t_wide = cell.t is not None and cell.t[1] - cell.t[0] >= MIN_CELL_WIDTH
-    split_t = t_wide and (cell.err_t >= cell.err_b or b_width < MIN_CELL_WIDTH)
-    if not split_t and b_width < MIN_CELL_WIDTH:
-        return None
-    if split_t:
-        t0, t1 = cell.t
-        tm = 0.5 * (t0 + t1)
-        return ((t0, tm), verts), ((tm, t1), verts)
-    mid = 0.5 * (verts[i] + verts[j])
-    va = verts.copy()
-    va[j] = mid
-    vb = verts.copy()
-    vb[i] = mid
-    return (cell.t, va), (cell.t, vb)
+        scale, touches = np.ones(k), np.zeros(k, dtype=bool)
+    bp7 = verts[:, :1] + np.matmul(b7, basis)
+    bp5 = verts[:, :1] + np.matmul(b5, basis)
+    if t is None:
+        return np.concatenate([bp7, bp5], axis=1), scale, touches
+    (t4, _), (t3, _) = t_rules
+    t0, t1 = t[:, :1], t[:, 1:]
+    touches |= (t0[:, 0] <= 1e-13) | (t1[:, 0] >= 1.0 - 1e-13)
+
+    def grid(ts, bs):  # every t node with every simplex node, t first
+        g = np.empty((k, ts.shape[1], bs.shape[1], 1 + d))
+        g[..., 0] = ts[:, :, None]
+        g[..., 1:] = bs[:, None]
+        return g.reshape(k, -1, 1 + d)
+
+    tn4 = t0 + (t1 - t0) * t4
+    tn3 = t0 + (t1 - t0) * t3
+    nodes = np.concatenate([grid(tn4, bp7), grid(tn3, bp7), grid(tn4, bp5)], axis=1)
+    return nodes, (t1[:, 0] - t0[:, 0]) * scale, touches
+
+
+def _finish(v, scale, prism: bool, rules):
+    """(q, a, err_t, err_b), each (k,), of k cells from the density ``v``
+    (k, n) at their nodes.  A simplex cell compares its degree-7 and degree-5
+    rules; a prism cell compares its tensor rule with each axis's variant, so
+    that the driver can refine in the direction that carries the error."""
+    t_rules, (_, bw7), (_, bw5) = rules
+    k, n7 = v.shape[0], bw7.shape[0]
+    if not prism:
+        q = scale * np.matmul(v[:, None, :n7], bw7)[:, 0]
+        a = scale * np.matmul(np.abs(v[:, None, :n7]), bw7)[:, 0]
+        err_b = np.abs(q - scale * np.matmul(v[:, None, n7:], bw5)[:, 0])
+        return q, a, np.zeros(k), err_b
+    (_, tw4), (_, tw3) = t_rules
+    k4, k3 = tw4.shape[0] * n7, tw3.shape[0] * n7
+
+    def rule(tw, vals, bw):  # t rule, then simplex rule, as tw @ vals @ bw per cell
+        return scale * np.matmul(np.matmul(tw[None, None, :], vals.reshape(k, tw.shape[0], -1)), bw)[:, 0]
+
+    q = rule(tw4, v[:, :k4], bw7)
+    a = rule(tw4, np.abs(v[:, :k4]), bw7)
+    err_t = np.abs(q - rule(tw3, v[:, k4 : k4 + k3], bw7))
+    err_b = np.abs(q - rule(tw4, v[:, k4 + k3 :], bw5))
+    return q, a, err_t, err_b
+
+
+def _split(group, edges):
+    """The children of the finished cells ``group`` as (t, verts, depth)
+    arrays, two rows per cell that splits, and the mask of the cells too
+    thin on every axis to split (frozen).  A cell splits t when t carries at
+    least the simplex error and is wide enough, else it bisects the first of
+    its longest simplex edges (``edges``: the vertex pairs i < j in order).
+    Cells are midpoint splits of the reference simplex, so equal edges
+    compare exactly equal."""
+    verts = np.array([c.verts for c in group])
+    g, d = verts.shape[0], verts.shape[2]
+    kids = np.repeat(verts, 2, axis=0)
+    pairs = kids.reshape(g, 2, d + 1, d)  # each cell's two children
+    if d:
+        l2 = ((verts[:, edges[0]] - verts[:, edges[1]]) ** 2).sum(axis=2)
+        e = l2.argmax(axis=1)
+        r, i, j = np.arange(g), edges[0][e], edges[1][e]
+        thin = np.sqrt(l2[r, e]) < MIN_CELL_WIDTH
+        mid = 0.5 * (verts[r, i] + verts[r, j])
+        pairs[r, 0, j] = mid
+        pairs[r, 1, i] = mid
+    else:
+        thin = np.ones(g, dtype=bool)
+    depth = np.repeat([c.depth + 1 for c in group], 2)
+    if group[0].t is None:
+        frozen = thin
+        keep = np.repeat(~frozen, 2)
+        return None, kids[keep], depth[keep], frozen
+    t = np.array([c.t for c in group])
+    err_t, err_b = np.array([(c.err_t, c.err_b) for c in group]).T
+    split_t = (t[:, 1] - t[:, 0] >= MIN_CELL_WIDTH) & ((err_t >= err_b) | thin)
+    pairs[split_t] = verts[split_t, None]
+    kt = np.repeat(t, 2, axis=0)
+    tm = 0.5 * (t[:, 0] + t[:, 1])
+    kt[0::2, 1] = np.where(split_t, tm, t[:, 1])
+    kt[1::2, 0] = np.where(split_t, tm, t[:, 0])
+    frozen = ~split_t & thin
+    keep = np.repeat(~frozen, 2)
+    return kt[keep], kids[keep], depth[keep], frozen
 
 
 class _Density:
-    """The density of one integral, its rules and the counters of its calls."""
+    """The density of one integral over Delta_d or the prism, its rules and
+    the counters of its calls."""
 
-    def __init__(self, density, rules):
-        self.density, self.rules = density, rules
-        self.calls = self.cells = 0
+    def __init__(self, density, d: int, prism: bool):
+        t_rules = (_interval_rule(4), _interval_rule(3)) if prism else None
+        self.density, self.rules = density, (t_rules, simplex_rule(d, 4), simplex_rule(d, 3))
+        self.edges = np.triu_indices(d + 1, 1)
+        self.calls = self.cells = self.points = 0
 
-    def evaluate(self, cells):
-        """Finish all ``cells`` from one density call at their nodes."""
-        nodes = [c.nodes for c in cells]
+    def evaluate(self, t, verts, depth) -> list:
+        """The cells with t-intervals ``t`` (None for simplex cells),
+        vertices ``verts`` and depths ``depth``, finished from one density
+        call at all their nodes."""
+        nodes, scale, touches = _geometry(t, verts, self.rules)
+        k, n, dim = nodes.shape
         self.calls += 1
-        v = self.density(np.concatenate(nodes))
-        off = 0
-        for c, x in zip(cells, nodes):
-            c.finish(v[off : off + len(x)], self.rules)
-            off += len(x)
-        self.cells += len(cells)
+        self.points += k * n
+        v = self.density(nodes.reshape(k * n, dim)).reshape(k, n)
+        q, a, err_t, err_b = _finish(v, scale, t is not None, self.rules)
+        self.cells += k
+        rows = zip(
+            [None] * k if t is None else t, verts, depth.tolist(), touches.tolist(),
+            q.tolist(), a.tolist(), err_t.tolist(), err_b.tolist(),
+        )
+        return [_Cell(*row) for row in rows]
 
 
 _FROZEN = object()  # the kids of a cell too thin on every axis to split
@@ -399,35 +419,30 @@ def _by_priority(heap):
 
 def _expand(cell, heap, room: int, max_depth: int, density: _Density):
     """Give the popped ``cell`` and up to ``room - 1`` queued cells their
-    children, evaluated in one density call.  The queued cells are those of
-    the next SPECULATE - 1 in pop order whose children are unknown and whose
-    depth is below ``max_depth``.  If the call raises, the queued cells'
-    children are thrown away and ``cell``'s are evaluated one call each, so
-    that an error arises exactly where the driver meets it without
-    speculation."""
+    children, built as one group and evaluated in one density call.  The
+    queued cells are those of the next SPECULATE - 1 in pop order whose
+    children are unknown and whose depth is below ``max_depth``.  If the call
+    raises, the queued cells' children are thrown away and ``cell``'s are
+    evaluated one call each, so that an error arises exactly where the
+    driver meets it without speculation."""
     group = [cell]
     for _, _, c in itertools.islice(_by_priority(heap), SPECULATE - 1):
         if len(group) >= room:
             break
         if c.kids is None and c.depth < max_depth:
             group.append(c)
-    for c in group:
-        halves = _halves(c)
-        c.kids = _FROZEN if halves is None else tuple(
-            _Cell(t, v, c.depth + 1, density.rules) for t, v in halves
-        )
-    fresh = [k for c in group if c.kids is not _FROZEN for k in c.kids]
-    if not fresh:
-        return
+    t, verts, depth, frozen = _split(group, density.edges)
     try:
-        density.evaluate(fresh)
+        kids = iter(density.evaluate(t, verts, depth) if depth.size else ())
     except Exception:  # whatever it is, the popped cell's own children raise it again
-        for c in group[1:]:
-            c.kids = None
-        if cell.kids is not _FROZEN:
-            cell.kids = tuple(_Cell(k.t, k.verts, k.depth, density.rules) for k in cell.kids)
-            for k in cell.kids:
-                density.evaluate([k])
+        # the queued cells stay without children; the popped cell's are the first two rows
+        cell.kids = _FROZEN if frozen[0] else tuple(
+            density.evaluate(None if t is None else t[m : m + 1], verts[m : m + 1], depth[m : m + 1])[0]
+            for m in (0, 1)
+        )
+        return
+    for c, f in zip(group, frozen.tolist()):
+        c.kids = _FROZEN if f else (next(kids), next(kids))
 
 
 def _adapt(density, d: int, prism: bool, tol: float, cfg: QuadConfig | None) -> QuadResult:
@@ -435,14 +450,14 @@ def _adapt(density, d: int, prism: bool, tol: float, cfg: QuadConfig | None) -> 
     [0,1] x Delta_d (points (t, b)) when ``prism``, until the error estimate
     is at most tol * max(1, |value|).  A non-finite running value or error
     ends it, unconverged: no refinement can repair it.  Cells split one at
-    a time; their children are evaluated in batches (see _expand)."""
+    a time; their children are built and evaluated in groups (see _expand)."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     cfg = cfg or QuadConfig()
-    t_rules = (_interval_rule(4), _interval_rule(3)) if prism else None
-    density = _Density(density, (t_rules, simplex_rule(d, 4), simplex_rule(d, 3)))
-    root = _Cell((0.0, 1.0) if prism else None, reference_vertices(d), 0, density.rules)
-    density.evaluate([root])
+    density = _Density(density, d, prism)
+    (root,) = density.evaluate(
+        np.array([[0.0, 1.0]]) if prism else None, reference_vertices(d)[None], np.zeros(1, dtype=int)
+    )
     heap = []
     seq = itertools.count()
 
@@ -452,12 +467,13 @@ def _adapt(density, d: int, prism: bool, tol: float, cfg: QuadConfig | None) -> 
 
     def result(converged, reason, diverging=False):
         return QuadResult(value, err, abs_total, converged, splits, diverging, reason,
-                          density.calls, density.cells)
+                          density.calls, density.cells, density.points, tracker.max_depth_seen,
+                          frozen)
 
     push(root)
     value, err, abs_total = root.q, root.err, root.a
     tracker = _Tracker()
-    splits = 0
+    splits = frozen = 0
     reason = "frozen"  # the queue runs dry when every cell left is frozen
     while heap:
         if not (math.isfinite(value) and math.isfinite(err)):
@@ -468,7 +484,8 @@ def _adapt(density, d: int, prism: bool, tol: float, cfg: QuadConfig | None) -> 
             break
         _, _, cell = heapq.heappop(heap)
         if cell.depth >= cfg.max_depth:
-            continue  # frozen: its error stays in the running total
+            frozen += 1  # its error stays in the running total
+            continue
         if splits + 1 >= cfg.max_cells:
             reason = "max_cells"
             break
@@ -478,7 +495,8 @@ def _adapt(density, d: int, prism: bool, tol: float, cfg: QuadConfig | None) -> 
             room = min(SPECULATE, cfg.max_cells - 1 - splits)
             _expand(cell, heap, room, cfg.max_depth, density)
         if cell.kids is _FROZEN:
-            continue  # frozen, as above
+            frozen += 1  # as above
+            continue
         ca, cb = cell.kids
         cell.kids = None  # the queue holds them now: the root must not keep the tree alive
         value += ca.q + cb.q - cell.q

@@ -10,6 +10,8 @@ import subprocess
 import sys
 
 import numpy as np
+from test_chains import prism_q, prism_q_inverse, random_interior_point
+from test_periods import compare_representatives
 
 from periodlab import chains as ch
 from periodlab import forms as fo
@@ -44,10 +46,10 @@ def test_criterion_1_cone_prism_identities():
         cone = ch.Cone(sigma)
         for _ in range(3400):
             t = rng.random() * 0.999
-            b = ch.random_interior_point(d, rng)
-            q = ch.prism_q(t, b)
+            b = random_interior_point(d, rng)
+            q = prism_q(t, b)
             gap = np.abs(prism.evaluate(np.concatenate(([t], b))) - cone.evaluate(q)).max()
-            tt, bb = ch.prism_q_inverse(q)
+            tt, bb = prism_q_inverse(q)
             gap = max(gap, abs(tt - t), np.abs(bb - b).max())
             worst = max(worst, gap)
             n_points += 1
@@ -112,7 +114,7 @@ def test_criterion_3_decomposition():
     for d, (sigma, eta) in cases.items():
         dec = fo.decompose_AB(sigma, "1 - t^2", eta)
         t = 0.999 * rng.random(120) + 0.0005
-        b = np.array([ch.random_interior_point(d, rng) for _ in range(120)])
+        b = np.array([random_interior_point(d, rng) for _ in range(120)])
         direct = dec.direct(t, b)
         combined = dec.combined(t, b)
         for key, val in direct.items():
@@ -124,7 +126,7 @@ def test_criterion_3_decomposition():
         t = 0.999 * rng.random(25) + 0.0005
         for i in range(d + 1):
             face = ch.face_map(d, i)
-            c = np.array([ch.random_interior_point(d - 1, rng) for _ in range(25)])
+            c = np.array([random_interior_point(d - 1, rng) for _ in range(25)])
             restricted = ch.PrismMap(ch.Composed(sigma, face), dec.prism.profile)
             direct = fo.pullback_many(restricted, eta, np.column_stack([t, c]))
             beta = dec.B_density(t, face.evaluate_many(c))
@@ -137,7 +139,7 @@ def test_criterion_3_decomposition():
                 )
                 got = direct[(1,) + tuple(k + 1 for k in K)]
                 worst_face = max(worst_face, float(np.max(np.abs(got - want) / (1 + np.abs(got)))))
-        b = np.array([ch.random_interior_point(d, rng) for _ in range(25)])
+        b = np.array([random_interior_point(d, rng) for _ in range(25)])
         spatial = tuple(range(2, d + 2))
         for t_edge in (0.0, 1.0):
             t = np.full(25, t_edge)
@@ -282,11 +284,11 @@ def test_criterion_6_periods():
     s_up = ch.ExprMap(["1 - 2*t", "sqrt(1 - (1 - 2*t)^2)"], 1)
     s_dn = ch.ExprMap(["2*t - 1", "-sqrt(1 - (2*t - 1)^2)"], 1)
     gamma_sa = pe.GeometricCycle("gamma_sa", ch.Chain(1, [(s_up, 1), (s_dn, 1)]))
-    cmp_sa = pe.compare_representatives(gamma, gamma_sa, [("dtheta", winding(2, 1, 2))], 1e-7)
+    cmp_sa = compare_representatives(gamma, gamma_sa, [("dtheta", winding(2, 1, 2))], 1e-7)
     ok = ok and cmp_sa.max_difference <= 2e-6
 
     gamma_sd = pe.GeometricCycle("gamma_sd", ch.barycentric_subdivide(gamma.chain))
-    cmp_sd = pe.compare_representatives(gamma, gamma_sd, [("dtheta", winding(2, 1, 2))], 1e-8)
+    cmp_sd = compare_representatives(gamma, gamma_sd, [("dtheta", winding(2, 1, 2))], 1e-8)
     ok = ok and cmp_sd.max_difference <= 2e-6
 
     report(

@@ -9,6 +9,35 @@ from periodlab import forms as fo
 from periodlab import quad as qd
 
 
+def random_interior_point(d: int, rng) -> np.ndarray:
+    """Uniform point in the open simplex via sorted-uniform gaps."""
+    if d == 0:
+        return np.zeros(0)
+    cuts = np.sort(rng.random(d))
+    p = np.diff(np.concatenate(([0.0], cuts)))
+    return np.clip(p, 1e-12, None)
+
+
+def prism_q(t: float, b) -> np.ndarray:
+    """Reparametrisation [0,1] x Delta_d -> Delta_{d+1} collapsing {1} x Delta_d
+    to the origin; satisfies prism = cone o q."""
+    b = np.asarray(b, dtype=float)
+    return np.concatenate(([(1.0 - t) * (1.0 - b.sum())], (1.0 - t) * b))
+
+
+def prism_q_inverse(a):
+    """Inverse of q away from the origin: (a_0,...,a_d) |-> (1-A, a_1/A,...)."""
+    a = np.asarray(a, dtype=float)
+    s = a.sum()
+    if s <= 0.0:
+        raise ValueError("q is not invertible at the origin")
+    return 1.0 - s, a[1:] / s
+
+
+def cone_chain(c: ch.Chain) -> ch.Chain:
+    return ch.Chain(c.degree + 1, [(ch.Cone(s), n) for s, n in c.terms.items()])
+
+
 def matches_geometrically(c1: ch.Chain, c2: ch.Chain, tol=1e-12, grid_m=4) -> bool:
     """Termwise cancellation of c1 - c2 up to pointwise-equal evaluators."""
     diff = c1 - c2
@@ -78,7 +107,7 @@ def test_cone_of_identity_on_delta1():
     cone = ch.Cone(ident)
     rng = np.random.default_rng(0)
     for _ in range(20):
-        p = ch.random_interior_point(2, rng)
+        p = random_interior_point(2, rng)
         assert cone.evaluate(p) == pytest.approx([p[1]])
 
 
@@ -91,7 +120,7 @@ def test_cone_faces_match_raw_composition():
         raw = super(ch.Composed, ch.Composed).__new__(ch.Composed)
         raw.__init__(cone, ch.face_map(cone.dim, i))
         for _ in range(60):
-            b = ch.random_interior_point(sigma.dim, rng)
+            b = random_interior_point(sigma.dim, rng)
             assert np.abs(structural.evaluate(b) - raw.evaluate(b)).max() <= 1e-12
 
 
@@ -99,11 +128,11 @@ def test_cone_boundary_identity():
     # d >= 1: boundary(cone(s)) = s - cone(boundary(s))
     arc = ch.ExprMap(["cos(pi*t)", "sin(pi*t)"], 1)
     lhs = ch.boundary(ch.Chain.of(ch.Cone(arc)))
-    rhs = ch.Chain.of(arc) - ch.cone_chain(ch.boundary(ch.Chain.of(arc)))
+    rhs = ch.Chain.of(arc) - cone_chain(ch.boundary(ch.Chain.of(arc)))
     assert matches_geometrically(lhs, rhs)
     sigma = ch.ExprMap(["a1*a2", "a1 + a2", "a2^2"], 2)
     lhs = ch.boundary(ch.Chain.of(ch.Cone(sigma)))
-    rhs = ch.Chain.of(sigma) - ch.cone_chain(ch.boundary(ch.Chain.of(sigma)))
+    rhs = ch.Chain.of(sigma) - cone_chain(ch.boundary(ch.Chain.of(sigma)))
     assert matches_geometrically(lhs, rhs)
 
 
@@ -120,9 +149,9 @@ def test_cone_continuity_at_vertex():
 
 
 def test_prism_q_examples():
-    assert ch.prism_q(0.0, np.array([0.3])) == pytest.approx([0.7, 0.3])
-    assert ch.prism_q(1.0, np.array([0.3])) == pytest.approx([0.0, 0.0])
-    t, b = ch.prism_q_inverse(ch.prism_q(0.4, np.array([0.2, 0.1])))
+    assert prism_q(0.0, np.array([0.3])) == pytest.approx([0.7, 0.3])
+    assert prism_q(1.0, np.array([0.3])) == pytest.approx([0.0, 0.0])
+    t, b = prism_q_inverse(prism_q(0.4, np.array([0.2, 0.1])))
     assert t == pytest.approx(0.4)
     assert b == pytest.approx([0.2, 0.1])
 
@@ -139,7 +168,7 @@ def test_prism_equals_cone_after_q(t, b1, b2):
     cone = ch.Cone(sigma)
     b = np.array([b1, b2])
     lhs = prism.evaluate(np.concatenate(([t], b)))
-    rhs = cone.evaluate(ch.prism_q(t, b))
+    rhs = cone.evaluate(prism_q(t, b))
     assert np.abs(lhs - rhs).max() <= 1e-12
 
 
@@ -209,7 +238,7 @@ def test_jacobians_match_finite_differences():
     ]
     for m in maps:
         for _ in range(10):
-            p = 0.8 * ch.random_interior_point(m.dim, rng) + 0.02
+            p = 0.8 * random_interior_point(m.dim, rng) + 0.02
             jac = m.jacobian(p)
             h = 1e-6
             for j in range(m.dim):
@@ -235,7 +264,7 @@ def test_batch_of_many_matches_batch_of_one():
     maps = [sigma, ch.AffineSimplex([[0, 0, 0], [1, 2, 0], [0, 1, 1]]), ch.Cone(sigma),
             ch.PrismMap(sigma, "1 - t"), ch.Composed(sigma, ch.face_map(2, 0)), glued_cap()]
     for m in maps:
-        pts = np.array([ch.random_interior_point(m.dim, rng) for _ in range(7)])
+        pts = np.array([random_interior_point(m.dim, rng) for _ in range(7)])
         ev = m.evaluate_many(pts)
         jc = m.jacobian_many(pts)
         for k, p in enumerate(pts):

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from test_chains import random_interior_point
 
 from periodlab import chains as ch
 from periodlab import expr as ex
@@ -76,7 +77,7 @@ def test_pullback_against_finite_difference_jacobian():
     w = fo.Form(2, 3, [((1, 3), "a2 + 1"), ((2, 3), "a1*a3")])
     h = 1e-6
     for _ in range(25):
-        p = 0.9 * ch.random_interior_point(2, rng) + 0.02
+        p = 0.9 * random_interior_point(2, rng) + 0.02
         jac_fd = np.empty((3, 2))
         for j in range(2):
             up, dn = p.copy(), p.copy()
@@ -96,7 +97,7 @@ def test_pullback_batch_matches_pointwise():
     rng = np.random.default_rng(5)
     sigma = ch.Cone(ch.ExprMap(["t", "t^2"], 1))
     w = fo.Form(2, 2, [((1, 2), "a1 + 1")])
-    pts = np.array([ch.random_interior_point(2, rng) for _ in range(9)])
+    pts = np.array([random_interior_point(2, rng) for _ in range(9)])
     batch = fo.pullback_top_many(sigma, w, pts)
     for k, p in enumerate(pts):
         assert batch[k] == pytest.approx(fo.pullback_top_many(sigma, w, p[None])[0])
@@ -113,7 +114,7 @@ AB_CASES = {
 def prism_points(rng, n, d, lo=0.0, hi=1.0):
     """n points (t, b) of [lo, hi] x Delta_d: t of shape (n,), b of shape (n, d)."""
     t = lo + (hi - lo) * rng.random(n)
-    return t, np.array([ch.random_interior_point(d, rng) for _ in range(n)])
+    return t, np.array([random_interior_point(d, rng) for _ in range(n)])
 
 
 def test_decompose_constant_profile_has_no_B():

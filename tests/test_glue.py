@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from test_chains import random_interior_point
 from test_homology import finishes_within
 
 from periodlab import chains as ch
@@ -66,7 +67,7 @@ def test_newton_inverse_affine_and_nonlinear():
 def test_batched_inverse_matches_per_point_solves():
     curved = ch.ExprMap(["a1 + a2^2", "a2"], 2)
     rng = np.random.default_rng(12)
-    xs = np.vstack([[ch.random_interior_point(2, rng) for _ in range(6)], np.eye(2), [[0.0, 0.0]]])
+    xs = np.vstack([[random_interior_point(2, rng) for _ in range(6)], np.eye(2), [[0.0, 0.0]]])
     ys = curved.evaluate_many(xs)
     batch = gl.invert_simplex_map(curved, ys)
     for y, x in zip(ys, batch):
@@ -427,7 +428,7 @@ def test_glued_jacobian_matches_central_differences():
         glued = [e for e in G.evaluators.values() if isinstance(e, gl.GluedMap)]
         assert {e.dim for e in glued} == {1, inp[0].complex.dim}
         for ev in glued:
-            pts = np.array([0.8 * ch.random_interior_point(ev.dim, rng) + 0.05 for _ in range(5)])
+            pts = np.array([0.8 * random_interior_point(ev.dim, rng) + 0.05 for _ in range(5)])
             jac = ev.jacobian_many(pts)
             h = 1e-6
             for j in range(ev.dim):

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from test_chains import random_interior_point
 
 from periodlab import chains as ch
 from periodlab import cli
@@ -89,7 +91,7 @@ def test_evaluator_descriptions_roundtrip():
         back = mf.evaluator_from_dict(desc2)
         assert back.dim == ev.dim and back.ambient == ev.ambient
         for _ in range(15):
-            p = ch.random_interior_point(ev.dim, rng)
+            p = random_interior_point(ev.dim, rng)
             assert np.abs(back.evaluate(p) - ev.evaluate(p)).max() <= 1e-15
 
 
@@ -121,7 +123,7 @@ def test_glued_evaluator_roundtrip():
     for s, ev in G.evaluators.items():
         ev2 = back.evaluators[s]
         for _ in range(10):
-            p = ch.random_interior_point(ev.dim, rng)
+            p = random_interior_point(ev.dim, rng)
             assert np.abs(ev2.evaluate(p) - ev.evaluate(p)).max() <= 1e-10
     assert back.marks["B"] == G.marks["B"]
 
@@ -412,6 +414,17 @@ def _glued_triangulation(v_slots, roles):
     ])
 
 
+def _circle_upper_with_vertices(vertices):
+    """circle_upper.json with the affine map of its vertex 0 replaced."""
+    upper = json.loads((MANIFESTS / "circle_upper.json").read_text())
+    upper["triangulations"][0]["evaluators"][2]["map"]["vertices"] = vertices
+    return upper
+
+
+_GLUE_UPPER = ["glue", "{}", str(MANIFESTS / "circle_lower.json"),
+               "--table", str(MANIFESTS / "circle_btable.json")]
+
+
 # each case once escaped cli.run as a TypeError, KeyError, AttributeError,
 # IndexError or IsADirectoryError, or exited 0 (a form of the wrong degree on
 # an empty chain); argv reads {} as the path of the file written from the JSON
@@ -497,6 +510,34 @@ MALFORMED_INPUTS = {
     "out-is-a-directory": (
         ["homology", "{}", "--complex", "K", "--out", "/"], _manifest_with(), "[Errno 21]",
     ),
+    "affine-vertex-row-object": (
+        _GLUE_UPPER, _circle_upper_with_vertices([{}]),
+        "/triangulations/0/evaluators/2/map/vertices/0: item has wrong type",
+    ),
+    "affine-vertex-null": (  # read as a NaN vertex
+        _GLUE_UPPER, _circle_upper_with_vertices([[None, 0.0]]),
+        "/triangulations/0/evaluators/2/map/vertices/0/0: a vertex coordinate must be a finite number",
+    ),
+    # JSON's NaN literal: validate's distance checks are all false on NaN
+    "affine-vertex-nan": (
+        _GLUE_UPPER, _circle_upper_with_vertices([[0.0, math.nan]]),
+        "/triangulations/0/evaluators/2/map/vertices/0/1: a vertex coordinate must be a finite number",
+    ),
+    # no nonzero d-form lives on R^n for d > n; at dim 10^6 the load alone
+    # ran for minutes, differentiating each component by each coordinate
+    "simplex-dim-past-ambient": (
+        ["check-volume", "{}", "--simplex", "s"],
+        {"schema": "periodlab/1", "ambient_dim": 2,
+         "simplices": [{"name": "s", "dim": 1000000, "components": ["a1", "a2"]}]},
+        "/simplices/0/dim: dim must be between 0 and the ambient dimension 2",
+    ),
+    "evaluator-dim-past-ambient": (
+        ["homology", "{}", "--complex", "K"],
+        _manifest_with(triangulations=[{"name": "T", "complex": "K", "evaluators": [
+            {"simplex": [0, 1], "map": {"kind": "expr", "dim": 3, "components": ["t", "t"]}}
+        ]}]),
+        "/triangulations/0/evaluators/0/map/dim",
+    ),
 }
 
 
@@ -509,6 +550,12 @@ def test_cli_malformed_input_is_input_error(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith(f"error: {where}") and "Traceback" not in err
+
+
+def test_cli_a_huge_dim_is_rejected_before_the_map_is_built(tmp_path, capsys):
+    start = time.perf_counter()
+    test_cli_malformed_input_is_input_error("simplex-dim-past-ambient", tmp_path, capsys)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_cli_missing_manifest_is_input_error():

@@ -1,10 +1,40 @@
 import math
+from dataclasses import dataclass
 
 import pytest
 
 from periodlab import chains as ch
 from periodlab import forms as fo
 from periodlab import periods as pe
+
+
+@dataclass
+class RepresentativeComparison:
+    form_names: list
+    periods_1: list
+    periods_2: list
+    differences: list
+    max_difference: float
+    all_converged: bool
+
+
+def compare_representatives(c1, c2, forms, tol=1e-8, config=None) -> RepresentativeComparison:
+    """Per-form difference of periods of two homologous cycles.
+
+    Homology of c1 - c2 is the caller's assertion; this reports the numeric
+    consequence (differences should sit within combined quadrature error)."""
+    pm = pe.period_matrix([c1, c2], forms, tol, config)
+    p1 = [e.value for e in pm.entries[0]]
+    p2 = [e.value for e in pm.entries[1]]
+    diffs = [a - b for a, b in zip(p1, p2)]
+    return RepresentativeComparison(
+        pm.form_names,
+        p1,
+        p2,
+        diffs,
+        max(abs(d) for d in diffs) if diffs else 0.0,
+        pm.all_converged(),
+    )
 
 
 def winding_form(ambient=2, x=1, y=2):
@@ -85,12 +115,12 @@ def test_closedness_checks():
 
 def test_identical_representatives_agree_exactly():
     c = circle_trig()
-    cmp = pe.compare_representatives(c, c, [("dtheta", winding_form())], 1e-8)
+    cmp = compare_representatives(c, c, [("dtheta", winding_form())], 1e-8)
     assert cmp.max_difference == 0.0
 
 
 def test_smooth_vs_semialgebraic_representatives():
-    cmp = pe.compare_representatives(
+    cmp = compare_representatives(
         circle_trig(), circle_sqrt(), [("dtheta", winding_form())], 1e-7
     )
     assert cmp.all_converged
@@ -102,7 +132,7 @@ def test_smooth_vs_semialgebraic_representatives():
 def test_subdivided_representative_agrees():
     c = circle_trig()
     csd = pe.GeometricCycle("gamma_sd", ch.barycentric_subdivide(c.chain))
-    cmp = pe.compare_representatives(c, csd, [("dtheta", winding_form())], 1e-8)
+    cmp = compare_representatives(c, csd, [("dtheta", winding_form())], 1e-8)
     assert cmp.max_difference <= 2e-6
 
 
@@ -125,7 +155,7 @@ def test_reparametrised_cycle_same_periods():
         "gamma_reparam",
         ch.Chain(1, [(ch.Composed(upper, rho), 1), (ch.Composed(lower, rho), 1)]),
     )
-    cmp = pe.compare_representatives(
+    cmp = compare_representatives(
         circle_trig(), reparam, [("dtheta", winding_form())], 1e-8
     )
     assert cmp.max_difference <= 2e-6
@@ -159,5 +189,8 @@ def test_chain_integral_sums_the_costs_and_keeps_the_first_miss():
     assert (r.stop_reason, r.converged, r.diverging) == ("max_cells", False, False)
     assert r.density_calls == sum(t.density_calls for t in terms)
     assert r.cells == sum(t.cells for t in terms)
+    assert r.points == sum(t.points for t in terms)
+    assert r.frozen_cells == sum(t.frozen_cells for t in terms)
+    assert r.max_depth_reached == max(t.max_depth_reached for t in terms)
     assert r.subdivisions == sum(t.subdivisions for t in terms)
     assert pe.chain_integral(smooth, w, 1e-8).stop_reason == "tol"

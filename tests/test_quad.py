@@ -5,6 +5,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from periodlab import chains as ch
 from periodlab import expr as ex
@@ -249,11 +250,171 @@ def test_quad_config_rejects_empty_budgets():
 
 def test_longest_edge_of_a_small_cell():
     # squared edge lengths of order 1e-20 are not ties: the longest edge of
-    # this cell is (1, 2) at every scale
+    # this cell is (1, 2) at every scale, so the children replace vertex 2,
+    # then vertex 1, by its midpoint
     cell = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]])
     for scale in (1.0, 1e-10):
-        i, j, l2 = qd._longest_edge(scale * cell)
-        assert (i, j) == (1, 2) and l2 == pytest.approx(10.0 * scale**2)
+        verts = scale * cell
+        group = [qd._Cell(None, verts, 0, True, 0.0, 0.0, 0.0, 0.0)]
+        t, kids, depth, frozen = qd._split(group, np.triu_indices(3, 1))
+        mid = 0.5 * (verts[1] + verts[2])
+        assert t is None and depth.tolist() == [1, 1] and not frozen[0]
+        assert np.array_equal(kids, [[verts[0], verts[1], mid], [verts[0], mid, verts[2]]])
+
+
+# The per-cell driver that the groups of _expand replace: each cell built,
+# finished and split on its own.  The batched builder must match it bit for
+# bit, so that the refinement, and every golden below, stays what it was.
+
+
+class ReferenceCell:
+    def __init__(self, t, verts, rules):
+        self.t, self.verts = t, verts
+        t_rules, (b7, _), (b5, _) = rules
+        on_t_end = t is not None and (t[0] <= 1e-13 or t[1] >= 1.0 - 1e-13)
+        on_b_face = verts.size > 0 and (verts.min() <= 1e-13 or verts.sum(axis=1).max() >= 1.0 - 1e-13)
+        self.touches = bool(on_t_end or on_b_face)
+        d = verts.shape[1]
+        lin = (verts[1:] - verts[0]).T
+        scale = abs(float(np.linalg.det(lin))) if d > 0 else 1.0
+        bp7 = verts[0] + b7 @ lin.T
+        bp5 = verts[0] + b5 @ lin.T
+        if t is None:
+            self.scale = scale
+            self.nodes = np.concatenate([bp7, bp5])
+        else:
+            t0, t1 = t
+            (t4, _), (t3, _) = t_rules
+            self.scale = (t1 - t0) * scale
+            tn4 = t0 + (t1 - t0) * t4
+            tn3 = t0 + (t1 - t0) * t3
+
+            def grid(ts, bs):
+                return np.column_stack([np.repeat(ts, bs.shape[0]), np.tile(bs, (ts.shape[0], 1))])
+
+            self.nodes = np.concatenate([grid(tn4, bp7), grid(tn3, bp7), grid(tn4, bp5)])
+
+    def finish(self, v, rules):
+        t_rules, (_, bw7), (_, bw5) = rules
+        scale, n7 = self.scale, bw7.shape[0]
+        if self.t is None:
+            v7, v5 = v[:n7], v[n7:]
+            self.q = scale * float(bw7 @ v7)
+            self.a = scale * float(bw7 @ np.abs(v7))
+            self.err_t = 0.0
+            self.err_b = abs(self.q - scale * float(bw5 @ v5))
+        else:
+            (_, tw4), (_, tw3) = t_rules
+            k4, k3 = tw4.shape[0] * n7, tw3.shape[0] * n7
+            v44 = v[:k4].reshape(tw4.shape[0], n7)
+            v34 = v[k4 : k4 + k3].reshape(tw3.shape[0], n7)
+            v45 = v[k4 + k3 :].reshape(tw4.shape[0], -1)
+            self.q = scale * float(tw4 @ v44 @ bw7)
+            self.a = scale * float(tw4 @ np.abs(v44) @ bw7)
+            self.err_t = abs(self.q - scale * float(tw3 @ v34 @ bw7))
+            self.err_b = abs(self.q - scale * float(tw4 @ v45 @ bw5))
+
+
+def reference_halves(t, verts, err_t, err_b):
+    """The (t, verts) of the two children, or None for a frozen cell."""
+    best, bi, bj = -1.0, 0, 1
+    for i in range(verts.shape[0]):
+        for j in range(i + 1, verts.shape[0]):
+            l2 = float(((verts[i] - verts[j]) ** 2).sum())
+            if l2 > best:
+                best, bi, bj = l2, i, j
+    b_width = math.sqrt(best) if verts.shape[1] > 0 else 0.0
+    t_wide = t is not None and t[1] - t[0] >= qd.MIN_CELL_WIDTH
+    split_t = t_wide and (err_t >= err_b or b_width < qd.MIN_CELL_WIDTH)
+    if not split_t and b_width < qd.MIN_CELL_WIDTH:
+        return None
+    if split_t:
+        tm = 0.5 * (t[0] + t[1])
+        return ((t[0], tm), verts), ((tm, t[1]), verts)
+    mid = 0.5 * (verts[bi] + verts[bj])
+    va, vb = verts.copy(), verts.copy()
+    va[bj], vb[bi] = mid, mid
+    return (t, va), (t, vb)
+
+
+def bits(*arrays):
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+@st.composite
+def cell_groups(draw):
+    """(d, prism, cells): up to 8 cells (t, verts) reached from the root by
+    midpoint splits of t or of the longest edge, some down to the width at
+    which cells freeze.  Each path draws its depth, how often it splits t
+    and which child it follows from its own generator, so that deep cells
+    are as common as shallow ones."""
+    d = draw(st.integers(0, 3))
+    prism = draw(st.booleans())
+    cells = []
+    for seed in draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8)):
+        rng = np.random.default_rng(seed)
+        t, verts = ((0.0, 1.0) if prism else None), ch.reference_vertices(d)
+        p_t = rng.choice([0.1, 0.5, 0.9])
+        # paths wander inside, or keep to the first or second child, or to
+        # the far face a1 + ... + ad = 1 away from the coordinate planes
+        path = rng.choice(["random", "random", "first", "second", "far"])
+        for _ in range(rng.integers(0, 161)):
+            err_t, err_b = (1.0, 0.0) if rng.random() < p_t else (0.0, 1.0)
+            halves = reference_halves(t, verts, err_t, err_b)
+            if halves is None:
+                break
+            if path == "far":
+                t, verts = max(halves, key=lambda h: (h[1].sum(axis=1).max(initial=0.0), h[1].min(initial=0.0)))
+            else:
+                t, verts = halves[{"random": rng.integers(2), "first": 0, "second": 1}[path]]
+        cells.append((t, verts))
+    return d, prism, cells
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cell_groups(), st.integers(0, 2**32 - 1), st.integers(-30, 30), st.booleans())
+def test_group_builder_matches_the_per_cell_driver(group, seed, exponent, vanishing):
+    # a vanishing density ties err_t and err_b at 0: the tie splits t
+    d, prism, cells = group
+    rng = np.random.default_rng(seed)
+    seen = []
+
+    def density(pts):
+        values = np.zeros(len(pts)) if vanishing else rng.standard_normal(len(pts)) * 2.0**exponent
+        seen.append((pts.copy(), values))
+        return values
+
+    dens = qd._Density(density, d, prism)
+    refs = [ReferenceCell(t, verts, dens.rules) for t, verts in cells]
+    t = np.array([c[0] for c in cells]) if prism else None
+    verts = np.stack([c[1] for c in cells])
+    nodes, scale, touches = qd._geometry(t, verts, dens.rules)
+    assert bits(*nodes) == bits(*(r.nodes for r in refs))
+    assert bits(scale) == bits([r.scale for r in refs])
+    assert touches.tolist() == [r.touches for r in refs]
+
+    built = dens.evaluate(t, verts, np.arange(len(cells)))
+    ((pts, values),) = seen
+    assert bits(pts) == bits(np.concatenate([r.nodes for r in refs]))
+    off = 0
+    for r in refs:
+        r.finish(values[off : off + len(r.nodes)], dens.rules)
+        off += len(r.nodes)
+    for c, r in zip(built, refs):
+        assert bits(c.q, c.a, c.err_t, c.err_b) == bits(r.q, r.a, r.err_t, r.err_b)
+        assert c.touches == r.touches and c.err == r.err_t + r.err_b
+
+    # the next split of the whole group, each cell's error as finished above
+    kt, kv, depth, frozen = qd._split(built, dens.edges)
+    expected = [reference_halves(r.t, r.verts, r.err_t, r.err_b) for r in refs]
+    assert frozen.tolist() == [h is None for h in expected]
+    halves = [half for h in expected if h is not None for half in h]
+    assert bits(kv) == bits([v for _, v in halves])
+    if prism:
+        assert bits(kt) == bits([t for t, _ in halves])
+    else:
+        assert kt is None
+    assert depth.tolist() == [c.depth + 1 for c, h in zip(built, expected) if h is not None for _ in h]
 
 
 def test_interior_evaluation_never_touches_boundary():
@@ -338,7 +499,39 @@ def circle_budget_runs():
 
 def record(r):
     return (r.value.hex(), r.error_estimate.hex(), r.abs_integral_estimate.hex(), r.subdivisions,
-            r.converged, r.diverging, r.stop_reason)
+            r.converged, r.diverging, r.stop_reason, r.max_depth_reached, r.frozen_cells)
+
+
+# (max_depth_reached, frozen_cells, nodes per cell) of each pinned case.
+# Cells freeze at max_depth, and 1-D cells also at depth 47, the first
+# narrower than MIN_CELL_WIDTH (2^-47 < 1e-14).  A simplex cell has the
+# nodes of the degree-7 and degree-5 rules (4^d + 3^d), a prism cell those
+# of the 4- and 3-point t-rules times the degree-7 rule, plus 4 times the
+# degree-5 rule.
+COUNTERS = {
+    "singular-1d": (47, 1, 4 + 3),
+    "vertex-singular-2d": (31, 0, 16 + 9),
+    "0-simplex": (0, 0, 1 + 1),
+    "cone-via-prism": (17, 0, 7 * 4 + 4 * 3),
+    "budget-with-frozen-simplex": (6, 18, 16 + 9),
+    "budget-with-frozen-prism": (6, 3, 7 * 4 + 4 * 3),
+    "cone-volume": (6, 0, 7 * 4 + 4 * 3),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_depth_and_freeze_counters(name):
+    r = GOLDEN[name][0]()
+    depth, frozen, nodes = COUNTERS[name]
+    assert (r.max_depth_reached, r.frozen_cells) == (depth, frozen)
+    assert r.points == r.cells * nodes  # no call fails
+
+
+def test_a_tree_cut_at_max_depth_freezes_its_leaves():
+    # the full binary tree of depth 3: 7 splits, then its 8 leaves freeze
+    r = qd.integrate_simplex(SQRT_GRAPH, fo.Form(1, 2, [((2,), "1")]), 1e-15, qd.QuadConfig(max_depth=3))
+    assert (r.subdivisions, r.max_depth_reached, r.frozen_cells) == (7, 3, 8)
+    assert (r.cells, r.points) == (15, 15 * 7)
 
 
 @pytest.mark.parametrize("name", list(GOLDEN) + ["upper_sqrt", "tsin_graph"])
