@@ -86,9 +86,10 @@ class Form:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficients_at(self, x) -> dict:
-        cols = np.asarray(x, dtype=float).reshape(-1, 1)
-        return {idx: float(fn(cols)[0]) for (idx, _), fn in zip(self.terms, self._vfns)}
+    def coefficients_many(self, points: np.ndarray) -> np.ndarray:
+        """The coefficients (n, terms) at the points (n, ambient), in term order."""
+        cols = np.asarray(points, dtype=float).T
+        return np.stack([fn(cols) for fn in self._vfns], axis=1)
 
     def __add__(self, other: "Form") -> "Form":
         if (other.degree, other.ambient) != (self.degree, self.ambient):

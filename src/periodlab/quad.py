@@ -8,6 +8,17 @@ axis give exactness at total degree 7; the embedded three-point variant
 interior, so evaluators are never queried on the boundary where pullbacks of
 maps that are merely C^1 on open faces may blow up.
 
+A 1-simplex is integrated graded at both ends: as sigma o g with the
+smoothstep g(t) = 3t^2 - 2t^3, its density times g'(t) = 6t(1 - t), which
+cancels the t^(-1/2) endpoint singularities of semialgebraic charts (Sidi,
+ISNM 112, 1993), at the price of more splits on smooth arcs.  A float64
+guard keeps grading from turning an integrable chart into an input error.
+A cell freezes instead of splitting when a child would have a node whose
+image rounds onto a vertex (that child is never evaluated), or when a child
+raises a domain error with a node within MIN_CELL_WIDTH of a vertex of the
+chart's domain, where float64 no longer resolves the chart.  Any other
+domain error is the input's.  Other domains are not graded.
+
 One driver refines cells of the form [t0, t1] x simplex (a simplex-domain
 cell has no interval) through a priority queue, with a refinement bonus for
 cells touching the boundary: a cell bisects t or its longest simplex edge,
@@ -52,6 +63,7 @@ from fractions import Fraction
 import numpy as np
 
 from .chains import Cone, PrismMap, SingularSimplex, reference_vertices
+from .expr import ExprDomainError
 from .forms import Form, pullback_top_many
 
 __all__ = [
@@ -108,7 +120,20 @@ class QuadResult:
     cells: int  # cells evaluated, the root and speculative children included
     points: int  # density points, failed speculative calls included
     max_depth_reached: int  # depth of the deepest split applied (the root is 0)
-    frozen_cells: int  # cells popped that could not split: at max_depth or too thin
+    # cells popped that could not split: at max_depth, too thin, or at the
+    # float64 floor of a graded 1-simplex
+    frozen_cells: int
+
+    def diagnostics(self) -> dict:
+        """Why the integral stopped and what it cost; deterministic."""
+        return {
+            "stop_reason": self.stop_reason,
+            "density_calls": self.density_calls,
+            "cells": self.cells,
+            "points": self.points,
+            "max_depth_reached": self.max_depth_reached,
+            "frozen_cells": self.frozen_cells,
+        }
 
     def to_dict(self):
         return {
@@ -118,6 +143,7 @@ class QuadResult:
             "converged": self.converged,
             "subdivisions": self.subdivisions,
             "diverging": self.diverging,
+            "diagnostics": self.diagnostics(),
         }
 
 
@@ -335,14 +361,15 @@ def _finish(v, scale, prism: bool, rules):
     return q, a, err_t, err_b
 
 
-def _split(group, edges):
+def _split(group, edges, on_vertex=None):
     """The children of the finished cells ``group`` as (t, verts, depth)
     arrays, two rows per cell that splits, and the mask of the cells too
     thin on every axis to split (frozen).  A cell splits t when t carries at
     least the simplex error and is wide enough, else it bisects the first of
     its longest simplex edges (``edges``: the vertex pairs i < j in order).
     Cells are midpoint splits of the reference simplex, so equal edges
-    compare exactly equal."""
+    compare exactly equal.  A simplex cell also freezes when ``on_vertex``
+    flags either of its children (see _Density.on_vertex)."""
     verts = np.array([c.verts for c in group])
     g, d = verts.shape[0], verts.shape[2]
     kids = np.repeat(verts, 2, axis=0)
@@ -359,7 +386,7 @@ def _split(group, edges):
         thin = np.ones(g, dtype=bool)
     depth = np.repeat([c.depth + 1 for c in group], 2)
     if group[0].t is None:
-        frozen = thin
+        frozen = thin if on_vertex is None else thin | on_vertex(pairs).any(axis=1)
         keep = np.repeat(~frozen, 2)
         return None, kids[keep], depth[keep], frozen
     t = np.array([c.t for c in group])
@@ -376,14 +403,40 @@ def _split(group, edges):
 
 
 class _Density:
-    """The density of one integral over Delta_d or the prism, its rules and
-    the counters of its calls."""
+    """The density of one integral over Delta_d or the prism, its rules, the
+    grading map composed into a 1-simplex's density (or None) and the
+    counters of its calls."""
 
-    def __init__(self, density, d: int, prism: bool):
+    def __init__(self, density, d: int, prism: bool, grade=None):
         t_rules = (_interval_rule(4), _interval_rule(3)) if prism else None
         self.density, self.rules = density, (t_rules, simplex_rule(d, 4), simplex_rule(d, 3))
+        self.grade = grade
         self.edges = np.triu_indices(d + 1, 1)
         self.calls = self.cells = self.points = 0
+
+    def graded_nodes(self, verts):
+        """The images (..., 7, 1) under the grading map of the rule nodes of
+        the 1-simplex cells ``verts`` (..., 2, 1), the nodes computed as
+        _geometry computes them, bit for bit."""
+        (b7, _), (b5, _) = self.rules[1:]
+        base = verts[..., :1, :]
+        return self.grade(base + np.concatenate([b7, b5]) * (verts[..., 1:, :] - base))
+
+    def on_vertex(self, verts):
+        """Mask (...) of the graded cells ``verts`` with a node whose image
+        rounds onto a vertex (g(t) rounds to 1 once 1 - t is below about
+        4e-9).  Such a cell is never evaluated: every node stays interior."""
+        x = self.graded_nodes(verts)
+        return ((x <= 0.0) | (x >= 1.0)).any(axis=(-2, -1))
+
+    def at_float_floor(self, verts) -> bool:
+        """Whether a node of the graded cell ``verts`` (2, 1) lies within
+        MIN_CELL_WIDTH of a vertex in the chart's domain, where float64 no
+        longer resolves the chart (1 - x rounds to 1 once x < 5.6e-17)."""
+        if self.grade is None:
+            return False
+        x = self.graded_nodes(verts)
+        return x.min() <= MIN_CELL_WIDTH or x.max() >= 1.0 - MIN_CELL_WIDTH
 
     def evaluate(self, t, verts, depth) -> list:
         """The cells with t-intervals ``t`` (None for simplex cells),
@@ -431,30 +484,46 @@ def _expand(cell, heap, room: int, max_depth: int, density: _Density):
             break
         if c.kids is None and c.depth < max_depth:
             group.append(c)
-    t, verts, depth, frozen = _split(group, density.edges)
+    t, verts, depth, frozen = _split(group, density.edges, density.on_vertex if density.grade else None)
     try:
         kids = iter(density.evaluate(t, verts, depth) if depth.size else ())
     except Exception:  # whatever it is, the popped cell's own children raise it again
         # the queued cells stay without children; the popped cell's are the first two rows
-        cell.kids = _FROZEN if frozen[0] else tuple(
-            density.evaluate(None if t is None else t[m : m + 1], verts[m : m + 1], depth[m : m + 1])[0]
-            for m in (0, 1)
-        )
+        cell.kids = _FROZEN if frozen[0] else _own_children(t, verts, depth, density)
         return
     for c, f in zip(group, frozen.tolist()):
         c.kids = _FROZEN if f else (next(kids), next(kids))
 
 
-def _adapt(density, d: int, prism: bool, tol: float, cfg: QuadConfig | None) -> QuadResult:
+def _own_children(t, verts, depth, density: _Density):
+    """The first two rows' children, one density call each.  A child whose
+    call raises ExprDomainError at the float64 floor of a graded cell (see
+    _Density.at_float_floor) freezes its parent instead: the chart is
+    integrable there, but float64 cannot evaluate it.  Anywhere else the
+    error is the input's."""
+    kids = []
+    for m in (0, 1):
+        try:
+            kids += density.evaluate(None if t is None else t[m : m + 1], verts[m : m + 1], depth[m : m + 1])
+        except ExprDomainError:
+            if not density.at_float_floor(verts[m]):
+                raise
+            return _FROZEN
+    return tuple(kids)
+
+
+def _adapt(density, d: int, prism: bool, tol: float, cfg: QuadConfig | None, grade=None) -> QuadResult:
     """Adaptive cubature of a batch density over Delta_d, or over the prism
     [0,1] x Delta_d (points (t, b)) when ``prism``, until the error estimate
-    is at most tol * max(1, |value|).  A non-finite running value or error
-    ends it, unconverged: no refinement can repair it.  Cells split one at
-    a time; their children are built and evaluated in groups (see _expand)."""
+    is at most tol * max(1, |value|).  ``grade`` is the grading map composed
+    into the density of a 1-simplex, for the float64 guard.  A non-finite
+    running value or error ends it, unconverged: no refinement can repair
+    it.  Cells split one at a time; their children are built and evaluated
+    in groups (see _expand)."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     cfg = cfg or QuadConfig()
-    density = _Density(density, d, prism)
+    density = _Density(density, d, prism, grade)
     (root,) = density.evaluate(
         np.array([[0.0, 1.0]]) if prism else None, reference_vertices(d)[None], np.zeros(1, dtype=int)
     )
@@ -519,12 +588,26 @@ def _adapt(density, d: int, prism: bool, tol: float, cfg: QuadConfig | None) -> 
 # ---------------------------------------------------------------------------
 
 
+def _smoothstep(t):
+    """The grading map g(t) = 3t^2 - 2t^3 of Delta_1 onto itself."""
+    return t * t * (3.0 - 2.0 * t)
+
+
 def _signed_density(sigma: SingularSimplex, omega: Form):
-    """(density, d, prism): the signed density of sigma^*(omega) and its
-    domain, Delta_d or, for a cone, the prism [0,1] x Delta_d."""
+    """(density, d, prism, grade): the signed density of sigma^*(omega), its
+    domain, Delta_d or, for a cone, the prism [0,1] x Delta_d, and the
+    grading map of a 1-simplex (None on every other domain).  A 1-simplex is
+    integrated as sigma o g, whose density carries the factor g'(t) = 6t(1 - t)."""
     if isinstance(sigma, Cone):
-        return _prism_density(sigma.inner, "1 - t", omega), sigma.inner.dim, True
-    return (lambda pts: pullback_top_many(sigma, omega, pts)), sigma.dim, False
+        return _prism_density(sigma.inner, "1 - t", omega), sigma.inner.dim, True, None
+    if sigma.dim != 1:
+        return (lambda pts: pullback_top_many(sigma, omega, pts)), sigma.dim, False, None
+
+    def graded(pts):
+        t = pts[:, 0]
+        return pullback_top_many(sigma, omega, _smoothstep(pts)) * (6.0 * t * (1.0 - t))
+
+    return graded, 1, False, _smoothstep
 
 
 def _prism_density(sigma: SingularSimplex, profile, omega: Form):
@@ -542,7 +625,8 @@ def integrate_simplex(
         raise ValueError("integrate_simplex needs deg(omega) == dim(sigma)")
     if sigma.domain == "prism":
         raise ValueError("prism-domain maps go through integrate_prism")
-    return _adapt(*_signed_density(sigma, omega), tol, config)
+    density, d, prism, grade = _signed_density(sigma, omega)
+    return _adapt(density, d, prism, tol, config, grade)
 
 
 def integrate_prism(
@@ -572,8 +656,8 @@ def finite_volume_check(
     d = sigma.dim
     results = {}
     for idx in itertools.combinations(range(1, sigma.ambient + 1), d):
-        density, dom, prism = _signed_density(sigma, Form(d, sigma.ambient, [(idx, "1")]))
-        results[idx] = _adapt(lambda pts: np.abs(density(pts)), dom, prism, tol, config)
+        density, dom, prism, grade = _signed_density(sigma, Form(d, sigma.ambient, [(idx, "1")]))
+        results[idx] = _adapt(lambda pts: np.abs(density(pts)), dom, prism, tol, config, grade)
     if any(r.diverging for r in results.values()):
         verdict = "no"
     elif all(r.converged for r in results.values()):

@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 import math
 import pathlib
@@ -15,6 +16,7 @@ from periodlab import cli
 from periodlab import glue as gl
 from periodlab import homology as hm
 from periodlab import manifest as mf
+from periodlab.quad import QuadConfig
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MANIFESTS = ROOT / "manifests"
@@ -215,12 +217,12 @@ def test_cli_check_volume_verdicts():
 # the values, error estimates and subdivision counts bit for bit.
 TOLERANCE_GOLDEN = {
     "check-volume manifests/circle.json --simplex upper_sqrt": {
-        "volume/per_index/dx_1/error_estimate": "0x1.0000000000000p-52",
+        "volume/per_index/dx_1/error_estimate": "0x1.8000000000000p-51",
         "volume/per_index/dx_1/subdivisions": 0,
-        "volume/per_index/dx_1/value": "0x1.fffffffffffffp+0",
-        "volume/per_index/dx_2/error_estimate": "0x1.f24b35cde6b92p-20",
-        "volume/per_index/dx_2/subdivisions": 98,
-        "volume/per_index/dx_2/value": "0x1.fffffafe5b40cp+0",
+        "volume/per_index/dx_1/value": "0x1.0000000000001p+1",
+        "volume/per_index/dx_2/error_estimate": "0x1.b8725b6500000p-21",
+        "volume/per_index/dx_2/subdivisions": 3,
+        "volume/per_index/dx_2/value": "0x1.0000000d9e211p+1",
     },
     "check-volume manifests/circle.json --simplex sqrt_graph --faces": {
         "faces/face_0/per_index/dx_/error_estimate": 0,
@@ -229,26 +231,26 @@ TOLERANCE_GOLDEN = {
         "faces/face_1/per_index/dx_/error_estimate": 0,
         "faces/face_1/per_index/dx_/subdivisions": 0,
         "faces/face_1/per_index/dx_/value": 1,
-        "volume/per_index/dx_1/error_estimate": "0x1.0000000000000p-53",
+        "volume/per_index/dx_1/error_estimate": "0x1.8000000000000p-52",
         "volume/per_index/dx_1/subdivisions": 0,
-        "volume/per_index/dx_1/value": "0x1.fffffffffffffp-1",
-        "volume/per_index/dx_2/error_estimate": "0x1.008143d5f34dep-20",
-        "volume/per_index/dx_2/subdivisions": 45,
-        "volume/per_index/dx_2/value": "0x1.fffff91baedd2p-1",
+        "volume/per_index/dx_1/value": "0x1.0000000000001p+0",
+        "volume/per_index/dx_2/error_estimate": "0x1.7396cbef80000p-22",
+        "volume/per_index/dx_2/subdivisions": 2,
+        "volume/per_index/dx_2/value": "0x1.0000000cb6c5ep+0",
     },
     "check-stokes manifests/circle.json --chain gamma_semialg --form f_xy --tol 1e-4": {
-        "stokes/per_term/0/report/lhs/error_estimate": "0x1.0b7b26da4d69bp-20",
-        "stokes/per_term/0/report/lhs/subdivisions": 109,
-        "stokes/per_term/0/report/lhs/value": "-0x1.3cd41c5ad2658p-23",
+        "stokes/per_term/0/report/lhs/error_estimate": "0x1.059e92db05400p-23",
+        "stokes/per_term/0/report/lhs/subdivisions": 7,
+        "stokes/per_term/0/report/lhs/value": "-0x1.d91a3fff68000p-34",
         "stokes/per_term/0/report/rhs_faces/0/error_estimate": 0,
         "stokes/per_term/0/report/rhs_faces/0/subdivisions": 0,
         "stokes/per_term/0/report/rhs_faces/0/value": 0,
         "stokes/per_term/0/report/rhs_faces/1/error_estimate": 0,
         "stokes/per_term/0/report/rhs_faces/1/subdivisions": 0,
         "stokes/per_term/0/report/rhs_faces/1/value": 0,
-        "stokes/per_term/1/report/lhs/error_estimate": "0x1.0b7b26da4d69bp-20",
-        "stokes/per_term/1/report/lhs/subdivisions": 109,
-        "stokes/per_term/1/report/lhs/value": "-0x1.3cd41c5ad2658p-23",
+        "stokes/per_term/1/report/lhs/error_estimate": "0x1.059e92db05400p-23",
+        "stokes/per_term/1/report/lhs/subdivisions": 7,
+        "stokes/per_term/1/report/lhs/value": "-0x1.d91a3fff68000p-34",
         "stokes/per_term/1/report/rhs_faces/0/error_estimate": 0,
         "stokes/per_term/1/report/rhs_faces/0/subdivisions": 0,
         "stokes/per_term/1/report/rhs_faces/0/value": 0,
@@ -257,9 +259,9 @@ TOLERANCE_GOLDEN = {
         "stokes/per_term/1/report/rhs_faces/1/value": 0,
     },
     "check-stokes manifests/circle.json --simplex upper_sqrt --form f_xy --tol 1e-4": {
-        "stokes/lhs/error_estimate": "0x1.0b7b26da4d69bp-20",
-        "stokes/lhs/subdivisions": 109,
-        "stokes/lhs/value": "-0x1.3cd41c5ad2658p-23",
+        "stokes/lhs/error_estimate": "0x1.059e92db05400p-23",
+        "stokes/lhs/subdivisions": 7,
+        "stokes/lhs/value": "-0x1.d91a3fff68000p-34",
         "stokes/rhs_faces/0/error_estimate": 0,
         "stokes/rhs_faces/0/subdivisions": 0,
         "stokes/rhs_faces/0/value": 0,
@@ -268,24 +270,24 @@ TOLERANCE_GOLDEN = {
         "stokes/rhs_faces/1/value": 0,
     },
     "periods manifests/circle.json --cycles gamma_semialg --forms dtheta,d_xy --tol 1e-4": {
-        "periods/error_estimates/0/0": "0x1.a163822e38cf9p-18",
-        "periods/error_estimates/0/1": "0x1.0b7b26da4d69bp-19",
-        "periods/values/0/0": "0x1.921fb04ca11bbp+2",
-        "periods/values/0/1": "-0x1.3cd41c5ad2658p-22",
+        "periods/error_estimates/0/0": "0x1.1867418a00000p-20",
+        "periods/error_estimates/0/1": "0x1.059e92db05400p-22",
+        "periods/values/0/0": "0x1.921fb53aabc4ap+2",
+        "periods/values/0/1": "-0x1.d91a3fff68000p-33",
     },
     "periods manifests/torus.json --cycles cycle_a,cycle_b --forms dtheta_1,dtheta_2,exact_1": {
-        "periods/error_estimates/0/0": "0x1.0000000000000p-50",
+        "periods/error_estimates/0/0": "0x1.8000000000000p-49",
         "periods/error_estimates/0/1": 0,
-        "periods/error_estimates/0/2": "0x1.474eec7f00000p-27",
+        "periods/error_estimates/0/2": "0x1.43bc7b1080000p-27",
         "periods/error_estimates/1/0": 0,
-        "periods/error_estimates/1/1": "0x1.0000000000000p-50",
-        "periods/error_estimates/1/2": "0x1.b46781be87498p-47",
-        "periods/values/0/0": "0x1.921fb54442d19p+2",
+        "periods/error_estimates/1/1": "0x1.8000000000000p-49",
+        "periods/error_estimates/1/2": "0x1.df223f3dd4550p-44",
+        "periods/values/0/0": "0x1.921fb54442d1ap+2",
         "periods/values/0/1": 0,
-        "periods/values/0/2": "0x1.cd7a000000000p-42",
+        "periods/values/0/2": "0x1.941f608000000p-37",
         "periods/values/1/0": 0,
-        "periods/values/1/1": "0x1.921fb54442d19p+2",
-        "periods/values/1/2": "-0x1.7b0ca7db00553p-46",
+        "periods/values/1/1": "0x1.921fb54442d1ap+2",
+        "periods/values/1/2": "-0x1.060268d949e23p-43",
     },
 }
 
@@ -312,6 +314,47 @@ def test_cli_quadrature_tolerance_per_command(command, tmp_path, monkeypatch):
     assert cli.run(command.split() + ["--deterministic", "--out", str(out)]) == 0
     results = json.loads(out.read_text())["results"]
     assert dict(_pinned_leaves(results)) == TOLERANCE_GOLDEN[command]
+
+
+# The exact answer of each value pinned above, by the value's path: every
+# pinned estimate bounds its true error, up to the benchmark's 1e-13 floor.
+# The torus's exact form on cycle_b stops at its root cell with a true
+# error of 1.16e-13 against an estimate of 1.06e-13.
+TOLERANCE_ANSWERS = {
+    "check-volume manifests/circle.json --simplex upper_sqrt": {
+        "volume/per_index/dx_1/value": 2.0, "volume/per_index/dx_2/value": 2.0,
+    },
+    "check-volume manifests/circle.json --simplex sqrt_graph --faces": {
+        "volume/per_index/dx_1/value": 1.0, "volume/per_index/dx_2/value": 1.0,
+        "faces/face_0/per_index/dx_/value": 1.0, "faces/face_1/per_index/dx_/value": 1.0,
+    },
+    # d(xy) over a half circle from (1, 0) to (-1, 0): xy vanishes at both ends
+    "check-stokes manifests/circle.json --chain gamma_semialg --form f_xy --tol 1e-4": {
+        f"stokes/per_term/{k}/report/{leaf}": 0.0
+        for k in (0, 1) for leaf in ("lhs/value", "rhs_faces/0/value", "rhs_faces/1/value")
+    },
+    "check-stokes manifests/circle.json --simplex upper_sqrt --form f_xy --tol 1e-4": {
+        "stokes/lhs/value": 0.0, "stokes/rhs_faces/0/value": 0.0, "stokes/rhs_faces/1/value": 0.0,
+    },
+    "periods manifests/circle.json --cycles gamma_semialg --forms dtheta,d_xy --tol 1e-4": {
+        "periods/values/0/0": 2 * math.pi, "periods/values/0/1": 0.0,
+    },
+    "periods manifests/torus.json --cycles cycle_a,cycle_b --forms dtheta_1,dtheta_2,exact_1": {
+        f"periods/values/{i}/{j}": 2 * math.pi if i == j else 0.0 for i in (0, 1) for j in (0, 1, 2)
+    },
+}
+
+
+@pytest.mark.parametrize("command", list(TOLERANCE_GOLDEN))
+def test_cli_pinned_values_bound_their_true_error(command):
+    golden = TOLERANCE_GOLDEN[command]
+    assert {p for p in golden if "value" in p} == set(TOLERANCE_ANSWERS[command])
+    for path, exact in TOLERANCE_ANSWERS[command].items():
+        value, err = (
+            float.fromhex(x) if isinstance(x, str) else float(x)
+            for x in (golden[path], golden[path.replace("/value", "/error_estimate")])
+        )
+        assert abs(value - exact) <= err + 1e-13, path
 
 
 def test_cli_tolerance_has_one_flag():
@@ -711,3 +754,74 @@ def test_cli_in_process_runner_matches_subprocess():
     rc = cli.run(["homology", str(MANIFESTS / "complexes.json"), "--complex",
                   "hollow_triangle", "--deterministic", "--out", "/dev/null"])
     assert rc == 0
+
+
+def _report_of(argv, tmp_path, code):
+    out = tmp_path / "report.json"
+    assert cli.run(argv + ["--deterministic", "--out", str(out)]) == code
+    return json.loads(out.read_text())["results"]
+
+
+def test_cli_reports_say_why_each_integral_stopped(tmp_path):
+    (tmp_path / "maps.json").write_text(json.dumps({
+        "schema": "periodlab/1",
+        "ambient_dim": 2,
+        "simplices": [
+            {"name": "steep", "dim": 1, "components": ["exp(1000*t)", "t"]},
+            {"name": "wild", "dim": 1, "components": ["t", "sin(1/t)"]},
+        ],
+    }))
+    check = ["check-volume", str(tmp_path / "maps.json"), "--simplex"]
+    diagnostics = {}
+    for argv, code in [
+        (SQRT_GRAPH_CHECK + ["--tol", "1e-15", "--max-depth", "3"], 1),
+        (check + ["steep"], 1),
+        (check + ["wild"], 1),
+    ]:
+        volume = _report_of(argv, tmp_path, code)["volume"]["per_index"]
+        diagnostics[argv[-1] if argv[-1] != "3" else "sqrt_graph"] = {
+            idx: r["diagnostics"] for idx, r in volume.items()
+        }
+    sqrt_graph, steep, wild = diagnostics["sqrt_graph"], diagnostics["steep"], diagnostics["wild"]
+    assert sqrt_graph["dx_1"]["stop_reason"] == "tol"  # the graded x = t is a polynomial
+    # the full tree of depth 3: 7 splits in 4 calls, then its 8 leaves freeze
+    assert sqrt_graph["dx_2"] == {"stop_reason": "frozen", "density_calls": 4, "cells": 15,
+                                  "points": 15 * 7, "max_depth_reached": 3, "frozen_cells": 8}
+    assert (steep["dx_1"]["stop_reason"], steep["dx_1"]["cells"]) == ("non_finite", 1)
+    assert wild["dx_2"]["stop_reason"].startswith("diverging:")
+    # the period matrix carries one diagnostics entry per value
+    periods = _report_of(["periods", str(MANIFESTS / "circle.json"), "--cycles", "gamma,gamma_semialg",
+                          "--forms", "dtheta,d_xy"], tmp_path, 0)["periods"]
+    shape = [len(row) for row in periods["values"]]
+    assert [len(row) for row in periods["diagnostics"]] == shape == [2, 2]
+    for row in periods["diagnostics"]:
+        for d in row:
+            assert d["stop_reason"] == "tol" and d["frozen_cells"] == 0
+            assert 0 < d["density_calls"] <= d["cells"] and d["points"] >= d["cells"]
+
+
+@pytest.mark.parametrize("tol", ["1e-13", "1e-14", "1e-15"])
+def test_cli_graded_charts_never_exit_2_at_the_float64_floor(tol, tmp_path, monkeypatch):
+    # the float64 floor is reached within 300 cells; the default budget of
+    # 20,000 only takes longer to end the same way
+    monkeypatch.setattr(cli, "QuadConfig", functools.partial(QuadConfig, max_cells=300))
+    circle = json.loads((MANIFESTS / "circle.json").read_text())
+    circle["simplices"] += [
+        {"name": "oval_upper", "dim": 1, "components": ["-t", "sqrt(t - t^3)"]},
+        {"name": "oval_lower", "dim": 1, "components": ["t - 1", "-sqrt((t - 1)^3 - (t - 1))"]},
+    ]
+    manifest = tmp_path / "circle.json"
+    manifest.write_text(json.dumps(circle))
+    for simplex in ("upper_sqrt", "lower_sqrt", "sqrt_graph", "oval_upper", "oval_lower"):
+        out = tmp_path / "report.json"
+        code = cli.run(["check-volume", str(manifest), "--simplex", simplex, "--tol", tol,
+                        "--deterministic", "--out", str(out)])
+        volume = json.loads(out.read_text())["results"]["volume"]
+        assert code == (0 if volume["verdict"] == "yes" else 1)
+        assert volume["verdict"] in ("yes", "inconclusive")
+        for r in volume["per_index"].values():
+            assert r["converged"] == (r["diagnostics"]["stop_reason"] == "tol")
+    periods = _report_of(["periods", str(manifest), "--cycles", "gamma_semialg", "--forms", "dtheta",
+                          "--tol", tol], tmp_path, 1)["periods"]
+    assert not periods["converged"]
+    assert periods["diagnostics"][0][0]["frozen_cells"] >= 1

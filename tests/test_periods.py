@@ -1,11 +1,14 @@
 import math
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from periodlab import chains as ch
+from periodlab import expr as ex
 from periodlab import forms as fo
 from periodlab import periods as pe
+from test_quad import OVAL_AREA, OVAL_LOWER, OVAL_UPPER, X_DY
 
 
 @dataclass
@@ -103,14 +106,60 @@ def test_non_cycle_rejected():
         pe.period_matrix([open_chain], [("dtheta", winding_form())], 1e-6)
 
 
+# closed, but d(omega) overflows to infinity for a1 > 0.87: resampled
+OVERFLOWING = fo.Form(1, 2, [((1,), "a2*exp(16*a1)"), ((2,), "exp(16*a1)*2^1000*2^(-1000)/16")])
+
+
 def test_closedness_checks():
     assert pe.form_is_closed(winding_form())  # numeric fallback path
     assert pe.form_is_closed(fo.Form(1, 2, [((1,), "a2"), ((2,), "a1")]))  # symbolic
     assert not pe.form_is_closed(fo.Form(1, 2, [((1,), "a2*a2")]))
-    # closed, but d(omega) overflows to infinity for a1 > 0.87: resampled
-    assert pe.form_is_closed(
-        fo.Form(1, 2, [((1,), "a2*exp(16*a1)"), ((2,), "exp(16*a1)*2^1000*2^(-1000)/16")])
-    )
+    assert pe.form_is_closed(OVERFLOWING)
+
+
+def per_point_closedness(omega, rng_seed=20260808):
+    """The sampled check one point at a time, as the batch replaces it:
+    (verdict, indices of the candidates it accepted, up to the first at
+    which d(omega) does not vanish)."""
+    dw = fo.exterior_derivative(omega)
+    rng = np.random.default_rng(rng_seed)
+    accepted = []
+    for i in range(pe.CLOSED_SAMPLES * 50):
+        x = rng.uniform(-2.0, 2.0, omega.ambient)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = [float(fn(x.reshape(-1, 1))[0]) for fn in dw._vfns]
+        except ex.ExprDomainError:
+            continue
+        if not all(math.isfinite(v) for v in vals):
+            continue
+        accepted.append(i)
+        if any(abs(v) > 1e-8 for v in vals):
+            return False, accepted
+        if len(accepted) == pe.CLOSED_SAMPLES:
+            return True, accepted
+    return False, accepted
+
+
+@pytest.mark.parametrize("omega", [
+    winding_form(),
+    fo.Form(1, 2, [((1,), "a2"), ((2,), "a1")]),  # closed symbolically: nothing sampled
+    fo.Form(1, 2, [((1,), "a2*a2")]),
+    OVERFLOWING,
+    # d(a1*a2*log(a1)): closed where a1 > 0, and the batch raises on the rest
+    fo.Form(1, 2, [((1,), "(log(a1) + 1)*a2"), ((2,), "a1*log(a1)")]),
+    fo.Form(1, 2, [((1,), "a2*log(a1)")]),  # not closed where a1 > 0
+    # closed, but defined on 1% of the candidates only: runs out of samples
+    fo.Form(1, 2, [((1,), "(log(a1 - 1.96) + 1)*a2"), ((2,), "(a1 - 1.96)*log(a1 - 1.96)")]),
+], ids=["winding", "symbolic", "not-closed", "overflow", "log-hole", "log-hole-not-closed", "sparse-domain"])
+def test_batched_closedness_matches_the_per_point_check(omega):
+    verdict, accepted = per_point_closedness(omega)
+    assert pe.form_is_closed(omega) == verdict
+    dw = fo.exterior_derivative(omega)
+    if not dw.is_zero():
+        kept, values = pe._closed_samples(dw, 20260808)
+        assert kept[: len(accepted)].tolist() == accepted
+        assert values.shape == (len(kept), len(dw.terms))
 
 
 def test_identical_representatives_agree_exactly():
@@ -180,9 +229,12 @@ def test_jobs_parallel_matches_serial():
 def test_chain_integral_sums_the_costs_and_keeps_the_first_miss():
     from periodlab import quad as qd
 
-    w, budget = winding_form(), qd.QuadConfig(max_cells=50)
-    smooth, sqrt_arcs = circle_trig().chain, circle_sqrt().chain
-    mixed = ch.Chain(1, list(smooth.items()) + list(sqrt_arcs.items()))
+    # graded 1-simplices converge within any small budget; 2-simplices with a
+    # square-root edge singularity do not
+    w, budget = fo.Form(2, 2, [((1, 2), "1")]), qd.QuadConfig(max_cells=50)
+    smooth = ch.Chain(2, [(ch.ExprMap(["a1 + a2", "a2"], 2), 1), (ch.ExprMap(["a1^2", "a2"], 2), 1)])
+    edge_singular = [(ch.ExprMap(["a1", "sqrt(a2)"], 2), 1), (ch.ExprMap(["sqrt(a1)", "a2"], 2), -1)]
+    mixed = ch.Chain(2, list(smooth.items()) + edge_singular)
     terms = [qd.integrate_simplex(s, w, 1e-12, budget) for s, _ in mixed.items()]
     r = pe.chain_integral(mixed, w, 1e-12, budget)
     assert [t.stop_reason for t in terms] == ["tol", "tol", "max_cells", "max_cells"]
@@ -194,3 +246,13 @@ def test_chain_integral_sums_the_costs_and_keeps_the_first_miss():
     assert r.max_depth_reached == max(t.max_depth_reached for t in terms)
     assert r.subdivisions == sum(t.subdivisions for t in terms)
     assert pe.chain_integral(smooth, w, 1e-8).stop_reason == "tol"
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_oval_area_from_its_graded_charts(tol):
+    # x dy over the oval of y^2 = x^3 - x: both charts are square-root
+    # singular at both ends, and grading resolves them in tens of splits
+    r = pe.chain_integral(ch.Chain(1, [(OVAL_UPPER, 1), (OVAL_LOWER, 1)]), X_DY, tol)
+    assert r.converged and r.stop_reason == "tol" and r.frozen_cells == 0
+    assert abs(r.value - OVAL_AREA) <= r.error_estimate <= 2 * tol  # each chart within tol
+    assert r.subdivisions <= 200

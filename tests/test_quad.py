@@ -436,7 +436,7 @@ GOLDEN = {
         lambda: qd.integrate_simplex(
             SQRT_GRAPH, fo.Form(1, 2, [((2,), "1")]), 1e-8, qd.QuadConfig(max_depth=60)
         ),
-        ("0x1.ffffffb956621p-1", "0x1.44c268f14c7e0p-27", "0x1.ffffffb956621p-1", 95),
+        ("0x1.000000001133ap+0", "0x1.beb0975400000p-28", "0x1.000000001133ap+0", 5),
     ),
     "vertex-singular-2d": (
         lambda: qd.integrate_simplex(ch.ExprMap(["a1", "sqrt(a1 + a2)"], 2), form_d(2, 2), 1e-8),
@@ -481,12 +481,19 @@ def test_refinement_is_pinned(name):
     assert got == (value, err, abs_int, splits)
 
 
+def test_pinned_graded_case_bounds_its_true_error():
+    # the integral of dy over the square-root graph is 1
+    r = GOLDEN["singular-1d"][0]()
+    assert r.converged and abs(r.value - 1.0) <= r.error_estimate
+
+
 CIRCLE = pathlib.Path(__file__).resolve().parent.parent / "manifests" / "circle.json"
 
 
 def circle_budget_runs():
-    """The budget-bound library calls of the periods-circle benchmark, on the
-    manifest the CLI tests use."""
+    """The library calls of the periods-circle benchmark with a lowered cell
+    budget, on the manifest the CLI tests use: the upper_sqrt call converges
+    in 33 splits, and tsin_graph spends its budget."""
     man = mf.load_manifest(CIRCLE)
     budget = qd.QuadConfig(max_depth=80, max_cells=1000)
     return {
@@ -495,6 +502,14 @@ def circle_budget_runs():
         ),
         "tsin_graph": lambda: qd.finite_volume_check(man.simplices["tsin_graph"], 1e-6, budget).per_index[(2,)],
     }
+
+
+def edge_singular_budget():
+    """A call that spends its whole budget: graded 1-simplices converge, and
+    longest-edge bisection does not resolve an edge singularity of Delta_2."""
+    return qd.integrate_simplex(
+        ch.ExprMap(["a1", "sqrt(a2)"], 2), form_d(2, 2), 1e-12, qd.QuadConfig(max_cells=1000)
+    )
 
 
 def record(r):
@@ -509,7 +524,7 @@ def record(r):
 # of the 4- and 3-point t-rules times the degree-7 rule, plus 4 times the
 # degree-5 rule.
 COUNTERS = {
-    "singular-1d": (47, 1, 4 + 3),
+    "singular-1d": (3, 0, 4 + 3),
     "vertex-singular-2d": (31, 0, 16 + 9),
     "0-simplex": (0, 0, 1 + 1),
     "cone-via-prism": (17, 0, 7 * 4 + 4 * 3),
@@ -534,10 +549,11 @@ def test_a_tree_cut_at_max_depth_freezes_its_leaves():
     assert (r.cells, r.points) == (15, 15 * 7)
 
 
-@pytest.mark.parametrize("name", list(GOLDEN) + ["upper_sqrt", "tsin_graph"])
+@pytest.mark.parametrize("name", list(GOLDEN) + ["upper_sqrt", "tsin_graph", "edge-singular"])
 def test_speculation_changes_no_result(name, monkeypatch):
     # one density call per split, as a driver without speculation makes
-    run = GOLDEN[name][0] if name in GOLDEN else circle_budget_runs()[name]
+    runs = {**circle_budget_runs(), "edge-singular": edge_singular_budget}
+    run = GOLDEN[name][0] if name in GOLDEN else runs[name]
     batched = run()
     monkeypatch.setattr(qd, "SPECULATE", 1)
     plain = run()
@@ -548,7 +564,7 @@ def test_speculation_changes_no_result(name, monkeypatch):
 
 
 def test_speculation_batches_the_budget_call():
-    r = circle_budget_runs()["upper_sqrt"]()
+    r = edge_singular_budget()
     assert r.subdivisions == 999 and r.stop_reason == "max_cells"
     assert r.density_calls <= r.subdivisions // 4
 
@@ -562,17 +578,20 @@ def test_speculation_stays_inside_the_budget():
 
 
 def test_split_cells_are_released(monkeypatch):
-    # the queue and the cached children hold the only live cells: a split
-    # cell, and the tree above it, are freed
+    # the queue, the cached children and the cell popped when the budget ran
+    # out hold the only live cells: a split cell, and the tree above it, are
+    # freed.  The queue holds the root and one more cell per split, less the
+    # frozen cells popped (none here)
     live = []
 
     def count_cells(tracker):
         live.append(sum(isinstance(o, qd._Cell) for o in gc.get_objects()))
 
     monkeypatch.setattr(qd._Tracker, "check_at_exhaustion", count_cells)
-    r = circle_budget_runs()["upper_sqrt"]()
+    r = edge_singular_budget()
     cached = r.cells - 1 - 2 * r.subdivisions  # evaluated, never applied
-    assert len(live) == 1 and live[0] <= 1 + r.subdivisions + cached
+    assert r.frozen_cells == 0 and r.stop_reason == "max_cells"
+    assert len(live) == 1 and live[0] <= 2 + r.subdivisions + cached
 
 
 def test_speculative_errors_fall_back_to_the_cells_own_children(monkeypatch):
@@ -662,3 +681,89 @@ def test_every_stop_reason_is_reported():
     sustained = circle_budget_runs()["tsin_graph"]()
     assert sustained.stop_reason == "diverging:sustained" and sustained.diverging
     assert sustained.subdivisions == 999
+
+
+# The oval of y^2 = x^3 - x as two graph charts over x in [-1, 0], each
+# singular like a square root at both ends, oriented counterclockwise: x dy
+# over both is the enclosed area 8 sqrt(pi) Gamma(3/4) / (5 Gamma(1/4)).
+OVAL_UPPER = ch.ExprMap(["-t", "sqrt(t - t^3)"], 1)
+OVAL_LOWER = ch.ExprMap(["t - 1", "-sqrt((t - 1)^3 - (t - 1))"], 1)
+X_DY = fo.Form(1, 2, [((2,), "a1")])
+OVAL_AREA = 8 * math.sqrt(math.pi) * math.gamma(0.75) / (5 * math.gamma(0.25))
+
+
+def float_floor_charts():
+    """(chart, form, exact integral) of the endpoint-singular charts whose
+    graded nodes reach the float64 floor at tolerances below 1e-12."""
+    man = mf.load_manifest(CIRCLE)
+    return {
+        "upper_sqrt": (man.simplices["upper_sqrt"], man.forms["dtheta"], math.pi),
+        "lower_sqrt": (man.simplices["lower_sqrt"], man.forms["dtheta"], math.pi),
+        "sqrt_graph": (man.simplices["sqrt_graph"], fo.Form(1, 2, [((2,), "1")]), 1.0),
+        "oval_upper": (OVAL_UPPER, X_DY, OVAL_AREA / 2),
+        "oval_lower": (OVAL_LOWER, X_DY, OVAL_AREA / 2),
+    }
+
+
+def float_floor_run(name="upper_sqrt"):
+    sigma, omega, _ = float_floor_charts()[name]
+    return qd.integrate_simplex(sigma, omega, 1e-13, qd.QuadConfig(max_cells=300))
+
+
+@pytest.mark.parametrize("tol", [1e-13, 1e-14, 1e-15])
+@pytest.mark.parametrize("name", list(float_floor_charts()))
+def test_graded_charts_never_fail_at_the_float64_floor(name, tol, monkeypatch):
+    # no input error, no node on a vertex; a result either bounds its true
+    # error or says it did not converge
+    seen = []
+    plain_density = qd.pullback_top_many
+
+    def recording(sigma, omega, pts):
+        seen.append(pts[:, 0].copy())
+        return plain_density(sigma, omega, pts)
+
+    monkeypatch.setattr(qd, "pullback_top_many", recording)
+    sigma, omega, exact = float_floor_charts()[name]
+    budget = qd.QuadConfig(max_cells=300)
+    r = qd.integrate_simplex(sigma, omega, tol, budget)
+    if r.converged:
+        assert r.stop_reason == "tol" and abs(r.value - exact) <= r.error_estimate
+    else:
+        assert r.stop_reason in ("max_cells", "frozen") and r.error_estimate > tol
+    volume = qd.finite_volume_check(sigma, tol, budget)
+    assert volume.verdict in ("yes", "inconclusive")
+    nodes = np.concatenate(seen)
+    assert ((nodes > 0.0) & (nodes < 1.0)).all()
+
+
+def test_the_float64_guard_freezes_cells_instead_of_raising():
+    charts = float_floor_charts()
+    # upper_sqrt's Jacobian divides by sqrt(1 - (1 - 2x)^2), which is 0 at
+    # x = 1: the cell at t = 1 whose node would round onto x = 1 freezes
+    sigma, omega, _ = charts["upper_sqrt"]
+    with pytest.raises(ex.ExprDomainError, match="division by zero"):
+        fo.pullback_top_many(sigma, omega, np.array([[1.0]]))
+    r = float_floor_run("upper_sqrt")
+    assert r.frozen_cells == 1 and not r.converged
+    # oval_lower's (x - 1)^3 - (x - 1) rounds to 0 for x below 5.6e-17: the
+    # cell at t = 0 whose child raises there freezes
+    sigma, omega, _ = charts["oval_lower"]
+    with pytest.raises(ex.ExprDomainError, match="division by zero"):
+        fo.pullback_top_many(sigma, omega, np.array([[5e-17]]))
+    r = float_floor_run("oval_lower")
+    assert r.frozen_cells == 1 and not r.converged
+
+
+def test_the_float64_guard_keeps_input_errors():
+    # a chart undefined on part of the open simplex is an input error, also
+    # where graded cells shrink toward a vertex
+    for comps in (["t", "log(t - 0.01)"], ["t", "sqrt(0.99 - t)"]):
+        with pytest.raises(ex.ExprDomainError):
+            qd.integrate_simplex(ch.ExprMap(comps, 1), X_DY, 1e-10)
+
+
+@pytest.mark.parametrize("name", ["upper_sqrt", "oval_lower"])
+def test_speculation_changes_no_result_at_the_float64_floor(name, monkeypatch):
+    batched = float_floor_run(name)
+    monkeypatch.setattr(qd, "SPECULATE", 1)
+    assert record(float_floor_run(name)) == record(batched)
