@@ -15,9 +15,9 @@ ISNM 112, 1993), at the price of more splits on smooth arcs.  A float64
 guard keeps grading from turning an integrable chart into an input error.
 A cell freezes instead of splitting when a child would have a node whose
 image rounds onto a vertex (that child is never evaluated), or when a child
-raises a domain error with a node within MIN_CELL_WIDTH of a vertex of the
-chart's domain, where float64 no longer resolves the chart.  Any other
-domain error is the input's.  Other domains are not graded.
+raises a domain error with a node within float64's spacing at 1 (2.2e-16)
+of a vertex of the chart's domain, where 1 - x no longer resolves x.  Any
+other domain error is the input's.  Other domains are not graded.
 
 One driver refines cells of the form [t0, t1] x simplex (a simplex-domain
 cell has no interval) through a priority queue, with a refinement bonus for
@@ -369,7 +369,7 @@ def _split(group, edges, on_vertex=None):
     its longest simplex edges (``edges``: the vertex pairs i < j in order).
     Cells are midpoint splits of the reference simplex, so equal edges
     compare exactly equal.  A simplex cell also freezes when ``on_vertex``
-    flags either of its children (see _Density.on_vertex)."""
+    flags its pair of children (see _Density.on_vertex)."""
     verts = np.array([c.verts for c in group])
     g, d = verts.shape[0], verts.shape[2]
     kids = np.repeat(verts, 2, axis=0)
@@ -386,7 +386,7 @@ def _split(group, edges, on_vertex=None):
         thin = np.ones(g, dtype=bool)
     depth = np.repeat([c.depth + 1 for c in group], 2)
     if group[0].t is None:
-        frozen = thin if on_vertex is None else thin | on_vertex(pairs).any(axis=1)
+        frozen = thin if on_vertex is None else thin | on_vertex(pairs)
         keep = np.repeat(~frozen, 2)
         return None, kids[keep], depth[keep], frozen
     t = np.array([c.t for c in group])
@@ -402,41 +402,45 @@ def _split(group, edges, on_vertex=None):
     return kt[keep], kids[keep], depth[keep], frozen
 
 
-class _Density:
-    """The density of one integral over Delta_d or the prism, its rules, the
-    grading map composed into a 1-simplex's density (or None) and the
-    counters of its calls."""
+def _smoothstep(t):
+    """The grading map g(t) = 3t^2 - 2t^3 of Delta_1 onto itself."""
+    return t * t * (3.0 - 2.0 * t)
 
-    def __init__(self, density, d: int, prism: bool, grade=None):
+
+class _Density:
+    """The density of one integral over Delta_d or the prism, its rules and
+    the counters of its calls.  A 1-simplex is ``graded``: its density is
+    called at the images g(t) of the rule nodes under the smoothstep and
+    multiplied by g'(t) = 6t(1 - t), so that it integrates sigma o g."""
+
+    def __init__(self, density, d: int, prism: bool):
         t_rules = (_interval_rule(4), _interval_rule(3)) if prism else None
         self.density, self.rules = density, (t_rules, simplex_rule(d, 4), simplex_rule(d, 3))
-        self.grade = grade
+        self.graded = d == 1 and not prism
         self.edges = np.triu_indices(d + 1, 1)
         self.calls = self.cells = self.points = 0
 
-    def graded_nodes(self, verts):
-        """The images (..., 7, 1) under the grading map of the rule nodes of
-        the 1-simplex cells ``verts`` (..., 2, 1), the nodes computed as
-        _geometry computes them, bit for bit."""
-        (b7, _), (b5, _) = self.rules[1:]
-        base = verts[..., :1, :]
-        return self.grade(base + np.concatenate([b7, b5]) * (verts[..., 1:, :] - base))
+    def images(self, verts):
+        """The images g(t) (k, 7) of the rule nodes of the 1-simplex cells
+        ``verts`` (k, 2, 1), the points at which ``evaluate`` calls the density."""
+        return _smoothstep(_geometry(None, verts, self.rules)[0][..., 0])
 
-    def on_vertex(self, verts):
-        """Mask (...) of the graded cells ``verts`` with a node whose image
-        rounds onto a vertex (g(t) rounds to 1 once 1 - t is below about
-        4e-9).  Such a cell is never evaluated: every node stays interior."""
-        x = self.graded_nodes(verts)
-        return ((x <= 0.0) | (x >= 1.0)).any(axis=(-2, -1))
+    def on_vertex(self, pairs):
+        """Mask (g,) of the pairs of graded cells ``pairs`` (g, 2, 2, 1) with a
+        node whose image rounds onto a vertex (g(t) rounds to 1 once 1 - t is
+        below about 4e-9).  Such a cell is never evaluated: every node stays
+        interior."""
+        x = self.images(pairs.reshape(-1, 2, 1)).reshape(len(pairs), -1)
+        return ((x <= 0.0) | (x >= 1.0)).any(axis=1)
 
     def at_float_floor(self, verts) -> bool:
-        """Whether a node of the graded cell ``verts`` (2, 1) lies within
-        MIN_CELL_WIDTH of a vertex in the chart's domain, where float64 no
-        longer resolves the chart (1 - x rounds to 1 once x < 5.6e-17)."""
-        if self.grade is None:
+        """Whether the graded cell ``verts`` (2, 1) has a node whose image lies
+        within float64's spacing at 1 of a vertex, where the chart's 1 - x no
+        longer resolves x (1 - x rounds to 1 once x < 5.6e-17)."""
+        if not self.graded:
             return False
-        x = self.graded_nodes(verts)
-        return x.min() <= MIN_CELL_WIDTH or x.max() >= 1.0 - MIN_CELL_WIDTH
+        x, eps = self.images(verts[None]), np.finfo(float).eps
+        return x.min() <= eps or x.max() >= 1.0 - eps
 
     def evaluate(self, t, verts, depth) -> list:
         """The cells with t-intervals ``t`` (None for simplex cells),
@@ -446,7 +450,12 @@ class _Density:
         k, n, dim = nodes.shape
         self.calls += 1
         self.points += k * n
-        v = self.density(nodes.reshape(k * n, dim)).reshape(k, n)
+        pts = nodes.reshape(k * n, dim)
+        if self.graded:
+            x = pts[:, 0]
+            v = (self.density(_smoothstep(pts)) * (6.0 * x * (1.0 - x))).reshape(k, n)
+        else:
+            v = self.density(pts).reshape(k, n)
         q, a, err_t, err_b = _finish(v, scale, t is not None, self.rules)
         self.cells += k
         rows = zip(
@@ -484,7 +493,7 @@ def _expand(cell, heap, room: int, max_depth: int, density: _Density):
             break
         if c.kids is None and c.depth < max_depth:
             group.append(c)
-    t, verts, depth, frozen = _split(group, density.edges, density.on_vertex if density.grade else None)
+    t, verts, depth, frozen = _split(group, density.edges, density.on_vertex if density.graded else None)
     try:
         kids = iter(density.evaluate(t, verts, depth) if depth.size else ())
     except Exception:  # whatever it is, the popped cell's own children raise it again
@@ -512,18 +521,17 @@ def _own_children(t, verts, depth, density: _Density):
     return tuple(kids)
 
 
-def _adapt(density, d: int, prism: bool, tol: float, cfg: QuadConfig | None, grade=None) -> QuadResult:
+def _adapt(density, d: int, prism: bool, tol: float, cfg: QuadConfig | None) -> QuadResult:
     """Adaptive cubature of a batch density over Delta_d, or over the prism
     [0,1] x Delta_d (points (t, b)) when ``prism``, until the error estimate
-    is at most tol * max(1, |value|).  ``grade`` is the grading map composed
-    into the density of a 1-simplex, for the float64 guard.  A non-finite
-    running value or error ends it, unconverged: no refinement can repair
-    it.  Cells split one at a time; their children are built and evaluated
-    in groups (see _expand)."""
+    is at most tol * max(1, |value|); a 1-simplex is graded (see _Density).
+    A non-finite running value or error ends it, unconverged: no refinement
+    can repair it.  Cells split one at a time; their children are built and
+    evaluated in groups (see _expand)."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     cfg = cfg or QuadConfig()
-    density = _Density(density, d, prism, grade)
+    density = _Density(density, d, prism)
     (root,) = density.evaluate(
         np.array([[0.0, 1.0]]) if prism else None, reference_vertices(d)[None], np.zeros(1, dtype=int)
     )
@@ -541,6 +549,7 @@ def _adapt(density, d: int, prism: bool, tol: float, cfg: QuadConfig | None, gra
 
     push(root)
     value, err, abs_total = root.q, root.err, root.a
+    del root  # the queue holds it: once split, it must not keep the tree alive
     tracker = _Tracker()
     splits = frozen = 0
     reason = "frozen"  # the queue runs dry when every cell left is frozen
@@ -588,26 +597,12 @@ def _adapt(density, d: int, prism: bool, tol: float, cfg: QuadConfig | None, gra
 # ---------------------------------------------------------------------------
 
 
-def _smoothstep(t):
-    """The grading map g(t) = 3t^2 - 2t^3 of Delta_1 onto itself."""
-    return t * t * (3.0 - 2.0 * t)
-
-
 def _signed_density(sigma: SingularSimplex, omega: Form):
-    """(density, d, prism, grade): the signed density of sigma^*(omega), its
-    domain, Delta_d or, for a cone, the prism [0,1] x Delta_d, and the
-    grading map of a 1-simplex (None on every other domain).  A 1-simplex is
-    integrated as sigma o g, whose density carries the factor g'(t) = 6t(1 - t)."""
+    """(density, d, prism): the signed density of sigma^*(omega) and its
+    domain, Delta_d or, for a cone, the prism [0,1] x Delta_d."""
     if isinstance(sigma, Cone):
-        return _prism_density(sigma.inner, "1 - t", omega), sigma.inner.dim, True, None
-    if sigma.dim != 1:
-        return (lambda pts: pullback_top_many(sigma, omega, pts)), sigma.dim, False, None
-
-    def graded(pts):
-        t = pts[:, 0]
-        return pullback_top_many(sigma, omega, _smoothstep(pts)) * (6.0 * t * (1.0 - t))
-
-    return graded, 1, False, _smoothstep
+        return _prism_density(sigma.inner, "1 - t", omega), sigma.inner.dim, True
+    return (lambda pts: pullback_top_many(sigma, omega, pts)), sigma.dim, False
 
 
 def _prism_density(sigma: SingularSimplex, profile, omega: Form):
@@ -625,8 +620,7 @@ def integrate_simplex(
         raise ValueError("integrate_simplex needs deg(omega) == dim(sigma)")
     if sigma.domain == "prism":
         raise ValueError("prism-domain maps go through integrate_prism")
-    density, d, prism, grade = _signed_density(sigma, omega)
-    return _adapt(density, d, prism, tol, config, grade)
+    return _adapt(*_signed_density(sigma, omega), tol, config)
 
 
 def integrate_prism(
@@ -656,8 +650,8 @@ def finite_volume_check(
     d = sigma.dim
     results = {}
     for idx in itertools.combinations(range(1, sigma.ambient + 1), d):
-        density, dom, prism, grade = _signed_density(sigma, Form(d, sigma.ambient, [(idx, "1")]))
-        results[idx] = _adapt(lambda pts: np.abs(density(pts)), dom, prism, tol, config, grade)
+        density, dom, prism = _signed_density(sigma, Form(d, sigma.ambient, [(idx, "1")]))
+        results[idx] = _adapt(lambda pts: np.abs(density(pts)), dom, prism, tol, config)
     if any(r.diverging for r in results.values()):
         verdict = "no"
     elif all(r.converged for r in results.values()):

@@ -395,7 +395,11 @@ def test_group_builder_matches_the_per_cell_driver(group, seed, exponent, vanish
 
     built = dens.evaluate(t, verts, np.arange(len(cells)))
     ((pts, values),) = seen
-    assert bits(pts) == bits(np.concatenate([r.nodes for r in refs]))
+    called_at = np.concatenate([r.nodes for r in refs])
+    if d == 1 and not prism:  # graded: called at g(t) = 3t^2 - 2t^3, weighted by g'(t) = 6t(1 - t)
+        x = called_at
+        called_at, values = x * x * (3.0 - 2.0 * x), values * (6.0 * x[:, 0] * (1.0 - x[:, 0]))
+    assert bits(pts) == bits(called_at)
     off = 0
     for r in refs:
         r.finish(values[off : off + len(r.nodes)], dens.rules)
@@ -580,8 +584,8 @@ def test_speculation_stays_inside_the_budget():
 def test_split_cells_are_released(monkeypatch):
     # the queue, the cached children and the cell popped when the budget ran
     # out hold the only live cells: a split cell, and the tree above it, are
-    # freed.  The queue holds the root and one more cell per split, less the
-    # frozen cells popped (none here)
+    # freed.  The queue held the root and one more cell per split (no frozen
+    # cell was popped), less that last popped cell
     live = []
 
     def count_cells(tracker):
@@ -591,7 +595,7 @@ def test_split_cells_are_released(monkeypatch):
     r = edge_singular_budget()
     cached = r.cells - 1 - 2 * r.subdivisions  # evaluated, never applied
     assert r.frozen_cells == 0 and r.stop_reason == "max_cells"
-    assert len(live) == 1 and live[0] <= 2 + r.subdivisions + cached
+    assert len(live) == 1 and live[0] <= 1 + r.subdivisions + cached
 
 
 def test_speculative_errors_fall_back_to_the_cells_own_children(monkeypatch):
@@ -760,6 +764,16 @@ def test_the_float64_guard_keeps_input_errors():
     for comps in (["t", "log(t - 0.01)"], ["t", "sqrt(0.99 - t)"]):
         with pytest.raises(ex.ExprDomainError):
             qd.integrate_simplex(ch.ExprMap(comps, 1), X_DY, 1e-10)
+
+
+@pytest.mark.parametrize("comps", [
+    ["t", "sqrt(t - 10^(-15))"], ["t", "sqrt(t - 10^(-14))"], ["t", "sqrt(1 - 10^(-15) - t)"],
+])
+def test_a_chart_undefined_just_inside_a_vertex_is_an_input_error(comps):
+    # the guard freezes only within float64's spacing at 1 (2.2e-16) of a
+    # vertex: a hole 1e-15 wide is met by nodes float64 still resolves
+    with pytest.raises(ex.ExprDomainError, match="sqrt of negative value"):
+        qd.integrate_simplex(ch.ExprMap(comps, 1), fo.Form(1, 2, [((2,), "1")]), 1e-13, qd.QuadConfig(max_cells=300))
 
 
 @pytest.mark.parametrize("name", ["upper_sqrt", "oval_lower"])
