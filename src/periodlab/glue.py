@@ -376,6 +376,9 @@ def glue(t1: Triangulation, t2: Triangulation, containment: dict, mark: str = "B
         raise InputCompatibilityError(
             f"containment table misses marked simplices of the second piece: {missing[:3]}"
         )
+    extra = [s for s in containment if s not in b2]
+    if extra:
+        raise InputCompatibilityError(f"containment keys are not marked in the second piece: {extra[:3]}")
     bad = [v for v in containment.values() if v not in b1]
     if bad:
         raise InputCompatibilityError(f"containment targets are not marked in the first piece: {bad[:3]}")

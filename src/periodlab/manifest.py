@@ -46,16 +46,18 @@ def _expect(cond, message, path):
 
 
 def _get(obj, key, types, path, default=_expect, items=None):
-    """``obj[key]``, checked to be of ``types`` (a list: with items of ``items``)."""
+    """``obj[key]``, checked to be of ``types`` (a list: with items of
+    ``items``); a JSON boolean is not an integer."""
     _expect(isinstance(obj, dict), "expected a JSON object", path)
     if key not in obj:
         if default is not _expect:
             return default
         raise ManifestError(f"missing key {key!r}", path)
     val = obj[key]
-    _expect(isinstance(val, types), f"key {key!r} has wrong type", f"{path}/{key}")
+    _expect(isinstance(val, types) and not isinstance(val, bool), f"key {key!r} has wrong type",
+            f"{path}/{key}")
     if items is not None:
-        bad = next((i for i, item in enumerate(val) if not isinstance(item, items)), None)
+        bad = next((i for i, x in enumerate(val) if not isinstance(x, items) or isinstance(x, bool)), None)
         _expect(bad is None, "item has wrong type", f"{path}/{key}/{bad}")
     return val
 
@@ -71,12 +73,14 @@ def _dim(obj, comps, path) -> int:
     return dim
 
 
-def _simplices(vals, path) -> list:
-    """Vertex tuples of a list of simplices, each a non-empty list of integers."""
+def _simplices(vals, path, within=None) -> list:
+    """Vertex tuples of a list of simplices, each a non-empty list of
+    integers and, if given, a simplex of the complex ``within``."""
     _expect(isinstance(vals, list), "expected a list of simplices", path)
     for k, s in enumerate(vals):
         if not (isinstance(s, list) and set(map(type, s)) == {int}):
             raise ManifestError("a simplex is a non-empty list of integer vertices", f"{path}/{k}")
+        _expect(within is None or s in within, "not a simplex of the complex", f"{path}/{k}")
     return [tuple(s) for s in vals]
 
 
@@ -257,7 +261,7 @@ class Manifest:
             if bare:
                 raise ManifestError(f"maximal simplex {bare[0]} has no evaluator", f"{p}/evaluators")
             marks = {
-                mname: _simplices(members, f"{p}/marks/{mname}")
+                mname: _simplices(members, f"{p}/marks/{mname}", K)
                 for mname, members in _get(entry, "marks", dict, p, {}).items()
             }
             try:

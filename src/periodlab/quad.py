@@ -2,22 +2,25 @@
 
 The base rule is a positive-weight tensor cubature on the simplex, built by
 collapsing the simplex onto a cube and absorbing the collapse Jacobian into
-Gauss-Jacobi weights (computed from exact rational moments).  Four points per
-axis give exactness at total degree 7; the embedded three-point variant
-(degree 5) provides the per-cell error estimate.  All rule nodes are strictly
-interior, so evaluators are never queried on the boundary where pullbacks of
-maps that are merely C^1 on open faces may blow up.
+Gauss-Jacobi weights (computed from exact rational moments, once per
+dimension and point count; the prism's t-rules are the 1-simplex rules).
+Four points per axis give exactness at total degree 7; the embedded
+three-point variant (degree 5) provides the per-cell error estimate.  All
+rule nodes are strictly interior, so evaluators are never queried on the
+boundary where pullbacks of maps that are merely C^1 on open faces may blow up.
 
 A 1-simplex is integrated graded at both ends: as sigma o g with the
 smoothstep g(t) = 3t^2 - 2t^3, its density times g'(t) = 6t(1 - t), which
 cancels the t^(-1/2) endpoint singularities of semialgebraic charts (Sidi,
 ISNM 112, 1993), at the price of more splits on smooth arcs.  A float64
 guard keeps grading from turning an integrable chart into an input error.
-A cell freezes instead of splitting when a child would have a node whose
-image rounds onto a vertex (that child is never evaluated), or when a child
-raises a domain error with a node within float64's spacing at 1 (2.2e-16)
-of a vertex of the chart's domain, where 1 - x no longer resolves x.  Any
-other domain error is the input's.  Other domains are not graded.
+One predicate, a node image within eps of a vertex, decides both of its
+cases.  A cell freezes instead of splitting when a child would have a node
+whose image rounds onto a vertex (eps = 0; that child is never evaluated),
+or when a child raises a domain error with a node within float64's spacing
+at 1 (eps = 2.2e-16) of a vertex of the chart's domain, where 1 - x no
+longer resolves x.  Any other domain error is the input's.  Other domains
+are not graded.
 
 One driver refines cells of the form [t0, t1] x simplex (a simplex-domain
 cell has no interval) through a priority queue, with a refinement bonus for
@@ -25,12 +28,14 @@ cells touching the boundary: a cell bisects t or its longest simplex edge,
 whichever carries more of its error.  Cells split one at a time, but their
 children are built and evaluated in groups: when the driver pops a cell
 whose children are not yet known, it splits that cell and up to
-SPECULATE - 1 of the next queued cells at once, and each cell keeps its
-children until it is popped.  A group's children are built as arrays, as
-DCUHRE does on its shared subdivision: the halves of the whole group from
-its stacked vertices, then one determinant, one matmul per rule and one set
-of boundary flags for all children, one density call at all their nodes,
-and one batched reduction of the values to each child's value and errors.
+SPECULATE - 1 of the next queued cells at once (popped from the queue to
+look ahead and pushed back), and each cell keeps its children until it is
+popped; a cell that cannot split gets no children.  A group's children are
+built as arrays, as DCUHRE does on its shared subdivision: the halves of
+the whole group from its stacked vertices, then one determinant, one matmul
+per rule and one set of boundary flags for all children, one density call
+at all their nodes, and one batched reduction of the values to each child's
+value and errors.
 The root is a group of one cell.  Every operation acts elementwise on the
 stack and rounds as it would for one cell, and the density is elementwise,
 so the split order and every value are those of one call per split, bit for
@@ -222,10 +227,6 @@ def simplex_rule(d: int, n: int):
     return np.array(pts), np.array(wts)
 
 
-def _interval_rule(n: int):
-    return _gauss_jacobi_01(n, 0)
-
-
 # ---------------------------------------------------------------------------
 # Adaptive integration over cells [t0, t1] x simplex.
 # ---------------------------------------------------------------------------
@@ -272,10 +273,9 @@ class _Tracker:
         convergent boundary singularity the window-to-window growth decays
         geometrically instead."""
         h = self.abs_history
-        k = max(SUSTAIN_WINDOW, len(h) // 3)
-        if len(h) < 3 * SUSTAIN_WINDOW or not self._boundary_dominated(k):
-            return
         k = len(h) // 3
+        if k < SUSTAIN_WINDOW or not self._boundary_dominated(k):
+            return
         m0 = sum(h[:k]) / k
         m1 = sum(h[k : 2 * k]) / k
         m2 = sum(h[2 * k : 3 * k]) / k
@@ -291,7 +291,7 @@ class _Cell:
     t-interval and vertices (rows of the arrays its group was built from),
     depth, boundary flag, value ``q``, absolute value ``a`` and errors.  A
     simplex cell's ``err_t`` is 0.  ``kids`` holds the two children once
-    they are evaluated, or _FROZEN when the cell cannot split."""
+    they are evaluated, or no children, (), when the cell cannot split."""
 
     __slots__ = ("t", "verts", "depth", "touches", "q", "a", "err_t", "err_b", "err", "kids")
 
@@ -369,7 +369,7 @@ def _split(group, edges, on_vertex=None):
     its longest simplex edges (``edges``: the vertex pairs i < j in order).
     Cells are midpoint splits of the reference simplex, so equal edges
     compare exactly equal.  A simplex cell also freezes when ``on_vertex``
-    flags its pair of children (see _Density.on_vertex)."""
+    flags either of its children (see _Density.near_vertex)."""
     verts = np.array([c.verts for c in group])
     g, d = verts.shape[0], verts.shape[2]
     kids = np.repeat(verts, 2, axis=0)
@@ -386,7 +386,7 @@ def _split(group, edges, on_vertex=None):
         thin = np.ones(g, dtype=bool)
     depth = np.repeat([c.depth + 1 for c in group], 2)
     if group[0].t is None:
-        frozen = thin if on_vertex is None else thin | on_vertex(pairs)
+        frozen = thin if on_vertex is None else thin | on_vertex(kids).reshape(g, 2).any(axis=1)
         keep = np.repeat(~frozen, 2)
         return None, kids[keep], depth[keep], frozen
     t = np.array([c.t for c in group])
@@ -414,33 +414,21 @@ class _Density:
     multiplied by g'(t) = 6t(1 - t), so that it integrates sigma o g."""
 
     def __init__(self, density, d: int, prism: bool):
-        t_rules = (_interval_rule(4), _interval_rule(3)) if prism else None
+        t_rules = tuple((p[:, 0], w) for p, w in (simplex_rule(1, 4), simplex_rule(1, 3))) if prism else None
         self.density, self.rules = density, (t_rules, simplex_rule(d, 4), simplex_rule(d, 3))
         self.graded = d == 1 and not prism
         self.edges = np.triu_indices(d + 1, 1)
         self.calls = self.cells = self.points = 0
 
-    def images(self, verts):
-        """The images g(t) (k, 7) of the rule nodes of the 1-simplex cells
-        ``verts`` (k, 2, 1), the points at which ``evaluate`` calls the density."""
-        return _smoothstep(_geometry(None, verts, self.rules)[0][..., 0])
-
-    def on_vertex(self, pairs):
-        """Mask (g,) of the pairs of graded cells ``pairs`` (g, 2, 2, 1) with a
-        node whose image rounds onto a vertex (g(t) rounds to 1 once 1 - t is
-        below about 4e-9).  Such a cell is never evaluated: every node stays
-        interior."""
-        x = self.images(pairs.reshape(-1, 2, 1)).reshape(len(pairs), -1)
-        return ((x <= 0.0) | (x >= 1.0)).any(axis=1)
-
-    def at_float_floor(self, verts) -> bool:
-        """Whether the graded cell ``verts`` (2, 1) has a node whose image lies
-        within float64's spacing at 1 of a vertex, where the chart's 1 - x no
-        longer resolves x (1 - x rounds to 1 once x < 5.6e-17)."""
-        if not self.graded:
-            return False
-        x, eps = self.images(verts[None]), np.finfo(float).eps
-        return x.min() <= eps or x.max() >= 1.0 - eps
+    def near_vertex(self, verts, eps=0.0):
+        """Mask (k,) of the graded cells ``verts`` (k, 2, 1) with a node whose
+        image g(t), where ``evaluate`` calls the density, lies within ``eps``
+        of a vertex.  With eps = 0 the image rounds onto a vertex (g(t) rounds
+        to 1 once 1 - t is below about 4e-9): such a cell is never evaluated,
+        so every node stays interior.  With float64's spacing at 1 as eps the
+        chart's 1 - x no longer resolves x (1 - x rounds to 1 once x < 5.6e-17)."""
+        x = _smoothstep(_geometry(None, verts, self.rules)[0][..., 0])
+        return ((x <= eps) | (x >= 1.0 - eps)).any(axis=1)
 
     def evaluate(self, t, verts, depth) -> list:
         """The cells with t-intervals ``t`` (None for simplex cells),
@@ -465,59 +453,45 @@ class _Density:
         return [_Cell(*row) for row in rows]
 
 
-_FROZEN = object()  # the kids of a cell too thin on every axis to split
-
-
-def _by_priority(heap):
-    """The entries of a heap in pop order, without popping them."""
-    front = [(heap[0], 0)] if heap else []
-    while front:
-        entry, i = heapq.heappop(front)
-        yield entry
-        for j in (2 * i + 1, 2 * i + 2):
-            if j < len(heap):
-                heapq.heappush(front, (heap[j], j))
-
-
 def _expand(cell, heap, room: int, max_depth: int, density: _Density):
     """Give the popped ``cell`` and up to ``room - 1`` queued cells their
     children, built as one group and evaluated in one density call.  The
     queued cells are those of the next SPECULATE - 1 in pop order whose
-    children are unknown and whose depth is below ``max_depth``.  If the call
-    raises, the queued cells' children are thrown away and ``cell``'s are
-    evaluated one call each, so that an error arises exactly where the
-    driver meets it without speculation."""
-    group = [cell]
-    for _, _, c in itertools.islice(_by_priority(heap), SPECULATE - 1):
-        if len(group) >= room:
-            break
-        if c.kids is None and c.depth < max_depth:
-            group.append(c)
-    t, verts, depth, frozen = _split(group, density.edges, density.on_vertex if density.graded else None)
+    children are unknown and whose depth is below ``max_depth``: they are
+    popped and pushed back, and since every entry's sequence number is
+    unique, the pop order depends only on which entries the queue holds.  If
+    the call raises, the queued cells' children are thrown away and
+    ``cell``'s are evaluated one call each, so that an error arises exactly
+    where the driver meets it without speculation."""
+    ahead = [heapq.heappop(heap) for _ in range(min(SPECULATE - 1, len(heap)))]
+    group = [cell] + [c for _, _, c in ahead if c.kids is None and c.depth < max_depth][: room - 1]
+    for entry in ahead:
+        heapq.heappush(heap, entry)
+    t, verts, depth, frozen = _split(group, density.edges, density.near_vertex if density.graded else None)
     try:
         kids = iter(density.evaluate(t, verts, depth) if depth.size else ())
     except Exception:  # whatever it is, the popped cell's own children raise it again
         # the queued cells stay without children; the popped cell's are the first two rows
-        cell.kids = _FROZEN if frozen[0] else _own_children(t, verts, depth, density)
+        cell.kids = () if frozen[0] else _own_children(t, verts, depth, density)
         return
     for c, f in zip(group, frozen.tolist()):
-        c.kids = _FROZEN if f else (next(kids), next(kids))
+        c.kids = () if f else (next(kids), next(kids))
 
 
 def _own_children(t, verts, depth, density: _Density):
-    """The first two rows' children, one density call each.  A child whose
-    call raises ExprDomainError at the float64 floor of a graded cell (see
-    _Density.at_float_floor) freezes its parent instead: the chart is
-    integrable there, but float64 cannot evaluate it.  Anywhere else the
-    error is the input's."""
+    """The first two rows' children, one density call each, or none when the
+    parent freezes: a child whose call raises ExprDomainError with a node
+    within float64's spacing at 1 of a vertex of a graded cell (see
+    _Density.near_vertex) freezes it, since the chart is integrable there
+    but float64 cannot evaluate it.  Anywhere else the error is the input's."""
     kids = []
     for m in (0, 1):
         try:
             kids += density.evaluate(None if t is None else t[m : m + 1], verts[m : m + 1], depth[m : m + 1])
         except ExprDomainError:
-            if not density.at_float_floor(verts[m]):
+            if not (density.graded and density.near_vertex(verts[m : m + 1], np.finfo(float).eps)[0]):
                 raise
-            return _FROZEN
+            return ()
     return tuple(kids)
 
 
@@ -572,7 +546,7 @@ def _adapt(density, d: int, prism: bool, tol: float, cfg: QuadConfig | None) -> 
             # ``splits`` cells, so short runs speculate little anyway)
             room = min(SPECULATE, cfg.max_cells - 1 - splits)
             _expand(cell, heap, room, cfg.max_depth, density)
-        if cell.kids is _FROZEN:
+        if not cell.kids:
             frozen += 1  # as above
             continue
         ca, cb = cell.kids

@@ -581,6 +581,57 @@ MALFORMED_INPUTS = {
         ]}]),
         "/triangulations/0/evaluators/0/map/dim",
     ),
+    # a JSON boolean is an int to Python: "dim": true escaped as a TypeError
+    # from the cubature rule, "coeff" and "degree" were read as 1
+    "simplex-dim-true": (
+        ["check-volume", "{}", "--simplex", "s"],
+        {"schema": "periodlab/1", "ambient_dim": 2,
+         "simplices": [{"name": "s", "dim": True, "components": ["a1", "a2"]}]},
+        "/simplices/0/dim: key 'dim' has wrong type",
+    ),
+    "chain-coeff-true": (
+        ["periods", "{}", "--cycles", "c", "--forms", "w"],
+        _manifest_with(
+            simplices=[{"name": "s", "dim": 1, "components": ["t", "t"]}],
+            chains=[{"name": "c", "terms": [{"simplex": "s", "coeff": True}]}],
+            forms=[{"name": "w", "degree": 1, "terms": [{"indices": [1], "coeff": "1"}]}],
+        ),
+        "/chains/0/terms/0/coeff: key 'coeff' has wrong type",
+    ),
+    "form-degree-false": (
+        ["periods", "{}", "--cycles", "c", "--forms", "w"],
+        _manifest_with(
+            chains=[{"name": "c", "degree": 0, "terms": []}],
+            forms=[{"name": "w", "degree": False, "terms": []}],
+        ),
+        "/forms/0/degree: key 'degree' has wrong type",
+    ),
+    "form-index-true": (
+        ["homology", "{}", "--complex", "K"],
+        _manifest_with(forms=[{"name": "w", "degree": 1, "terms": [{"indices": [True], "coeff": "1"}]}]),
+        "/forms/0/terms/0/indices/0: item has wrong type",
+    ),
+    "glue-table-true": (
+        _circle_glue("{}"), {"containment": [{"tau": [0], "sigma": [2]}, {"tau": [True], "sigma": [0]}]},
+        "/containment/1/tau/0: item has wrong type",
+    ),
+    # found by fuzzing with the mutations of test_cli_fuzz.py: a KeyError
+    # from the evaluator lookup of a table key that is no marked simplex of
+    # the second piece
+    "glue-table-key-not-marked": (
+        _circle_glue("{}"),
+        {"containment": [{"tau": [0], "sigma": [2]}, {"tau": [2], "sigma": [0]}, {"tau": [2, 2], "sigma": [0]}]},
+        "containment keys are not marked in the second piece: [(2, 2)]",
+    ),
+    # glue raised the same KeyError on a marked simplex outside the complex
+    # of the second piece when the table named it too
+    "mark-outside-the-complex": (
+        ["homology", "{}", "--complex", "K"],
+        _manifest_with(triangulations=[{"name": "T", "complex": "K", "marks": {"B": [[0], [7]]}, "evaluators": [
+            {"simplex": [0, 1], "map": {"kind": "affine", "vertices": [[0.0, 0.0], [1.0, 0.0]]}}
+        ]}]),
+        "/triangulations/0/marks/B/1: not a simplex of the complex",
+    ),
 }
 
 

@@ -581,6 +581,44 @@ def test_speculation_stays_inside_the_budget():
     assert (r.subdivisions, r.density_calls, r.cells) == (2, 3, 5)
 
 
+@pytest.mark.parametrize("name", ["vertex-singular-2d", "budget-with-frozen-simplex", "budget-with-frozen-prism"])
+def test_the_look_ahead_restores_the_queue(name, monkeypatch):
+    # _expand pops the next SPECULATE - 1 entries to choose its group and
+    # pushes them back: the queue holds the same entries, still a heap, and
+    # the group is the first cells in pop order that can take children
+    expand, calls = qd._expand, []
+
+    def checking(cell, heap, room, max_depth, density):
+        before = sorted((key, seq, id(c)) for key, seq, c in heap)
+        ahead = [c for _, _, c in sorted(heap)[: qd.SPECULATE - 1]]
+        open_ = [c for c in ahead if c.kids is None and c.depth < max_depth]
+        expand(cell, heap, room, max_depth, density)
+        assert sorted((key, seq, id(c)) for key, seq, c in heap) == before
+        assert all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap)))
+        assert [c.kids is not None for c in open_] == [k < room - 1 for k in range(len(open_))]
+        calls.append(len(open_))
+
+    monkeypatch.setattr(qd, "_expand", checking)
+    run, (value, err, abs_int, splits) = GOLDEN[name]
+    r = run()
+    assert (r.value.hex(), r.subdivisions) == (value, splits)
+    assert max(calls) > 0  # some groups took queued cells
+
+
+def test_rules_are_built_once_per_dimension_and_point_count(monkeypatch):
+    # the prism's t-rules are the 1-simplex rules, byte for byte the
+    # Gauss-Legendre rules on [0, 1]: a second prism integral builds none
+    for n in (3, 4):
+        (pts, w), (nodes, weights) = qd.simplex_rule(1, n), qd._gauss_jacobi_01(n, 0)
+        assert pts[:, 0].tobytes() == nodes.tobytes() and w.tobytes() == weights.tobytes()
+    run = GOLDEN["cone-via-prism"][0]
+    first = run()
+    build, built = qd._gauss_jacobi_01, []
+    monkeypatch.setattr(qd, "_gauss_jacobi_01", lambda n, alpha: built.append((n, alpha)) or build(n, alpha))
+    assert record(run()) == record(first)
+    assert built == []
+
+
 def test_split_cells_are_released(monkeypatch):
     # the queue, the cached children and the cell popped when the budget ran
     # out hold the only live cells: a split cell, and the tree above it, are
