@@ -12,6 +12,7 @@ are a batch of one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -104,16 +105,19 @@ class ExprMap(SingularSimplex):
     """Simplex given by N component expressions in the simplex coordinates."""
 
     def __init__(self, components, dim: int):
-        comps = []
-        for c in components:
-            comps.append(ex.parse(c, dim) if isinstance(c, str) else c)
-        self.components = tuple(comps)
+        self.components = tuple(ex.parse(c, dim) if isinstance(c, str) else c for c in components)
         self.dim = dim
-        self.ambient = len(comps)
-        self._vfns = [ex.compile_vec(c) for c in self.components]
-        self._vjac_fns = [
-            [ex.compile_vec(ex.diff(c, j + 1)) for j in range(dim)] for c in self.components
-        ]
+        self.ambient = len(self.components)
+
+    # compiled on first use: a manifest loads all its simplices, and a
+    # command evaluates a few of them
+    @functools.cached_property
+    def _vfns(self):
+        return [ex.compile_vec(c) for c in self.components]
+
+    @functools.cached_property
+    def _vjac_fns(self):
+        return [[ex.compile_vec(ex.diff(c, j + 1)) for j in range(self.dim)] for c in self.components]
 
     def evaluate_many(self, points):
         cols = np.asarray(points, dtype=float).T

@@ -42,11 +42,14 @@ so the split order and every value are those of one call per split, bit for
 bit.  A group whose call raises is thrown away, and the popped cell's
 children are evaluated one call each, so an error arises exactly where the
 sequential driver meets it.  Absolute-value sums are tracked across
-refinement depths; sustained growth is reported as divergence.  That
-verdict is a diagnostic, not a proof: integrability is not numerically
-decidable, and pathologically conditioned integrands may be flagged
-inconclusive.  Each result carries its stop reason and what it cost: density
-calls, cells and points, the depth it reached and the cells that froze.
+refinement depths, and each time refinement reaches a new depth two
+triggers test them for divergence: growth by a fixed factor, or growth at
+an undiminished rate; either ends the run there, without waiting for the
+cell budget.  That verdict is a diagnostic, not a proof: integrability is
+not numerically decidable, and pathologically conditioned integrands may be
+flagged inconclusive.  Each result carries its stop reason and what it
+cost: density calls, cells and points, the depth it reached and the cells
+that froze.
 
 Cone evaluators are always integrated on the prism [0,1] x Delta_d: the
 reparametrisation q collapsing {1} x Delta_d to the cone point is a
@@ -233,7 +236,8 @@ def simplex_rule(d: int, n: int):
 
 
 class _Tracker:
-    """Bookkeeping for the divergence diagnostics across depth levels."""
+    """The divergence diagnostics: the absolute sum and boundary flag of the
+    split that first reached each depth, tested at each new depth."""
 
     def __init__(self):
         self.max_depth_seen = 0
@@ -250,29 +254,27 @@ class _Tracker:
             self.max_depth_seen = child_depth
             self.abs_history.append(abs_total)
             self.boundary_flags.append(touches)
-            self._check_growth()
+            self._check()
 
     def _boundary_dominated(self, k: int) -> bool:
         flags = self.boundary_flags[-k:]
         return len(flags) >= k and sum(flags) >= 0.8 * len(flags)
 
-    def _check_growth(self):
+    def _check(self):
+        """Geometric trigger: the absolute sums grew by a fixed factor at each
+        of the last GROWTH_WINDOW depths.  Sustained trigger: their window
+        means (which smooth out the oscillation of single increments) keep
+        climbing at an undiminished rate, a (typically logarithmic)
+        divergence the fixed-factor trigger cannot see; for a convergent
+        boundary singularity the growth decays geometrically instead.  Both
+        need boundary cells to dominate the recent splits."""
         h = self.abs_history
         w = GROWTH_WINDOW
-        if len(h) < w + 1 or not self._boundary_dominated(w):
-            return
-        base = h[-w - 1 :]
-        if all(base[i] > 0 and base[i + 1] >= GROWTH_FACTOR * base[i] for i in range(w)):
-            self.trigger = "geometric"
-
-    def check_at_exhaustion(self):
-        """Sustained-growth trigger: absolute sums that keep climbing at an
-        undiminished rate across refinement depths signal a (typically
-        logarithmic) divergence the fixed-factor trigger cannot see.  Window
-        means smooth out the oscillation of individual increments; for a
-        convergent boundary singularity the window-to-window growth decays
-        geometrically instead."""
-        h = self.abs_history
+        if len(h) > w and self._boundary_dominated(w):
+            base = h[-w - 1 :]
+            if all(base[i] > 0 and base[i + 1] >= GROWTH_FACTOR * base[i] for i in range(w)):
+                self.trigger = "geometric"
+                return
         k = len(h) // 3
         if k < SUSTAIN_WINDOW or not self._boundary_dominated(k):
             return
@@ -280,9 +282,7 @@ class _Tracker:
         m1 = sum(h[k : 2 * k]) / k
         m2 = sum(h[2 * k : 3 * k]) / k
         g0, g1 = m1 - m0, m2 - m1
-        if g1 <= 1e-3 * (1.0 + abs(h[-1])) or g0 <= 0:
-            return
-        if g1 >= SUSTAIN_RATIO * g0:
+        if g0 > 0 and g1 > 1e-3 * (1.0 + abs(h[-1])) and g1 >= SUSTAIN_RATIO * g0:
             self.trigger = "sustained"
 
 
@@ -558,8 +558,6 @@ def _adapt(density, d: int, prism: bool, tol: float, cfg: QuadConfig | None) -> 
         push(ca)
         push(cb)
         tracker.on_split(ca.depth, abs_total, cell.touches)
-    if not tracker.diverging:
-        tracker.check_at_exhaustion()
     if tracker.diverging:
         reason = "diverging:" + tracker.trigger
     converged = err <= max(tol, tol * abs(value)) and not tracker.diverging

@@ -1,12 +1,17 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from periodlab import chains as ch
+from periodlab import expr as ex
 from periodlab import forms as fo
+from periodlab import manifest as mf
 from periodlab import quad as qd
+
+CIRCLE = pathlib.Path(__file__).resolve().parent.parent / "manifests" / "circle.json"
 
 
 def random_interior_point(d: int, rng) -> np.ndarray:
@@ -282,3 +287,22 @@ def test_continuity_spot_check():
 
     with _pytest.raises(ex.ExprDomainError):
         ch.check_continuity(ch.ExprMap(["t", "atan(1/t)"], 1))
+
+
+def test_expression_maps_compile_on_first_use(monkeypatch):
+    # loading parses every simplex and compiles none of them; integrating one
+    # compiles its components and Jacobian entries once, and no other's
+    compile_vec, compiled = ex.compile_vec, []
+    monkeypatch.setattr(ex, "compile_vec", lambda e: compiled.append(e) or compile_vec(e))
+    man = mf.load_manifest(CIRCLE)
+    maps = [s for s in man.simplices.values() if isinstance(s, ch.ExprMap)]
+    assert len(maps) == len(man.simplices) > 1
+    assert not any(e is c for s in maps for c in s.components for e in compiled)
+    assert not any({"_vfns", "_vjac_fns"} & vars(s).keys() for s in maps)
+    compiled.clear()
+    sigma = man.simplices["upper_sqrt"]
+    for _ in range(2):
+        assert qd.integrate_simplex(sigma, man.forms["x_dy"], 1e-8).converged
+    jac = [ex.diff(c, j + 1) for c in sigma.components for j in range(sigma.dim)]
+    assert sorted(map(ex.to_string, compiled)) == sorted(map(ex.to_string, [*sigma.components, *jac]))
+    assert not any({"_vfns", "_vjac_fns"} & vars(s).keys() for s in maps if s is not sigma)

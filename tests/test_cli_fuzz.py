@@ -4,6 +4,11 @@ line on exit 2, and within a time bound.
 
 A case applies one or two mutations to one input file of a command: a value
 replaced by one of ``LEAVES``, a key deleted, or a list element duplicated.
+Three mutations in four instead replace a value under one of ``NUMERIC``
+(where a manifest keeps its expressions, dimensions, coefficients, vertex
+coordinates and glue table), a number by one of ``NUMBERS`` and an expression
+string by one of ``EXPRESSIONS``, so that most cases get past loading into
+the numeric code.
 Hypothesis draws the cases deterministically (``derandomize=True``)."""
 
 import contextlib
@@ -39,6 +44,9 @@ COMMANDS = [
     ["glue", "circle_upper.json", "circle_lower.json", "--table", "circle_btable.json"],
 ]
 LEAVES = [None, -1, 10**6, "", [], {}, "sqrt(-1)", True, False]
+NUMERIC = {"components", "coeff", "dim", "vertices", "containment"}
+NUMBERS = [0, 2, -1, 0.5, 10**6, 1e300]
+EXPRESSIONS = ["0", "1/t", "log(t)", "t^(1/3)", "t*sin(1/t)", "sqrt(t - 1/2)", "exp(1000*t)"]
 FINISHES_WITHIN_S = 10.0
 
 
@@ -47,16 +55,30 @@ class _Overran(BaseException):
 
 
 def _paths(node, path=()):
-    """The path of every value below ``node``."""
+    """The path and value of everything below ``node``."""
     items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
     for key, child in items:
-        yield path + (key,)
+        yield path + (key,), child
         yield from _paths(child, path + (key,))
+
+
+def _like(value):
+    """The replacements drawn for ``value`` under a NUMERIC key."""
+    if isinstance(value, str):
+        return EXPRESSIONS
+    return NUMBERS if isinstance(value, (int, float)) and not isinstance(value, bool) else LEAVES
 
 
 def _mutate(doc, data):
     """``doc`` with one value replaced, key deleted or list element duplicated."""
-    path = data.draw(st.sampled_from([(), *_paths(doc)]))
+    below = list(_paths(doc))
+    numeric = [p for p, v in below if NUMERIC.intersection(p) and _like(v) is not LEAVES]
+    if numeric and data.draw(st.integers(0, 3)):
+        *head, key = data.draw(st.sampled_from(numeric))
+        parent = functools.reduce(operator.getitem, head, doc)
+        parent[key] = copy.deepcopy(data.draw(st.sampled_from(_like(parent[key]))))
+        return doc
+    path = data.draw(st.sampled_from([(), *(p for p, _ in below)]))
     if not path:
         return copy.deepcopy(data.draw(st.sampled_from(LEAVES)))
     *head, key = path

@@ -211,6 +211,16 @@ def test_cli_check_volume_verdicts():
     assert res.returncode == 1
 
 
+def test_cli_tsin_graph_says_no_before_the_budget(capsys):
+    # the sustained trigger runs at each new depth, so the "no" does not wait
+    # for max_cells (19,999 splits)
+    rc = cli.run(["check-volume", str(MANIFESTS / "circle.json"), "--simplex", "tsin_graph", "--deterministic"])
+    volume = json.loads(capsys.readouterr().out)["results"]["volume"]
+    dx_2 = volume["per_index"]["dx_2"]
+    assert (rc, volume["verdict"], dx_2["diagnostics"]["stop_reason"]) == (1, "no", "diverging:sustained")
+    assert dx_2["subdivisions"] <= 100
+
+
 # check-volume integrates at --tol; check-stokes and periods integrate at
 # --tol/100, so that quadrature noise stays below the verdict threshold.
 # Floats as float.hex: the tolerance each command hands to quadrature fixes

@@ -124,6 +124,57 @@ def test_hard_but_integrable_is_not_flagged_no():
     assert rep.verdict == "inconclusive"
 
 
+# finite_volume_check's verdict at tol 1e-6 with 1,000 and 4,000 cells, and
+# the most splits any index took, as measured when the sustained trigger ran
+# only once the budget was spent.  Graph charts t |-> (t, f) and
+# (a1, a2) |-> (a1, a2, f), the edge-singular 2-simplex (a1, f) and cones
+# over 1-D graph charts.
+PINNED_VERDICTS = {
+    ("graph", "t*sin(1/t)"): (("no", 999), ("no", 3999)),
+    ("graph", "sin(1/t)"): (("no", 16), ("no", 16)),
+    ("graph", "log(t)"): (("no", 999), ("no", 3999)),
+    ("graph", "t*log(t)"): (("yes", 18), ("yes", 18)),
+    ("graph", "t^2*sin(1/t)"): (("inconclusive", 999), ("inconclusive", 3999)),
+    ("graph", "sqrt(t)*sin(1/t)"): (("no", 16), ("no", 16)),
+    ("graph", "log(t + 10^(-8))"): (("yes", 30), ("yes", 30)),
+    ("graph", "log(t + 10^(-12))"): (("yes", 42), ("yes", 42)),
+    ("graph", "log(t + 10^(-14))"): (("yes", 50), ("yes", 50)),
+    ("graph", "log(t + 10^(-15))"): (("yes", 53), ("yes", 53)),
+    ("graph", "t^(1/20)"): (("inconclusive", 999), ("inconclusive", 3999)),
+    ("graph", "t^(1/100)"): (("inconclusive", 999), ("inconclusive", 3999)),
+    ("graph", "1/log(t/2)"): (("inconclusive", 999), ("inconclusive", 3999)),
+    ("graph", "log(-log(t/2))"): (("inconclusive", 999), ("inconclusive", 3999)),
+    ("graph2", "log(a1)"): (("inconclusive", 999), ("inconclusive", 3999)),
+    ("graph2", "sqrt(a1)"): (("inconclusive", 999), ("inconclusive", 3999)),
+    ("graph2", "a1*sin(1/a1)"): (("inconclusive", 999), ("inconclusive", 3999)),
+    ("graph2", "sin(1/a1)"): (("no", 999), ("no", 3999)),
+    ("graph2", "a1^(1/20)"): (("inconclusive", 999), ("inconclusive", 3999)),
+    ("edge", "sqrt(a2)"): (("inconclusive", 999), ("inconclusive", 3999)),
+    ("cone", "t*sin(1/t)"): (("inconclusive", 999), ("inconclusive", 3999)),
+    ("cone", "log(t)"): (("yes", 18), ("yes", 18)),
+    ("cone", "sqrt(t)"): (("yes", 6), ("yes", 6)),
+    ("cone", "t^(1/10)"): (("yes", 9), ("yes", 9)),
+}
+
+
+def verdict_chart(kind, f):
+    if kind == "graph":
+        return ch.ExprMap(["t", f], 1)
+    if kind == "cone":
+        return ch.Cone(ch.ExprMap(["t", f], 1))
+    return ch.ExprMap(["a1", "a2", f] if kind == "graph2" else ["a1", f], 2)
+
+
+@pytest.mark.parametrize("kind, f", list(PINNED_VERDICTS))
+def test_verdicts_match_the_pinned_ones(kind, f):
+    # a "no" may come sooner, never later; every other run is unchanged
+    for cells, (verdict, splits) in zip((1000, 4000), PINNED_VERDICTS[kind, f]):
+        rep = qd.finite_volume_check(verdict_chart(kind, f), 1e-6, qd.QuadConfig(max_cells=cells))
+        most = max(r.subdivisions for r in rep.per_index.values())
+        assert rep.verdict == verdict
+        assert most <= splits if verdict == "no" else most == splits
+
+
 def test_prism_degenerate_point():
     # constant simplex at p: the prism image is the segment [0, p], so the
     # pullback density vanishes identically
@@ -497,7 +548,7 @@ CIRCLE = pathlib.Path(__file__).resolve().parent.parent / "manifests" / "circle.
 def circle_budget_runs():
     """The library calls of the periods-circle benchmark with a lowered cell
     budget, on the manifest the CLI tests use: the upper_sqrt call converges
-    in 33 splits, and tsin_graph spends its budget."""
+    in 33 splits, and tsin_graph says "no" in 27."""
     man = mf.load_manifest(CIRCLE)
     budget = qd.QuadConfig(max_depth=80, max_cells=1000)
     return {
@@ -625,11 +676,13 @@ def test_split_cells_are_released(monkeypatch):
     # freed.  The queue held the root and one more cell per split (no frozen
     # cell was popped), less that last popped cell
     live = []
+    result = qd.QuadResult
 
-    def count_cells(tracker):
+    def count_cells(*fields):  # the driver builds its result at the end of the run
         live.append(sum(isinstance(o, qd._Cell) for o in gc.get_objects()))
+        return result(*fields)
 
-    monkeypatch.setattr(qd._Tracker, "check_at_exhaustion", count_cells)
+    monkeypatch.setattr(qd, "QuadResult", count_cells)
     r = edge_singular_budget()
     cached = r.cells - 1 - 2 * r.subdivisions  # evaluated, never applied
     assert r.frozen_cells == 0 and r.stop_reason == "max_cells"
@@ -722,7 +775,7 @@ def test_every_stop_reason_is_reported():
     assert geometric.stop_reason == "diverging:geometric" and geometric.diverging
     sustained = circle_budget_runs()["tsin_graph"]()
     assert sustained.stop_reason == "diverging:sustained" and sustained.diverging
-    assert sustained.subdivisions == 999
+    assert sustained.subdivisions == 27
 
 
 # The oval of y^2 = x^3 - x as two graph charts over x in [-1, 0], each
