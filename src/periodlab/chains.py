@@ -5,9 +5,11 @@ vertex 0 at the origin and vertex k at the k-th basis vector.  A singular
 simplex is a continuous map of the closed simplex into R^N, C^1 on each open
 face; evaluators come in five flavours (expression-backed, affine, cone,
 prism, composed; glue adds a sixth) and every one exposes an exact Jacobian
-at interior points.  Evaluators implement only the batch methods
+at interior points.  Evaluators implement the batch methods
 ``evaluate_many``/``jacobian_many``; ``evaluate``/``jacobian`` at one point
-are a batch of one.
+are a batch of one, and ``evaluate_with_jacobian_many`` is both batches from
+one call, which the prism and composed maps answer evaluating their inner
+map once.
 """
 
 from __future__ import annotations
@@ -84,6 +86,11 @@ class SingularSimplex:
     def jacobian_many(self, points: np.ndarray) -> np.ndarray:
         """(n, ambient, dim) Jacobians at an (n, dim) batch of interior points."""
         raise NotImplementedError
+
+    def evaluate_with_jacobian_many(self, points: np.ndarray):
+        """(evaluate_many(points), jacobian_many(points)), bit for bit, and the
+        same first error."""
+        return self.evaluate_many(points), self.jacobian_many(points)
 
     def key(self):
         raise NotImplementedError
@@ -234,15 +241,18 @@ class PrismMap(SingularSimplex):
         return f[:, None] * self.inner.evaluate_many(p[:, 1:])
 
     def jacobian_many(self, points):
+        return self.evaluate_with_jacobian_many(points)[1]
+
+    def evaluate_with_jacobian_many(self, points):
         p = np.asarray(points, dtype=float)
         f = self._vf(p[:, :1].T)
-        df = self._vdf(p[:, :1].T)
         vals = self.inner.evaluate_many(p[:, 1:])
+        df = self._vdf(p[:, :1].T)
         jacs = self.inner.jacobian_many(p[:, 1:])
         out = np.empty((p.shape[0], self.ambient, self.dim))
         out[:, :, 0] = df[:, None] * vals
         out[:, :, 1:] = f[:, None, None] * jacs
-        return out
+        return f[:, None] * vals, out
 
     def key(self):
         return ("prism", self.inner.key(), self.profile)
@@ -282,6 +292,14 @@ class Composed(SingularSimplex):
         return np.einsum(
             "nij,njk->nik", self.outer.jacobian_many(mid), self.inner.jacobian_many(points)
         )
+
+    def evaluate_with_jacobian_many(self, points):
+        # the order of the two calls: inner and outer values, outer and inner Jacobians
+        if self.dim == 0:
+            return self.evaluate_many(points), self.jacobian_many(points)
+        mid = self.inner.evaluate_many(points)
+        vals, outer_jac = self.outer.evaluate_with_jacobian_many(mid)
+        return vals, np.einsum("nij,njk->nik", outer_jac, self.inner.jacobian_many(points))
 
     def face(self, i):
         return Composed(self.outer, self.inner.face(i))

@@ -3,7 +3,8 @@
 A degree-p form is a merged list of (strictly increasing multi-index,
 coefficient expression) terms; coefficients are DSL expressions in the ambient
 coordinates ``a1..aN``.  Pullback along a simplex evaluator is computed from
-exact symbolic Jacobians, one minor determinant per term.
+exact symbolic Jacobians, taken with the values in one evaluator call
+(``evaluate_with_jacobian_many``), one minor determinant per term.
 """
 
 from __future__ import annotations
@@ -135,12 +136,14 @@ def pullback_many(sigma: SingularSimplex, omega: Form, points: np.ndarray) -> di
     if p > k:
         return {}
     pts = np.asarray(points, dtype=float)
-    x = sigma.evaluate_many(pts)
+    if p > 0 and omega.terms:
+        x, jac = sigma.evaluate_with_jacobian_many(pts)
+    else:
+        x, jac = sigma.evaluate_many(pts), None
     subsets = list(itertools.combinations(range(k), p))
     out = {tuple(i + 1 for i in cols): np.zeros(pts.shape[0]) for cols in subsets}
     if not omega.terms:
         return out
-    jac = sigma.jacobian_many(pts) if p > 0 else None
     coords = x.T
     for (idx, _), vf in zip(omega.terms, omega._vfns):
         c = vf(coords)
@@ -158,6 +161,9 @@ def _det_many(sub: np.ndarray) -> np.ndarray:
         return sub[:, 0, 0]
     if p == 2:
         return sub[:, 0, 0] * sub[:, 1, 1] - sub[:, 0, 1] * sub[:, 1, 0]
+    if p == 3:  # cofactors of the first row
+        (a, b, c), (d, e, f), (g, h, i) = sub.transpose(1, 2, 0)
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     return np.linalg.det(sub)
 
 

@@ -12,15 +12,18 @@ boundary where pullbacks of maps that are merely C^1 on open faces may blow up.
 A 1-simplex is integrated graded at both ends: as sigma o g with the
 smoothstep g(t) = 3t^2 - 2t^3, its density times g'(t) = 6t(1 - t), which
 cancels the t^(-1/2) endpoint singularities of semialgebraic charts (Sidi,
-ISNM 112, 1993), at the price of more splits on smooth arcs.  A float64
-guard keeps grading from turning an integrable chart into an input error.
-One predicate, a node image within eps of a vertex, decides both of its
-cases.  A cell freezes instead of splitting when a child would have a node
-whose image rounds onto a vertex (eps = 0; that child is never evaluated),
-or when a child raises a domain error with a node within float64's spacing
-at 1 (eps = 2.2e-16) of a vertex of the chart's domain, where 1 - x no
-longer resolves x.  Any other domain error is the input's.  Other domains
-are not graded.
+ISNM 112, 1993), at the price of more splits on smooth arcs.  The prism over
+a 1-simplex grades its simplex axis b the same way; its t-axis is not
+graded, since a cone's density carries (1 - t)^d, polynomial in t.  A
+float64 guard keeps grading from turning an integrable chart into an input
+error.  One predicate, a node image within eps of a vertex, decides both of
+its cases.  A cell freezes instead of bisecting its simplex when a child
+would have a node whose image rounds onto a vertex (eps = 0; that child is
+never evaluated), or when a child raises a domain error with a node within
+float64's spacing at 1 (eps = 2.2e-16) of a vertex of the chart's domain,
+where 1 - x no longer resolves x.  Any other domain error is the input's.
+Other domains are not graded: grading every face of Delta_2 costs many more
+splits on smooth and polynomial densities than it saves on singular ones.
 
 One driver refines cells of the form [t0, t1] x simplex (a simplex-domain
 cell has no interval) through a priority queue, with a refinement bonus for
@@ -129,7 +132,7 @@ class QuadResult:
     points: int  # density points, failed speculative calls included
     max_depth_reached: int  # depth of the deepest split applied (the root is 0)
     # cells popped that could not split: at max_depth, too thin, or at the
-    # float64 floor of a graded 1-simplex
+    # float64 floor of a graded 1-simplex, bare or under a prism
     frozen_cells: int
 
     def diagnostics(self) -> dict:
@@ -368,8 +371,8 @@ def _split(group, edges, on_vertex=None):
     least the simplex error and is wide enough, else it bisects the first of
     its longest simplex edges (``edges``: the vertex pairs i < j in order).
     Cells are midpoint splits of the reference simplex, so equal edges
-    compare exactly equal.  A simplex cell also freezes when ``on_vertex``
-    flags either of its children (see _Density.near_vertex)."""
+    compare exactly equal.  A cell that would bisect its simplex also
+    freezes when ``on_vertex`` flags either half (see _Density.near_vertex)."""
     verts = np.array([c.verts for c in group])
     g, d = verts.shape[0], verts.shape[2]
     kids = np.repeat(verts, 2, axis=0)
@@ -385,8 +388,9 @@ def _split(group, edges, on_vertex=None):
     else:
         thin = np.ones(g, dtype=bool)
     depth = np.repeat([c.depth + 1 for c in group], 2)
+    blocked = np.zeros(g, dtype=bool) if on_vertex is None else on_vertex(kids).reshape(g, 2).any(axis=1)
     if group[0].t is None:
-        frozen = thin if on_vertex is None else thin | on_vertex(kids).reshape(g, 2).any(axis=1)
+        frozen = thin | blocked
         keep = np.repeat(~frozen, 2)
         return None, kids[keep], depth[keep], frozen
     t = np.array([c.t for c in group])
@@ -397,7 +401,7 @@ def _split(group, edges, on_vertex=None):
     tm = 0.5 * (t[:, 0] + t[:, 1])
     kt[0::2, 1] = np.where(split_t, tm, t[:, 1])
     kt[1::2, 0] = np.where(split_t, tm, t[:, 0])
-    frozen = ~split_t & thin
+    frozen = ~split_t & (thin | blocked)
     keep = np.repeat(~frozen, 2)
     return kt[keep], kids[keep], depth[keep], frozen
 
@@ -409,24 +413,27 @@ def _smoothstep(t):
 
 class _Density:
     """The density of one integral over Delta_d or the prism, its rules and
-    the counters of its calls.  A 1-simplex is ``graded``: its density is
-    called at the images g(t) of the rule nodes under the smoothstep and
-    multiplied by g'(t) = 6t(1 - t), so that it integrates sigma o g."""
+    the counters of its calls.  A 1-simplex, bare or under a prism, is
+    ``graded``: its density is called at the images g(b) of the rule nodes'
+    simplex coordinate b under the smoothstep and multiplied by
+    g'(b) = 6b(1 - b), so that it integrates sigma o g."""
 
     def __init__(self, density, d: int, prism: bool):
         t_rules = tuple((p[:, 0], w) for p, w in (simplex_rule(1, 4), simplex_rule(1, 3))) if prism else None
         self.density, self.rules = density, (t_rules, simplex_rule(d, 4), simplex_rule(d, 3))
-        self.graded = d == 1 and not prism
+        self.graded = d == 1
         self.edges = np.triu_indices(d + 1, 1)
         self.calls = self.cells = self.points = 0
 
     def near_vertex(self, verts, eps=0.0):
-        """Mask (k,) of the graded cells ``verts`` (k, 2, 1) with a node whose
-        image g(t), where ``evaluate`` calls the density, lies within ``eps``
-        of a vertex.  With eps = 0 the image rounds onto a vertex (g(t) rounds
-        to 1 once 1 - t is below about 4e-9): such a cell is never evaluated,
-        so every node stays interior.  With float64's spacing at 1 as eps the
-        chart's 1 - x no longer resolves x (1 - x rounds to 1 once x < 5.6e-17)."""
+        """Mask (k,) of the graded cells with simplices ``verts`` (k, 2, 1)
+        with a node whose image g(b), where ``evaluate`` calls the density,
+        lies within ``eps`` of a vertex; a prism cell's b nodes do not
+        depend on its t-interval.  With eps = 0 the image rounds onto a
+        vertex (g(b) rounds to 1 once 1 - b is below about 4e-9): such a
+        cell is never evaluated, so every node stays interior.  With
+        float64's spacing at 1 as eps the chart's 1 - x no longer resolves x
+        (1 - x rounds to 1 once x < 5.6e-17)."""
         x = _smoothstep(_geometry(None, verts, self.rules)[0][..., 0])
         return ((x <= eps) | (x >= 1.0 - eps)).any(axis=1)
 
@@ -440,8 +447,10 @@ class _Density:
         self.points += k * n
         pts = nodes.reshape(k * n, dim)
         if self.graded:
-            x = pts[:, 0]
-            v = (self.density(_smoothstep(pts)) * (6.0 * x * (1.0 - x))).reshape(k, n)
+            x = pts[:, -1]
+            graded = pts.copy()
+            graded[:, -1] = _smoothstep(x)
+            v = (self.density(graded) * (6.0 * x * (1.0 - x))).reshape(k, n)
         else:
             v = self.density(pts).reshape(k, n)
         q, a, err_t, err_b = _finish(v, scale, t is not None, self.rules)
@@ -481,7 +490,7 @@ def _expand(cell, heap, room: int, max_depth: int, density: _Density):
 def _own_children(t, verts, depth, density: _Density):
     """The first two rows' children, one density call each, or none when the
     parent freezes: a child whose call raises ExprDomainError with a node
-    within float64's spacing at 1 of a vertex of a graded cell (see
+    within float64's spacing at 1 of a vertex of a graded simplex (see
     _Density.near_vertex) freezes it, since the chart is integrable there
     but float64 cannot evaluate it.  Anywhere else the error is the input's."""
     kids = []
@@ -498,7 +507,8 @@ def _own_children(t, verts, depth, density: _Density):
 def _adapt(density, d: int, prism: bool, tol: float, cfg: QuadConfig | None) -> QuadResult:
     """Adaptive cubature of a batch density over Delta_d, or over the prism
     [0,1] x Delta_d (points (t, b)) when ``prism``, until the error estimate
-    is at most tol * max(1, |value|); a 1-simplex is graded (see _Density).
+    is at most tol * max(1, |value|); a 1-simplex is graded, also under a
+    prism (see _Density).
     A non-finite running value or error ends it, unconverged: no refinement
     can repair it.  Cells split one at a time; their children are built and
     evaluated in groups (see _expand)."""

@@ -277,6 +277,61 @@ def test_batch_of_many_matches_batch_of_one():
             np.testing.assert_array_equal(jc[k], m.jacobian(p))
 
 
+def test_one_pass_evaluation_is_the_two_batches_bit_for_bit():
+    rng = np.random.default_rng(9)
+    sigma = ch.ExprMap(["a1*a2", "sin(a1) + a2"], 2)
+    arc = ch.ExprMap(["1 - 2*t", "sqrt(1 - (1 - 2*t)^2)"], 1)
+    maps = [sigma, ch.AffineSimplex([[0, 0, 0], [1, 2, 0], [0, 1, 1]]), ch.Cone(sigma),
+            ch.PrismMap(sigma, "1 - t"), ch.PrismMap(arc.face(0), "1 - t^2"),
+            ch.PrismMap(ch.Composed(sigma, ch.face_map(2, 1)), "1 - t"),
+            ch.Composed(sigma, ch.face_map(2, 0)), ch.Composed(sigma, ch.AffineSimplex([[0.3, 0.2]])),
+            ch.Composed(ch.Cone(arc), ch.face_map(2, 0)), glued_cap()]
+    assert {type(m) for m in maps} == set(ch.SingularSimplex.__subclasses__())
+    for m in maps:
+        pts = np.array([random_interior_point(m.dim, rng) for _ in range(7)])
+        vals, jacs = m.evaluate_with_jacobian_many(pts)
+        assert vals.tobytes() == m.evaluate_many(pts).tobytes()
+        assert jacs.tobytes() == m.jacobian_many(pts).tobytes()
+        assert (vals.shape, jacs.shape) == ((7, m.ambient), (7, m.ambient, m.dim))
+
+
+def _domain_error(call):
+    with pytest.raises(ex.ExprDomainError) as err:
+        call()
+    return str(err.value)
+
+
+ONE_D = np.array([[0.0], [0.5]])
+PRISM_1D = np.array([[0.0, 0.0], [0.5, 0.5]])
+
+
+def _one_pass_error_cases():
+    """(map, points, the call that raises the first error of evaluate_many
+    then jacobian_many).  The composed and prism maps fail in two places at
+    once, so that the order of their evaluations shows."""
+    sqrt_t, sqrt_2t, log_t = (ch.ExprMap(c, 1) for c in (["sqrt(t)"], ["t", "sqrt(2*t)"], ["t", "log(t)"]))
+    sqrt_3t = ch.ExprMap(["t", "sqrt(3*t)"], 1)
+    return [
+        # inner values, outer values, outer Jacobian, inner Jacobian
+        (ch.Composed(sqrt_2t, sqrt_t), ONE_D, lambda: sqrt_2t.jacobian_many(sqrt_t.evaluate_many(ONE_D))),
+        (ch.Composed(log_t, sqrt_t), ONE_D, lambda: log_t.evaluate_many(sqrt_t.evaluate_many(ONE_D))),
+        # profile, inner values, profile derivative, inner Jacobian
+        (ch.PrismMap(sqrt_3t, "sqrt(t)"), PRISM_1D, lambda: sqrt_t.jacobian_many(ONE_D)),
+        (ch.PrismMap(log_t, "sqrt(t)"), PRISM_1D, lambda: log_t.evaluate_many(ONE_D)),
+        (ch.PrismMap(sqrt_3t, "1 - t"), PRISM_1D, lambda: sqrt_3t.jacobian_many(ONE_D)),
+        (ch.ExprMap(["t", "sqrt(t)"], 1), ONE_D, lambda: sqrt_t.jacobian_many(ONE_D)),
+        (ch.Cone(log_t), np.array([[0.5, 0.0]]), lambda: log_t.evaluate_many(ONE_D)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(_one_pass_error_cases())))
+def test_one_pass_evaluation_raises_the_first_error_of_the_two_batches(case):
+    m, pts, first = _one_pass_error_cases()[case]
+    expected = _domain_error(first)
+    assert _domain_error(lambda: (m.evaluate_many(pts), m.jacobian_many(pts))) == expected
+    assert _domain_error(lambda: m.evaluate_with_jacobian_many(pts)) == expected
+
+
 def test_continuity_spot_check():
     # continuous maps: residual gaps at offset 2^-20 are small; a map that
     # cannot be evaluated on the closed simplex raises instead

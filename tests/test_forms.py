@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -115,6 +116,28 @@ def prism_points(rng, n, d, lo=0.0, hi=1.0):
     """n points (t, b) of [lo, hi] x Delta_d: t of shape (n,), b of shape (n, d)."""
     t = lo + (hi - lo) * rng.random(n)
     return t, np.array([random_interior_point(d, rng) for _ in range(n)])
+
+
+def exact_det3(m):
+    (a, b, c), (d, e, f), (g, h, i) = ([Fraction(float(x)) for x in row] for row in m)
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e-8, 1.0, 1e8, 1e100])
+def test_closed_form_3x3_minors_are_exact_to_a_few_ulps(scale):
+    # a few ulps of Hadamard's bound (the product of the row lengths), near
+    # singular matrices included.  np.linalg.det agrees as closely at unit
+    # scale; far from it, it drifts by hundreds of ulps at 1e100
+    rng = np.random.default_rng(3)
+    sub = rng.standard_normal((300, 3, 3)) * scale
+    sub[:100, 2] = sub[:100, 0] + sub[:100, 1] * (1.0 + 1e-9)
+    sub[100:120, :, 0] = 0.0
+    ulp = np.finfo(float).eps * np.prod(np.linalg.norm(sub, axis=2), axis=1)
+    got = fo._det_many(sub)
+    assert all(abs(Fraction(x) - exact_det3(m)) <= 2 * Fraction(u) for x, m, u in zip(got, sub, ulp))
+    assert (got[100:120] == 0.0).all()
+    if scale == 1.0:
+        assert (np.abs(got - np.linalg.det(sub)) <= 4 * ulp).all()
 
 
 def test_decompose_constant_profile_has_no_B():

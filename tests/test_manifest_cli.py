@@ -794,6 +794,18 @@ def test_cli_cone_emits_reingestible_manifest(tmp_path):
     assert cone.dim == 2 and cone.ambient == 2
 
 
+def test_cli_cone_past_the_float64_floor_exits_0_or_1(tmp_path, capsys):
+    # a graded prism cell of the cone over upper_sqrt freezes at 1e-14
+    # instead of raising: a report, not an input error
+    cone = tmp_path / "cone.json"
+    assert cli.run(["cone", str(MANIFESTS / "circle.json"), "--simplex", "upper_sqrt", "--out", str(cone)]) == 0
+    rc = cli.run(["check-volume", str(cone), "--simplex", "upper_sqrt_cone", "--tol", "1e-14", "--deterministic"])
+    captured = capsys.readouterr()
+    assert rc in (0, 1) and "Traceback" not in captured.err
+    dx_1_2 = json.loads(captured.out)["results"]["volume"]["per_index"]["dx_1_2"]
+    assert dx_1_2["diagnostics"]["frozen_cells"] >= 1
+
+
 def test_cli_glue_roundtrip(tmp_path):
     out_file = tmp_path / "glued.json"
     res = run_cli(
