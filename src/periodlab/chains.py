@@ -223,7 +223,7 @@ class Cone(SingularSimplex):
 
 class PrismMap(SingularSimplex):
     """Map (t, b) |-> f(t) * sigma(b) on [0,1] x Delta_d (a prism, not a
-    simplex; boundary and simplex quadrature refuse it)."""
+    simplex; chains and simplex quadrature refuse it)."""
 
     domain = "prism"
 
@@ -333,6 +333,8 @@ class Chain:
             return
         if sigma.dim != self.degree:
             raise ValueError("simplex dimension does not match chain degree")
+        if sigma.domain != "simplex":
+            raise ValueError("chains hold simplex-domain maps only")
         new = self.terms.get(sigma, 0) + n
         if new == 0:
             self.terms.pop(sigma, None)
@@ -382,8 +384,6 @@ def boundary(c: Chain) -> Chain:
         raise ValueError("boundary needs degree >= 1")
     out = Chain(c.degree - 1)
     for sigma, n in c.terms.items():
-        if sigma.domain != "simplex":
-            raise ValueError("boundary is defined for simplex-domain maps only")
         for i in range(c.degree + 1):
             out._bump(sigma.face(i), n * (-1) ** i)
     return out
@@ -417,28 +417,3 @@ def barycentric_subdivide(c: Chain) -> Chain:
             out._bump(Composed(sigma, piece), n * s)
     return out
 
-
-CONTINUITY_DEPTH = 20  # check_continuity probes down to 2^-CONTINUITY_DEPTH
-
-
-def check_continuity(sigma: SingularSimplex) -> float:
-    """Spot-check continuity on a boundary-approaching grid.
-
-    For sample points on each facet, evaluates along the inward segment at
-    offsets 2^-k down to 2^-CONTINUITY_DEPTH and returns the largest gap
-    between the deepest sample and the facet value.  A validation, not a
-    proof: small output is evidence of continuity at the boundary, nothing
-    more."""
-    d = sigma.dim
-    if d == 0:
-        return 0.0
-    center = np.full(d, 1.0 / (d + 1))
-    grid = interior_grid(d - 1)
-    offsets = 2.0 ** -np.arange(4, CONTINUITY_DEPTH + 1, 4)
-    worst = 0.0
-    for x0 in np.vstack([face_map(d, i).evaluate_many(grid) for i in range(d + 1)]):
-        vals = sigma.evaluate_many(np.vstack([x0, x0 + offsets[:, None] * (center - x0)]))
-        gaps = np.abs(vals[1:] - vals[0]).max(axis=1)
-        rising = gaps[1:] > gaps[:-1] + 1e-9
-        worst = max(worst, float(gaps[1:][rising].max(initial=0.0)), float(gaps[-1]))
-    return worst

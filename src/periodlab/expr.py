@@ -198,7 +198,6 @@ def func(name: str, a: Expr) -> Expr:
 class _Lexer:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         self.tokens: list[tuple[str, object, int]] = []
         self._run()
 

@@ -1,4 +1,4 @@
-"""Differential forms on R^N: exterior derivative, pullback, A+B splitting.
+"""Differential forms on R^N: exterior derivative and pullback.
 
 A degree-p form is a merged list of (strictly increasing multi-index,
 coefficient expression) terms; coefficients are DSL expressions in the ambient
@@ -10,20 +10,17 @@ exact symbolic Jacobians, taken with the values in one evaluator call
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr as ex
-from .chains import PrismMap, SingularSimplex
+from .chains import SingularSimplex
 
 __all__ = [
     "Form",
     "exterior_derivative",
     "pullback_many",
     "pullback_top_many",
-    "DecompAB",
-    "decompose_AB",
 ]
 
 
@@ -155,8 +152,6 @@ def pullback_many(sigma: SingularSimplex, omega: Form, points: np.ndarray) -> di
 
 def _det_many(sub: np.ndarray) -> np.ndarray:
     p = sub.shape[1]
-    if p == 0:
-        return np.ones(sub.shape[0])
     if p == 1:
         return sub[:, 0, 0]
     if p == 2:
@@ -173,87 +168,3 @@ def pullback_top_many(sigma: SingularSimplex, omega: Form, points: np.ndarray) -
         raise ValueError("pullback density needs deg(omega) == dim(sigma)")
     return pullback_many(sigma, omega, points)[tuple(range(1, sigma.dim + 1))]
 
-
-@dataclass
-class DecompAB:
-    """Split of the prism pullback tau^*(eta) into the time-independent part
-    A (pure spatial top form) and the dt-carrying part B."""
-
-    sigma: SingularSimplex
-    profile: object  # Expr f(t)
-    eta: Form
-    C: Form
-
-    def __post_init__(self):
-        self.prism = PrismMap(self.sigma, self.profile)
-
-    def _at(self, t, b):
-        """f(t), f'(t), sigma(b), its Jacobian and h at the prism image
-        f(t) sigma(b), for a batch t of shape (n,) and b of shape (n, d)."""
-        t = np.asarray(t, dtype=float)[None]
-        b = np.asarray(b, dtype=float)
-        f = self.prism._vf(t)
-        sig = self.sigma.evaluate_many(b)
-        h = self.eta._vfns[0]((f[:, None] * sig).T)
-        return f, self.prism._vdf(t), sig, self.sigma.jacobian_many(b), h
-
-    def A_density(self, t, b) -> np.ndarray:
-        """Component of A against db_1 ^ ... ^ db_d at each (t, b)."""
-        d = self.sigma.dim
-        f, _, _, jac, h = self._at(t, b)
-        return h * f**d * _det_many(jac[:, :d, :d])
-
-    def B_density(self, t, b) -> dict:
-        """Components of B against dt ^ db_J for (d-1)-subsets J at each (t, b).
-
-        Expanded per the product-rule splitting of d(tau_1)^...^d(tau_d):
-        B = (h o tau) sum_i (-1)^{i-1} f' f^{d-1} sigma_i dt ^ dsigma_(omit i),
-        i.e. the coefficient rides at the prism image while the differentials
-        are those of the unscaled sigma."""
-        d = self.sigma.dim
-        f, df, sig, jac, h = self._at(t, b)
-        lead = df * f ** (d - 1) * h
-        out = {}
-        for cols in itertools.combinations(range(d), d - 1):
-            total = 0.0
-            for i in range(1, d + 1):
-                rows = [r for r in range(d) if r != i - 1]
-                total += (-1) ** (i - 1) * sig[:, i - 1] * _det_many(jac[:, rows][:, :, cols])
-            out[tuple(c + 1 for c in cols)] = lead * total
-        return out
-
-    def direct(self, t, b) -> dict:
-        """Components of the direct pullback of eta along the prism map,
-        keyed over (t, b)-coordinate subsets (1 = t)."""
-        return pullback_many(self.prism, self.eta, np.column_stack([t, b]))
-
-    def combined(self, t, b) -> dict:
-        """A + B assembled in the same component convention as direct()."""
-        d = self.sigma.dim
-        out = {tuple(range(2, d + 2)): self.A_density(t, b)}
-        for j, v in self.B_density(t, b).items():
-            out[(1,) + tuple(i + 1 for i in j)] = v
-        return out
-
-
-def decompose_AB(sigma: SingularSimplex, profile, eta: Form) -> DecompAB:
-    """Split tau^*(eta) for tau(t,b) = f(t) sigma(b) and a single-term
-    eta = h dx_1^...^dx_d into A + B with
-
-        A = tau^*(h) f^d  dsigma_1^...^dsigma_d,
-        B = dt ^ (df/dt) f^{d-1} tau^*(C),
-        C = h sum_i (-1)^{i-1} x_i dx_1^...^(omit i)...^dx_d.
-    """
-    d = sigma.dim
-    if len(eta.terms) != 1 or eta.terms[0][0] != tuple(range(1, d + 1)):
-        raise ValueError("eta must be a single term h dx_1^...^dx_d")
-    if eta.degree != d:
-        raise ValueError("eta must have degree equal to dim(sigma)")
-    profile = ex.parse(profile, 1) if isinstance(profile, str) else profile
-    h = eta.terms[0][1]
-    raw = []
-    for i in range(1, d + 1):
-        idx = tuple(j for j in range(1, d + 1) if j != i)
-        raw.append((idx, (-1) ** (i - 1), ex.mul(h, ex.var(i))))
-    c_form = Form._from_signed(d - 1, eta.ambient, raw)
-    return DecompAB(sigma, profile, eta, c_form)

@@ -3,8 +3,8 @@
 A manifest is one JSON document naming simplices (component expressions),
 chains, forms, abstract complexes, and triangulations (complex + evaluator
 descriptions + marks).  Validation failures carry JSON-pointer-style paths.
-Evaluator descriptions close over every wrapper type the package produces,
-so emitted triangulations re-ingest without loss.
+Evaluator descriptions close over every map a command emits (expression,
+affine, cone, composed, glued), so emitted manifests re-ingest without loss.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import expr as ex
-from .chains import AffineSimplex, Chain, Composed, Cone, ExprMap, PrismMap, SingularSimplex
+from .chains import AffineSimplex, Chain, Composed, Cone, ExprMap, SingularSimplex
 from .forms import Form
 from .glue import GluedMap, Triangulation
 from .homology import SimplicialComplex, maximal_simplices
@@ -100,12 +100,6 @@ def evaluator_to_dict(ev: SingularSimplex) -> dict:
         return {"kind": "affine", "vertices": [list(map(float, v)) for v in ev.vertices]}
     if isinstance(ev, Cone):
         return {"kind": "cone", "of": evaluator_to_dict(ev.inner)}
-    if isinstance(ev, PrismMap):
-        return {
-            "kind": "prism",
-            "profile": ex.to_string(ev.profile),
-            "of": evaluator_to_dict(ev.inner),
-        }
     if isinstance(ev, Composed):
         return {
             "kind": "composed",
@@ -139,11 +133,6 @@ def evaluator_from_dict(desc: dict, path: str = "/evaluator") -> SingularSimplex
             return AffineSimplex(np.array(rows, dtype=float))
         if kind == "cone":
             return Cone(evaluator_from_dict(_get(desc, "of", dict, path), f"{path}/of"))
-        if kind == "prism":
-            return PrismMap(
-                evaluator_from_dict(_get(desc, "of", dict, path), f"{path}/of"),
-                _get(desc, "profile", str, path),
-            )
         if kind == "composed":
             return Composed(
                 evaluator_from_dict(_get(desc, "of", dict, path), f"{path}/of"),

@@ -582,6 +582,8 @@ def _adapt(density, d: int, prism: bool, tol: float, cfg: QuadConfig | None) -> 
 def _signed_density(sigma: SingularSimplex, omega: Form):
     """(density, d, prism): the signed density of sigma^*(omega) and its
     domain, Delta_d or, for a cone, the prism [0,1] x Delta_d."""
+    if sigma.domain == "prism":
+        raise ValueError("prism-domain maps go through integrate_prism")
     if isinstance(sigma, Cone):
         return _prism_density(sigma.inner, "1 - t", omega), sigma.inner.dim, True
     return (lambda pts: pullback_top_many(sigma, omega, pts)), sigma.dim, False
@@ -600,8 +602,6 @@ def integrate_simplex(
     """Estimate of the integral of sigma^*(omega) over the standard simplex."""
     if omega.degree != sigma.dim:
         raise ValueError("integrate_simplex needs deg(omega) == dim(sigma)")
-    if sigma.domain == "prism":
-        raise ValueError("prism-domain maps go through integrate_prism")
     return _adapt(*_signed_density(sigma, omega), tol, config)
 
 

@@ -11,6 +11,7 @@ import sys
 
 import numpy as np
 from test_chains import prism_q, prism_q_inverse, random_interior_point
+from test_forms import decompose_AB
 from test_periods import compare_representatives
 
 from periodlab import chains as ch
@@ -112,7 +113,7 @@ def test_criterion_3_decomposition():
     worst = 0.0
     worst_face = 0.0
     for d, (sigma, eta) in cases.items():
-        dec = fo.decompose_AB(sigma, "1 - t^2", eta)
+        dec = decompose_AB(sigma, "1 - t^2", eta)
         t = 0.999 * rng.random(120) + 0.0005
         b = np.array([random_interior_point(d, rng) for _ in range(120)])
         direct = dec.direct(t, b)

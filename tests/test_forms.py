@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -118,6 +119,95 @@ def prism_points(rng, n, d, lo=0.0, hi=1.0):
     return t, np.array([random_interior_point(d, rng) for _ in range(n)])
 
 
+@dataclass
+class DecompAB:
+    """Split of the prism pullback tau^*(eta) into the time-independent part
+    A (pure spatial top form) and the dt-carrying part B.  Minors come from
+    np.linalg.det (1 for a 0x0 minor), f and f' from the profile expression,
+    independently of the library's pullback."""
+
+    sigma: ch.SingularSimplex
+    profile: object  # Expr f(t)
+    eta: fo.Form
+    C: fo.Form
+
+    def __post_init__(self):
+        self.prism = ch.PrismMap(self.sigma, self.profile)
+        self._vf = ex.compile_vec(self.profile)
+        self._vdf = ex.compile_vec(ex.diff(self.profile, 1))
+        self._vh = ex.compile_vec(self.eta.terms[0][1])
+
+    def _at(self, t, b):
+        """f(t), f'(t), sigma(b), its Jacobian and h at the prism image
+        f(t) sigma(b), for a batch t of shape (n,) and b of shape (n, d)."""
+        t = np.asarray(t, dtype=float)[None]
+        b = np.asarray(b, dtype=float)
+        f = self._vf(t)
+        sig = self.sigma.evaluate_many(b)
+        h = self._vh((f[:, None] * sig).T)
+        return f, self._vdf(t), sig, self.sigma.jacobian_many(b), h
+
+    def A_density(self, t, b) -> np.ndarray:
+        """Component of A against db_1 ^ ... ^ db_d at each (t, b)."""
+        d = self.sigma.dim
+        f, _, _, jac, h = self._at(t, b)
+        return h * f**d * np.linalg.det(jac[:, :d, :d])
+
+    def B_density(self, t, b) -> dict:
+        """Components of B against dt ^ db_J for (d-1)-subsets J at each (t, b).
+
+        Expanded per the product-rule splitting of d(tau_1)^...^d(tau_d):
+        B = (h o tau) sum_i (-1)^{i-1} f' f^{d-1} sigma_i dt ^ dsigma_(omit i),
+        i.e. the coefficient rides at the prism image while the differentials
+        are those of the unscaled sigma."""
+        d = self.sigma.dim
+        f, df, sig, jac, h = self._at(t, b)
+        lead = df * f ** (d - 1) * h
+        out = {}
+        for cols in itertools.combinations(range(d), d - 1):
+            total = 0.0
+            for i in range(1, d + 1):
+                rows = [r for r in range(d) if r != i - 1]
+                total += (-1) ** (i - 1) * sig[:, i - 1] * np.linalg.det(jac[:, rows][:, :, cols])
+            out[tuple(c + 1 for c in cols)] = lead * total
+        return out
+
+    def direct(self, t, b) -> dict:
+        """Components of the direct pullback of eta along the prism map,
+        keyed over (t, b)-coordinate subsets (1 = t)."""
+        return fo.pullback_many(self.prism, self.eta, np.column_stack([t, b]))
+
+    def combined(self, t, b) -> dict:
+        """A + B assembled in the same component convention as direct()."""
+        d = self.sigma.dim
+        out = {tuple(range(2, d + 2)): self.A_density(t, b)}
+        for j, v in self.B_density(t, b).items():
+            out[(1,) + tuple(i + 1 for i in j)] = v
+        return out
+
+
+def decompose_AB(sigma: ch.SingularSimplex, profile, eta: fo.Form) -> DecompAB:
+    """Split tau^*(eta) for tau(t,b) = f(t) sigma(b) and a single-term
+    eta = h dx_1^...^dx_d into A + B with
+
+        A = tau^*(h) f^d  dsigma_1^...^dsigma_d,
+        B = dt ^ (df/dt) f^{d-1} tau^*(C),
+        C = h sum_i (-1)^{i-1} x_i dx_1^...^(omit i)...^dx_d.
+    """
+    d = sigma.dim
+    if len(eta.terms) != 1 or eta.terms[0][0] != tuple(range(1, d + 1)):
+        raise ValueError("eta must be a single term h dx_1^...^dx_d")
+    if eta.degree != d:
+        raise ValueError("eta must have degree equal to dim(sigma)")
+    profile = ex.parse(profile, 1) if isinstance(profile, str) else profile
+    h = eta.terms[0][1]
+    terms = []
+    for i in range(1, d + 1):
+        idx = tuple(j for j in range(1, d + 1) if j != i)
+        terms.append((idx, ex.mul(ex.const((-1) ** (i - 1)), ex.mul(h, ex.var(i)))))
+    return DecompAB(sigma, profile, eta, fo.Form(d - 1, eta.ambient, terms))
+
+
 def exact_det3(m):
     (a, b, c), (d, e, f), (g, h, i) = ([Fraction(float(x)) for x in row] for row in m)
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
@@ -143,7 +233,7 @@ def test_closed_form_3x3_minors_are_exact_to_a_few_ulps(scale):
 def test_decompose_constant_profile_has_no_B():
     sigma = ch.ExprMap(["sin(t)", "t^2"], 1)
     eta = fo.Form(1, 2, [((1,), "a1 + a2^2")])
-    dec = fo.decompose_AB(sigma, "1", eta)
+    dec = decompose_AB(sigma, "1", eta)
     t, b = prism_points(np.random.default_rng(0), 20, 1)
     assert all(np.all(v == 0.0) for v in dec.B_density(t, b).values())
     # and A alone carries the pullback, independent of t
@@ -154,7 +244,7 @@ def test_decompose_d1_explicit():
     # sigma(b) = (b), f = 1 - t, eta = dx1: A = (1-t) db, B = -b dt
     sigma = ch.ExprMap(["t"], 1)
     eta = fo.Form(1, 1, [((1,), "1")])
-    dec = fo.decompose_AB(sigma, "1 - t", eta)
+    dec = decompose_AB(sigma, "1 - t", eta)
     t, b = prism_points(np.random.default_rng(1), 30, 1)
     assert dec.A_density(t, b) == pytest.approx(1.0 - t)
     assert dec.B_density(t, b)[()] == pytest.approx(-b[:, 0])
@@ -163,7 +253,7 @@ def test_decompose_d1_explicit():
 @pytest.mark.parametrize("d", [1, 2])
 def test_decompose_matches_direct_pullback(d):
     sigma, eta = AB_CASES[d]
-    dec = fo.decompose_AB(sigma, "1 - t^2", eta)
+    dec = decompose_AB(sigma, "1 - t^2", eta)
     t, b = prism_points(np.random.default_rng(d), 100, d, 0.0005, 0.9995)
     direct = dec.direct(t, b)
     combined = dec.combined(t, b)
@@ -186,7 +276,7 @@ def check_face_restrictions(d):
     # A vanishes on I x F (the restriction of the full pullback equals the
     # restricted B part); only A survives on {0,1} x Delta_d
     sigma, eta = AB_CASES[d]
-    dec = fo.decompose_AB(sigma, "1 - t^2", eta)
+    dec = decompose_AB(sigma, "1 - t^2", eta)
     rng = np.random.default_rng(9)
     n = 100
     for i in range(d + 1):
@@ -224,4 +314,4 @@ def test_decompose_rejects_multi_term_eta():
     sigma = ch.ExprMap(["t", "t^2"], 1)
     eta = fo.Form(1, 2, [((1,), "1"), ((2,), "1")])
     with pytest.raises(ValueError):
-        fo.decompose_AB(sigma, "1 - t", eta)
+        decompose_AB(sigma, "1 - t", eta)

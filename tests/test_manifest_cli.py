@@ -85,9 +85,8 @@ def test_evaluator_descriptions_roundtrip():
     sigma = ch.ExprMap(["t", "sqrt(t)"], 1)
     cone = ch.Cone(sigma)
     composed = ch.Composed(cone, ch.face_map(2, 1))
-    prism = ch.PrismMap(sigma, "1 - t^2")
     rng = np.random.default_rng(0)
-    for ev in (sigma, cone, composed, prism, ch.face_map(3, 2)):
+    for ev in (sigma, cone, composed, ch.face_map(3, 2)):
         desc = mf.evaluator_to_dict(ev)
         desc2 = json.loads(json.dumps(desc))
         back = mf.evaluator_from_dict(desc2)
@@ -476,6 +475,7 @@ def _circle_upper_with_vertices(vertices):
 
 _GLUE_UPPER = ["glue", "{}", str(MANIFESTS / "circle_lower.json"),
                "--table", str(MANIFESTS / "circle_btable.json")]
+_PRISM = {"kind": "prism", "profile": "1 - t", "of": {"kind": "expr", "dim": 1, "components": ["t", "t^2"]}}
 
 
 # each case once escaped cli.run as a TypeError, KeyError, AttributeError,
@@ -641,6 +641,20 @@ MALFORMED_INPUTS = {
             {"simplex": [0, 1], "map": {"kind": "affine", "vertices": [[0.0, 0.0], [1.0, 0.0]]}}
         ]}]),
         "/triangulations/0/marks/B/1: not a simplex of the complex",
+    ),
+    # no command emits a prism; check-volume read its [0,1] x Delta_1 domain
+    # as Delta_2 and said "yes"
+    "derived-prism": (
+        ["check-volume", "{}", "--simplex", "p"],
+        _manifest_with(derived_simplices=[{"name": "p", "map": _PRISM}]),
+        "/derived_simplices/0/map: unknown evaluator kind 'prism'",
+    ),
+    "composed-over-prism": (
+        ["check-volume", "{}", "--simplex", "p"],
+        _manifest_with(derived_simplices=[{"name": "p", "map": {
+            "kind": "composed", "of": {"kind": "expr", "dim": 2, "components": ["a1", "a2"]}, "inner": _PRISM,
+        }}]),
+        "/derived_simplices/0/map/inner: unknown evaluator kind 'prism'",
     ),
 }
 

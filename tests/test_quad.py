@@ -192,6 +192,16 @@ def test_prism_half_disk():
     assert r.value == pytest.approx(math.pi / 2, abs=1e-6)
 
 
+def test_simplex_entry_points_refuse_a_prism_map():
+    # [0,1] x Delta_1 is not Delta_2: simplex quadrature would read the
+    # prism's points (t, b) as barycentric coordinates
+    prism = ch.PrismMap(ch.ExprMap(["cos(pi*t)", "sin(pi*t)"], 1), "1 - t")
+    with pytest.raises(ValueError, match="integrate_prism"):
+        qd.integrate_simplex(prism, fo.Form(2, 2, [((1, 2), "1")]))
+    with pytest.raises(ValueError, match="integrate_prism"):
+        qd.finite_volume_check(prism)
+
+
 def direct_cone(sigma):
     """The cone over sigma, which integrate_simplex routes through the prism,
     composed with the identity of its simplex: not a Cone, so it is
