@@ -3,17 +3,22 @@
 
 Each arc is its own chart piece; the fold tags every output simplex with its
 source piece, validates face agreement and injectivity by sampling, and
-checks the homology of the result: Betti numbers [1, 1] on 4 edges, or the
-script exits 1.
+checks the homology of the result: Betti numbers [1, 1] on 4 edges.  It then
+integrates d(theta) over the H_1 representative, two of whose four edges are
+glued maps pulled back through a Newton inverse, and expects 2 pi in absolute
+value to within the error estimate.  The script exits 1 when a check fails.
 """
 
+import math
 import sys
 
 import numpy as np
 
 from periodlab import chains as ch
+from periodlab import forms as fo
 from periodlab import glue as gl
 from periodlab import homology as hm
+from periodlab import periods as pe
 
 
 def arc(theta0, theta1):
@@ -55,7 +60,8 @@ if __name__ == "__main__":
     )
     print("glued complex:", glued.complex)
     report = glued.validate()
-    betti = hm.homology(glued.complex).betti
+    hom = hm.homology(glued.complex)
+    betti = hom.betti
     print("validation:", report)
     print("homology:", betti)
     for s in sorted(glued.complex.simplices[1]):
@@ -64,4 +70,13 @@ if __name__ == "__main__":
         print(f"  edge {s}: midpoint ({mid[0]: .4f}, {mid[1]: .4f}), charts {charts}")
     ok = betti == [1, 1] and report["tops"] == 4
     print("a circle of 4 edges:", ok)
-    sys.exit(0 if ok else 1)
+    (rep,) = hom.representatives[1]
+    cycle = ch.Chain(1, [(glued.evaluators[s], c) for s, c in rep])
+    dtheta = fo.Form(1, 2, [((1,), "-a2/(a1^2 + a2^2)"), ((2,), "a1/(a1^2 + a2^2)")])
+    r = pe.chain_integral(cycle, dtheta, 1e-10)
+    glued_edges = sum(isinstance(sigma, gl.GluedMap) for sigma, _ in cycle.items())
+    period_ok = r.converged and abs(abs(r.value) - 2 * math.pi) <= max(r.error_estimate, 1e-12)
+    print(f"d(theta) over the H_1 representative ({glued_edges} glued edges): "
+          f"{r.value!r}, estimate {r.error_estimate:.1e}, converged {r.converged}")
+    print("period 2 pi:", period_ok)
+    sys.exit(0 if ok and period_ok else 1)

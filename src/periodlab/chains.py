@@ -9,7 +9,7 @@ at interior points.  Evaluators implement the batch methods
 ``evaluate_many``/``jacobian_many``; ``evaluate``/``jacobian`` at one point
 are a batch of one, and ``evaluate_with_jacobian_many`` is both batches from
 one call, which the prism and composed maps answer evaluating their inner
-map once.
+map once, and a glued map inverting its transition map once.
 """
 
 from __future__ import annotations
@@ -280,6 +280,7 @@ class Composed(SingularSimplex):
         self.inner = inner
         self.dim = inner.dim
         self.ambient = outer.ambient
+        self.domain = inner.domain  # a prism under an outer map is still a prism
 
     def evaluate_many(self, points):
         return self.outer.evaluate_many(self.inner.evaluate_many(points))

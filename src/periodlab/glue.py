@@ -163,7 +163,9 @@ class GluedMap(SingularSimplex):
     the reference simplex of the source simplex and interpolated against the
     v-part; the w-mass a -> 0 limit is the evaluation of the v-part alone.
     The Jacobian is exact: Dg = (Dh1^T Dh1)^{-1} Dh1^T Dh2 by the implicit
-    function theorem, chained through the interpolation.
+    function theorem, chained through the interpolation.  On a batch with
+    w-mass everywhere, evaluate_with_jacobian_many takes values and
+    Jacobians from one Newton inverse of g.
     """
 
     def __init__(self, h1_sigma: SingularSimplex, h2_tau: SingularSimplex,
@@ -221,7 +223,20 @@ class GluedMap(SingularSimplex):
         # where the w-mass vanishes (a boundary face), u is tau's vertex 0
         u = a_w[:, 1:] / np.where(a > 0.0, a, 1.0)[:, None]
         g = self._g(u)
+        return self._jacobian(u, g, bar @ self._v_scatter + a[:, None] * g)
+
+    def evaluate_with_jacobian_many(self, points):
+        # one inverse g for both; the calls keep the order of the two batches
+        bar, a_w, a = self._split(points)
+        if not np.all(a > 0.0):
+            return self.evaluate_many(points), self.jacobian_many(points)
+        u = a_w[:, 1:] / a[:, None]
+        g = self._g(u)
         arg = bar @ self._v_scatter + a[:, None] * g
+        return self.h1_sigma.evaluate_many(arg), self._jacobian(u, g, arg)
+
+    def _jacobian(self, u, g, arg):
+        """The chain rule through the interpolation at arg = v-part + a g(u)."""
         dg = _lstsq(self.h1_sigma.jacobian_many(g), self.h2_tau.jacobian_many(u))
         # d bar/dx: -1 on slot 0, the identity below; a du = dW - u da
         dbar = np.vstack([-np.ones((1, self.dim)), np.eye(self.dim)])

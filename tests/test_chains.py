@@ -232,10 +232,14 @@ def test_prism_map_refuses_boundary_and_cone():
 
 
 def test_barycentric_subdivision_refuses_a_prism_map():
-    # subdividing Delta_2 would cut [0,1] x Delta_1 along the wrong pieces
-    prism = ch.PrismMap(ch.ExprMap(["t"], 1), "1 - t")
-    with pytest.raises(ValueError, match="simplex-domain"):
-        ch.barycentric_subdivide(ch.Chain(2, [(prism, 1)]))
+    # subdividing Delta_2 would cut [0,1] x Delta_1 along the wrong
+    # pieces, and so would a map over the prism
+    for prism in (
+        ch.PrismMap(ch.ExprMap(["t"], 1), "1 - t"),
+        ch.Composed(ch.ExprMap(["a1", "a2"], 2), ch.PrismMap(ch.ExprMap(["t", "t^2"], 1), "1 - t")),
+    ):
+        with pytest.raises(ValueError, match="simplex-domain"):
+            ch.barycentric_subdivide(ch.Chain(2, [(prism, 1)]))
 
 
 def test_jacobians_match_finite_differences():
@@ -270,6 +274,16 @@ def glued_cap():
     return gl.GluedMap(cap, segment, [2], [("w", 0), ("w", 1), ("v", 0)])
 
 
+def glued_fan():
+    """A glued 2-simplex: the cap's edge a2 = 0 joined with one interior point
+    of the cap, so that w-mass vanishes on a whole edge."""
+    from periodlab import glue as gl
+
+    cap = glued_cap().h1_sigma
+    return gl.GluedMap(cap, ch.AffineSimplex([cap.evaluate([0.2, 0.3])]), [0, 1],
+                       [("v", 0), ("v", 1), ("w", 0)])
+
+
 def test_batch_of_many_matches_batch_of_one():
     rng = np.random.default_rng(8)
     sigma = ch.ExprMap(["a1*a2", "sin(a1) + a2"], 2)
@@ -294,12 +308,14 @@ def test_one_pass_evaluation_is_the_two_batches_bit_for_bit():
             ch.Composed(sigma, ch.face_map(2, 0)), ch.Composed(sigma, ch.AffineSimplex([[0.3, 0.2]])),
             ch.Composed(ch.Cone(arc), ch.face_map(2, 0)), glued_cap()]
     assert {type(m) for m in maps} == set(ch.SingularSimplex.__subclasses__())
-    for m in maps:
-        pts = np.array([random_interior_point(m.dim, rng) for _ in range(7)])
+    batches = [(m, np.array([random_interior_point(m.dim, rng) for _ in range(7)])) for m in maps]
+    # a glued batch with points of zero w-mass (on the edge a2 = 0 of the fan)
+    batches.append((glued_fan(), np.array([[0.3, 0.0], [0.2, 0.5], [0.0, 0.0], [0.6, 0.0], [0.1, 0.1]])))
+    for m, pts in batches:
         vals, jacs = m.evaluate_with_jacobian_many(pts)
         assert vals.tobytes() == m.evaluate_many(pts).tobytes()
         assert jacs.tobytes() == m.jacobian_many(pts).tobytes()
-        assert (vals.shape, jacs.shape) == ((7, m.ambient), (7, m.ambient, m.dim))
+        assert (vals.shape, jacs.shape) == ((len(pts), m.ambient), (len(pts), m.ambient, m.dim))
 
 
 def _domain_error(call):

@@ -437,6 +437,39 @@ def test_glued_jacobian_matches_central_differences():
                 assert np.abs(jac[:, :, j] - fd).max() <= 1e-7 * (1 + np.abs(fd).max())
 
 
+def test_a_glued_pullback_inverts_g_once_per_batch(monkeypatch):
+    inversions = []
+
+    def counting(f, y, invert=gl.invert_simplex_map):
+        inversions.append(len(y))
+        return invert(f, y)
+
+    monkeypatch.setattr(gl, "invert_simplex_map", counting)
+    G = gl.glue(*disk_glue_input())
+    top = G.evaluators[(0, 1, 4)]
+    assert isinstance(top, gl.GluedMap)
+    rng = np.random.default_rng(12)
+    top.evaluate_with_jacobian_many(np.array([random_interior_point(2, rng) for _ in range(6)]))
+    assert inversions == [6]
+    inversions.clear()
+    r = qd.integrate_simplex(top, fo.Form(2, 2, [((1, 2), "1")]), 1e-7)
+    assert len(inversions) == r.density_calls == 5
+    assert (r.value.hex(), r.error_estimate.hex(), r.subdivisions) == (
+        "0x1.e28c731dd951ap-1", "0x1.0f3c204300000p-24", 9)
+
+
+def test_a_failed_glued_inverse_raises_as_the_two_batches_do():
+    t2 = gl.Triangulation(hm.SimplicialComplex([(0,)]), {(0,): point(5.0, 5.0)}, marks={"B": {(0,)}})
+    G = gl.glue(upper_semicircle(), t2, {(0,): (0,)})
+    ev = next(e for e in G.evaluators.values() if isinstance(e, gl.GluedMap))
+    pts = np.array([[0.25], [0.5]])
+    with pytest.raises(gl.InputCompatibilityError) as two:
+        ev.evaluate_many(pts), ev.jacobian_many(pts)
+    with pytest.raises(gl.InputCompatibilityError) as one:
+        ev.evaluate_with_jacobian_many(pts)
+    assert str(one.value) == str(two.value)
+
+
 def test_glued_circle_period_converges_at_1e_10():
     # the exact Jacobian carries no finite-difference noise, so the glued
     # edges integrate d(theta) to 2 pi at a tolerance of 1e-10

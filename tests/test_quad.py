@@ -194,12 +194,15 @@ def test_prism_half_disk():
 
 def test_simplex_entry_points_refuse_a_prism_map():
     # [0,1] x Delta_1 is not Delta_2: simplex quadrature would read the
-    # prism's points (t, b) as barycentric coordinates
-    prism = ch.PrismMap(ch.ExprMap(["cos(pi*t)", "sin(pi*t)"], 1), "1 - t")
-    with pytest.raises(ValueError, match="integrate_prism"):
-        qd.integrate_simplex(prism, fo.Form(2, 2, [((1, 2), "1")]))
-    with pytest.raises(ValueError, match="integrate_prism"):
-        qd.finite_volume_check(prism)
+    # prism's points (t, b) as barycentric coordinates; so would a map over it
+    for prism in (
+        ch.PrismMap(ch.ExprMap(["cos(pi*t)", "sin(pi*t)"], 1), "1 - t"),
+        ch.Composed(ch.ExprMap(["a1", "a2"], 2), ch.PrismMap(ch.ExprMap(["t", "t^2"], 1), "1 - t")),
+    ):
+        with pytest.raises(ValueError, match="integrate_prism"):
+            qd.integrate_simplex(prism, fo.Form(2, 2, [((1, 2), "1")]))
+        with pytest.raises(ValueError, match="integrate_prism"):
+            qd.finite_volume_check(prism)
 
 
 def direct_cone(sigma):
