@@ -79,7 +79,9 @@ def domain_site(where: str):
 @dataclass(frozen=True)
 class Expr:
     """One AST node.  ``value`` holds the Fraction of a constant, the 1-based
-    index of a variable, or the Fraction exponent of a pow node."""
+    index of a variable, or the Fraction exponent of a pow node.  The hash,
+    the dataclass's own, is computed once, and the repr once it is asked
+    for, so that neither walks the tree again."""
 
     kind: str
     args: tuple = ()
@@ -88,6 +90,21 @@ class Expr:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown node kind {self.kind!r}")
+        object.__setattr__(self, "_hash", hash((self.kind, self.args, self.value)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        try:
+            return self._repr
+        except AttributeError:
+            text = f"{type(self).__qualname__}(kind={self.kind!r}, args={self.args!r}, value={self.value!r})"
+            object.__setattr__(self, "_repr", text)
+            return text
+
+    def __reduce__(self):  # string hashes differ between processes: rebuild the cache
+        return Expr, (self.kind, self.args, self.value)
 
 
 def const(q) -> Expr:

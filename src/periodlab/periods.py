@@ -66,14 +66,18 @@ def form_is_closed(omega: Form, rng_seed: int = 20260808) -> bool:
 def _closed_samples(dw: Form, rng_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The indices of the first CLOSED_SAMPLES of CLOSED_SAMPLES * 50 seeded
     candidates in [-2, 2]^n at which every coefficient of dw is defined and
-    finite, and the coefficients there.  All candidates are evaluated in
-    one batch; a form with a hole in its domain, where the batch raises,
-    is evaluated one candidate at a time, only as far as needed."""
+    finite, and the coefficients there.  The first CLOSED_SAMPLES * 2
+    candidates are evaluated in one batch, and all of them in one batch
+    only when too few of those are finite; a form with a hole in its
+    domain, where a batch raises, is evaluated one candidate at a time,
+    only as far as needed."""
     rng = np.random.default_rng(rng_seed)
     points = rng.uniform(-2.0, 2.0, (CLOSED_SAMPLES * 50, dw.ambient))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is outside the domain too
         try:
-            values = dw.coefficients_many(points)
+            values = dw.coefficients_many(points[: CLOSED_SAMPLES * 2])
+            if np.isfinite(values).all(axis=1).sum() < CLOSED_SAMPLES:
+                values = dw.coefficients_many(points)
         except ExprDomainError:
             values = np.full((len(points), len(dw.terms)), np.nan)
             found = 0

@@ -33,19 +33,26 @@ children are built and evaluated in groups: when the driver pops a cell
 whose children are not yet known, it splits that cell and up to
 SPECULATE - 1 of the next queued cells at once (popped from the queue to
 look ahead and pushed back), and each cell keeps its children until it is
-popped; a cell that cannot split gets no children.  A group's children are
-built as arrays, as DCUHRE does on its shared subdivision: the halves of
-the whole group from its stacked vertices, then one determinant, one matmul
-per rule and one set of boundary flags for all children, one density call
-at all their nodes, and one batched reduction of the values to each child's
-value and errors.
-The root is a group of one cell.  Every operation acts elementwise on the
-stack and rounds as it would for one cell, and the density is elementwise,
-so the split order and every value are those of one call per split, bit for
-bit.  A group whose call raises is thrown away, and the popped cell's
-children are evaluated one call each, so an error arises exactly where the
-sequential driver meets it.  Absolute-value sums are tracked across
-refinement depths, and each time refinement reaches a new depth two
+popped; a cell that cannot split gets no children.  A group of simplex
+cells is then filled up to SPECULATE cells (no more than splits are left),
+breadth first, with the children it is about to create and then theirs,
+as long as they are below max_depth: a simplex cell's split, its width
+test and the float64 guard depend only on its vertices.  A prism cell's
+split direction needs its own errors, so prism groups are not filled, and
+the root's own call evaluates the root alone.  A group's children, of every
+generation, are built as arrays, as DCUHRE does on its shared subdivision:
+the halves of each generation from its stacked vertices, then for all of
+them one determinant, one matmul per rule and one set of boundary flags,
+which the guard and the evaluation share (a cell that freezes drops the
+cells planned below it), one density call at all their nodes, and one
+batched reduction of the values to each child's value and errors.  Every
+operation acts elementwise on the stack and rounds as it would for one
+cell, and the density is elementwise, so the split order and every value
+are those of one call per split, bit for bit.  A group whose call raises
+is thrown away, fillers and all, and the popped cell's children are
+evaluated one call each, so an error arises exactly where the sequential
+driver meets it.  Absolute-value sums are tracked across refinement
+depths, and each time refinement reaches a new depth two
 triggers test them for divergence: growth by a fixed factor, or growth at
 an undiminished rate; either ends the run there, without waiting for the
 cell budget.  That verdict is a diagnostic, not a proof: integrability is
@@ -97,7 +104,7 @@ GROWTH_FACTOR = 1.5
 GROWTH_WINDOW = 5
 SUSTAIN_WINDOW = 8
 SUSTAIN_RATIO = 0.97
-# cells whose children one density call evaluates (see _adapt); beyond 16
+# cells whose children one density call evaluates (see _expand); beyond 16
 # the children of cells that are never popped cost more than the calls saved
 SPECULATE = 16
 
@@ -364,16 +371,16 @@ def _finish(v, scale, prism: bool, rules):
     return q, a, err_t, err_b
 
 
-def _split(group, edges, on_vertex=None):
-    """The children of the finished cells ``group`` as (t, verts, depth)
-    arrays, two rows per cell that splits, and the mask of the cells too
-    thin on every axis to split (frozen).  A cell splits t when t carries at
-    least the simplex error and is wide enough, else it bisects the first of
-    its longest simplex edges (``edges``: the vertex pairs i < j in order).
-    Cells are midpoint splits of the reference simplex, so equal edges
-    compare exactly equal.  A cell that would bisect its simplex also
-    freezes when ``on_vertex`` flags either half (see _Density.near_vertex)."""
-    verts = np.array([c.verts for c in group])
+def _halves(t, verts, err, edges):
+    """The halves of g cells with t-intervals ``t`` (g, 2), or None for
+    simplex cells, and vertices ``verts``, as (t, verts) arrays of two rows
+    per cell, and the masks (g,) of the cells that bisect their simplex and
+    of those too thin to split.  A prism cell splits t when t carries at
+    least the simplex error (``err``: its (err_t, err_b) rows) and is wide
+    enough, else it bisects the first of its longest simplex edges
+    (``edges``: the vertex pairs i < j in order); a simplex cell always
+    bisects, so its halves depend only on its vertices.  Cells are midpoint
+    splits of the reference simplex, so equal edges compare exactly equal."""
     g, d = verts.shape[0], verts.shape[2]
     kids = np.repeat(verts, 2, axis=0)
     pairs = kids.reshape(g, 2, d + 1, d)  # each cell's two children
@@ -387,23 +394,15 @@ def _split(group, edges, on_vertex=None):
         pairs[r, 1, i] = mid
     else:
         thin = np.ones(g, dtype=bool)
-    depth = np.repeat([c.depth + 1 for c in group], 2)
-    blocked = np.zeros(g, dtype=bool) if on_vertex is None else on_vertex(kids).reshape(g, 2).any(axis=1)
-    if group[0].t is None:
-        frozen = thin | blocked
-        keep = np.repeat(~frozen, 2)
-        return None, kids[keep], depth[keep], frozen
-    t = np.array([c.t for c in group])
-    err_t, err_b = np.array([(c.err_t, c.err_b) for c in group]).T
-    split_t = (t[:, 1] - t[:, 0] >= MIN_CELL_WIDTH) & ((err_t >= err_b) | thin)
+    if t is None:
+        return None, kids, np.ones(g, dtype=bool), thin
+    split_t = (t[:, 1] - t[:, 0] >= MIN_CELL_WIDTH) & ((err[:, 0] >= err[:, 1]) | thin)
     pairs[split_t] = verts[split_t, None]
     kt = np.repeat(t, 2, axis=0)
     tm = 0.5 * (t[:, 0] + t[:, 1])
     kt[0::2, 1] = np.where(split_t, tm, t[:, 1])
     kt[1::2, 0] = np.where(split_t, tm, t[:, 0])
-    frozen = ~split_t & (thin | blocked)
-    keep = np.repeat(~frozen, 2)
-    return kt[keep], kids[keep], depth[keep], frozen
+    return kt, kids, ~split_t, thin & ~split_t
 
 
 def _smoothstep(t):
@@ -425,23 +424,23 @@ class _Density:
         self.edges = np.triu_indices(d + 1, 1)
         self.calls = self.cells = self.points = 0
 
-    def near_vertex(self, verts, eps=0.0):
-        """Mask (k,) of the graded cells with simplices ``verts`` (k, 2, 1)
-        with a node whose image g(b), where ``evaluate`` calls the density,
-        lies within ``eps`` of a vertex; a prism cell's b nodes do not
-        depend on its t-interval.  With eps = 0 the image rounds onto a
-        vertex (g(b) rounds to 1 once 1 - b is below about 4e-9): such a
-        cell is never evaluated, so every node stays interior.  With
-        float64's spacing at 1 as eps the chart's 1 - x no longer resolves x
-        (1 - x rounds to 1 once x < 5.6e-17)."""
-        x = _smoothstep(_geometry(None, verts, self.rules)[0][..., 0])
+    @staticmethod
+    def near_vertex(nodes, eps=0.0):
+        """Mask (k,) of the graded cells with rule nodes ``nodes`` (k, n,
+        dim) with a node whose image g(b), where ``evaluate`` calls the
+        density, lies within ``eps`` of a vertex; b is the last coordinate,
+        and a prism cell's b nodes are its simplex rules' nodes.  With
+        eps = 0 the image rounds onto a vertex (g(b) rounds to 1 once 1 - b
+        is below about 4e-9): such a cell is never evaluated, so every node
+        stays interior.  With float64's spacing at 1 as eps the chart's
+        1 - x no longer resolves x (1 - x rounds to 1 once x < 5.6e-17)."""
+        x = _smoothstep(nodes[..., -1])
         return ((x <= eps) | (x >= 1.0 - eps)).any(axis=1)
 
-    def evaluate(self, t, verts, depth) -> list:
+    def evaluate(self, t, verts, depth, nodes, scale, touches) -> list:
         """The cells with t-intervals ``t`` (None for simplex cells),
-        vertices ``verts`` and depths ``depth``, finished from one density
-        call at all their nodes."""
-        nodes, scale, touches = _geometry(t, verts, self.rules)
+        vertices ``verts``, depths ``depth`` and geometry (see _geometry),
+        finished from one density call at all their nodes."""
         k, n, dim = nodes.shape
         self.calls += 1
         self.points += k * n
@@ -462,43 +461,96 @@ class _Density:
         return [_Cell(*row) for row in rows]
 
 
+def _generations(group, room: int, max_depth: int, density: _Density):
+    """The children that one density call evaluates for the cells ``group``,
+    with the cells that split ahead of time: up to ``room`` parents in all,
+    breadth first, the cells of ``group``, then the first of their children,
+    then of theirs.  Only simplex cells below ``max_depth`` split ahead of
+    time: a simplex cell's children depend only on its vertices, while a
+    prism cell's split direction needs its own errors.  The tree is planned
+    from vertices alone, then every child's geometry is built at once, for
+    the float64 guard and the evaluation alike; a parent freezes when it is
+    too thin to split or, graded, when it would bisect its simplex into a
+    child with a node on a vertex (see _Density.near_vertex), and the cells
+    planned below its children are dropped.  Returns (source, frozen, rows):
+    per parent, -1 for a cell of ``group`` or the index of its own row,
+    and whether it freezes; and the rows (t, verts, depth, nodes, scale,
+    touches) of the children, two per parent that splits, in parent order."""
+    t = None if group[0].t is None else np.array([c.t for c in group])
+    err = None if t is None else np.array([(c.err_t, c.err_b) for c in group])
+    verts, depth = np.array([c.verts for c in group]), np.array([c.depth for c in group])
+    gens, source, planned = [], [-1] * len(group), 0
+    while True:
+        kt, kids, bisect, frozen = _halves(t, verts, err, density.edges)
+        depth = np.repeat(depth + 1, 2)
+        gens.append((kt, kids, depth, bisect, frozen))
+        room -= len(verts)
+        parents = np.flatnonzero(depth < max_depth)[:room] if t is None and room > 0 else ()
+        if not len(parents):
+            break
+        source += (planned + parents).tolist()
+        planned += len(kids)
+        verts, depth = kids[parents], depth[parents]
+    kt, kids, depth, bisect, frozen = (a[0] if len(a) == 1 or a[0] is None else np.concatenate(a) for a in zip(*gens))
+    nodes, scale, touches = _geometry(kt, kids, density.rules)
+    if density.graded:
+        frozen |= bisect & density.near_vertex(nodes).reshape(-1, 2).any(axis=1)
+    rows = (kt, kids, depth, nodes, scale, touches)
+    if not frozen.any():
+        return source, [False] * len(source), rows
+    # row r is a child of parent r // 2: a parent planned below one that
+    # does not split is dropped, and so are its children
+    splits, alive = (~frozen).tolist(), [True] * len(source)
+    for p in range(len(group), len(source)):
+        alive[p] = splits[source[p] // 2]
+        splits[p] = splits[p] and alive[p]
+    keep = np.repeat(splits, 2)
+    rows = tuple(None if a is None else a[keep] for a in rows)
+    at = (np.cumsum(keep) - 1).tolist()
+    source = [s if s < 0 else at[s] for s, a in zip(source, alive) if a]
+    return source, [f for f, a in zip(frozen.tolist(), alive) if a], rows
+
+
 def _expand(cell, heap, room: int, max_depth: int, density: _Density):
     """Give the popped ``cell`` and up to ``room - 1`` queued cells their
-    children, built as one group and evaluated in one density call.  The
-    queued cells are those of the next SPECULATE - 1 in pop order whose
-    children are unknown and whose depth is below ``max_depth``: they are
-    popped and pushed back, and since every entry's sequence number is
-    unique, the pop order depends only on which entries the queue holds.  If
-    the call raises, the queued cells' children are thrown away and
-    ``cell``'s are evaluated one call each, so that an error arises exactly
-    where the driver meets it without speculation."""
+    children, and simplex children their own children in turn, up to
+    ``room`` parents in all (see _generations), all evaluated in one density
+    call.  The queued cells are those of the next SPECULATE - 1 in pop order
+    whose children are unknown and whose depth is below ``max_depth``: they
+    are popped and pushed back, and since every entry's sequence number is
+    unique, the pop order depends only on which entries the queue holds.
+    If the call raises, every child is thrown away and ``cell``'s are
+    evaluated one call each, so that an error arises exactly where the
+    driver meets it without speculation."""
     ahead = [heapq.heappop(heap) for _ in range(min(SPECULATE - 1, len(heap)))]
     group = [cell] + [c for _, _, c in ahead if c.kids is None and c.depth < max_depth][: room - 1]
     for entry in ahead:
         heapq.heappush(heap, entry)
-    t, verts, depth, frozen = _split(group, density.edges, density.near_vertex if density.graded else None)
+    source, frozen, rows = _generations(group, room, max_depth, density)
     try:
-        kids = iter(density.evaluate(t, verts, depth) if depth.size else ())
+        cells = density.evaluate(*rows) if rows[2].size else []
     except Exception:  # whatever it is, the popped cell's own children raise it again
         # the queued cells stay without children; the popped cell's are the first two rows
-        cell.kids = () if frozen[0] else _own_children(t, verts, depth, density)
+        cell.kids = () if frozen[0] else _own_children(rows, density)
         return
-    for c, f in zip(group, frozen.tolist()):
-        c.kids = () if f else (next(kids), next(kids))
+    kids = iter(cells)
+    for p, (s, f) in enumerate(zip(source, frozen)):
+        (group[p] if s < 0 else cells[s]).kids = () if f else (next(kids), next(kids))
 
 
-def _own_children(t, verts, depth, density: _Density):
-    """The first two rows' children, one density call each, or none when the
-    parent freezes: a child whose call raises ExprDomainError with a node
-    within float64's spacing at 1 of a vertex of a graded simplex (see
+def _own_children(rows, density: _Density):
+    """The first two ``rows``' children, one density call each, or none when
+    the parent freezes: a child whose call raises ExprDomainError with a
+    node within float64's spacing at 1 of a vertex of a graded simplex (see
     _Density.near_vertex) freezes it, since the chart is integrable there
     but float64 cannot evaluate it.  Anywhere else the error is the input's."""
     kids = []
     for m in (0, 1):
+        row = [None if a is None else a[m : m + 1] for a in rows]
         try:
-            kids += density.evaluate(None if t is None else t[m : m + 1], verts[m : m + 1], depth[m : m + 1])
+            kids += density.evaluate(*row)
         except ExprDomainError:
-            if not (density.graded and density.near_vertex(verts[m : m + 1], np.finfo(float).eps)[0]):
+            if not (density.graded and density.near_vertex(row[3], np.finfo(float).eps)[0]):
                 raise
             return ()
     return tuple(kids)
@@ -516,9 +568,8 @@ def _adapt(density, d: int, prism: bool, tol: float, cfg: QuadConfig | None) -> 
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     cfg = cfg or QuadConfig()
     density = _Density(density, d, prism)
-    (root,) = density.evaluate(
-        np.array([[0.0, 1.0]]) if prism else None, reference_vertices(d)[None], np.zeros(1, dtype=int)
-    )
+    t, verts = np.array([[0.0, 1.0]]) if prism else None, reference_vertices(d)[None]
+    (root,) = density.evaluate(t, verts, np.zeros(1, dtype=int), *_geometry(t, verts, density.rules))
     heap = []
     seq = itertools.count()
 

@@ -871,8 +871,9 @@ def test_cli_reports_say_why_each_integral_stopped(tmp_path):
         }
     sqrt_graph, steep, wild = diagnostics["sqrt_graph"], diagnostics["steep"], diagnostics["wild"]
     assert sqrt_graph["dx_1"]["stop_reason"] == "tol"  # the graded x = t is a polynomial
-    # the full tree of depth 3: 7 splits in 4 calls, then its 8 leaves freeze
-    assert sqrt_graph["dx_2"] == {"stop_reason": "frozen", "density_calls": 4, "cells": 15,
+    # the full tree of depth 3: 7 splits in 2 calls, the root's and one for
+    # the whole tree below it, then its 8 leaves freeze
+    assert sqrt_graph["dx_2"] == {"stop_reason": "frozen", "density_calls": 2, "cells": 15,
                                   "points": 15 * 7, "max_depth_reached": 3, "frozen_cells": 8}
     assert (steep["dx_1"]["stop_reason"], steep["dx_1"]["cells"]) == ("non_finite", 1)
     assert wild["dx_2"]["stop_reason"].startswith("diverging:")

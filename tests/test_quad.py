@@ -320,15 +320,16 @@ def test_longest_edge_of_a_small_cell():
     for scale in (1.0, 1e-10):
         verts = scale * cell
         group = [qd._Cell(None, verts, 0, True, 0.0, 0.0, 0.0, 0.0)]
-        t, kids, depth, frozen = qd._split(group, np.triu_indices(3, 1))
+        source, frozen, (t, kids, depth, *_) = qd._generations(group, 1, 80, qd._Density(None, 2, False))
         mid = 0.5 * (verts[1] + verts[2])
-        assert t is None and depth.tolist() == [1, 1] and not frozen[0]
+        assert (source, frozen) == ([-1], [False]) and t is None and depth.tolist() == [1, 1]
         assert np.array_equal(kids, [[verts[0], verts[1], mid], [verts[0], mid, verts[2]]])
 
 
 # The per-cell driver that the groups of _expand replace: each cell built,
-# finished and split on its own.  The batched builder must match it bit for
-# bit, so that the refinement, and every golden below, stays what it was.
+# finished and split on its own, its children only once it is popped.  The
+# batched builder must match it bit for bit, so that the refinement, and
+# every golden below, stays what it was.
 
 
 class ReferenceCell:
@@ -379,8 +380,11 @@ class ReferenceCell:
             self.err_b = abs(self.q - scale * float(tw4 @ v45 @ bw5))
 
 
-def reference_halves(t, verts, err_t, err_b):
-    """The (t, verts) of the two children, or None for a frozen cell."""
+def reference_halves(t, verts, err_t, err_b, rules=None):
+    """The (t, verts) of the two children, or None for a frozen cell.  Given
+    ``rules``, the cell is a graded 1-simplex, bare or under a prism, and
+    also freezes when it would bisect its simplex into a child with a node
+    whose image under the smoothstep rounds onto a vertex."""
     best, bi, bj = -1.0, 0, 1
     for i in range(verts.shape[0]):
         for j in range(i + 1, verts.shape[0]):
@@ -398,6 +402,12 @@ def reference_halves(t, verts, err_t, err_b):
     mid = 0.5 * (verts[bi] + verts[bj])
     va, vb = verts.copy(), verts.copy()
     va[bj], vb[bi] = mid, mid
+    if rules is not None:
+        for half in (va, vb):
+            b = ReferenceCell(None, half, rules).nodes[:, -1]
+            x = b * b * (3.0 - 2.0 * b)
+            if ((x <= 0.0) | (x >= 1.0)).any():
+                return None
     return (t, va), (t, vb)
 
 
@@ -457,7 +467,7 @@ def test_group_builder_matches_the_per_cell_driver(group, seed, exponent, vanish
     assert bits(scale) == bits([r.scale for r in refs])
     assert touches.tolist() == [r.touches for r in refs]
 
-    built = dens.evaluate(t, verts, np.arange(len(cells)))
+    built = dens.evaluate(t, verts, np.arange(len(cells)), nodes, scale, touches)
     ((pts, values),) = seen
     called_at = np.concatenate([r.nodes for r in refs])
     if d == 1:  # graded: called at g(b) = 3b^2 - 2b^3, weighted by g'(b) = 6b(1 - b); t is not
@@ -474,17 +484,37 @@ def test_group_builder_matches_the_per_cell_driver(group, seed, exponent, vanish
         assert bits(c.q, c.a, c.err_t, c.err_b) == bits(r.q, r.a, r.err_t, r.err_b)
         assert c.touches == r.touches and c.err == r.err_t + r.err_b
 
-    # the next split of the whole group, each cell's error as finished above
-    kt, kv, depth, frozen = qd._split(built, dens.edges)
-    expected = [reference_halves(r.t, r.verts, r.err_t, r.err_b) for r in refs]
-    assert frozen.tolist() == [h is None for h in expected]
-    halves = [half for h in expected if h is not None for half in h]
-    assert bits(kv) == bits([v for _, v in halves])
+    # the group's own split, each cell's error as finished above; simplex
+    # cells then plan the split of the first of their children, breadth
+    # first, until twice as many cells as the group holds split, and a cell
+    # planned below one that freezes is dropped
+    room = 2 * len(cells)
+    source, frozen, (kt, kv, depth, nodes, scale, touches) = qd._generations(built, room, 10**6, dens)
+    rules = dens.rules if d == 1 else None
+    parents = [(r.t, r.verts, r.err_t, r.err_b, c.depth, -1) for r, c in zip(refs, built)]
+    halves, expected = [], []  # the children evaluated; (source, frozen) of each parent kept
+    for t, v, err_t, err_b, k, row in parents:
+        h = None if v is None else reference_halves(t, v, err_t, err_b, rules)
+        if v is not None:
+            expected.append((row, h is None))
+        for half_t, half_v in h or [(None, None)] * 2:
+            if h is not None:
+                halves.append((half_t, half_v, k + 1))
+            if not prism and len(parents) < room:
+                parents.append((None, half_v, 0.0, 0.0, k + 1, len(halves) - 1))
+    assert list(zip(source, frozen)) == expected
+    assert len(parents) == (len(cells) if prism else room)
+    assert bits(kv) == bits([v for _, v, _ in halves])
     if prism:
-        assert bits(kt) == bits([t for t, _ in halves])
+        assert bits(kt) == bits([t for t, _, _ in halves])
     else:
         assert kt is None
-    assert depth.tolist() == [c.depth + 1 for c, h in zip(built, expected) if h is not None for _ in h]
+    assert depth.tolist() == [k for _, _, k in halves]
+    # the geometry the guard tested is the one the children are evaluated at
+    kid_refs = [ReferenceCell(t, v, dens.rules) for t, v, _ in halves]
+    assert bits(*nodes) == bits(*(r.nodes for r in kid_refs))
+    assert bits(scale) == bits([r.scale for r in kid_refs])
+    assert touches.tolist() == [r.touches for r in kid_refs]
 
 
 def test_interior_evaluation_never_touches_boundary():
@@ -639,16 +669,31 @@ def test_a_tree_cut_at_max_depth_freezes_its_leaves():
 
 @pytest.mark.parametrize("name", list(GOLDEN) + ["upper_sqrt", "tsin_graph", "edge-singular"])
 def test_speculation_changes_no_result(name, monkeypatch):
-    # one density call per split, as a driver without speculation makes
+    # the filled groups, groups of queued cells only, and one density call
+    # per split, as a driver without speculation makes, refine alike
     runs = {**circle_budget_runs(), "edge-singular": edge_singular_budget}
     run = GOLDEN[name][0] if name in GOLDEN else runs[name]
     batched = run()
+    generations = qd._generations
+    monkeypatch.setattr(qd, "_generations", lambda group, room, max_depth, density: generations(
+        group, len(group), max_depth, density))
+    unfilled = run()
+    monkeypatch.undo()
     monkeypatch.setattr(qd, "SPECULATE", 1)
     plain = run()
-    assert record(batched) == record(plain)
+    assert record(batched) == record(unfilled) == record(plain)
     assert plain.density_calls == 1 + plain.subdivisions
     assert plain.cells == 1 + 2 * plain.subdivisions
-    assert batched.cells >= plain.cells
+    assert batched.cells >= plain.cells and unfilled.cells >= plain.cells
+
+
+def test_filled_groups_take_a_graded_chart_in_few_calls():
+    # upper_sqrt against dtheta at 1e-12: 33 splits, which took 7 calls when
+    # a group held only the popped and the queued cells, since the queue is
+    # short for most of the run
+    r = circle_budget_runs()["upper_sqrt"]()
+    assert (r.subdivisions, r.stop_reason) == (33, "tol")
+    assert r.density_calls <= 4
 
 
 def test_speculation_batches_the_budget_call():
@@ -658,11 +703,13 @@ def test_speculation_batches_the_budget_call():
 
 
 def test_speculation_stays_inside_the_budget():
-    # two splits allowed: the second pops one of two queued cells and may
-    # not evaluate the other's children
+    # two splits allowed: the first call after the root's splits the root
+    # and the first of its children, two parents for two splits left; the
+    # second split pops the other child, and its call may split no cell but
+    # that one
     sqrt_dy = fo.Form(1, 2, [((2,), "1")])
     r = qd.integrate_simplex(SQRT_GRAPH, sqrt_dy, 1e-15, qd.QuadConfig(max_cells=3))
-    assert (r.subdivisions, r.density_calls, r.cells) == (2, 3, 5)
+    assert (r.subdivisions, r.density_calls, r.cells) == (2, 3, 7)
 
 
 @pytest.mark.parametrize("name", ["vertex-singular-2d", "budget-with-frozen-simplex", "budget-with-frozen-prism"])
@@ -676,10 +723,12 @@ def test_the_look_ahead_restores_the_queue(name, monkeypatch):
         before = sorted((key, seq, id(c)) for key, seq, c in heap)
         ahead = [c for _, _, c in sorted(heap)[: qd.SPECULATE - 1]]
         open_ = [c for c in ahead if c.kids is None and c.depth < max_depth]
+        cells = density.cells
         expand(cell, heap, room, max_depth, density)
         assert sorted((key, seq, id(c)) for key, seq, c in heap) == before
         assert all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap)))
         assert [c.kids is not None for c in open_] == [k < room - 1 for k in range(len(open_))]
+        assert density.cells - cells <= 2 * room  # no more cells split than room allows
         calls.append(len(open_))
 
     monkeypatch.setattr(qd, "_expand", checking)
