@@ -4,7 +4,9 @@ Expressions are immutable trees over variables ``a1, a2, ...`` (``t`` is an
 alias for ``a1``), exact rational constants, ``pi``, the arithmetic
 operators ``+ - * /``, rational powers ``^``, and the unary functions
 ``sqrt sin cos exp log atan``.  They back every simplex component map and
-every form coefficient in the package.
+every form coefficient in the package.  The lexer matches one regex per
+token.  A manifest parses each distinct map once per load, and maps and
+forms compile their expressions on first use.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import contextlib
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -42,7 +43,7 @@ __all__ = [
 ]
 
 _FUNCS = ("sqrt", "sin", "cos", "exp", "log", "atan")
-_KINDS = ("const", "pi", "var", "neg", "add", "sub", "mul", "div", "pow") + _FUNCS
+_KINDS = frozenset(("const", "pi", "var", "neg", "add", "sub", "mul", "div", "pow") + _FUNCS)
 
 
 class ExprError(Exception):
@@ -76,35 +77,55 @@ def domain_site(where: str):
         raise
 
 
-@dataclass(frozen=True)
 class Expr:
     """One AST node.  ``value`` holds the Fraction of a constant, the 1-based
-    index of a variable, or the Fraction exponent of a pow node.  The hash,
-    the dataclass's own, is computed once, and the repr once it is asked
-    for, so that neither walks the tree again."""
+    index of a variable, or the Fraction exponent of a pow node.  Nodes are
+    immutable and compare by (kind, args, value).  The hash is computed on
+    first use from the value's integer ratio, which agrees with equality and
+    skips ``Fraction.__hash__``; the repr is computed once it is asked for.
+    Neither walks the tree again."""
 
-    kind: str
-    args: tuple = ()
-    value: object = None
+    __slots__ = ("kind", "args", "value", "_hash", "_repr")
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown node kind {self.kind!r}")
-        object.__setattr__(self, "_hash", hash((self.kind, self.args, self.value)))
+    def __init__(self, kind: str, args: tuple = (), value=None):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown node kind {kind!r}")
+        _set_kind(self, kind)
+        _set_args(self, args)
+        _set_value(self, value)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"Expr is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind == other.kind and self.value == other.value and self.args == other.args
 
     def __hash__(self):
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            v = self.value
+            h = hash((self.kind, self.args, None if v is None else v.as_integer_ratio()))
+            _set_hash(self, h)
+            return h
 
     def __repr__(self):
         try:
             return self._repr
         except AttributeError:
             text = f"{type(self).__qualname__}(kind={self.kind!r}, args={self.args!r}, value={self.value!r})"
-            object.__setattr__(self, "_repr", text)
+            _set_repr(self, text)
             return text
 
-    def __reduce__(self):  # string hashes differ between processes: rebuild the cache
-        return Expr, (self.kind, self.args, self.value)
+    def __reduce__(self):  # string hashes differ between processes: rebuild the caches
+        return type(self), (self.kind, self.args, self.value)
+
+
+_set_kind, _set_args, _set_value, _set_hash, _set_repr = (getattr(Expr, s).__set__ for s in Expr.__slots__)
 
 
 def const(q) -> Expr:
@@ -208,75 +229,52 @@ def func(name: str, a: Expr) -> Expr:
 #   ident  := "a" digits | "t"
 # Numbers are decimal or rational "p/q" (the slash binds to the literal when
 # both sides are bare digit runs).  A leading "-" folds into numeric literals
-# and otherwise parses as negation.
+# and otherwise parses as negation.  The lexer makes one match of _TOKEN per
+# token: whitespace, then a rational candidate, a decimal literal, a name or
+# an operator (\d is a decimal digit, \w a character of str.isalnum or "_").
 # ---------------------------------------------------------------------------
 
+_TOKEN = re.compile(r"\s*(?:(?P<rational>\d+/\d+)|(?P<number>\d+\.?\d*|\.\d+)|(?P<name>\w+)|(?P<op>[-+*/^()]))?")
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, object, int]] = []
-        self._run()
 
-    def _run(self):
-        text = self.text
-        n = len(text)
-        i = 0
-        while i < n:
-            c = text[i]
-            if c.isspace():
-                i += 1
-                continue
-            start = i
-            if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-                # a bare exponent is an integer; fractional exponents need
-                # parentheses, so that a1^2/2 stays (a1^2)/2
-                after_caret = bool(self.tokens) and self.tokens[-1][0] == "^"
-                i = self._number(i, allow_rational=not after_caret)
-            elif c.isalpha():
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("name", text[i:j], start))
-                i = j
-            elif c in "+-*/^()":
-                self.tokens.append((c, c, start))
-                i += 1
-            else:
-                raise ExprSyntaxError(f"unexpected character {c!r}", start)
-        self.tokens.append(("end", None, n))
-
-    def _number(self, i: int, allow_rational: bool = True) -> int:
-        text = self.text
-        n = len(text)
-        start = i
-        while i < n and text[i].isdigit():
-            i += 1
-        is_decimal = False
-        if i < n and text[i] == ".":
-            is_decimal = True
-            i += 1
-            while i < n and text[i].isdigit():
-                i += 1
-        lit = text[start:i]
-        if allow_rational and not is_decimal and i < n and text[i] == "/":
-            # rational literal p/q: only when a bare digit run follows
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j > i + 1 and not (j < n and (text[j] == "." or text[j].isalpha())):
-                q = int(text[i + 1 : j])
-                if q == 0:
+def _lex(text: str) -> list:
+    """The tokens (kind, value, start, end) of ``text``, then ("end", None, n, n)."""
+    tokens, n, pos = [], len(text), 0
+    while True:
+        m = _TOKEN.match(text, pos)
+        kind, pos = m.lastgroup, m.end()
+        if kind is None:
+            if pos < n:
+                raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
+            return tokens + [("end", None, n, n)]
+        start = m.start(kind)
+        lit = text[start:pos]
+        if kind == "op":
+            tokens.append((lit, lit, start, pos))
+        elif kind == "name":
+            if not lit[0].isalpha():  # "_", or a digit that is not decimal, such as "²"
+                raise ExprSyntaxError(f"unexpected character {lit[0]!r}", start)
+            tokens.append(("name", lit, start, pos))
+        else:
+            p, _, q = lit.partition("/")
+            # p/q is one literal unless "." or a letter follows; a bare exponent
+            # is an integer, so that a1^2/2 stays (a1^2)/2
+            joined = pos == n or (text[pos] != "." and not text[pos].isalpha())
+            if q and joined and not (tokens and tokens[-1][0] == "^"):
+                if int(q) == 0:
                     raise ExprSyntaxError("rational literal with zero denominator", start)
-                self.tokens.append(("number", Fraction(int(lit), q), start))
-                return j
-        self.tokens.append(("number", Fraction(lit), start))
-        return i
+                tokens.append(("number", Fraction(int(p), int(q)), start, pos))
+                continue
+            pos = start + len(p)  # a decimal literal, or the p of a p/q that is not one
+            whole, _, frac = p.partition(".")
+            value = Fraction(int(whole + frac), 10 ** len(frac)) if frac else Fraction(int(whole))
+            tokens.append(("number", value, start, pos))
 
 
 class _Parser:
     def __init__(self, text: str, arity: int):
-        self.toks = _Lexer(text).tokens
+        self.text = text
+        self.toks = _lex(text)
         self.k = 0
         self.arity = arity
 
@@ -288,17 +286,20 @@ class _Parser:
         self.k += 1
         return tok
 
+    def found(self, tok) -> str:
+        return "end of input" if tok[0] == "end" else repr(self.text[tok[2] : tok[3]])
+
     def expect(self, kind: str):
         tok = self.next()
         if tok[0] != kind:
-            raise ExprSyntaxError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+            raise ExprSyntaxError(f"expected {kind!r}, found {self.found(tok)}", tok[2])
         return tok
 
     def parse(self) -> Expr:
         e = self.expr()
         tok = self.peek()
         if tok[0] != "end":
-            raise ExprSyntaxError(f"trailing input {tok[1]!r}", tok[2])
+            raise ExprSyntaxError(f"trailing input {self.found(tok)}", tok[2])
         return e
 
     def expr(self) -> Expr:
@@ -308,7 +309,7 @@ class _Parser:
             negate = True
         e = self.term()
         if negate:
-            e = const(-e.value) if e.kind == "const" else Expr("neg", (e,))
+            e = Expr("const", (), -e.value) if e.kind == "const" else Expr("neg", (e,))
         while self.peek()[0] in ("+", "-"):
             op = self.next()[0]
             rhs = self.term()
@@ -344,9 +345,9 @@ class _Parser:
         return sign * tok[1]
 
     def base(self) -> Expr:
-        kind, val, off = self.next()
+        kind, val, off, _ = tok = self.next()
         if kind == "number":
-            return const(val)
+            return Expr("const", (), val)
         if kind == "(":
             e = self.expr()
             self.expect(")")
@@ -362,16 +363,16 @@ class _Parser:
             if val == "t":
                 if self.arity < 1:
                     raise ExprSyntaxError("variable t needs arity >= 1", off)
-                return var(1)
-            if val.startswith("a") and val[1:].isdigit():
+                return Expr("var", (), 1)
+            if val.startswith("a") and val[1:].isdecimal():
                 i = int(val[1:])
                 if not 1 <= i <= self.arity:
                     raise ExprSyntaxError(
                         f"variable index {i} out of range for arity {self.arity}", off
                     )
-                return var(i)
+                return Expr("var", (), i)
             raise ExprSyntaxError(f"unknown identifier {val!r}", off)
-        raise ExprSyntaxError(f"unexpected token {val!r}", off)
+        raise ExprSyntaxError(f"expected an operand, found {self.found(tok)}", off)
 
 
 def parse(text: str, arity: int) -> Expr:

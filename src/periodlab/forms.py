@@ -9,6 +9,7 @@ exact symbolic Jacobians, taken with the values in one evaluator call
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -70,7 +71,6 @@ class Form:
                 coeff = ex.parse(coeff, ambient)
             parsed.append((idx, 1, coeff))
         self.terms = _merge_terms(parsed, degree, ambient)
-        self._vfns = [ex.compile_vec(c) for _, c in self.terms]
 
     @classmethod
     def _from_signed(cls, degree, ambient, raw):
@@ -78,8 +78,12 @@ class Form:
         f.degree = degree
         f.ambient = ambient
         f.terms = _merge_terms(raw, degree, ambient)
-        f._vfns = [ex.compile_vec(c) for _, c in f.terms]
         return f
+
+    # compiled on first use, as ExprMap's: a command integrates few of a manifest's forms
+    @functools.cached_property
+    def _vfns(self):
+        return [ex.compile_vec(c) for _, c in self.terms]
 
     def is_zero(self) -> bool:
         return not self.terms

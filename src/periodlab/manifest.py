@@ -117,12 +117,25 @@ def evaluator_to_dict(ev: SingularSimplex) -> dict:
     raise ManifestError(f"evaluator type {type(ev).__name__} is not serialisable")
 
 
+def _expr_map(maps: dict, comps: list, dim: int) -> ExprMap:
+    """The one ExprMap of (comps, dim) among the maps of one manifest load:
+    parsed once and compiled at most once, whoever names it."""
+    key = (tuple(comps), dim)
+    if key not in maps:
+        maps[key] = ExprMap(comps, dim)
+    return maps[key]
+
+
 def evaluator_from_dict(desc: dict, path: str = "/evaluator") -> SingularSimplex:
+    return _evaluator(desc, path, {})
+
+
+def _evaluator(desc: dict, path: str, maps: dict) -> SingularSimplex:
     kind = _get(desc, "kind", str, path)
     try:
         if kind == "expr":
             comps = _get(desc, "components", list, path, items=str)
-            return ExprMap(comps, _dim(desc, comps, path))
+            return _expr_map(maps, comps, _dim(desc, comps, path))
         if kind == "affine":
             rows = _get(desc, "vertices", list, path, items=list)
             for i, row in enumerate(rows):
@@ -132,16 +145,16 @@ def evaluator_from_dict(desc: dict, path: str = "/evaluator") -> SingularSimplex
                         f"{path}/vertices/{i}/{bad}")
             return AffineSimplex(np.array(rows, dtype=float))
         if kind == "cone":
-            return Cone(evaluator_from_dict(_get(desc, "of", dict, path), f"{path}/of"))
+            return Cone(_evaluator(_get(desc, "of", dict, path), f"{path}/of", maps))
         if kind == "composed":
             return Composed(
-                evaluator_from_dict(_get(desc, "of", dict, path), f"{path}/of"),
-                evaluator_from_dict(_get(desc, "inner", dict, path), f"{path}/inner"),
+                _evaluator(_get(desc, "of", dict, path), f"{path}/of", maps),
+                _evaluator(_get(desc, "inner", dict, path), f"{path}/inner", maps),
             )
         if kind == "glued":
             return GluedMap(
-                evaluator_from_dict(_get(desc, "sigma", dict, path), f"{path}/sigma"),
-                evaluator_from_dict(_get(desc, "tau", dict, path), f"{path}/tau"),
+                _evaluator(_get(desc, "sigma", dict, path), f"{path}/sigma", maps),
+                _evaluator(_get(desc, "tau", dict, path), f"{path}/tau", maps),
                 _get(desc, "v_slots", list, path, items=int),
                 [tuple(r) for r in _get(desc, "roles", list, path, items=list)],
             )
@@ -168,6 +181,7 @@ class Manifest:
         self.forms: dict[str, Form] = {}
         self.complexes: dict[str, SimplicialComplex] = {}
         self.triangulations: dict[str, Triangulation] = {}
+        maps: dict = {}  # (components, dim) -> its one ExprMap, for this load only
 
         for i, entry in enumerate(_get(data, "simplices", list, path, [])):
             p = f"{path}/simplices/{i}"
@@ -180,14 +194,14 @@ class Manifest:
             )
             dim = _dim(entry, comps, p)
             try:
-                self.simplices[name] = ExprMap(comps, dim)
+                self.simplices[name] = _expr_map(maps, comps, dim)
             except ex.ExprSyntaxError as err:
                 raise ManifestError(str(err), f"{p}/components") from err
 
         for i, entry in enumerate(_get(data, "derived_simplices", list, path, [])):
             p = f"{path}/derived_simplices/{i}"
             name = self._fresh(_get(entry, "name", str, p), p)
-            self.simplices[name] = evaluator_from_dict(_get(entry, "map", dict, p), f"{p}/map")
+            self.simplices[name] = _evaluator(_get(entry, "map", dict, p), f"{p}/map", maps)
 
         for i, entry in enumerate(_get(data, "chains", list, path, [])):
             p = f"{path}/chains/{i}"
@@ -240,7 +254,7 @@ class Manifest:
                 simplex = tuple(sorted(_get(ee, "simplex", list, ep, items=int)))
                 _expect(simplex in K, f"simplex {simplex} not in complex", f"{ep}/simplex")
                 if "map" in ee:
-                    evaluators[simplex] = evaluator_from_dict(ee["map"], f"{ep}/map")
+                    evaluators[simplex] = _evaluator(ee["map"], f"{ep}/map", maps)
                 else:
                     ref = _get(ee, "named", str, ep)
                     _expect(ref in self.simplices, f"unresolved simplex {ref!r}", f"{ep}/named")

@@ -392,19 +392,23 @@ def test_continuity_spot_check():
 
 
 def test_expression_maps_compile_on_first_use(monkeypatch):
-    # loading parses every simplex and compiles none of them; integrating one
-    # compiles its components and Jacobian entries once, and no other's
+    # loading parses every simplex and form and compiles none of them;
+    # integrating one simplex against one form compiles the simplex's
+    # components and Jacobian entries and the form's coefficients once, and
+    # nothing else
     compile_vec, compiled = ex.compile_vec, []
     monkeypatch.setattr(ex, "compile_vec", lambda e: compiled.append(e) or compile_vec(e))
     man = mf.load_manifest(CIRCLE)
     maps = [s for s in man.simplices.values() if isinstance(s, ch.ExprMap)]
-    assert len(maps) == len(man.simplices) > 1
-    assert not any(e is c for s in maps for c in s.components for e in compiled)
+    assert len(maps) == len(man.simplices) > 1 and len(man.forms) > 1
+    assert compiled == []
     assert not any({"_vfns", "_vjac_fns"} & vars(s).keys() for s in maps)
-    compiled.clear()
-    sigma = man.simplices["upper_sqrt"]
+    assert not any("_vfns" in vars(f) for f in man.forms.values())
+    sigma, omega = man.simplices["upper_sqrt"], man.forms["x_dy"]
     for _ in range(2):
-        assert qd.integrate_simplex(sigma, man.forms["x_dy"], 1e-8).converged
+        assert qd.integrate_simplex(sigma, omega, 1e-8).converged
     jac = [ex.diff(c, j + 1) for c in sigma.components for j in range(sigma.dim)]
-    assert sorted(map(ex.to_string, compiled)) == sorted(map(ex.to_string, [*sigma.components, *jac]))
+    expected = [*sigma.components, *jac, *(c for _, c in omega.terms)]
+    assert sorted(map(ex.to_string, compiled)) == sorted(map(ex.to_string, expected))
     assert not any({"_vfns", "_vjac_fns"} & vars(s).keys() for s in maps if s is not sigma)
+    assert not any("_vfns" in vars(f) for f in man.forms.values() if f is not omega)

@@ -13,6 +13,7 @@ from test_chains import random_interior_point
 
 from periodlab import chains as ch
 from periodlab import cli
+from periodlab import expr as ex
 from periodlab import glue as gl
 from periodlab import homology as hm
 from periodlab import manifest as mf
@@ -668,6 +669,72 @@ def test_cli_malformed_input_is_input_error(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith(f"error: {where}") and "Traceback" not in err
+
+
+def test_cli_a_digit_that_is_not_decimal_is_an_input_error_at_its_pointer(tmp_path, capsys):
+    # "²" passes str.isdigit, and once reached the user as Fraction's bare
+    # "Invalid literal for Fraction: '²'", with no pointer
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(_manifest_with(simplices=[{"name": "x", "dim": 1, "components": ["t+²", "t"]}])))
+    assert cli.run(["check-volume", str(path), "--simplex", "x", "--deterministic"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: /simplices/0/components: unexpected character '²' (at offset 2)")
+
+
+def _circle_with_subdivided_arcs() -> dict:
+    """circle.json's arcs and 1-forms, laid out as the benchmark's
+    periods-circle writes them: each half of gamma_sd composes an affine map
+    with its arc's own components, and gamma_rep reparametrises the arcs."""
+
+    def arc(start, t="t"):
+        return [f"cos({start} + pi*{t})", f"sin({start} + pi*{t})"]
+
+    arcs = (("upper", "0"), ("lower", "pi"))
+    halves = (("a", [[0.5], [1.0]], 1), ("b", [[0.5], [0.0]], -1))
+    circle = json.loads((MANIFESTS / "circle.json").read_text())
+    return {
+        "schema": "periodlab/1",
+        "ambient_dim": 2,
+        "simplices": [{"name": f"{half}_arc", "dim": 1, "components": arc(start)} for half, start in arcs]
+        + [{"name": f"{half}_rep", "dim": 1, "components": arc(start, "(t - 0.25*t*(1 - t))")}
+           for half, start in arcs],
+        "derived_simplices": [
+            {"name": f"{half}_sd_{tag}", "map": {"kind": "composed", "inner": {"kind": "affine", "vertices": verts},
+                                                 "of": {"kind": "expr", "dim": 1, "components": arc(start)}}}
+            for half, start in arcs for tag, verts, _ in halves
+        ],
+        "chains": [
+            {"name": "gamma", "terms": [{"simplex": "upper_arc"}, {"simplex": "lower_arc"}]},
+            {"name": "gamma_sd", "terms": [{"simplex": f"{half}_sd_{tag}", "coeff": coeff}
+                                           for half, _ in arcs for tag, _, coeff in halves]},
+            {"name": "gamma_rep", "terms": [{"simplex": "upper_rep"}, {"simplex": "lower_rep"}]},
+        ],
+        "forms": [f for f in circle["forms"] if f["name"] in ("dtheta", "d_xy")],
+    }
+
+
+def test_a_manifest_parses_and_compiles_each_expression_map_once(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps(_circle_with_subdivided_arcs()))
+    parse, parsed = ex.parse, []
+    monkeypatch.setattr(ex, "parse", lambda text, arity: parsed.append(text) or parse(text, arity))
+    man = mf.load_manifest(str(path))
+    # four maps of two components, and four form coefficients (20 when each
+    # half of gamma_sd parsed its own arc)
+    assert len(parsed) == 4 * 2 + 4
+    assert man.simplices["upper_sd_a"].outer is man.simplices["upper_sd_b"].outer is man.simplices["upper_arc"]
+    assert man.simplices["lower_sd_a"].outer is man.simplices["lower_arc"]
+    compile_vec, compiled = ex.compile_vec, []
+    monkeypatch.setattr(ex, "compile_vec", lambda e: compiled.append(e) or compile_vec(e))
+    argv = ["periods", str(path), "--cycles", "gamma,gamma_sd,gamma_rep", "--forms", "dtheta,d_xy", "--jobs", "2"]
+    assert cli.run(argv + ["--deterministic"]) == 0
+    values = json.loads(capsys.readouterr().out)["results"]["periods"]["values"]
+    assert np.allclose(values, [[2 * math.pi, 0.0]] * 3, atol=1e-6)
+    # four maps, each with two components and two Jacobian entries; the four
+    # coefficients of dtheta and d_xy; and the one coefficient of d(dtheta),
+    # which the closedness check samples (37 when each half of gamma_sd
+    # compiled its own arc)
+    assert len(compiled) == 4 * 4 + 4 + 1
 
 
 def test_cli_a_huge_dim_is_rejected_before_the_map_is_built(tmp_path, capsys):
