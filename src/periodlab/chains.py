@@ -7,9 +7,9 @@ face; evaluators come in five flavours (expression-backed, affine, cone,
 prism, composed; glue adds a sixth) and every one exposes an exact Jacobian
 at interior points.  Evaluators implement the batch methods
 ``evaluate_many``/``jacobian_many``; ``evaluate``/``jacobian`` at one point
-are a batch of one, and ``evaluate_with_jacobian_many`` is both batches from
-one call, which the prism and composed maps answer evaluating their inner
-map once, and a glued map inverting its transition map once.
+are a batch of one, and ``evaluate_with_jacobian_many`` (the one-pass method)
+is both batches from one call.  A composite map's Jacobian is one chain rule
+over one such call of the map it wraps (a composed map's outer one).
 """
 
 from __future__ import annotations
@@ -197,8 +197,7 @@ class Cone(SingularSimplex):
         p = np.asarray(points, dtype=float)
         a = p.sum(axis=1)
         u = p[:, 1:] / a[:, None]
-        vals = self.inner.evaluate_many(u)
-        jacs = self.inner.jacobian_many(u)
+        vals, jacs = self.inner.evaluate_with_jacobian_many(u)
         base = vals - np.einsum("nij,nj->ni", jacs, u)
         out = np.empty((p.shape[0], self.ambient, self.dim))
         out[:, :, 0] = base
@@ -246,9 +245,8 @@ class PrismMap(SingularSimplex):
     def evaluate_with_jacobian_many(self, points):
         p = np.asarray(points, dtype=float)
         f = self._vf(p[:, :1].T)
-        vals = self.inner.evaluate_many(p[:, 1:])
+        vals, jacs = self.inner.evaluate_with_jacobian_many(p[:, 1:])
         df = self._vdf(p[:, :1].T)
-        jacs = self.inner.jacobian_many(p[:, 1:])
         out = np.empty((p.shape[0], self.ambient, self.dim))
         out[:, :, 0] = df[:, None] * vals
         out[:, :, 1:] = f[:, None, None] * jacs
@@ -286,13 +284,9 @@ class Composed(SingularSimplex):
         return self.outer.evaluate_many(self.inner.evaluate_many(points))
 
     def jacobian_many(self, points):
-        n = np.asarray(points).shape[0]
         if self.dim == 0:
-            return np.zeros((n, self.ambient, 0))
-        mid = self.inner.evaluate_many(points)
-        return np.einsum(
-            "nij,njk->nik", self.outer.jacobian_many(mid), self.inner.jacobian_many(points)
-        )
+            return np.zeros((np.asarray(points).shape[0], self.ambient, 0))
+        return self.evaluate_with_jacobian_many(points)[1]
 
     def evaluate_with_jacobian_many(self, points):
         # the order of the two calls: inner and outer values, outer and inner Jacobians

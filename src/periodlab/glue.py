@@ -163,9 +163,11 @@ class GluedMap(SingularSimplex):
     the reference simplex of the source simplex and interpolated against the
     v-part; the w-mass a -> 0 limit is the evaluation of the v-part alone.
     The Jacobian is exact: Dg = (Dh1^T Dh1)^{-1} Dh1^T Dh2 by the implicit
-    function theorem, chained through the interpolation.  On a batch with
-    w-mass everywhere, evaluate_with_jacobian_many takes values and
-    Jacobians from one Newton inverse of g.
+    function theorem, chained through the interpolation.  jacobian_many and
+    evaluate_with_jacobian_many invert g once per batch, at tau's vertex 0
+    where the w-mass vanishes (a failed inverse there comes before h1's value
+    errors), and take h1's values and Jacobian from one call; evaluate_many
+    inverts only where there is w-mass.
     """
 
     def __init__(self, h1_sigma: SingularSimplex, h2_tau: SingularSimplex,
@@ -219,24 +221,15 @@ class GluedMap(SingularSimplex):
         return self.h1_sigma.evaluate_many(arg)
 
     def jacobian_many(self, points):
+        return self.evaluate_with_jacobian_many(points)[1]
+
+    def evaluate_with_jacobian_many(self, points):
         bar, a_w, a = self._split(points)
         # where the w-mass vanishes (a boundary face), u is tau's vertex 0
         u = a_w[:, 1:] / np.where(a > 0.0, a, 1.0)[:, None]
         g = self._g(u)
-        return self._jacobian(u, g, bar @ self._v_scatter + a[:, None] * g)
-
-    def evaluate_with_jacobian_many(self, points):
-        # one inverse g for both; the calls keep the order of the two batches
-        bar, a_w, a = self._split(points)
-        if not np.all(a > 0.0):
-            return self.evaluate_many(points), self.jacobian_many(points)
-        u = a_w[:, 1:] / a[:, None]
-        g = self._g(u)
         arg = bar @ self._v_scatter + a[:, None] * g
-        return self.h1_sigma.evaluate_many(arg), self._jacobian(u, g, arg)
-
-    def _jacobian(self, u, g, arg):
-        """The chain rule through the interpolation at arg = v-part + a g(u)."""
+        vals, jac = self.h1_sigma.evaluate_with_jacobian_many(arg)
         dg = _lstsq(self.h1_sigma.jacobian_many(g), self.h2_tau.jacobian_many(u))
         # d bar/dx: -1 on slot 0, the identity below; a du = dW - u da
         dbar = np.vstack([-np.ones((1, self.dim)), np.eye(self.dim)])
@@ -244,7 +237,7 @@ class GluedMap(SingularSimplex):
         da = dw.sum(axis=0)
         a_du = dw[1:] - u[:, :, None] * da
         darg = self._v_scatter.T @ dbar + g[:, :, None] * da + dg @ a_du
-        return self.h1_sigma.jacobian_many(arg) @ darg
+        return vals, jac @ darg
 
     jacobian = SingularSimplex.jacobian  # own binding: perfbench trace mode wraps it
 

@@ -254,11 +254,13 @@ class Manifest:
                 simplex = tuple(sorted(_get(ee, "simplex", list, ep, items=int)))
                 _expect(simplex in K, f"simplex {simplex} not in complex", f"{ep}/simplex")
                 if "map" in ee:
-                    evaluators[simplex] = _evaluator(ee["map"], f"{ep}/map", maps)
+                    ev, where = _evaluator(ee["map"], f"{ep}/map", maps), f"{ep}/map"
                 else:
-                    ref = _get(ee, "named", str, ep)
-                    _expect(ref in self.simplices, f"unresolved simplex {ref!r}", f"{ep}/named")
-                    evaluators[simplex] = self.simplices[ref]
+                    ref, where = _get(ee, "named", str, ep), f"{ep}/named"
+                    _expect(ref in self.simplices, f"unresolved simplex {ref!r}", where)
+                    ev = self.simplices[ref]
+                _expect(ev.dim == len(simplex) - 1, f"a dim-{ev.dim} evaluator on the simplex {simplex}", where)
+                evaluators[simplex] = ev
             # every other simplex restricts the evaluator of a maximal one
             bare = [s for s in maximal_simplices(K) if s not in evaluators]
             if bare:

@@ -43,8 +43,8 @@ the root's own call evaluates the root alone.  A group's children, of every
 generation, are built as arrays, as DCUHRE does on its shared subdivision:
 the halves of each generation from its stacked vertices, then for all of
 them one determinant, one matmul per rule and one set of boundary flags,
-which the guard and the evaluation share (a cell that freezes drops the
-cells planned below it), one density call at all their nodes, and one
+which the guard and the evaluation share (when a cell freezes, only the
+group's own children are kept), one density call at all their nodes, and one
 batched reduction of the values to each child's value and errors.  Every
 operation acts elementwise on the stack and rounds as it would for one
 cell, and the density is elementwise, so the split order and every value
@@ -471,8 +471,8 @@ def _generations(group, room: int, max_depth: int, density: _Density):
     from vertices alone, then every child's geometry is built at once, for
     the float64 guard and the evaluation alike; a parent freezes when it is
     too thin to split or, graded, when it would bisect its simplex into a
-    child with a node on a vertex (see _Density.near_vertex), and the cells
-    planned below its children are dropped.  Returns (source, frozen, rows):
+    child with a node on a vertex (see _Density.near_vertex); if any does,
+    only ``group``'s own children are kept.  Returns (source, frozen, rows):
     per parent, -1 for a cell of ``group`` or the index of its own row,
     and whether it freezes; and the rows (t, verts, depth, nodes, scale,
     touches) of the children, two per parent that splits, in parent order."""
@@ -496,19 +496,10 @@ def _generations(group, room: int, max_depth: int, density: _Density):
     if density.graded:
         frozen |= bisect & density.near_vertex(nodes).reshape(-1, 2).any(axis=1)
     rows = (kt, kids, depth, nodes, scale, touches)
-    if not frozen.any():
-        return source, [False] * len(source), rows
-    # row r is a child of parent r // 2: a parent planned below one that
-    # does not split is dropped, and so are its children
-    splits, alive = (~frozen).tolist(), [True] * len(source)
-    for p in range(len(group), len(source)):
-        alive[p] = splits[source[p] // 2]
-        splits[p] = splits[p] and alive[p]
-    keep = np.repeat(splits, 2)
-    rows = tuple(None if a is None else a[keep] for a in rows)
-    at = (np.cumsum(keep) - 1).tolist()
-    source = [s if s < 0 else at[s] for s, a in zip(source, alive) if a]
-    return source, [f for f, a in zip(frozen.tolist(), alive) if a], rows
+    if frozen.any():  # only the group's own children, none of a frozen cell's
+        source, frozen = source[: len(group)], frozen[: len(group)]
+        rows = tuple(None if a is None else a[: 2 * len(group)][np.repeat(~frozen, 2)] for a in rows)
+    return source, frozen.tolist(), rows
 
 
 def _expand(cell, heap, room: int, max_depth: int, density: _Density):

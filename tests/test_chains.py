@@ -318,6 +318,23 @@ def test_one_pass_evaluation_is_the_two_batches_bit_for_bit():
         assert (vals.shape, jacs.shape) == ((len(pts), m.ambient), (len(pts), m.ambient, m.dim))
 
 
+def test_a_prism_or_cone_over_a_composed_map_asks_its_inner_map_once(monkeypatch):
+    # the composite asks the composed map for values and Jacobian in one
+    # call, and the composed map asks its own inner map once for each
+    piece = ch.AffineSimplex([[0.2, 0.1], [0.7, 0.1], [0.2, 0.6]])
+    composed = ch.Composed(ch.ExprMap(["a1*a2", "sin(a1) + a2"], 2), piece)
+    calls = []
+    for name in ("evaluate_many", "jacobian_many"):
+        method = getattr(piece, name)
+        monkeypatch.setattr(piece, name, lambda pts, name=name, method=method: calls.append(name) or method(pts))
+    pts = np.array([[0.3, 0.2, 0.1], [0.5, 0.1, 0.6]])
+    ch.PrismMap(composed, "1 - t").evaluate_with_jacobian_many(pts)
+    assert calls == ["evaluate_many", "jacobian_many"]
+    calls.clear()
+    ch.Cone(composed).jacobian_many(pts)
+    assert calls == ["evaluate_many", "jacobian_many"]
+
+
 def _domain_error(call):
     with pytest.raises(ex.ExprDomainError) as err:
         call()
@@ -338,8 +355,8 @@ def _one_pass_error_cases():
         # inner values, outer values, outer Jacobian, inner Jacobian
         (ch.Composed(sqrt_2t, sqrt_t), ONE_D, lambda: sqrt_2t.jacobian_many(sqrt_t.evaluate_many(ONE_D))),
         (ch.Composed(log_t, sqrt_t), ONE_D, lambda: log_t.evaluate_many(sqrt_t.evaluate_many(ONE_D))),
-        # profile, inner values, profile derivative, inner Jacobian
-        (ch.PrismMap(sqrt_3t, "sqrt(t)"), PRISM_1D, lambda: sqrt_t.jacobian_many(ONE_D)),
+        # profile, inner values, inner Jacobian, profile derivative
+        (ch.PrismMap(sqrt_3t, "sqrt(t)"), PRISM_1D, lambda: sqrt_3t.jacobian_many(ONE_D)),
         (ch.PrismMap(log_t, "sqrt(t)"), PRISM_1D, lambda: log_t.evaluate_many(ONE_D)),
         (ch.PrismMap(sqrt_3t, "1 - t"), PRISM_1D, lambda: sqrt_3t.jacobian_many(ONE_D)),
         (ch.ExprMap(["t", "sqrt(t)"], 1), ONE_D, lambda: sqrt_t.jacobian_many(ONE_D)),

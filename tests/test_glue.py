@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from test_chains import random_interior_point
+from test_chains import glued_fan, random_interior_point
 from test_homology import finishes_within
 
 from periodlab import chains as ch
@@ -458,6 +458,11 @@ def test_a_glued_pullback_inverts_g_once_per_batch(monkeypatch):
     assert len(inversions) == r.density_calls == 2
     assert (r.value.hex(), r.error_estimate.hex(), r.subdivisions) == (
         "0x1.e28c731dd951ap-1", "0x1.0f3c204300000p-24", 9)
+    # a batch with points of zero w-mass too: there the one inverse takes tau's vertex 0
+    inversions.clear()
+    pts = np.array([[0.3, 0.0], [0.2, 0.5], [0.0, 0.0], [0.6, 0.0], [0.1, 0.1]])
+    glued_fan().evaluate_with_jacobian_many(pts)
+    assert inversions == [5]
 
 
 def test_a_failed_glued_inverse_raises_as_the_two_batches_do():

@@ -467,10 +467,11 @@ def _glued_triangulation(v_slots, roles):
     ])
 
 
-def _circle_upper_with_vertices(vertices):
-    """circle_upper.json with the affine map of its vertex 0 replaced."""
+def _circle_upper_with_vertices(vertices, evaluator=2):
+    """circle_upper.json with the affine map of one evaluator, by default
+    that of its vertex 0, replaced."""
     upper = json.loads((MANIFESTS / "circle_upper.json").read_text())
-    upper["triangulations"][0]["evaluators"][2]["map"]["vertices"] = vertices
+    upper["triangulations"][0]["evaluators"][evaluator]["map"] = {"kind": "affine", "vertices": vertices}
     return upper
 
 
@@ -576,6 +577,28 @@ MALFORMED_INPUTS = {
     "affine-vertex-nan": (
         _GLUE_UPPER, _circle_upper_with_vertices([[0.0, math.nan]]),
         "/triangulations/0/evaluators/2/map/vertices/0/1: a vertex coordinate must be a finite number",
+    ),
+    # an evaluator of the wrong dimension: an edge map on a vertex was
+    # glued into a wrong manifest with exit 0, a 2-D map on an edge failed
+    # later as a face disagreement, a 0-D map on an edge as bad v_slots
+    "evaluator-edge-on-a-vertex": (
+        _GLUE_UPPER, _circle_upper_with_vertices([[1, 0], [0, 1]]),
+        "/triangulations/0/evaluators/2/map: a dim-1 evaluator on the simplex (0,)",
+    ),
+    "evaluator-triangle-on-an-edge": (
+        _GLUE_UPPER, _circle_upper_with_vertices([[1, 0], [0, 1], [0, 0]], evaluator=0),
+        "/triangulations/0/evaluators/0/map: a dim-2 evaluator on the simplex (0, 1)",
+    ),
+    "evaluator-point-on-an-edge": (
+        _GLUE_UPPER, _circle_upper_with_vertices([[1, 0]], evaluator=0),
+        "/triangulations/0/evaluators/0/map: a dim-0 evaluator on the simplex (0, 1)",
+    ),
+    "evaluator-named-of-the-wrong-dim": (
+        ["homology", "{}", "--complex", "K"],
+        _manifest_with(simplices=[{"name": "s", "dim": 2, "components": ["a1", "a2"]}],
+                       triangulations=[{"name": "T", "complex": "K", "evaluators": [
+                           {"simplex": [0, 1], "named": "s"}]}]),
+        "/triangulations/0/evaluators/0/named: a dim-2 evaluator on the simplex (0, 1)",
     ),
     # no nonzero d-form lives on R^n for d > n; at dim 10^6 the load alone
     # ran for minutes, differentiating each component by each coordinate

@@ -486,13 +486,13 @@ def test_group_builder_matches_the_per_cell_driver(group, seed, exponent, vanish
 
     # the group's own split, each cell's error as finished above; simplex
     # cells then plan the split of the first of their children, breadth
-    # first, until twice as many cells as the group holds split, and a cell
-    # planned below one that freezes is dropped
+    # first, until twice as many cells as the group holds split.  If a
+    # planned cell freezes, only the group's own children are evaluated
     room = 2 * len(cells)
     source, frozen, (kt, kv, depth, nodes, scale, touches) = qd._generations(built, room, 10**6, dens)
     rules = dens.rules if d == 1 else None
     parents = [(r.t, r.verts, r.err_t, r.err_b, c.depth, -1) for r, c in zip(refs, built)]
-    halves, expected = [], []  # the children evaluated; (source, frozen) of each parent kept
+    halves, expected = [], []  # the children planned; (source, frozen) of each parent
     for t, v, err_t, err_b, k, row in parents:
         h = None if v is None else reference_halves(t, v, err_t, err_b, rules)
         if v is not None:
@@ -502,8 +502,11 @@ def test_group_builder_matches_the_per_cell_driver(group, seed, exponent, vanish
                 halves.append((half_t, half_v, k + 1))
             if not prism and len(parents) < room:
                 parents.append((None, half_v, 0.0, 0.0, k + 1, len(halves) - 1))
-    assert list(zip(source, frozen)) == expected
     assert len(parents) == (len(cells) if prism else room)
+    if any(f for _, f in expected):
+        expected = expected[: len(cells)]
+        halves = halves[: 2 * sum(not f for _, f in expected)]
+    assert list(zip(source, frozen)) == expected
     assert bits(kv) == bits([v for _, v, _ in halves])
     if prism:
         assert bits(kt) == bits([t for t, _, _ in halves])
@@ -759,9 +762,13 @@ def test_split_cells_are_released(monkeypatch):
     # cell was popped), less that last popped cell
     live = []
     result = qd.QuadResult
+    # cells that an earlier test still holds are not this run's; held here,
+    # so that no cell of the run can take the id of one that is freed
+    before = [o for o in gc.get_objects() if isinstance(o, qd._Cell)]
+    old = {id(o) for o in before}
 
     def count_cells(*fields):  # the driver builds its result at the end of the run
-        live.append(sum(isinstance(o, qd._Cell) for o in gc.get_objects()))
+        live.append(sum(isinstance(o, qd._Cell) and id(o) not in old for o in gc.get_objects()))
         return result(*fields)
 
     monkeypatch.setattr(qd, "QuadResult", count_cells)
