@@ -7,10 +7,10 @@ outside the marked overlap B and a face inside B is replaced by the join of
 its outside part with every t2-simplex that the containment table sends into
 that face; the new evaluator interpolates between the outside part and the
 refined face through the first evaluator, with the refining map transported
-by a numeric inverse.  subdivide_triangulation() restricts each evaluator
-along the barycenters of a flag (chains.flag_simplex), enforce_B_condition()
-subdivides until B is a full subcomplex, and cover_and_triangulate() folds
-glue() over a list of pieces.
+by a numeric inverse.  Each piece's B must be a full subcomplex (the
+B-condition).  subdivide_triangulation() restricts each evaluator along the
+barycenters of a flag (chains.flag_simplex), and cover_and_triangulate()
+folds glue() over a list of pieces.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "Triangulation",
     "GluedMap",
     "InputCompatibilityError",
-    "enforce_B_condition",
     "subdivide_triangulation",
     "glue",
     "cover_and_triangulate",
@@ -43,7 +42,6 @@ NEWTON_TOL = 1e-12  # invert_simplex_map's residual tolerance, relative to 1 + |
 NEWTON_MAX_ITER = 80  # Gauss-Newton steps per start
 FACE_TOL = 1e-10  # largest disagreement of two tops on a shared face
 COLLISION_TOL = 1e-7  # closest approach of two distinct top interiors
-MAX_B_ROUNDS = 5  # subdivisions enforce_B_condition tries
 
 
 class InputCompatibilityError(Exception):
@@ -344,28 +342,12 @@ def subdivide_triangulation(T: Triangulation) -> Triangulation:
     return Triangulation(Ksd, evaluators, marks)
 
 
-def _violates_b_condition(K: SimplicialComplex, members: set) -> bool:
-    bverts = {v for s in members for v in s}
-    return any(len(s) > 1 and s not in members and set(s) <= bverts for s in K.cells())
-
-
-def enforce_B_condition(T: Triangulation, mark: str = "B") -> Triangulation:
-    """Subdivide until every simplex whose vertices all lie in the marked set
-    lies in the marked set itself.  The mark must be subcomplex-supported;
-    a non-terminating input trips the round guard."""
-    members = T.marks.get(mark, set())
-    missing = set(SimplicialComplex(members).cells()) - members
-    if missing:
-        raise InputCompatibilityError(f"mark {mark!r} is not face-closed at {min(missing)}")
-    current = T
-    for _ in range(MAX_B_ROUNDS):
-        if not _violates_b_condition(current.complex, current.marks.get(mark, set())):
-            return current
-        current = subdivide_triangulation(current)
-    raise InputCompatibilityError(
-        f"B-condition still violated after {MAX_B_ROUNDS} subdivisions; "
-        f"is {mark!r} subcomplex-supported?"
-    )
+def _b_violation(K: SimplicialComplex, members: set):
+    """The first simplex of K whose vertices all lie in the mark ``members``
+    but which is not marked itself, or None when the mark is a full
+    subcomplex (the B-condition)."""
+    marked = {v for s in members for v in s}
+    return next((s for s in K.cells() if s not in members and set(s) <= marked), None)
 
 
 def glue(t1: Triangulation, t2: Triangulation, containment: dict, mark: str = "B") -> Triangulation:
@@ -375,7 +357,9 @@ def glue(t1: Triangulation, t2: Triangulation, containment: dict, mark: str = "B
 
     ``t2`` must triangulate its side so that the marked overlap of ``t1`` is
     refined by the marked overlap of ``t2``; ``containment`` sends every
-    marked t2-simplex to the smallest marked t1-simplex containing its image."""
+    marked t2-simplex to the smallest marked t1-simplex containing its image.
+    Both marks must be full subcomplexes (the B-condition: a simplex whose
+    vertices are all marked is marked); glue() checks both before it builds."""
     containment = {tuple(sorted(k)): tuple(sorted(v)) for k, v in containment.items()}
     b1 = t1.marks.get(mark, set())
     b2 = t2.marks.get(mark, set())
@@ -390,10 +374,13 @@ def glue(t1: Triangulation, t2: Triangulation, containment: dict, mark: str = "B
     bad = [v for v in containment.values() if v not in b1]
     if bad:
         raise InputCompatibilityError(f"containment targets are not marked in the first piece: {bad[:3]}")
-    if _violates_b_condition(t1.complex, b1):
-        raise InputCompatibilityError("first piece violates the B-condition; subdivide first")
-    if _violates_b_condition(t2.complex, b2):
-        raise InputCompatibilityError("second piece violates the B-condition; subdivide first")
+    for piece, t, members in (("first", t1, b1), ("second", t2, b2)):
+        unmarked = _b_violation(t.complex, members)
+        if unmarked is not None:
+            raise InputCompatibilityError(
+                f"{piece} piece: {unmarked} has every vertex in mark {mark!r} but is not marked (B-condition); "
+                "mark it, or triangulate the piece so that the overlap is a full subcomplex"
+            )
     b1_verts = {v for s in b1 for v in s}
 
     n2 = max(t2.complex.vertices, default=-1) + 1
@@ -422,11 +409,6 @@ def glue(t1: Triangulation, t2: Triangulation, containment: dict, mark: str = "B
         if not b_part:
             add(tuple(sorted(new_v)), t1.evaluator_for(sigma), t1, sigma)
             continue
-        if b_part not in b1:
-            raise InputCompatibilityError(
-                f"simplex {sigma}: face {b_part} has all vertices in the overlap "
-                "but is not marked (B-condition)"
-            )
         h1_sigma = t1.evaluator_for(sigma)
         v_slots = [sigma.index(v) for v in v_part]  # sigma is sorted, as K1 keeps it
         for tau, carrier in containment.items():

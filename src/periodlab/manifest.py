@@ -253,6 +253,7 @@ class Manifest:
                 ep = f"{p}/evaluators/{j}"
                 simplex = tuple(sorted(_get(ee, "simplex", list, ep, items=int)))
                 _expect(simplex in K, f"simplex {simplex} not in complex", f"{ep}/simplex")
+                _expect(simplex not in evaluators, f"simplex {simplex} has a second evaluator", f"{ep}/simplex")
                 if "map" in ee:
                     ev, where = _evaluator(ee["map"], f"{ep}/map", maps), f"{ep}/map"
                 else:
@@ -308,7 +309,8 @@ def load_glue_table(path) -> tuple[dict, str]:
     containment = {}
     for i, row in enumerate(_get(table, "containment", list, "", [])):
         p = f"/containment/{i}"
-        tau = tuple(_get(row, "tau", list, p, items=int))
+        tau = tuple(sorted(_get(row, "tau", list, p, items=int)))
+        _expect(tau not in containment, f"tau {tau} has a second row", f"{p}/tau")
         containment[tau] = tuple(_get(row, "sigma", list, p, items=int))
     return containment, _get(table, "mark", str, "", "B")
 

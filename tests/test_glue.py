@@ -89,40 +89,6 @@ def test_least_squares_solves_each_system_alone():
         np.testing.assert_array_equal(batch[k], gl._lstsq(J[k : k + 1], B[k : k + 1])[0])
 
 
-def test_enforce_b_condition_identity_when_already_full():
-    T = upper_semicircle()
-    out = gl.enforce_B_condition(T)
-    assert out is T
-
-
-def test_enforce_b_condition_splits_interval():
-    T = gl.Triangulation(
-        hm.SimplicialComplex([(0, 1)]),
-        {(0, 1): ch.AffineSimplex([[0.0], [1.0]]), (0,): ch.AffineSimplex([[0.0]]),
-         (1,): ch.AffineSimplex([[1.0]])},
-        marks={"B": {(0,), (1,)}},
-    )
-    out = gl.enforce_B_condition(T)
-    assert out.complex.n_cells(1) == 2
-    assert sorted(out.marks["B"]) == [(0,), (1,)]
-    # the new midpoint vertex sits at 1/2
-    mids = [out.vertex_point(v)[0] for v in out.complex.vertices]
-    assert 0.5 in mids
-
-
-def test_enforce_b_condition_empty_mark_is_identity():
-    T = upper_semicircle()
-    T2 = gl.Triangulation(T.complex, dict(T.evaluators), marks={"B": set()})
-    assert gl.enforce_B_condition(T2) is T2
-
-
-def test_enforce_b_condition_rejects_non_face_closed_mark():
-    T = upper_semicircle()
-    bad = gl.Triangulation(T.complex, dict(T.evaluators), marks={"B": {(0, 1)}})
-    with pytest.raises(gl.InputCompatibilityError):
-        gl.enforce_B_condition(bad)
-
-
 SEGMENT = ch.AffineSimplex([[0.0, 0.0], [1.0, 0.0]])
 
 
@@ -541,8 +507,43 @@ def test_glue_rejects_b_condition_violation():
         {(0,): ch.AffineSimplex([[0.0]])},
         marks={"B": {(0,)}},
     )
-    with pytest.raises(gl.InputCompatibilityError):
+    with pytest.raises(gl.InputCompatibilityError, match=r"^first piece: \(0, 1\) has every vertex in mark 'B'"):
         gl.glue(t1, t2, {(0,): (0,)})
+
+
+def _one_edge(marked):
+    return gl.Triangulation(
+        hm.SimplicialComplex([(0, 1)]),
+        {(0, 1): ch.AffineSimplex([[1.0, 0.0], [0.0, 1.0]]), (0,): point(1, 0), (1,): point(0, 1)},
+        marks={"B": marked},
+    )
+
+
+def _one_vertex(marked):
+    return gl.Triangulation(hm.SimplicialComplex([(0,)]), {(0,): point(1, 0)}, marks={"B": marked})
+
+
+def _upper_semicircle_marking(marked):
+    T = upper_semicircle()
+    return gl.Triangulation(T.complex, T.evaluators, marks={"B": marked})
+
+
+@pytest.mark.parametrize(
+    "t1, t2, table, message",
+    [
+        (upper_semicircle(), _one_edge({(0,), (1,)}), {(0,): (0,), (1,): (2,)}, "second piece: (0, 1)"),
+        # a mark that is not face-closed: its vertex (0,) is not marked
+        (_upper_semicircle_marking({(0, 1)}), _one_vertex({(0,)}), {(0,): (0, 1)}, "first piece: (0,)"),
+    ],
+    ids=["second-piece", "unmarked-vertex"],
+)
+def test_glue_names_the_piece_and_simplex_of_a_b_condition_violation(t1, t2, table, message):
+    with pytest.raises(gl.InputCompatibilityError) as err:
+        gl.glue(t1, t2, table)
+    assert str(err.value) == (
+        f"{message} has every vertex in mark 'B' but is not marked (B-condition); "
+        "mark it, or triangulate the piece so that the overlap is a full subcomplex"
+    )
 
 
 def test_glue_rejects_image_mismatch():

@@ -475,6 +475,16 @@ def _circle_upper_with_vertices(vertices, evaluator=2):
     return upper
 
 
+def _circle_upper_with(evaluators=(), marks=None):
+    """circle_upper.json with ``evaluators`` appended and, if given, its
+    marks replaced."""
+    upper = json.loads((MANIFESTS / "circle_upper.json").read_text())
+    upper["triangulations"][0]["evaluators"] += evaluators
+    if marks is not None:
+        upper["triangulations"][0]["marks"] = marks
+    return upper
+
+
 _GLUE_UPPER = ["glue", "{}", str(MANIFESTS / "circle_lower.json"),
                "--table", str(MANIFESTS / "circle_btable.json")]
 _PRISM = {"kind": "prism", "profile": "1 - t", "of": {"kind": "expr", "dim": 1, "components": ["t", "t^2"]}}
@@ -656,6 +666,25 @@ MALFORMED_INPUTS = {
         _circle_glue("{}"),
         {"containment": [{"tau": [0], "sigma": [2]}, {"tau": [2], "sigma": [0]}, {"tau": [2, 2], "sigma": [0]}]},
         "containment keys are not marked in the second piece: [(2, 2)]",
+    ),
+    # a repeated row kept only its last sigma, and glue failed later with a
+    # misleading "Newton inverse failed"
+    "glue-table-repeated-tau": (
+        _circle_glue("{}"),
+        {"containment": [{"tau": [0], "sigma": [2]}, {"tau": [2], "sigma": [0]}, {"tau": [0], "sigma": [0]}]},
+        "/containment/2/tau: tau (0,) has a second row",
+    ),
+    # the last evaluator of a simplex won: glued edge [2, 3] interpolated
+    # the chord instead of the quarter arc, with exit 0
+    "evaluator-repeated-simplex": (
+        _GLUE_UPPER,
+        _circle_upper_with([{"simplex": [1, 0], "map": {"kind": "affine", "vertices": [[1, 0], [0, 1]]}}]),
+        "/triangulations/0/evaluators/5/simplex: simplex (0, 1) has a second evaluator",
+    ),
+    "glue-b-condition-first-piece": (
+        _GLUE_UPPER, _circle_upper_with(marks={"B": [[0], [1], [2]]}),
+        "first piece: (0, 1) has every vertex in mark 'B' but is not marked (B-condition); mark it, "
+        "or triangulate the piece so that the overlap is a full subcomplex",
     ),
     # glue raised the same KeyError on a marked simplex outside the complex
     # of the second piece when the table named it too
