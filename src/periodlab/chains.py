@@ -5,11 +5,18 @@ vertex 0 at the origin and vertex k at the k-th basis vector.  A singular
 simplex is a continuous map of the closed simplex into R^N, C^1 on each open
 face; evaluators come in five flavours (expression-backed, affine, cone,
 prism, composed; glue adds a sixth) and every one exposes an exact Jacobian
-at interior points.  Evaluators implement the batch methods
-``evaluate_many``/``jacobian_many``; ``evaluate``/``jacobian`` at one point
-are a batch of one, and ``evaluate_with_jacobian_many`` (the one-pass method)
-is both batches from one call.  A composite map's Jacobian is one chain rule
-over one such call of the map it wraps (a composed map's outer one).
+at interior points.  Each evaluator has one batch implementation, ``batch``,
+in point-last layout: points ``(dim, n)`` in, values ``(ambient, n)`` and
+Jacobians ``(ambient, dim, n)`` out, so that elementwise work runs over n
+contiguous points; it computes the values, the Jacobians or both, in one
+pass.  The public batches ``evaluate_many``, ``jacobian_many`` and
+``evaluate_with_jacobian_many`` (both from one call) are adapters over it
+that take ``(n, dim)`` points and return C-contiguous ``(n, ...)`` arrays;
+``evaluate``/``jacobian`` at one point are a batch of one.  A composite
+map's Jacobian is one chain rule over one such call of the map it wraps (a
+composed map's outer one).  Contractions that numpy sums over a contiguous
+axis in its own order (einsum, matmul) stay on the ``(n, ...)`` layout, so
+that every layout gives the same bits.
 """
 
 from __future__ import annotations
@@ -65,6 +72,11 @@ def interior_grid(d: int, m: int = 3) -> np.ndarray:
     return np.array(pts)
 
 
+def _cols(points) -> np.ndarray:
+    """An (n, dim) batch of points as its (dim, n) columns (a view)."""
+    return np.asarray(points, dtype=float).T
+
+
 class SingularSimplex:
     """Base class: a map of the closed d-simplex into R^ambient."""
 
@@ -79,18 +91,26 @@ class SingularSimplex:
         """ambient x dim matrix of partial derivatives at an interior point."""
         return self.jacobian_many(np.asarray(point, dtype=float)[None])[0]
 
+    def batch(self, cols: np.ndarray, values: bool = True, jacobian: bool = True):
+        """(values (ambient, n), Jacobians (ambient, dim, n)) at the points
+        ``cols`` (dim, n), each None unless asked for (a Jacobian may need the
+        values all the same).  The values come first, so a domain error is
+        the one that evaluate_many then jacobian_many would raise first."""
+        raise NotImplementedError
+
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """(n, ambient) values at an (n, dim) batch of points."""
-        raise NotImplementedError
+        return np.ascontiguousarray(self.batch(_cols(points), jacobian=False)[0].T)
 
     def jacobian_many(self, points: np.ndarray) -> np.ndarray:
         """(n, ambient, dim) Jacobians at an (n, dim) batch of interior points."""
-        raise NotImplementedError
+        return np.ascontiguousarray(self.batch(_cols(points), values=False)[1].transpose(2, 0, 1))
 
     def evaluate_with_jacobian_many(self, points: np.ndarray):
         """(evaluate_many(points), jacobian_many(points)), bit for bit, and the
         same first error."""
-        return self.evaluate_many(points), self.jacobian_many(points)
+        vals, jac = self.batch(_cols(points))
+        return np.ascontiguousarray(vals.T), np.ascontiguousarray(jac.transpose(2, 0, 1))
 
     def key(self):
         raise NotImplementedError
@@ -126,18 +146,18 @@ class ExprMap(SingularSimplex):
     def _vjac_fns(self):
         return [[ex.compile_vec(ex.diff(c, j + 1)) for j in range(self.dim)] for c in self.components]
 
-    def evaluate_many(self, points):
-        cols = np.asarray(points, dtype=float).T
-        return np.stack([f(cols) for f in self._vfns], axis=1)
+    # own bindings of the adapters, in every class: perfbench's tracer wraps them per class
+    evaluate_many, jacobian_many = SingularSimplex.evaluate_many, SingularSimplex.jacobian_many
 
-    def jacobian_many(self, points):
-        cols = np.asarray(points, dtype=float).T
-        n = cols.shape[1]
-        out = np.empty((n, self.ambient, self.dim))
-        for i, row in enumerate(self._vjac_fns):
-            for j, f in enumerate(row):
-                out[:, i, j] = f(cols)
-        return out
+    def batch(self, cols, values=True, jacobian=True):
+        vals = np.stack([f(cols) for f in self._vfns]) if values else None
+        jac = None
+        if jacobian:
+            jac = np.empty((self.ambient, self.dim, cols.shape[1]))
+            for i, row in enumerate(self._vjac_fns):
+                for j, f in enumerate(row):
+                    jac[i, j] = f(cols)
+        return vals, jac
 
     def key(self):
         return ("expr", self.dim, self.components)
@@ -155,13 +175,14 @@ class AffineSimplex(SingularSimplex):
         self.ambient = v.shape[1]
         self._linear = (v[1:] - v[0]).T if self.dim > 0 else np.zeros((self.ambient, 0))
 
-    def evaluate_many(self, points):
-        p = np.asarray(points, dtype=float)
-        return self.vertices[0] + p @ self._linear.T
+    evaluate_many, jacobian_many = SingularSimplex.evaluate_many, SingularSimplex.jacobian_many
 
-    def jacobian_many(self, points):
-        n = np.asarray(points).shape[0]
-        return np.broadcast_to(self._linear, (n, self.ambient, self.dim)).copy()
+    def batch(self, cols, values=True, jacobian=True):
+        # the matmul takes C-contiguous (n, dim) points: BLAS sums a
+        # transposed batch into R^1 in another order
+        vals = (self.vertices[0] + np.ascontiguousarray(cols.T) @ self._linear.T).T if values else None
+        jac = np.repeat(self._linear[:, :, None], cols.shape[1], axis=2) if jacobian else None
+        return vals, jac
 
     def face(self, i):
         return AffineSimplex(np.delete(self.vertices, i, axis=0))
@@ -176,7 +197,11 @@ class AffineSimplex(SingularSimplex):
 
 class Cone(SingularSimplex):
     """Cone over a simplex: interpolates linearly between the origin of R^N
-    and the wrapped simplex, which sits on the face opposite vertex 0."""
+    and the wrapped simplex, which sits on the face opposite vertex 0.  Its
+    values and Jacobians come from two calls of the wrapped simplex, as
+    evaluate_many then jacobian_many: the values never query the cone point.
+    The Jacobian, off the density path (cones are integrated as prisms), is
+    assembled on (n, ...) batches."""
 
     def __init__(self, inner: SingularSimplex):
         if inner.domain != "simplex":
@@ -185,24 +210,24 @@ class Cone(SingularSimplex):
         self.dim = inner.dim + 1
         self.ambient = inner.ambient
 
-    def evaluate_many(self, points):
-        p = np.asarray(points, dtype=float)
-        a = p.sum(axis=1)
-        out = np.zeros((p.shape[0], self.ambient))
-        pos = a > 0.0  # the cone point itself never queries the wrapped simplex
-        out[pos] = a[pos, None] * self.inner.evaluate_many(p[pos, 1:] / a[pos, None])
-        return out
+    evaluate_many, jacobian_many = SingularSimplex.evaluate_many, SingularSimplex.jacobian_many
 
-    def jacobian_many(self, points):
-        p = np.asarray(points, dtype=float)
-        a = p.sum(axis=1)
-        u = p[:, 1:] / a[:, None]
-        vals, jacs = self.inner.evaluate_with_jacobian_many(u)
-        base = vals - np.einsum("nij,nj->ni", jacs, u)
-        out = np.empty((p.shape[0], self.ambient, self.dim))
-        out[:, :, 0] = base
-        out[:, :, 1:] = base[:, :, None] + jacs
-        return out
+    def batch(self, cols, values=True, jacobian=True):
+        a = cols.sum(axis=0)
+        vals = jac = None
+        if values:
+            pos = a > 0.0  # the cone point itself never queries the wrapped simplex
+            vals = np.zeros((self.ambient, cols.shape[1]))
+            vals[:, pos] = a[pos] * self.inner.batch(cols[1:, pos] / a[pos], jacobian=False)[0]
+        if jacobian:
+            u = np.ascontiguousarray((cols[1:] / a).T)
+            ivals, ijac = self.inner.evaluate_with_jacobian_many(u)
+            base = ivals - np.einsum("nij,nj->ni", ijac, u)
+            jac = np.empty((cols.shape[1], self.ambient, self.dim))
+            jac[:, :, 0] = base
+            jac[:, :, 1:] = base[:, :, None] + ijac
+            jac = jac.transpose(1, 2, 0)
+        return vals, jac
 
     def face(self, i):
         # The face opposite the cone vertex is the wrapped simplex itself;
@@ -234,30 +259,28 @@ class PrismMap(SingularSimplex):
         self._vf = ex.compile_vec(self.profile)
         self._vdf = ex.compile_vec(ex.diff(self.profile, 1))
 
-    def evaluate_many(self, points):
-        p = np.asarray(points, dtype=float)
-        f = self._vf(p[:, :1].T)
-        return f[:, None] * self.inner.evaluate_many(p[:, 1:])
+    evaluate_many, jacobian_many = SingularSimplex.evaluate_many, SingularSimplex.jacobian_many
 
-    def jacobian_many(self, points):
-        return self.evaluate_with_jacobian_many(points)[1]
-
-    def evaluate_with_jacobian_many(self, points):
-        p = np.asarray(points, dtype=float)
-        f = self._vf(p[:, :1].T)
-        vals, jacs = self.inner.evaluate_with_jacobian_many(p[:, 1:])
-        df = self._vdf(p[:, :1].T)
-        out = np.empty((p.shape[0], self.ambient, self.dim))
-        out[:, :, 0] = df[:, None] * vals
-        out[:, :, 1:] = f[:, None, None] * jacs
-        return f[:, None] * vals, out
+    def batch(self, cols, values=True, jacobian=True):
+        # profile, inner values (and Jacobian), profile derivative
+        f = self._vf(cols[:1])
+        ivals, ijac = self.inner.batch(cols[1:], jacobian=jacobian)
+        jac = None
+        if jacobian:
+            df = self._vdf(cols[:1])
+            jac = np.empty((self.ambient, self.dim, cols.shape[1]))
+            np.multiply(df, ivals, out=jac[:, 0])  # no temporaries: a batch's arrays are large
+            np.multiply(f, ijac, out=jac[:, 1:])
+        return f * ivals if values else None, jac
 
     def key(self):
         return ("prism", self.inner.key(), self.profile)
 
 
 class Composed(SingularSimplex):
-    """outer o inner for an inner map whose image lies in outer's domain."""
+    """outer o inner for an inner map whose image lies in outer's domain.
+    The inner map (a face or a subdivision piece) is asked through its public
+    batches, and the chain rule contracts on (n, ...) batches."""
 
     def __new__(cls, outer, inner):
         # keep affine-affine compositions affine so chain terms merge exactly
@@ -280,21 +303,19 @@ class Composed(SingularSimplex):
         self.ambient = outer.ambient
         self.domain = inner.domain  # a prism under an outer map is still a prism
 
-    def evaluate_many(self, points):
-        return self.outer.evaluate_many(self.inner.evaluate_many(points))
+    evaluate_many, jacobian_many = SingularSimplex.evaluate_many, SingularSimplex.jacobian_many
 
-    def jacobian_many(self, points):
-        if self.dim == 0:
-            return np.zeros((np.asarray(points).shape[0], self.ambient, 0))
-        return self.evaluate_with_jacobian_many(points)[1]
-
-    def evaluate_with_jacobian_many(self, points):
-        # the order of the two calls: inner and outer values, outer and inner Jacobians
-        if self.dim == 0:
-            return self.evaluate_many(points), self.jacobian_many(points)
-        mid = self.inner.evaluate_many(points)
-        vals, outer_jac = self.outer.evaluate_with_jacobian_many(mid)
-        return vals, np.einsum("nij,njk->nik", outer_jac, self.inner.jacobian_many(points))
+    def batch(self, cols, values=True, jacobian=True):
+        # the order of the calls: inner and outer values, outer and inner
+        # Jacobians; the outer map computes its values only when asked
+        if self.dim == 0 and jacobian:  # a point's Jacobian is empty: no map is asked for it
+            vals = self.batch(cols, jacobian=False)[0] if values else None
+            return vals, np.zeros((self.ambient, 0, cols.shape[1]))
+        vals, jac = self.outer.batch(self.inner.evaluate_many(cols.T).T, values, jacobian)
+        if jacobian:
+            outer_jac = np.ascontiguousarray(jac.transpose(2, 0, 1))
+            jac = np.einsum("nij,njk->nik", outer_jac, self.inner.jacobian_many(cols.T)).transpose(1, 2, 0)
+        return vals, jac
 
     def face(self, i):
         return Composed(self.outer, self.inner.face(i))

@@ -3,8 +3,11 @@
 A degree-p form is a merged list of (strictly increasing multi-index,
 coefficient expression) terms; coefficients are DSL expressions in the ambient
 coordinates ``a1..aN``.  Pullback along a simplex evaluator is computed from
-exact symbolic Jacobians, taken with the values in one evaluator call
-(``evaluate_with_jacobian_many``), one minor determinant per term.
+exact symbolic Jacobians, taken with the values in one evaluator call, one
+minor determinant per term.  It works in the evaluators' point-last layout
+(``SingularSimplex.batch``): the coefficients and every minor's entries are
+rows of n contiguous points, and a term's minors are taken from its rows of
+the Jacobian, ``jac[rows]``, with no column gather for the whole block.
 """
 
 from __future__ import annotations
@@ -137,20 +140,17 @@ def pullback_many(sigma: SingularSimplex, omega: Form, points: np.ndarray) -> di
     if p > k:
         return {}
     pts = np.asarray(points, dtype=float)
-    if p > 0 and omega.terms:
-        x, jac = sigma.evaluate_with_jacobian_many(pts)
-    else:
-        x, jac = sigma.evaluate_many(pts), None
+    x, jac = sigma.batch(pts.T, jacobian=p > 0 and bool(omega.terms))
     subsets = list(itertools.combinations(range(k), p))
     out = {tuple(i + 1 for i in cols): np.zeros(pts.shape[0]) for cols in subsets}
-    if not omega.terms:
-        return out
-    coords = x.T
     for (idx, _), vf in zip(omega.terms, omega._vfns):
-        c = vf(coords)
-        rows = jac[:, [i - 1 for i in idx]] if p > 0 else None
+        c = vf(x)
+        if p == 0:
+            out[()] += c
+            continue
+        rows = jac if p == sigma.ambient else jac[[i - 1 for i in idx]]  # (p, k, n)
         for cols, total in zip(subsets, out.values()):
-            total += c * _det_many(rows[:, :, cols]) if p > 0 else c
+            total += c * _det_many((rows if p == k else rows[:, cols]).transpose(2, 0, 1))
     return out
 
 

@@ -161,11 +161,11 @@ class GluedMap(SingularSimplex):
     the reference simplex of the source simplex and interpolated against the
     v-part; the w-mass a -> 0 limit is the evaluation of the v-part alone.
     The Jacobian is exact: Dg = (Dh1^T Dh1)^{-1} Dh1^T Dh2 by the implicit
-    function theorem, chained through the interpolation.  jacobian_many and
-    evaluate_with_jacobian_many invert g once per batch, at tau's vertex 0
-    where the w-mass vanishes (a failed inverse there comes before h1's value
-    errors), and take h1's values and Jacobian from one call; evaluate_many
-    inverts only where there is w-mass.
+    function theorem, chained through the interpolation.  A batch with
+    Jacobians inverts g once, at tau's vertex 0 where the w-mass vanishes (a
+    failed inverse there comes before h1's value errors), and takes h1's
+    values and Jacobian from one call; a batch of values alone inverts only
+    where there is w-mass.
     """
 
     def __init__(self, h1_sigma: SingularSimplex, h2_tau: SingularSimplex,
@@ -210,19 +210,16 @@ class GluedMap(SingularSimplex):
         a_w = bar @ self._w_pick
         return bar, a_w, a_w.sum(axis=1)
 
-    def evaluate_many(self, points):
-        bar, a_w, a = self._split(points)
-        arg = bar @ self._v_scatter
-        pos = a > 0.0
-        if pos.any():
-            arg[pos] += a[pos, None] * self._g(a_w[pos, 1:] / a[pos, None])
-        return self.h1_sigma.evaluate_many(arg)
-
-    def jacobian_many(self, points):
-        return self.evaluate_with_jacobian_many(points)[1]
-
-    def evaluate_with_jacobian_many(self, points):
-        bar, a_w, a = self._split(points)
+    def batch(self, cols, values=True, jacobian=True):
+        # on (n, ...) batches, as the matmuls of the chain rule and _lstsq
+        # need; the Jacobian comes with the values
+        bar, a_w, a = self._split(cols.T)
+        if not jacobian:
+            arg = bar @ self._v_scatter
+            pos = a > 0.0
+            if pos.any():
+                arg[pos] += a[pos, None] * self._g(a_w[pos, 1:] / a[pos, None])
+            return self.h1_sigma.evaluate_many(arg).T, None
         # where the w-mass vanishes (a boundary face), u is tau's vertex 0
         u = a_w[:, 1:] / np.where(a > 0.0, a, 1.0)[:, None]
         g = self._g(u)
@@ -235,7 +232,7 @@ class GluedMap(SingularSimplex):
         da = dw.sum(axis=0)
         a_du = dw[1:] - u[:, :, None] * da
         darg = self._v_scatter.T @ dbar + g[:, :, None] * da + dg @ a_du
-        return vals, jac @ darg
+        return vals.T if values else None, (jac @ darg).transpose(1, 2, 0)
 
     jacobian = SingularSimplex.jacobian  # own binding: perfbench trace mode wraps it
 
@@ -248,7 +245,12 @@ class Triangulation:
 
     def __init__(self, complex_: SimplicialComplex, evaluators: dict, marks=None):
         self.complex = complex_
-        self.evaluators = {tuple(sorted(k)): v for k, v in evaluators.items()}
+        self.evaluators = {}
+        for k, v in evaluators.items():
+            s = tuple(sorted(k))
+            if s in self.evaluators:
+                raise ValueError(f"simplex {s} has a second evaluator")
+            self.evaluators[s] = v
         self.marks = {name: {tuple(sorted(s)) for s in ss} for name, ss in (marks or {}).items()}
         ambients = {e.ambient for e in self.evaluators.values()}
         if len(ambients) != 1:

@@ -447,9 +447,9 @@ class _Density:
         pts = nodes.reshape(k * n, dim)
         if self.graded:
             x = pts[:, -1]
-            graded = pts.copy()
-            graded[:, -1] = _smoothstep(x)
-            v = (self.density(graded) * (6.0 * x * (1.0 - x))).reshape(k, n)
+            graded = pts.T.copy()  # point-last, as the evaluators work: (dim, k * n)
+            graded[-1] = _smoothstep(x)
+            v = (self.density(graded.T) * (6.0 * x * (1.0 - x))).reshape(k, n)
         else:
             v = self.density(pts).reshape(k, n)
         q, a, err_t, err_b = _finish(v, scale, t is not None, self.rules)

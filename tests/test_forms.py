@@ -105,6 +105,33 @@ def test_pullback_batch_matches_pointwise():
         assert batch[k] == pytest.approx(fo.pullback_top_many(sigma, w, p[None])[0])
 
 
+HEMISPHERE = ch.ExprMap(["a1", "a2", "sqrt(1 - a1^2 - a2^2)"], 2)
+SOLID = ch.ExprMap(["a1 + a2*a3", "a2 - a1^2", "a3 + sin(a1)", "a1*a3"], 3)
+PULLBACK_CASES = {
+    1: [(HEMISPHERE, fo.Form(1, 3, [((1,), "a3"), ((3,), "a1*a2")])),
+        (SOLID, fo.Form(1, 4, [((2,), "a4"), ((4,), "1")]))],
+    # a2 dz^dx: the minor of rows 3 and 1 of a map into R^3, a proper subset
+    2: [(HEMISPHERE, fo.Form(2, 3, [((1, 3), "-a2")])),
+        (SOLID, fo.Form(2, 4, [((1, 3), "a2"), ((2, 4), "1")])),
+        (ch.ExprMap(["a1^2 + a2", "a1*a2"], 2), fo.Form(2, 2, [((1, 2), "1 + a1")]))],
+    3: [(SOLID, fo.Form(3, 4, [((1, 2, 4), "a3"), ((1, 3, 4), "1")])),
+        (ch.PrismMap(HEMISPHERE, "1 - t"), fo.Form(3, 3, [((1, 2, 3), "a1")]))],
+}
+
+
+@pytest.mark.parametrize("degree", sorted(PULLBACK_CASES))
+def test_pullback_batch_is_its_one_point_batches_bit_for_bit(degree):
+    # every component, from the minors of the point-last rows of the Jacobian
+    rng = np.random.default_rng(degree)
+    for sigma, w in PULLBACK_CASES[degree]:
+        pts = np.array([random_interior_point(sigma.dim, rng) for _ in range(9)])
+        batch = fo.pullback_many(sigma, w, pts)
+        assert list(batch) == [tuple(c) for c in itertools.combinations(range(1, sigma.dim + 1), degree)]
+        for k, p in enumerate(pts):
+            one = fo.pullback_many(sigma, w, p[None])
+            assert all(batch[idx][k].tobytes() == one[idx][0].tobytes() for idx in batch)
+
+
 # -- the A + B splitting ----------------------------------------------------
 
 AB_CASES = {

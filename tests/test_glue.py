@@ -77,6 +77,29 @@ def test_batched_inverse_matches_per_point_solves():
         gl.invert_simplex_map(curved, np.vstack([ys, [[5.0, 5.0]]]))
 
 
+def test_a_newton_inverse_through_a_composed_map_asks_its_outer_map_for_what_it_uses(monkeypatch):
+    # a residual needs the outer values alone and a Gauss-Newton step the
+    # outer Jacobian alone: one outer call per call of the composed map,
+    # and none computes both
+    cap = ch.ExprMap(["cos(pi*a2/2)*(1 - a2 - 2*a1)/(1 - a2)", "sin(pi*a2/2)"], 2)
+    composed = ch.Composed(cap, ch.AffineSimplex([[0.2, 0.1], [0.7, 0.1], [0.2, 0.6]]))
+    rng = np.random.default_rng(4)
+    targets = composed.evaluate_many(np.array([random_interior_point(2, rng) for _ in range(100)]))
+    asked, public, batch = [], [], cap.batch
+    monkeypatch.setattr(cap, "batch", lambda cols, values=True, jacobian=True: (
+        asked.append((values, jacobian)) or batch(cols, values, jacobian)))
+    for name in ("evaluate_many", "jacobian_many"):
+        method = getattr(composed, name)
+        monkeypatch.setattr(composed, name, lambda pts, name=name, method=method: (
+            public.append(name) or method(pts)))
+    x = gl.invert_simplex_map(composed, targets)
+    assert asked == [(name == "evaluate_many", name == "jacobian_many") for name in public]
+    # seven residuals and six steps: 7 outer value batches, where a Jacobian
+    # that came with its values made 13
+    assert (public.count("evaluate_many"), public.count("jacobian_many")) == (7, 6)
+    assert np.abs(composed.evaluate_many(x) - targets).max() <= 1e-12
+
+
 def test_least_squares_solves_each_system_alone():
     # one rank-deficient system in a batch must not change how the others
     # are solved: glued densities stay elementwise
@@ -243,6 +266,12 @@ def test_evaluator_lookup_matches_a_scan_of_the_complex():
     assert len(twice.complex.cells()) == 233
     with pytest.raises(KeyError, match="no evaluator covers"):
         gl.Triangulation(hm.SimplicialComplex([(0, 1)]), {(0,): point(0, 0)}).evaluator_for((1,))
+
+
+def test_a_triangulation_rejects_a_simplex_named_twice():
+    a, b = ch.AffineSimplex([[0, 0], [1, 0]]), ch.AffineSimplex([[0, 0], [0, 1]])
+    with pytest.raises(ValueError, match=r"simplex \(0, 1\) has a second evaluator"):
+        gl.Triangulation(hm.SimplicialComplex([(0, 1)]), {(0, 1): a, (1, 0): b})
 
 
 def reference_validate(T):

@@ -299,7 +299,45 @@ TOLERANCE_GOLDEN = {
         "periods/values/1/1": "0x1.921fb54442d1ap+2",
         "periods/values/1/2": "-0x1.060268d949e23p-43",
     },
+    # the prism path: the cone command's cone over sqrt_graph, in {tmp}
+    "check-volume {tmp}/cone.json --simplex sqrt_graph_cone --tol 1e-10": {
+        "volume/per_index/dx_1_2/error_estimate": "0x1.9119362000000p-34",
+        "volume/per_index/dx_1_2/subdivisions": 10,
+        "volume/per_index/dx_1_2/value": "0x1.5555555555058p-3",
+    },
+    # a 2-simplex in R^3: the hemisphere chart HEMISPHERE_CHART, in {tmp}
+    "check-stokes {tmp}/hemi.json --simplex hemi --form z_dx --tol 1e-6": {
+        "stokes/lhs/error_estimate": "0x1.55fe2fab6c66ep-27",
+        "stokes/lhs/subdivisions": 170,
+        "stokes/lhs/value": "0x1.d71e0e5461d8ep-3",
+        "stokes/rhs_faces/0/error_estimate": "0x1.1f7ff26620000p-27",
+        "stokes/rhs_faces/0/subdivisions": 10,
+        "stokes/rhs_faces/0/value": "-0x1.1c5831addd15ap-1",
+        "stokes/rhs_faces/1/error_estimate": 0,
+        "stokes/rhs_faces/1/subdivisions": 0,
+        "stokes/rhs_faces/1/value": 0,
+        "stokes/rhs_faces/2/error_estimate": "0x1.4cc789d200000p-27",
+        "stokes/rhs_faces/2/subdivisions": 8,
+        "stokes/rhs_faces/2/value": "0x1.921fb544385dfp-1",
+    },
 }
+
+HEMISPHERE_CHART = {
+    "schema": "periodlab/1",
+    "ambient_dim": 3,
+    "simplices": [{"name": "hemi", "dim": 2, "components": ["a1", "a2", "sqrt(1 - a1^2 - a2^2)"]}],
+    "forms": [{"name": "z_dx", "degree": 1, "terms": [{"coeff": "a3", "indices": [1]}]}],
+}
+
+
+def _in_tmp(command, tmp_path):
+    """The command with {tmp} set to ``tmp_path``, after writing the manifests
+    it reads there: the cone over sqrt_graph and the hemisphere chart."""
+    if "{tmp}" in command:
+        (tmp_path / "hemi.json").write_text(json.dumps(HEMISPHERE_CHART))
+        argv = ["cone", "manifests/circle.json", "--simplex", "sqrt_graph", "--out", str(tmp_path / "cone.json")]
+        assert cli.run(argv) == 0
+    return command.replace("{tmp}", str(tmp_path))
 
 
 def _pinned_leaves(node, path=(), keep=False):
@@ -321,7 +359,7 @@ def _pinned_leaves(node, path=(), keep=False):
 def test_cli_quadrature_tolerance_per_command(command, tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)
     out = tmp_path / "report.json"
-    assert cli.run(command.split() + ["--deterministic", "--out", str(out)]) == 0
+    assert cli.run(_in_tmp(command, tmp_path).split() + ["--deterministic", "--out", str(out)]) == 0
     results = json.loads(out.read_text())["results"]
     assert dict(_pinned_leaves(results)) == TOLERANCE_GOLDEN[command]
 
@@ -351,6 +389,18 @@ TOLERANCE_ANSWERS = {
     },
     "periods manifests/torus.json --cycles cycle_a,cycle_b --forms dtheta_1,dtheta_2,exact_1": {
         f"periods/values/{i}/{j}": 2 * math.pi if i == j else 0.0 for i in (0, 1) for j in (0, 1, 2)
+    },
+    # the area between y = x and y = sqrt(x) on [0, 1]
+    "check-volume {tmp}/cone.json --simplex sqrt_graph_cone --tol 1e-10": {
+        "volume/per_index/dx_1_2/value": 1.0 / 6.0,
+    },
+    # z dx over the edges of the chart: pi/4 along y = 0, 0 along x = 0 and
+    # -sqrt(2) pi/8 along x + y = 1, where z = sqrt(2 s (1 - s))
+    "check-stokes {tmp}/hemi.json --simplex hemi --form z_dx --tol 1e-6": {
+        "stokes/lhs/value": math.pi / 4 - math.sqrt(2) * math.pi / 8,
+        "stokes/rhs_faces/0/value": -math.sqrt(2) * math.pi / 8,
+        "stokes/rhs_faces/1/value": 0.0,
+        "stokes/rhs_faces/2/value": math.pi / 4,
     },
 }
 
