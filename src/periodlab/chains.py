@@ -9,14 +9,15 @@ at interior points.  Each evaluator has one batch implementation, ``batch``,
 in point-last layout: points ``(dim, n)`` in, values ``(ambient, n)`` and
 Jacobians ``(ambient, dim, n)`` out, so that elementwise work runs over n
 contiguous points; it computes the values, the Jacobians or both, in one
-pass.  The public batches ``evaluate_many``, ``jacobian_many`` and
-``evaluate_with_jacobian_many`` (both from one call) are adapters over it
-that take ``(n, dim)`` points and return C-contiguous ``(n, ...)`` arrays;
-``evaluate``/``jacobian`` at one point are a batch of one.  A composite
-map's Jacobian is one chain rule over one such call of the map it wraps (a
-composed map's outer one).  Contractions that numpy sums over a contiguous
-axis in its own order (einsum, matmul) stay on the ``(n, ...)`` layout, so
-that every layout gives the same bits.
+pass.  The public batches ``evaluate_many`` and ``jacobian_many`` are
+adapters over it that take ``(n, dim)`` points and return C-contiguous
+``(n, ...)`` arrays; ``evaluate``/``jacobian`` at one point are a batch of
+one.  A composite map asks the map it wraps through ``batch``, once for
+whatever it is asked (a composed map asks its inner map once for values and
+once for the Jacobian), and its Jacobian is one chain rule over that call.
+Contractions that numpy sums over a contiguous axis in its own order
+(einsum, matmul) stay on C-contiguous ``(n, ...)`` copies, so that every
+layout gives the same bits.
 """
 
 from __future__ import annotations
@@ -106,12 +107,6 @@ class SingularSimplex:
         """(n, ambient, dim) Jacobians at an (n, dim) batch of interior points."""
         return np.ascontiguousarray(self.batch(_cols(points), values=False)[1].transpose(2, 0, 1))
 
-    def evaluate_with_jacobian_many(self, points: np.ndarray):
-        """(evaluate_many(points), jacobian_many(points)), bit for bit, and the
-        same first error."""
-        vals, jac = self.batch(_cols(points))
-        return np.ascontiguousarray(vals.T), np.ascontiguousarray(jac.transpose(2, 0, 1))
-
     def key(self):
         raise NotImplementedError
 
@@ -197,11 +192,11 @@ class AffineSimplex(SingularSimplex):
 
 class Cone(SingularSimplex):
     """Cone over a simplex: interpolates linearly between the origin of R^N
-    and the wrapped simplex, which sits on the face opposite vertex 0.  Its
-    values and Jacobians come from two calls of the wrapped simplex, as
-    evaluate_many then jacobian_many: the values never query the cone point.
-    The Jacobian, off the density path (cones are integrated as prisms), is
-    assembled on (n, ...) batches."""
+    and the wrapped simplex, which sits on the face opposite vertex 0.  Each
+    batch asks the wrapped simplex once, at the points off the cone point,
+    for its values and, when a Jacobian is asked for, its Jacobian.  The
+    Jacobian (off the density path: cones are integrated as prisms) is
+    assembled on (n, ...) copies and is NaN at the cone point."""
 
     def __init__(self, inner: SingularSimplex):
         if inner.domain != "simplex":
@@ -214,18 +209,19 @@ class Cone(SingularSimplex):
 
     def batch(self, cols, values=True, jacobian=True):
         a = cols.sum(axis=0)
+        pos = a > 0.0  # the cone point itself never queries the wrapped simplex
+        u = cols[1:, pos] / a[pos]
+        ivals, ijac = self.inner.batch(u, jacobian=jacobian)
         vals = jac = None
         if values:
-            pos = a > 0.0  # the cone point itself never queries the wrapped simplex
             vals = np.zeros((self.ambient, cols.shape[1]))
-            vals[:, pos] = a[pos] * self.inner.batch(cols[1:, pos] / a[pos], jacobian=False)[0]
+            vals[:, pos] = a[pos] * ivals
         if jacobian:
-            u = np.ascontiguousarray((cols[1:] / a).T)
-            ivals, ijac = self.inner.evaluate_with_jacobian_many(u)
-            base = ivals - np.einsum("nij,nj->ni", ijac, u)
-            jac = np.empty((cols.shape[1], self.ambient, self.dim))
-            jac[:, :, 0] = base
-            jac[:, :, 1:] = base[:, :, None] + ijac
+            ijac = np.ascontiguousarray(ijac.transpose(2, 0, 1))
+            base = np.ascontiguousarray(ivals.T) - np.einsum("nij,nj->ni", ijac, np.ascontiguousarray(u.T))
+            jac = np.full((cols.shape[1], self.ambient, self.dim), np.nan)
+            jac[pos, :, 0] = base
+            jac[pos, :, 1:] = base[:, :, None] + ijac
             jac = jac.transpose(1, 2, 0)
         return vals, jac
 
@@ -279,8 +275,9 @@ class PrismMap(SingularSimplex):
 
 class Composed(SingularSimplex):
     """outer o inner for an inner map whose image lies in outer's domain.
-    The inner map (a face or a subdivision piece) is asked through its public
-    batches, and the chain rule contracts on (n, ...) batches."""
+    The inner map (a face or a subdivision piece) is asked through ``batch``,
+    once for its values and once for its Jacobian, and the chain rule
+    contracts on (n, ...) copies."""
 
     def __new__(cls, outer, inner):
         # keep affine-affine compositions affine so chain terms merge exactly
@@ -311,10 +308,11 @@ class Composed(SingularSimplex):
         if self.dim == 0 and jacobian:  # a point's Jacobian is empty: no map is asked for it
             vals = self.batch(cols, jacobian=False)[0] if values else None
             return vals, np.zeros((self.ambient, 0, cols.shape[1]))
-        vals, jac = self.outer.batch(self.inner.evaluate_many(cols.T).T, values, jacobian)
+        vals, jac = self.outer.batch(self.inner.batch(cols, jacobian=False)[0], values, jacobian)
         if jacobian:
             outer_jac = np.ascontiguousarray(jac.transpose(2, 0, 1))
-            jac = np.einsum("nij,njk->nik", outer_jac, self.inner.jacobian_many(cols.T)).transpose(1, 2, 0)
+            inner_jac = np.ascontiguousarray(self.inner.batch(cols, values=False)[1].transpose(2, 0, 1))
+            jac = np.einsum("nij,njk->nik", outer_jac, inner_jac).transpose(1, 2, 0)
         return vals, jac
 
     def face(self, i):

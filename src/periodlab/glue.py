@@ -161,11 +161,11 @@ class GluedMap(SingularSimplex):
     the reference simplex of the source simplex and interpolated against the
     v-part; the w-mass a -> 0 limit is the evaluation of the v-part alone.
     The Jacobian is exact: Dg = (Dh1^T Dh1)^{-1} Dh1^T Dh2 by the implicit
-    function theorem, chained through the interpolation.  A batch with
-    Jacobians inverts g once, at tau's vertex 0 where the w-mass vanishes (a
-    failed inverse there comes before h1's value errors), and takes h1's
-    values and Jacobian from one call; a batch of values alone inverts only
-    where there is w-mass.
+    function theorem, chained through the interpolation.  Every batch
+    inverts g once, at tau's vertex 0 where the w-mass vanishes (a failed
+    inverse there comes before h1's value errors), and asks h1 once, for its
+    values and whatever else the batch wants; a batch of values alone stops
+    before the chain rule.
     """
 
     def __init__(self, h1_sigma: SingularSimplex, h2_tau: SingularSimplex,
@@ -203,28 +203,20 @@ class GluedMap(SingularSimplex):
         batch of points u of tau's simplex."""
         return invert_simplex_map(self.h1_sigma, self.h2_tau.evaluate_many(u_std))
 
-    def _split(self, points):
-        """Barycentric coordinates, w-masses per tau vertex and w-mass a."""
-        x = np.asarray(points, dtype=float)
-        bar = np.concatenate([1.0 - x.sum(axis=1, keepdims=True), x], axis=1)
-        a_w = bar @ self._w_pick
-        return bar, a_w, a_w.sum(axis=1)
-
     def batch(self, cols, values=True, jacobian=True):
         # on (n, ...) batches, as the matmuls of the chain rule and _lstsq
-        # need; the Jacobian comes with the values
-        bar, a_w, a = self._split(cols.T)
-        if not jacobian:
-            arg = bar @ self._v_scatter
-            pos = a > 0.0
-            if pos.any():
-                arg[pos] += a[pos, None] * self._g(a_w[pos, 1:] / a[pos, None])
-            return self.h1_sigma.evaluate_many(arg).T, None
+        # need: barycentric coordinates, w-masses per tau vertex, w-mass a
+        x = cols.T
+        bar = np.concatenate([1.0 - x.sum(axis=1, keepdims=True), x], axis=1)
+        a_w = bar @ self._w_pick
+        a = a_w.sum(axis=1)
         # where the w-mass vanishes (a boundary face), u is tau's vertex 0
         u = a_w[:, 1:] / np.where(a > 0.0, a, 1.0)[:, None]
         g = self._g(u)
         arg = bar @ self._v_scatter + a[:, None] * g
-        vals, jac = self.h1_sigma.evaluate_with_jacobian_many(arg)
+        vals, jac = self.h1_sigma.batch(arg.T, jacobian=jacobian)  # always h1's values: their errors come first
+        if not jacobian:
+            return vals, None
         dg = _lstsq(self.h1_sigma.jacobian_many(g), self.h2_tau.jacobian_many(u))
         # d bar/dx: -1 on slot 0, the identity below; a du = dW - u da
         dbar = np.vstack([-np.ones((1, self.dim)), np.eye(self.dim)])
@@ -232,7 +224,8 @@ class GluedMap(SingularSimplex):
         da = dw.sum(axis=0)
         a_du = dw[1:] - u[:, :, None] * da
         darg = self._v_scatter.T @ dbar + g[:, :, None] * da + dg @ a_du
-        return vals.T if values else None, (jac @ darg).transpose(1, 2, 0)
+        jac = np.ascontiguousarray(jac.transpose(2, 0, 1))
+        return vals if values else None, (jac @ darg).transpose(1, 2, 0)
 
     jacobian = SingularSimplex.jacobian  # own binding: perfbench trace mode wraps it
 

@@ -415,7 +415,8 @@ class _Density:
     the counters of its calls.  A 1-simplex, bare or under a prism, is
     ``graded``: its density is called at the images g(b) of the rule nodes'
     simplex coordinate b under the smoothstep and multiplied by
-    g'(b) = 6b(1 - b), so that it integrates sigma o g."""
+    g'(b) = 6b(1 - b), so that it integrates sigma o g.  Each call takes one
+    point-last copy of its nodes, and a graded call grades its last row."""
 
     def __init__(self, density, d: int, prism: bool):
         t_rules = tuple((p[:, 0], w) for p, w in (simplex_rule(1, 4), simplex_rule(1, 3))) if prism else None
@@ -444,14 +445,13 @@ class _Density:
         k, n, dim = nodes.shape
         self.calls += 1
         self.points += k * n
-        pts = nodes.reshape(k * n, dim)
+        cols = nodes.reshape(k * n, dim).T.copy()  # point-last, as the evaluators work: (dim, k * n)
+        weight = 1.0
         if self.graded:
-            x = pts[:, -1]
-            graded = pts.T.copy()  # point-last, as the evaluators work: (dim, k * n)
-            graded[-1] = _smoothstep(x)
-            v = (self.density(graded.T) * (6.0 * x * (1.0 - x))).reshape(k, n)
-        else:
-            v = self.density(pts).reshape(k, n)
+            x = cols[-1]
+            weight = 6.0 * x * (1.0 - x)
+            cols[-1] = _smoothstep(x)
+        v = (self.density(cols.T) * weight).reshape(k, n)
         q, a, err_t, err_b = _finish(v, scale, t is not None, self.rules)
         self.cells += k
         rows = zip(

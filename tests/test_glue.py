@@ -1,6 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
-from test_chains import glued_fan, random_interior_point
+from test_chains import glued_fan, random_interior_point, values_and_jacobians
 from test_homology import finishes_within
 
 from periodlab import chains as ch
@@ -444,7 +446,7 @@ def test_a_glued_pullback_inverts_g_once_per_batch(monkeypatch):
     top = G.evaluators[(0, 1, 4)]
     assert isinstance(top, gl.GluedMap)
     rng = np.random.default_rng(12)
-    top.evaluate_with_jacobian_many(np.array([random_interior_point(2, rng) for _ in range(6)]))
+    values_and_jacobians(top, np.array([random_interior_point(2, rng) for _ in range(6)]))
     assert inversions == [6]
     inversions.clear()
     r = qd.integrate_simplex(top, fo.Form(2, 2, [((1, 2), "1")]), 1e-7)
@@ -456,8 +458,21 @@ def test_a_glued_pullback_inverts_g_once_per_batch(monkeypatch):
     # a batch with points of zero w-mass too: there the one inverse takes tau's vertex 0
     inversions.clear()
     pts = np.array([[0.3, 0.0], [0.2, 0.5], [0.0, 0.0], [0.6, 0.0], [0.1, 0.1]])
-    glued_fan().evaluate_with_jacobian_many(pts)
+    values_and_jacobians(glued_fan(), pts)
     assert inversions == [5]
+
+
+def test_a_glued_batch_of_values_alone_inverts_g_once_over_all_its_points(monkeypatch):
+    # the same one inverse as a batch with Jacobians, at tau's vertex 0 where
+    # the w-mass vanishes; the values are those of the batch that inverted
+    # only where there is w-mass, byte for byte
+    fan = glued_fan()
+    inversions = []
+    monkeypatch.setattr(fan, "_g", lambda u, g=fan._g: inversions.append(len(u)) or g(u))
+    pts = np.array([[0.3, 0.0], [0.2, 0.5], [0.0, 0.0], [0.6, 0.0], [0.1, 0.1]])
+    vals = fan.evaluate_many(pts)
+    assert inversions == [5]
+    assert hashlib.sha256(vals.tobytes()).hexdigest()[:16] == "f05d2e83520b0883"
 
 
 def test_a_failed_glued_inverse_raises_as_the_two_batches_do():
@@ -468,7 +483,7 @@ def test_a_failed_glued_inverse_raises_as_the_two_batches_do():
     with pytest.raises(gl.InputCompatibilityError) as two:
         ev.evaluate_many(pts), ev.jacobian_many(pts)
     with pytest.raises(gl.InputCompatibilityError) as one:
-        ev.evaluate_with_jacobian_many(pts)
+        values_and_jacobians(ev, pts)
     assert str(one.value) == str(two.value)
 
 

@@ -320,6 +320,82 @@ TOLERANCE_GOLDEN = {
         "stokes/rhs_faces/2/subdivisions": 8,
         "stokes/rhs_faces/2/value": "0x1.921fb544385dfp-1",
     },
+    # a cone's own Jacobian on the density path: the barycentric subdivision
+    # of the cone over the upper semicircle (CONE_CHAIN), in {tmp}
+    "check-stokes {tmp}/cone_sd.json --chain c_sd --form x_dy --tol 1e-8": {
+        "stokes/per_term/0/report/lhs/error_estimate": 0,
+        "stokes/per_term/0/report/lhs/subdivisions": 0,
+        "stokes/per_term/0/report/lhs/value": "0x1.0c152382d7365p-2",
+        "stokes/per_term/0/report/rhs_faces/0/error_estimate": 0,
+        "stokes/per_term/0/report/rhs_faces/0/subdivisions": 0,
+        "stokes/per_term/0/report/rhs_faces/0/value": 0,
+        "stokes/per_term/0/report/rhs_faces/1/error_estimate": "0x1.0000000000000p-106",
+        "stokes/per_term/0/report/rhs_faces/1/subdivisions": 0,
+        "stokes/per_term/0/report/rhs_faces/1/value": "-0x1.f6043e907c01bp-57",
+        "stokes/per_term/0/report/rhs_faces/2/error_estimate": "0x1.470e9f0c10000p-34",
+        "stokes/per_term/0/report/rhs_faces/2/subdivisions": 29,
+        "stokes/per_term/0/report/rhs_faces/2/value": "0x1.0c152382d6fd2p-2",
+        "stokes/per_term/1/report/lhs/error_estimate": 0,
+        "stokes/per_term/1/report/lhs/subdivisions": 0,
+        "stokes/per_term/1/report/lhs/value": "-0x1.0c152382d7366p-2",
+        "stokes/per_term/1/report/rhs_faces/0/error_estimate": 0,
+        "stokes/per_term/1/report/rhs_faces/0/subdivisions": 0,
+        "stokes/per_term/1/report/rhs_faces/0/value": 0,
+        "stokes/per_term/1/report/rhs_faces/1/error_estimate": "0x1.757e42b4d8000p-34",
+        "stokes/per_term/1/report/rhs_faces/1/subdivisions": 30,
+        "stokes/per_term/1/report/rhs_faces/1/value": "0x1.0c152382d6bf8p-1",
+        "stokes/per_term/1/report/rhs_faces/2/error_estimate": "0x1.470e9f0c10000p-34",
+        "stokes/per_term/1/report/rhs_faces/2/subdivisions": 29,
+        "stokes/per_term/1/report/rhs_faces/2/value": "0x1.0c152382d6fd2p-2",
+        "stokes/per_term/2/report/lhs/error_estimate": "0x1.0000000000000p-54",
+        "stokes/per_term/2/report/lhs/subdivisions": 0,
+        "stokes/per_term/2/report/lhs/value": "-0x1.0c152382d7366p-2",
+        "stokes/per_term/2/report/rhs_faces/0/error_estimate": 0,
+        "stokes/per_term/2/report/rhs_faces/0/subdivisions": 0,
+        "stokes/per_term/2/report/rhs_faces/0/value": 0,
+        "stokes/per_term/2/report/rhs_faces/1/error_estimate": "0x1.0000000000000p-106",
+        "stokes/per_term/2/report/rhs_faces/1/subdivisions": 0,
+        "stokes/per_term/2/report/rhs_faces/1/value": "-0x1.f6043e907c01bp-57",
+        "stokes/per_term/2/report/rhs_faces/2/error_estimate": "0x1.470e9e4c3c000p-34",
+        "stokes/per_term/2/report/rhs_faces/2/subdivisions": 29,
+        "stokes/per_term/2/report/rhs_faces/2/value": "-0x1.0c152382d6fd4p-2",
+        "stokes/per_term/3/report/lhs/error_estimate": 0,
+        "stokes/per_term/3/report/lhs/subdivisions": 0,
+        "stokes/per_term/3/report/lhs/value": "0x1.0c152382d7366p-2",
+        "stokes/per_term/3/report/rhs_faces/0/error_estimate": 0,
+        "stokes/per_term/3/report/rhs_faces/0/subdivisions": 0,
+        "stokes/per_term/3/report/rhs_faces/0/value": 0,
+        "stokes/per_term/3/report/rhs_faces/1/error_estimate": "0x1.757e422738000p-34",
+        "stokes/per_term/3/report/rhs_faces/1/subdivisions": 30,
+        "stokes/per_term/3/report/rhs_faces/1/value": "-0x1.0c152382d6bf8p-1",
+        "stokes/per_term/3/report/rhs_faces/2/error_estimate": "0x1.470e9e4c3c000p-34",
+        "stokes/per_term/3/report/rhs_faces/2/subdivisions": 29,
+        "stokes/per_term/3/report/rhs_faces/2/value": "-0x1.0c152382d6fd4p-2",
+        "stokes/per_term/4/report/lhs/error_estimate": 0,
+        "stokes/per_term/4/report/lhs/subdivisions": 0,
+        "stokes/per_term/4/report/lhs/value": "0x1.0c152382d7366p-2",
+        "stokes/per_term/4/report/rhs_faces/0/error_estimate": "0x1.6000000000000p-49",
+        "stokes/per_term/4/report/rhs_faces/0/subdivisions": 0,
+        "stokes/per_term/4/report/rhs_faces/0/value": "0x1.921fb54442cf5p-1",
+        "stokes/per_term/4/report/rhs_faces/1/error_estimate": "0x1.757e42b4d8000p-34",
+        "stokes/per_term/4/report/rhs_faces/1/subdivisions": 30,
+        "stokes/per_term/4/report/rhs_faces/1/value": "0x1.0c152382d6bf8p-1",
+        "stokes/per_term/4/report/rhs_faces/2/error_estimate": "0x1.0000000000000p-108",
+        "stokes/per_term/4/report/rhs_faces/2/subdivisions": 0,
+        "stokes/per_term/4/report/rhs_faces/2/value": "0x1.39c2a71a4d808p-56",
+        "stokes/per_term/5/report/lhs/error_estimate": 0,
+        "stokes/per_term/5/report/lhs/subdivisions": 0,
+        "stokes/per_term/5/report/lhs/value": "-0x1.0c152382d7366p-2",
+        "stokes/per_term/5/report/rhs_faces/0/error_estimate": "0x1.9000000000000p-49",
+        "stokes/per_term/5/report/rhs_faces/0/subdivisions": 0,
+        "stokes/per_term/5/report/rhs_faces/0/value": "-0x1.921fb54442cf5p-1",
+        "stokes/per_term/5/report/rhs_faces/1/error_estimate": "0x1.757e422738000p-34",
+        "stokes/per_term/5/report/rhs_faces/1/subdivisions": 30,
+        "stokes/per_term/5/report/rhs_faces/1/value": "-0x1.0c152382d6bf8p-1",
+        "stokes/per_term/5/report/rhs_faces/2/error_estimate": "0x1.0000000000000p-108",
+        "stokes/per_term/5/report/rhs_faces/2/subdivisions": 0,
+        "stokes/per_term/5/report/rhs_faces/2/value": "0x1.39c2a71a4d808p-56",
+    },
 }
 
 HEMISPHERE_CHART = {
@@ -330,13 +406,30 @@ HEMISPHERE_CHART = {
 }
 
 
+CONE_CHAIN = {
+    "schema": "periodlab/1",
+    "ambient_dim": 2,
+    "derived_simplices": [{"name": "arc_cone", "map": {
+        "kind": "cone", "of": {"kind": "expr", "dim": 1, "components": ["cos(pi*t)", "sin(pi*t)"]}}}],
+    "chains": [{"name": "c", "terms": [{"coeff": 1, "simplex": "arc_cone"}]}],
+}
+X_DY = {"name": "x_dy", "degree": 1, "terms": [{"coeff": "a1", "indices": [2]}]}
+
+
 def _in_tmp(command, tmp_path):
     """The command with {tmp} set to ``tmp_path``, after writing the manifests
-    it reads there: the cone over sqrt_graph and the hemisphere chart."""
+    it reads there: the cone over sqrt_graph, the hemisphere chart, and the
+    subdivided cone chain with the form x dy."""
     if "{tmp}" in command:
         (tmp_path / "hemi.json").write_text(json.dumps(HEMISPHERE_CHART))
-        argv = ["cone", "manifests/circle.json", "--simplex", "sqrt_graph", "--out", str(tmp_path / "cone.json")]
-        assert cli.run(argv) == 0
+        (tmp_path / "cone_chain.json").write_text(json.dumps(CONE_CHAIN))
+        sd = tmp_path / "cone_sd.json"
+        for argv in (
+            ["cone", "manifests/circle.json", "--simplex", "sqrt_graph", "--out", str(tmp_path / "cone.json")],
+            ["subdivide", str(tmp_path / "cone_chain.json"), "--chain", "c", "--out", str(sd)],
+        ):
+            assert cli.run(argv) == 0
+        sd.write_text(json.dumps({**json.loads(sd.read_text()), "forms": [X_DY]}))
     return command.replace("{tmp}", str(tmp_path))
 
 
@@ -401,6 +494,17 @@ TOLERANCE_ANSWERS = {
         "stokes/rhs_faces/0/value": -math.sqrt(2) * math.pi / 8,
         "stokes/rhs_faces/1/value": 0.0,
         "stokes/rhs_faces/2/value": math.pi / 4,
+    },
+    # x dy over the pieces of the subdivided cone, in twelfths of pi.  The
+    # cone map, r = s1 + s2 and theta = pi s2 / r in polar coordinates,
+    # scales area by pi, and each piece has area 1/12.  Along a segment on
+    # which s2 = alpha r + beta, x dy integrates to -pi beta (r1 - r0)/2 plus
+    # r^2 sin(2 theta)/4 at its ends, which vanishes at every vertex of a
+    # piece (theta is 0, pi/2 or pi there); along the arc r = 1 it is d theta/2.
+    "check-stokes {tmp}/cone_sd.json --chain c_sd --form x_dy --tol 1e-8": {
+        f"stokes/per_term/{k}/report/{leaf}": twelfths * math.pi / 12
+        for k, row in enumerate([(1, 0, 0, 1), (-1, 0, 2, 1), (-1, 0, 0, -1), (1, 0, -2, -1), (1, 3, 2, 0), (-1, -3, -2, 0)])
+        for leaf, twelfths in zip(("lhs/value", "rhs_faces/0/value", "rhs_faces/1/value", "rhs_faces/2/value"), row)
     },
 }
 
