@@ -4,12 +4,12 @@ The standard d-simplex is ``{(a_1,...,a_d) : a_i >= 0, sum a_i <= 1}`` with
 vertex 0 at the origin and vertex k at the k-th basis vector.  A singular
 simplex is a continuous map of the closed simplex into R^N, C^1 on each open
 face; evaluators come in five flavours (expression-backed, affine, cone,
-prism, composed; glue adds a sixth) and every one exposes an exact Jacobian
-at interior points.  Each evaluator has one batch implementation, ``batch``,
-in point-last layout: points ``(dim, n)`` in, values ``(ambient, n)`` and
-Jacobians ``(ambient, dim, n)`` out, so that elementwise work runs over n
-contiguous points; it computes the values, the Jacobians or both, in one
-pass.  The public batches ``evaluate_many`` and ``jacobian_many`` are
+the cone's prism chart, composed; glue adds a sixth) and every one exposes
+an exact Jacobian at interior points.  Each evaluator has one batch
+implementation, ``batch``, in point-last layout: points ``(dim, n)`` in,
+values ``(ambient, n)`` and Jacobians ``(ambient, dim, n)`` out, so that
+elementwise work runs over n contiguous points; it computes the values, the
+Jacobians or both, in one pass.  The public batches ``evaluate_many`` and ``jacobian_many`` are
 adapters over it that take ``(n, dim)`` points and return C-contiguous
 ``(n, ...)`` arrays; ``evaluate``/``jacobian`` at one point are a batch of
 one.  A composite map asks the map it wraps through ``batch``, once for
@@ -242,35 +242,31 @@ class Cone(SingularSimplex):
 
 
 class PrismMap(SingularSimplex):
-    """Map (t, b) |-> f(t) * sigma(b) on [0,1] x Delta_d (a prism, not a
-    simplex; chains and simplex quadrature refuse it)."""
+    """The cone's chart (t, b) |-> (1 - t) * sigma(b) on [0,1] x Delta_d (a
+    prism, not a simplex; chains and simplex quadrature refuse it)."""
 
     domain = "prism"
 
-    def __init__(self, inner: SingularSimplex, profile):
+    def __init__(self, inner: SingularSimplex):
         self.inner = inner
-        self.profile = ex.parse(profile, 1) if isinstance(profile, str) else profile
         self.dim = inner.dim + 1
         self.ambient = inner.ambient
-        self._vf = ex.compile_vec(self.profile)
-        self._vdf = ex.compile_vec(ex.diff(self.profile, 1))
 
     evaluate_many, jacobian_many = SingularSimplex.evaluate_many, SingularSimplex.jacobian_many
 
     def batch(self, cols, values=True, jacobian=True):
-        # profile, inner values (and Jacobian), profile derivative
-        f = self._vf(cols[:1])
+        f = 1.0 - cols[0]
         ivals, ijac = self.inner.batch(cols[1:], jacobian=jacobian)
         jac = None
         if jacobian:
-            df = self._vdf(cols[:1])
             jac = np.empty((self.ambient, self.dim, cols.shape[1]))
-            np.multiply(df, ivals, out=jac[:, 0])  # no temporaries: a batch's arrays are large
+            # d/dt (1 - t) = -1; no temporaries: a batch's arrays are large
+            np.negative(ivals, out=jac[:, 0])
             np.multiply(f, ijac, out=jac[:, 1:])
         return f * ivals if values else None, jac
 
     def key(self):
-        return ("prism", self.inner.key(), self.profile)
+        return ("prism", self.inner.key())
 
 
 class Composed(SingularSimplex):

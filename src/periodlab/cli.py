@@ -160,7 +160,7 @@ def _subdivide(args) -> int:
             terms.append({"simplex": name, "coeff": n})
         _emit(args, {
             "schema": "periodlab/1",
-            "ambient_dim": next(iter(sd.terms)).ambient if sd.terms else 0,
+            "ambient_dim": next(iter(sd.terms)).ambient if sd.terms else man.ambient,
             "derived_simplices": derived,
             "chains": [{"name": f"{args.chain}_sd", "degree": sd.degree, "terms": terms}],
         })

@@ -61,7 +61,8 @@ flagged inconclusive.  Each result carries its stop reason and what it
 cost: density calls, cells and points, the depth it reached and the cells
 that froze.
 
-Cone evaluators are always integrated on the prism [0,1] x Delta_d: the
+Cone evaluators are always integrated on their prism chart
+(t, b) |-> (1 - t) sigma(b) on [0,1] x Delta_d: the
 reparametrisation q collapsing {1} x Delta_d to the cone point is a
 diffeomorphism away from a null set, and the product domain lets refinement
 grade anisotropically into the wrapped simplex's singular faces.  q reverses
@@ -81,7 +82,7 @@ from fractions import Fraction
 import numpy as np
 
 from .chains import Cone, PrismMap, SingularSimplex, reference_vertices
-from .expr import ExprDomainError
+from .expr import ExprDomainError, const
 from .forms import Form, pullback_top_many
 
 __all__ = [
@@ -623,19 +624,15 @@ def _adapt(density, d: int, prism: bool, tol: float, cfg: QuadConfig | None) -> 
 
 def _signed_density(sigma: SingularSimplex, omega: Form):
     """(density, d, prism): the signed density of sigma^*(omega) and its
-    domain, Delta_d or, for a cone, the prism [0,1] x Delta_d."""
+    domain, Delta_d or, for a cone, the prism [0,1] x Delta_d of its chart."""
     if sigma.domain == "prism":
-        raise ValueError("prism-domain maps go through integrate_prism")
+        raise ValueError("a prism-domain map is a cone's chart: integrate the cone (integrate_prism)")
     if isinstance(sigma, Cone):
-        return _prism_density(sigma.inner, "1 - t", omega), sigma.inner.dim, True
+        # q reverses the dt ^ db orientation: the sign makes prism values
+        # match the direct cone integral
+        prism = PrismMap(sigma.inner)
+        return (lambda pts: -pullback_top_many(prism, omega, pts)), sigma.inner.dim, True
     return (lambda pts: pullback_top_many(sigma, omega, pts)), sigma.dim, False
-
-
-def _prism_density(sigma: SingularSimplex, profile, omega: Form):
-    # q reverses the dt ^ db orientation: the sign makes prism values match
-    # the direct cone integral
-    prism = PrismMap(sigma, profile)
-    return lambda pts: -pullback_top_many(prism, omega, pts)
 
 
 def integrate_simplex(
@@ -648,18 +645,13 @@ def integrate_simplex(
 
 
 def integrate_prism(
-    sigma: SingularSimplex,
-    profile,
-    omega: Form,
-    tol: float = 1e-8,
-    config: QuadConfig | None = None,
+    sigma: SingularSimplex, omega: Form, tol: float = 1e-8, config: QuadConfig | None = None
 ) -> QuadResult:
-    """Integral of the pullback of omega along (t,b) |-> f(t) sigma(b) over
-    [0,1] x Delta_d, oriented so that it matches the direct cone integral
-    when f(t) = 1 - t (q reverses the dt^db coordinate orientation)."""
+    """Integral of omega over the cone on sigma, on its prism chart.  It stays
+    only because perfbench's tracer looks the name up; ROADMAP item 1 deletes it."""
     if omega.degree != sigma.dim + 1:
         raise ValueError("integrate_prism needs deg(omega) == dim(sigma) + 1")
-    return _adapt(_prism_density(sigma, profile, omega), sigma.dim, True, tol, config)
+    return _adapt(*_signed_density(Cone(sigma), omega), tol, config)
 
 
 def finite_volume_check(
@@ -674,7 +666,7 @@ def finite_volume_check(
     d = sigma.dim
     results = {}
     for idx in itertools.combinations(range(1, sigma.ambient + 1), d):
-        density, dom, prism = _signed_density(sigma, Form(d, sigma.ambient, [(idx, "1")]))
+        density, dom, prism = _signed_density(sigma, Form(d, sigma.ambient, [(idx, const(1))]))
         results[idx] = _adapt(lambda pts: np.abs(density(pts)), dom, prism, tol, config)
     if any(r.diverging for r in results.values()):
         verdict = "no"

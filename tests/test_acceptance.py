@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 from test_chains import prism_q, prism_q_inverse, random_interior_point
-from test_forms import decompose_AB
+from test_forms import ProfiledPrism, decompose_AB
 from test_periods import compare_representatives
 
 from periodlab import chains as ch
@@ -43,7 +43,7 @@ def test_criterion_1_cone_prism_identities():
     worst = 0.0
     n_points = 0
     for d, sigma in sigmas.items():
-        prism = ch.PrismMap(sigma, "1 - t")
+        prism = ch.PrismMap(sigma)
         cone = ch.Cone(sigma)
         for _ in range(3400):
             t = rng.random() * 0.999
@@ -128,7 +128,7 @@ def test_criterion_3_decomposition():
         for i in range(d + 1):
             face = ch.face_map(d, i)
             c = np.array([random_interior_point(d - 1, rng) for _ in range(25)])
-            restricted = ch.PrismMap(ch.Composed(sigma, face), dec.prism.profile)
+            restricted = ProfiledPrism(ch.Composed(sigma, face), dec.profile)
             direct = fo.pullback_many(restricted, eta, np.column_stack([t, c]))
             beta = dec.B_density(t, face.evaluate_many(c))
             jac = face.jacobian_many(c)

@@ -177,7 +177,7 @@ def test_prism_q_examples():
 )
 def test_prism_equals_cone_after_q(t, b1, b2):
     sigma = ch.ExprMap(["a1 + a2^2", "sin(a1)*a2", "exp(a1)*a2"], 2)
-    prism = ch.PrismMap(sigma, "1 - t")
+    prism = ch.PrismMap(sigma)
     cone = ch.Cone(sigma)
     b = np.array([b1, b2])
     lhs = prism.evaluate(np.concatenate(([t], b)))
@@ -232,7 +232,7 @@ def test_chain_merging_uses_structural_equality():
 
 
 def test_prism_map_refuses_boundary_and_cone():
-    prism = ch.PrismMap(ch.ExprMap(["t"], 1), "1 - t")
+    prism = ch.PrismMap(ch.ExprMap(["t"], 1))
     with pytest.raises(ValueError):
         ch.boundary(ch.Chain(2, [(prism, 1)]))
     with pytest.raises(ValueError):
@@ -243,8 +243,8 @@ def test_barycentric_subdivision_refuses_a_prism_map():
     # subdividing Delta_2 would cut [0,1] x Delta_1 along the wrong
     # pieces, and so would a map over the prism
     for prism in (
-        ch.PrismMap(ch.ExprMap(["t"], 1), "1 - t"),
-        ch.Composed(ch.ExprMap(["a1", "a2"], 2), ch.PrismMap(ch.ExprMap(["t", "t^2"], 1), "1 - t")),
+        ch.PrismMap(ch.ExprMap(["t"], 1)),
+        ch.Composed(ch.ExprMap(["a1", "a2"], 2), ch.PrismMap(ch.ExprMap(["t", "t^2"], 1))),
     ):
         with pytest.raises(ValueError, match="simplex-domain"):
             ch.barycentric_subdivide(ch.Chain(2, [(prism, 1)]))
@@ -257,7 +257,7 @@ def test_jacobians_match_finite_differences():
         sigma,
         ch.Cone(sigma),
         ch.Composed(sigma, ch.face_map(2, 1)),
-        ch.PrismMap(sigma, "1 - t^2"),
+        ch.PrismMap(sigma),
         ch.AffineSimplex([[0, 0, 0], [1, 2, 0], [0, 1, 1]]),
     ]
     for m in maps:
@@ -296,7 +296,7 @@ def test_batch_of_many_matches_batch_of_one():
     rng = np.random.default_rng(8)
     sigma = ch.ExprMap(["a1*a2", "sin(a1) + a2"], 2)
     maps = [sigma, ch.AffineSimplex([[0, 0, 0], [1, 2, 0], [0, 1, 1]]), ch.Cone(sigma),
-            ch.PrismMap(sigma, "1 - t"), ch.Composed(sigma, ch.face_map(2, 0)), glued_cap()]
+            ch.PrismMap(sigma), ch.Composed(sigma, ch.face_map(2, 0)), glued_cap()]
     for m in maps:
         pts = np.array([random_interior_point(m.dim, rng) for _ in range(7)])
         ev = m.evaluate_many(pts)
@@ -311,8 +311,8 @@ def test_one_pass_evaluation_is_the_two_batches_bit_for_bit():
     sigma = ch.ExprMap(["a1*a2", "sin(a1) + a2"], 2)
     arc = ch.ExprMap(["1 - 2*t", "sqrt(1 - (1 - 2*t)^2)"], 1)
     maps = [sigma, ch.AffineSimplex([[0, 0, 0], [1, 2, 0], [0, 1, 1]]), ch.Cone(sigma),
-            ch.PrismMap(sigma, "1 - t"), ch.PrismMap(arc.face(0), "1 - t^2"),
-            ch.PrismMap(ch.Composed(sigma, ch.face_map(2, 1)), "1 - t"),
+            ch.PrismMap(sigma), ch.PrismMap(arc.face(0)),
+            ch.PrismMap(ch.Composed(sigma, ch.face_map(2, 1))),
             ch.Composed(sigma, ch.face_map(2, 0)), ch.Composed(sigma, ch.AffineSimplex([[0.3, 0.2]])),
             ch.Composed(ch.Cone(arc), ch.face_map(2, 0)), glued_cap()]
     assert {type(m) for m in maps} == set(ch.SingularSimplex.__subclasses__())
@@ -346,7 +346,7 @@ EVALUATOR_BYTES = {
     "ExprMap": "0171fcb27c9d11b2",
     "AffineSimplex": "23f280e8ea3fb24c",
     "Cone": "1c1303d2fc100961",
-    "PrismMap": "a2c0831b76d963fb",
+    "PrismMap": "e79cc280318607ab",
     "Composed": "a05af7aa924fc27c",
     "GluedMap": "8a92999cd2e36143",
 }
@@ -360,7 +360,7 @@ def test_each_evaluator_class_keeps_the_bytes_of_its_batches():
         (hemi, p2),
         (ch.AffineSimplex([[0, 0, 0], [1, 2, 0], [0, 1, 1]]), p2),
         (ch.Cone(hemi), p3),
-        (ch.PrismMap(hemi, "1 - t^2"), p3),
+        (ch.PrismMap(hemi), p3),
         (ch.Composed(hemi, ch.AffineSimplex([[0.2, 0.1], [0.7, 0.1], [0.2, 0.6]])), p2),
         (glued_cap(), p2),
     ]
@@ -390,7 +390,7 @@ def test_a_prism_or_cone_over_a_composed_map_asks_its_inner_map_once(monkeypatch
     composed = ch.Composed(ch.ExprMap(["a1*a2", "sin(a1) + a2"], 2), piece)
     calls = count_batches(monkeypatch, piece)
     pts = np.array([[0.3, 0.2, 0.1], [0.5, 0.1, 0.6]])
-    values_and_jacobians(ch.PrismMap(composed, "1 - t"), pts)
+    values_and_jacobians(ch.PrismMap(composed), pts)
     assert calls == [(True, False), (False, True)]
     calls.clear()
     ch.Cone(composed).jacobian_many(pts)
@@ -435,12 +435,12 @@ def _one_pass_error_cases():
         # inner values, outer values, outer Jacobian, inner Jacobian
         (ch.Composed(sqrt_2t, sqrt_t), ONE_D, lambda: sqrt_2t.jacobian_many(sqrt_t.evaluate_many(ONE_D))),
         (ch.Composed(log_t, sqrt_t), ONE_D, lambda: log_t.evaluate_many(sqrt_t.evaluate_many(ONE_D))),
-        # profile, inner values, inner Jacobian, profile derivative
-        (ch.PrismMap(sqrt_3t, "sqrt(t)"), PRISM_1D, lambda: sqrt_3t.jacobian_many(ONE_D)),
-        (ch.PrismMap(log_t, "sqrt(t)"), PRISM_1D, lambda: log_t.evaluate_many(ONE_D)),
-        (ch.PrismMap(sqrt_3t, "1 - t"), PRISM_1D, lambda: sqrt_3t.jacobian_many(ONE_D)),
+        # inner values, inner Jacobian
+        (ch.PrismMap(log_t), PRISM_1D, lambda: log_t.evaluate_many(ONE_D)),
+        (ch.PrismMap(sqrt_3t), PRISM_1D, lambda: sqrt_3t.jacobian_many(ONE_D)),
         (ch.ExprMap(["t", "sqrt(t)"], 1), ONE_D, lambda: sqrt_t.jacobian_many(ONE_D)),
         (ch.Cone(log_t), np.array([[0.5, 0.0]]), lambda: log_t.evaluate_many(ONE_D)),
+        (ch.Cone(sqrt_3t), np.array([[0.5, 0.0]]), lambda: sqrt_3t.jacobian_many(ONE_D)),
     ]
 
 

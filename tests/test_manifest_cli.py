@@ -1069,6 +1069,21 @@ def test_cli_subdivide_chain_roundtrip(tmp_path):
     assert len(sd) == 4
 
 
+def test_cli_subdivide_of_an_empty_chain_keeps_the_ambient_dimension(tmp_path):
+    # the output once said "ambient_dim": 0, so a 1-form added to it was an
+    # input error ("form degree must lie between 0 and the ambient dimension")
+    src, out_file = tmp_path / "empty.json", tmp_path / "sd.json"
+    src.write_text(json.dumps({"schema": "periodlab/1", "ambient_dim": 2,
+                               "chains": [{"name": "e", "degree": 1, "terms": []}]}))
+    assert cli.run(["subdivide", str(src), "--chain", "e", "--deterministic", "--out", str(out_file)]) == 0
+    out = json.loads(out_file.read_text())
+    assert out["ambient_dim"] == 2
+    out["forms"] = [{"name": "x_dy", "degree": 1, "terms": [{"coeff": "a1", "indices": [2]}]}]
+    out_file.write_text(json.dumps(out))
+    man = mf.load_manifest(str(out_file))
+    assert man.chains["e_sd"].is_zero() and man.forms["x_dy"].ambient == 2
+
+
 def test_cli_cone_emits_reingestible_manifest(tmp_path):
     out_file = tmp_path / "cone.json"
     res = run_cli(

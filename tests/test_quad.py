@@ -180,14 +180,14 @@ def test_prism_degenerate_point():
     # pullback density vanishes identically
     point = ch.ExprMap(["1", "0"], 1)
     w2 = fo.Form(2, 2, [((1, 2), "1")])
-    r = qd.integrate_prism(point, "1 - t", w2, 1e-10)
+    r = qd.integrate_prism(point, w2, 1e-10)
     assert r.converged and abs(r.value) <= 1e-12
 
 
 def test_prism_half_disk():
     sigma = ch.ExprMap(["cos(pi*t)", "sin(pi*t)"], 1)
     w2 = fo.Form(2, 2, [((1, 2), "1")])
-    r = qd.integrate_prism(sigma, "1 - t", w2, 1e-8)
+    r = qd.integrate_prism(sigma, w2, 1e-8)
     assert r.converged
     assert r.value == pytest.approx(math.pi / 2, abs=1e-6)
 
@@ -196,8 +196,8 @@ def test_simplex_entry_points_refuse_a_prism_map():
     # [0,1] x Delta_1 is not Delta_2: simplex quadrature would read the
     # prism's points (t, b) as barycentric coordinates; so would a map over it
     for prism in (
-        ch.PrismMap(ch.ExprMap(["cos(pi*t)", "sin(pi*t)"], 1), "1 - t"),
-        ch.Composed(ch.ExprMap(["a1", "a2"], 2), ch.PrismMap(ch.ExprMap(["t", "t^2"], 1), "1 - t")),
+        ch.PrismMap(ch.ExprMap(["cos(pi*t)", "sin(pi*t)"], 1)),
+        ch.Composed(ch.ExprMap(["a1", "a2"], 2), ch.PrismMap(ch.ExprMap(["t", "t^2"], 1))),
     ):
         with pytest.raises(ValueError, match="integrate_prism"):
             qd.integrate_simplex(prism, fo.Form(2, 2, [((1, 2), "1")]))
@@ -223,7 +223,7 @@ def test_prism_agrees_with_direct_cone():
             1,
         )
         w2 = fo.Form(2, 2, [((1, 2), "1 + a1")])
-        rp = qd.integrate_prism(sigma, "1 - t", w2, 1e-9)
+        rp = qd.integrate_prism(sigma, w2, 1e-9)
         rc = qd.integrate_simplex(direct_cone(sigma), w2, 1e-9)
         assert rp.converged and rc.converged
         assert abs(rp.value - rc.value) <= rp.error_estimate + rc.error_estimate + 1e-9
@@ -235,6 +235,35 @@ def test_cone_routing_matches_direct():
     routed = qd.integrate_simplex(ch.Cone(sigma), w2, 1e-9)
     direct = qd.integrate_simplex(direct_cone(sigma), w2, 1e-9)
     assert abs(routed.value - direct.value) <= 1e-8
+
+
+def count_expr_calls(monkeypatch) -> dict:
+    """The number of later expr.parse, expr.diff and expr.compile_vec calls
+    (a recursive diff counts once per node), by name."""
+    counts = {}
+    for name in ("parse", "diff", "compile_vec"):
+
+        def counting(*args, name=name, fn=getattr(ex, name)):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args)
+
+        monkeypatch.setattr(ex, name, counting)
+    return counts
+
+
+def test_a_cone_integral_and_a_volume_check_parse_no_text_of_their_own(monkeypatch):
+    # the prism is the cone's fixed chart and a volume check's unit forms are
+    # built as expressions: with its inputs compiled, a cone integral parses,
+    # differentiates and compiles nothing, and a volume check parses nothing
+    sigma = ch.ExprMap(["cos(pi*t)", "sin(pi*t)"], 1)
+    omega = fo.Form(2, 2, [((1, 2), "1 + a1")])
+    warm = qd.integrate_simplex(ch.Cone(sigma), omega, 1e-8)
+    counts = count_expr_calls(monkeypatch)
+    assert qd.integrate_simplex(ch.Cone(sigma), omega, 1e-8).value == warm.value
+    assert counts == {}
+    for m in (ch.Cone(sigma), sigma):
+        assert qd.finite_volume_check(m, 1e-6).verdict == "yes"
+    assert "parse" not in counts
 
 
 def test_subdivision_invariance():
