@@ -22,7 +22,6 @@ layout gives the same bits.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 import numpy as np
@@ -130,28 +129,26 @@ class ExprMap(SingularSimplex):
         self.components = tuple(ex.parse(c, dim) if isinstance(c, str) else c for c in components)
         self.dim = dim
         self.ambient = len(self.components)
-
-    # compiled on first use: a manifest loads all its simplices, and a
-    # command evaluates a few of them
-    @functools.cached_property
-    def _vfns(self):
-        return [ex.compile_vec(c) for c in self.components]
-
-    @functools.cached_property
-    def _vjac_fns(self):
-        return [[ex.compile_vec(ex.diff(c, j + 1)) for j in range(self.dim)] for c in self.components]
+        self._programs = {}
 
     # own bindings of the adapters, in every class: perfbench's tracer wraps them per class
     evaluate_many, jacobian_many = SingularSimplex.evaluate_many, SingularSimplex.jacobian_many
 
     def batch(self, cols, values=True, jacobian=True):
-        vals = np.stack([f(cols) for f in self._vfns]) if values else None
-        jac = None
-        if jacobian:
-            jac = np.empty((self.ambient, self.dim, cols.shape[1]))
-            for i, row in enumerate(self._vjac_fns):
-                for j, f in enumerate(row):
-                    jac[i, j] = f(cols)
+        # one program per asked pair, of the values, then the Jacobian row by row,
+        # compiled on first use: a manifest loads all its simplices, a command evaluates few
+        run = self._programs.get((values, jacobian))
+        if run is None:
+            exprs = list(self.components) if values else []
+            if jacobian:
+                exprs += [ex.diff(c, j + 1) for c in self.components for j in range(self.dim)]
+            run = self._programs[values, jacobian] = ex.compile_many(exprs)
+        n = cols.shape[1]
+        vals = np.empty((self.ambient, n)) if values else None
+        jac = np.empty((self.ambient, self.dim, n)) if jacobian else None
+        rows = [*(vals if values else ()), *(jac.reshape(self.ambient * self.dim, n) if jacobian else ())]
+        for row, out in zip(rows, run(cols)):
+            row[...] = out  # a constant fills its row
         return vals, jac
 
     def key(self):

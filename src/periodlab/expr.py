@@ -12,7 +12,9 @@ forms compile their expressions on first use.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -29,6 +31,7 @@ __all__ = [
     "to_string",
     "compile_expr",
     "compile_vec",
+    "compile_many",
     "diff",
     "const",
     "var",
@@ -431,121 +434,126 @@ def to_string(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation.  compile_vec is the one compiler: it builds nested numpy
-# closures once per AST; compile_expr is a batch of one over it.  Both are
-# pure.
+# Evaluation.  compile_many is the one compiler: it turns a list of
+# expressions into one program with a step per distinct subtree, a numpy
+# operation on the values of earlier steps.  The steps run in the order in
+# which evaluating the expressions one after another, each tree walked left
+# to right (a quotient checks its denominator before it reaches its
+# numerator), first reaches each subtree, so every value and the first
+# domain error are those of separate evaluations.  compile_vec is its
+# one-output view, compile_expr a batch of one over that.  All are pure.
 # ---------------------------------------------------------------------------
 
 
-def compile_vec(e: Expr) -> Callable:
-    """Batch evaluator: takes an (arity, n) array of points (one column per
-    point), returns an (n,) array.  A domain check fires if any point in the
-    batch violates it."""
-    inner, _ = _compile_vec(e)
+def _nonzero(e, d):
+    d = np.asarray(d)
+    if (d == 0.0).any():
+        raise ExprDomainError("division by zero", e)
+    return d
+
+
+def _pow(e, r, b):
+    b = np.asarray(b, dtype=float)
+    whole = e.value.denominator == 1
+    if not whole and (b < 0.0).any():
+        raise ExprDomainError("negative base of rational power", e)
+    if r < 0.0 and (b == 0.0).any():
+        raise ExprDomainError("zero base with " + ("negative exponent" if whole else "nonpositive rational power"), e)
+    return b**r
+
+
+def _sqrt_or_log(e, u):
+    u = np.asarray(u, dtype=float)
+    if e.kind == "sqrt":
+        if (u < 0.0).any():
+            raise ExprDomainError("sqrt of negative value", e)
+        return np.sqrt(u)
+    if (u <= 0.0).any():
+        raise ExprDomainError("log of nonpositive value", e)
+    return np.log(u)
+
+
+_PLAIN = {"neg": np.negative, "add": np.add, "sub": np.subtract, "mul": np.multiply,
+          "sin": np.sin, "cos": np.cos, "exp": np.exp, "atan": np.arctan}
+
+
+def compile_many(exprs: Sequence[Expr]) -> Callable:
+    """Batch evaluator of several expressions: takes an (arity, n) array of
+    points (one column per point) and returns a list with one entry per
+    expression, an (n,) array or, for an expression without variables, a
+    float.  A domain check fires if any point in the batch violates it.  A
+    variable-free subtree is evaluated here, by its step; one that fails its
+    domain check stays a step, so that the error is raised on evaluation."""
+    init = [None]  # slot 0 holds the points; a folded subtree holds its value
+    steps = []  # (function, slot written, slots read, the second None if unary)
+    memo = {}  # subtree, or ("nonzero", slot) for a checked denominator -> slot
+
+    def emit(fn, a, b=None):
+        args = (a,) if b is None else (a, b)
+        if all(init[k] is not None for k in args):
+            try:
+                init.append(fn(*[init[k] for k in args]))
+                return len(init) - 1
+            except ExprDomainError:
+                pass
+        init.append(None)
+        steps.append((fn, len(init) - 1, a, b))
+        return len(init) - 1
+
+    def slot(e):
+        k = memo.get(e)
+        if k is None:
+            k = memo[e] = build(e)
+        return k
+
+    def build(e):
+        kind = e.kind
+        if kind in ("const", "pi"):
+            init.append(math.pi if kind == "pi" else float(e.value))
+            return len(init) - 1
+        if kind == "var":
+            return emit(operator.itemgetter(e.value - 1), 0)
+        if kind == "div":
+            d = slot(e.args[1])
+            checked = memo["nonzero", d] = memo.get(("nonzero", d)) or emit(functools.partial(_nonzero, e), d)
+            return emit(np.true_divide, slot(e.args[0]), checked)
+        if kind in ("add", "sub", "mul"):
+            return emit(_PLAIN[kind], slot(e.args[0]), slot(e.args[1]))
+        if kind == "pow":
+            return emit(functools.partial(_pow, e, float(e.value)), slot(e.args[0]))
+        fn = functools.partial(_sqrt_or_log, e) if kind in ("sqrt", "log") else _PLAIN[kind]
+        return emit(fn, slot(e.args[0]))
+
+    outs = [slot(e) for e in exprs]
 
     def run(cols):
-        out = np.asarray(inner(cols), dtype=float)
+        v = init.copy()
+        v[0] = cols
+        for fn, k, a, b in steps:
+            v[k] = fn(v[a]) if b is None else fn(v[a], v[b])
+        return [v[k] for k in outs]
+
+    return run
+
+
+def compile_vec(e: Expr) -> Callable:
+    """Batch evaluator of one expression: compile_many's output as an (n,)
+    array, constant or not."""
+    run = compile_many([e])
+
+    def vec(cols):
+        out = np.asarray(run(cols)[0], dtype=float)
         if out.ndim == 0:
             out = np.full(cols.shape[1], float(out))
         return out
 
-    return run
+    return vec
 
 
 def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
     """Point evaluator: a batch of one through compile_vec."""
     run = compile_vec(e)
     return lambda point: float(run(np.asarray(point, dtype=float).reshape(-1, 1))[0])
-
-
-def _compile_vec(e: Expr):
-    """(closure, variable-free).  A variable-free subtree is evaluated once
-    here, with the same operations as at run time; one that fails its domain
-    check stays a closure, so that the error is raised on evaluation."""
-    kids = [_compile_vec(a) for a in e.args]
-    fn = _closure(e, [f for f, _ in kids])
-    if e.kind == "var" or not all(free for _, free in kids):
-        return fn, False
-    try:
-        v = fn(None)
-    except ExprDomainError:
-        return fn, True
-    return (lambda X: v), True
-
-
-def _closure(e: Expr, args):
-    kind = e.kind
-    if kind == "const":
-        v = float(e.value)
-        return lambda X: v
-    if kind == "pi":
-        return lambda X: math.pi
-    if kind == "var":
-        i = e.value - 1
-        return lambda X: X[i]
-    if kind == "neg":
-        (f,) = args
-        return lambda X: -f(X)
-    if kind in ("add", "sub", "mul", "div"):
-        f, g = args
-        if kind == "add":
-            return lambda X: f(X) + g(X)
-        if kind == "sub":
-            return lambda X: f(X) - g(X)
-        if kind == "mul":
-            return lambda X: f(X) * g(X)
-
-        def _div(X):
-            d = np.asarray(g(X))
-            if (d == 0.0).any():
-                raise ExprDomainError("division by zero", e)
-            return f(X) / d
-
-        return _div
-    (f,) = args
-    if kind == "pow":
-        r: Fraction = e.value
-        if r.denominator == 1:
-            n = r.numerator
-
-            def _ipow(X):
-                b = np.asarray(f(X), dtype=float)
-                if n < 0 and (b == 0.0).any():
-                    raise ExprDomainError("zero base with negative exponent", e)
-                return b ** float(n)
-
-            return _ipow
-        rf = float(r)
-
-        def _rpow(X):
-            b = np.asarray(f(X), dtype=float)
-            if (b < 0.0).any():
-                raise ExprDomainError("negative base of rational power", e)
-            if rf <= 0.0 and (b == 0.0).any():
-                raise ExprDomainError("zero base with nonpositive rational power", e)
-            return b**rf
-
-        return _rpow
-    if kind == "sqrt":
-
-        def _sqrt(X):
-            u = np.asarray(f(X), dtype=float)
-            if (u < 0.0).any():
-                raise ExprDomainError("sqrt of negative value", e)
-            return np.sqrt(u)
-
-        return _sqrt
-    if kind == "log":
-
-        def _log(X):
-            u = np.asarray(f(X), dtype=float)
-            if (u <= 0.0).any():
-                raise ExprDomainError("log of nonpositive value", e)
-            return np.log(u)
-
-        return _log
-    fn = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "atan": np.arctan}[kind]
-    return lambda X: fn(f(X))
 
 
 # ---------------------------------------------------------------------------

@@ -83,10 +83,11 @@ class Form:
         f.terms = _merge_terms(raw, degree, ambient)
         return f
 
-    # compiled on first use, as ExprMap's: a command integrates few of a manifest's forms
+    # one program for all the coefficients, compiled on first use, as
+    # ExprMap's: a command integrates few of a manifest's forms
     @functools.cached_property
-    def _vfns(self):
-        return [ex.compile_vec(c) for _, c in self.terms]
+    def _program(self):
+        return ex.compile_many([c for _, c in self.terms])
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -94,7 +95,10 @@ class Form:
     def coefficients_many(self, points: np.ndarray) -> np.ndarray:
         """The coefficients (n, terms) at the points (n, ambient), in term order."""
         cols = np.asarray(points, dtype=float).T
-        return np.stack([fn(cols) for fn in self._vfns], axis=1)
+        out = np.empty((cols.shape[1], len(self.terms)))
+        for k, c in enumerate(self._program(cols)):
+            out[:, k] = c
+        return out
 
     def __add__(self, other: "Form") -> "Form":
         if (other.degree, other.ambient) != (self.degree, self.ambient):
@@ -143,8 +147,7 @@ def pullback_many(sigma: SingularSimplex, omega: Form, points: np.ndarray) -> di
     x, jac = sigma.batch(pts.T, jacobian=p > 0 and bool(omega.terms))
     subsets = list(itertools.combinations(range(k), p))
     out = {tuple(i + 1 for i in cols): np.zeros(pts.shape[0]) for cols in subsets}
-    for (idx, _), vf in zip(omega.terms, omega._vfns):
-        c = vf(x)
+    for (idx, _), c in zip(omega.terms, omega._program(x)):
         if p == 0:
             out[()] += c
             continue

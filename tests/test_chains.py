@@ -490,22 +490,21 @@ def test_continuity_spot_check():
 
 def test_expression_maps_compile_on_first_use(monkeypatch):
     # loading parses every simplex and form and compiles none of them;
-    # integrating one simplex against one form compiles the simplex's
-    # components and Jacobian entries and the form's coefficients once, and
-    # nothing else
-    compile_vec, compiled = ex.compile_vec, []
-    monkeypatch.setattr(ex, "compile_vec", lambda e: compiled.append(e) or compile_vec(e))
+    # integrating one simplex against one form compiles one program of the
+    # simplex's components and row-major Jacobian entries and one of the
+    # form's coefficients, once each, and nothing else
+    compile_many, programs = ex.compile_many, []
+    monkeypatch.setattr(ex, "compile_many", lambda es: programs.append(list(es)) or compile_many(es))
     man = mf.load_manifest(CIRCLE)
     maps = [s for s in man.simplices.values() if isinstance(s, ch.ExprMap)]
     assert len(maps) == len(man.simplices) > 1 and len(man.forms) > 1
-    assert compiled == []
-    assert not any({"_vfns", "_vjac_fns"} & vars(s).keys() for s in maps)
-    assert not any("_vfns" in vars(f) for f in man.forms.values())
+    assert programs == []
+    assert not any(s._programs for s in maps)
+    assert not any("_program" in vars(f) for f in man.forms.values())
     sigma, omega = man.simplices["upper_sqrt"], man.forms["x_dy"]
     for _ in range(2):
         assert qd.integrate_simplex(sigma, omega, 1e-8).converged
     jac = [ex.diff(c, j + 1) for c in sigma.components for j in range(sigma.dim)]
-    expected = [*sigma.components, *jac, *(c for _, c in omega.terms)]
-    assert sorted(map(ex.to_string, compiled)) == sorted(map(ex.to_string, expected))
-    assert not any({"_vfns", "_vjac_fns"} & vars(s).keys() for s in maps if s is not sigma)
-    assert not any("_vfns" in vars(f) for f in man.forms.values() if f is not omega)
+    assert programs == [[*sigma.components, *jac], [c for _, c in omega.terms]]
+    assert not any(s._programs for s in maps if s is not sigma)
+    assert not any("_program" in vars(f) for f in man.forms.values() if f is not omega)

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from periodlab import chains as ch
 from periodlab import expr as ex
 
 
@@ -357,3 +358,201 @@ def test_vector_eval_matches_reference_interpreter(e, x):
         return
     ref = [_reference(e, p) for p in pts]
     assert [float(v).hex() for v in vec] == [float(v).hex() for v in ref]
+
+
+# -- the program compiler against the closure compiler it replaced -----------
+
+
+def _closure_compile(e):
+    """Reference evaluator, the closure compiler that compile_many replaced:
+    (closure, variable-free), one nested numpy closure per tree node, walked
+    again at every call.  A variable-free subtree is evaluated once with the
+    same operations, and one that fails its domain check stays a closure."""
+    kids = [_closure_compile(a) for a in e.args]
+    fn = _closure(e, [f for f, _ in kids])
+    if e.kind == "var" or not all(free for _, free in kids):
+        return fn, False
+    try:
+        v = fn(None)
+    except ex.ExprDomainError:
+        return fn, True
+    return (lambda X: v), True
+
+
+def _closure(e, args):
+    kind = e.kind
+    if kind == "const":
+        v = float(e.value)
+        return lambda X: v
+    if kind == "pi":
+        return lambda X: math.pi
+    if kind == "var":
+        i = e.value - 1
+        return lambda X: X[i]
+    if kind == "neg":
+        (f,) = args
+        return lambda X: -f(X)
+    if kind in ("add", "sub", "mul", "div"):
+        f, g = args
+        if kind == "add":
+            return lambda X: f(X) + g(X)
+        if kind == "sub":
+            return lambda X: f(X) - g(X)
+        if kind == "mul":
+            return lambda X: f(X) * g(X)
+
+        def _div(X):
+            d = np.asarray(g(X))
+            if (d == 0.0).any():
+                raise ex.ExprDomainError("division by zero", e)
+            return f(X) / d
+
+        return _div
+    (f,) = args
+    if kind == "pow":
+        r = e.value
+        if r.denominator == 1:
+            n = r.numerator
+
+            def _ipow(X):
+                b = np.asarray(f(X), dtype=float)
+                if n < 0 and (b == 0.0).any():
+                    raise ex.ExprDomainError("zero base with negative exponent", e)
+                return b ** float(n)
+
+            return _ipow
+        rf = float(r)
+
+        def _rpow(X):
+            b = np.asarray(f(X), dtype=float)
+            if (b < 0.0).any():
+                raise ex.ExprDomainError("negative base of rational power", e)
+            if rf <= 0.0 and (b == 0.0).any():
+                raise ex.ExprDomainError("zero base with nonpositive rational power", e)
+            return b**rf
+
+        return _rpow
+    if kind == "sqrt":
+
+        def _sqrt(X):
+            u = np.asarray(f(X), dtype=float)
+            if (u < 0.0).any():
+                raise ex.ExprDomainError("sqrt of negative value", e)
+            return np.sqrt(u)
+
+        return _sqrt
+    if kind == "log":
+
+        def _log(X):
+            u = np.asarray(f(X), dtype=float)
+            if (u <= 0.0).any():
+                raise ex.ExprDomainError("log of nonpositive value", e)
+            return np.log(u)
+
+        return _log
+    fn = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "atan": np.arctan}[kind]
+    return lambda X: fn(f(X))
+
+
+def _as_rows(outs, n):
+    """Each output as the bytes of an (n,) float array, as compile_vec gives it."""
+    rows = []
+    for out in outs:
+        out = np.asarray(out, dtype=float)
+        rows.append((np.full(n, float(out)) if out.ndim == 0 else out).tobytes())
+    return rows
+
+
+def _outcome(evaluate):
+    """The outputs' bytes, or the message of the first domain error."""
+    try:
+        with np.errstate(all="ignore"):
+            return evaluate()
+    except ex.ExprDomainError as err:
+        return str(err)
+
+
+_LEAVES = (ex.var(1), ex.var(2), ex.const(0), ex.const(1), ex.const(2), ex.const(-1), ex.pi)
+_OPS = ("neg", "add", "sub", "mul", "sin", "cos", "exp", "atan") + ("div", "pow", "sqrt", "log") * 2
+_POWERS = (Fraction(2), Fraction(3), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2))
+
+
+@st.composite
+def _shared_programs(draw):
+    """A list of expressions over a pool of subtrees that later nodes reuse,
+    so that the list shares subtrees within and across its expressions; the
+    constant leaves make folded subtrees, some of which fail (sqrt(0 - 1),
+    1/0, 0^(-1))."""
+    pool = list(_LEAVES)
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        kind = draw(st.sampled_from(_OPS))
+        a = draw(st.sampled_from(pool))
+        if kind in ("add", "sub", "mul", "div"):
+            pool.append(ex.Expr(kind, (a, draw(st.sampled_from(pool)))))
+        elif kind == "pow":
+            pool.append(ex.Expr("pow", (a,), draw(st.sampled_from(_POWERS))))
+        else:
+            pool.append(ex.Expr(kind, (a,)))
+    built = pool[len(_LEAVES):]
+    return draw(st.lists(st.sampled_from(built + built + pool), min_size=1, max_size=5))
+
+
+# columns that put a zero or a negative number under some of the checks, and none
+_COLUMNS = (
+    np.array([[0.5, 0.25, 0.75], [0.3, 0.7, 0.2]]),
+    np.array([[0.5, -0.25, 0.0], [0.3, 0.7, 2.0]]),
+    np.array([[0.0, 1.0], [-1.0, 0.0]]),
+    np.array([[0.5, 0.75], [0.25, 0.5]]).T.copy().T,  # rows strided
+)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None, database=None)
+@given(exprs=_shared_programs(), cols=st.sampled_from(_COLUMNS))
+@example(exprs=["a1 + sqrt(0 - 1)", "a2"], cols=_COLUMNS[0])
+@example(exprs=["a1", "a2*(1/(1 - 1))"], cols=_COLUMNS[0])
+@example(exprs=["a1 - 0^(-1)"], cols=_COLUMNS[0])
+@example(exprs=["sqrt(a1 - 2)*log(a1 - 2)", "log(a1 - 2)"], cols=_COLUMNS[0])
+@example(exprs=["log(a1 - 2)/(a1 - a1)"], cols=_COLUMNS[0])
+@example(exprs=["a1/sqrt(a2 - 1/4)", "a2/sqrt(a2 - 1/4)", "sqrt(a2 - 1/4)"], cols=_COLUMNS[1])
+def test_one_program_is_the_closure_compiler_bit_for_bit(exprs, cols):
+    # compile_many gives each expression the bytes that its own closure
+    # tree gives, and raises the first domain error that evaluating the
+    # closures one expression after another raises, message and all
+    exprs = [ex.parse(e, 2) if isinstance(e, str) else e for e in exprs]
+    n = cols.shape[1]
+    with np.errstate(all="ignore"):
+        reference = [_closure_compile(e)[0] for e in exprs]
+        run = ex.compile_many(exprs)
+    expected = _outcome(lambda: _as_rows([f(cols) for f in reference], n))
+    assert _outcome(lambda: _as_rows(run(cols), n)) == expected
+    assert _outcome(lambda: _as_rows([ex.compile_vec(e)(cols) for e in exprs], n)) == expected
+
+
+def test_a_subtree_shared_by_values_and_jacobian_runs_once(monkeypatch):
+    # the hemisphere's square root appears in its value and in both partials
+    sigma = ch.ExprMap(["a1", "a2", "1.3*sqrt(1 - a1^2 - a2^2)"], 2)
+    cols = np.array([[0.1, 0.2, 0.3], [0.4, 0.3, 0.2]])
+    ref = [np.broadcast_to(_closure_compile(e)[0](cols), 3) for e in sigma.components]
+    ref += [np.broadcast_to(_closure_compile(ex.diff(c, j))[0](cols), 3) for c in sigma.components for j in (1, 2)]
+    calls = []
+    sqrt = np.sqrt
+    monkeypatch.setattr(np, "sqrt", lambda u: calls.append(u) or sqrt(u))
+    values, jac = sigma.batch(cols)
+    assert len(calls) == 1
+    assert values.tobytes() + jac.tobytes() == np.array(ref).tobytes()
+
+
+def test_a_jacobian_batch_raises_the_first_error_of_the_partials():
+    # at t = 0 the values fail at the log, the partials at the quotient
+    # 1/(2*sqrt(t)); each batch raises the error its own expressions raise
+    # first
+    sigma = ch.ExprMap(["log(t - 2)", "sqrt(t)"], 1)
+    cols = np.zeros((1, 1))
+    for values, jacobian, message in (
+        (True, True, "log of nonpositive value in log(a1 - 2)"),
+        (True, False, "log of nonpositive value in log(a1 - 2)"),
+        (False, True, "division by zero in 1/(2*sqrt(a1))"),
+    ):
+        with pytest.raises(ex.ExprDomainError) as err:
+            sigma.batch(cols, values=values, jacobian=jacobian)
+        assert str(err.value) == message

@@ -37,6 +37,15 @@ def test_dd_zero_more_cases():
         assert fo.exterior_derivative(fo.exterior_derivative(f)).is_zero()
 
 
+def test_coefficients_of_a_form_without_terms_are_an_empty_column_block():
+    points = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    for omega in (fo.Form(1, 2, []), fo.exterior_derivative(fo.Form(1, 2, [((1,), "a1")]))):
+        assert omega.is_zero()
+        assert omega.coefficients_many(points).shape == (3, 0)
+    w = fo.Form(1, 2, [((1,), "a2"), ((2,), "2")])
+    assert w.coefficients_many(points).tolist() == [[0.2, 2.0], [0.4, 2.0], [0.6, 2.0]]
+
+
 def test_form_merge_requires_increasing_indices():
     with pytest.raises(ValueError):
         fo.Form(2, 3, [((2, 1), "1")])

@@ -122,13 +122,14 @@ def per_point_closedness(omega, rng_seed=20260808):
     (verdict, indices of the candidates it accepted, up to the first at
     which d(omega) does not vanish)."""
     dw = fo.exterior_derivative(omega)
+    fns = [ex.compile_vec(c) for _, c in dw.terms]
     rng = np.random.default_rng(rng_seed)
     accepted = []
     for i in range(pe.CLOSED_SAMPLES * 50):
         x = rng.uniform(-2.0, 2.0, omega.ambient)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                vals = [float(fn(x.reshape(-1, 1))[0]) for fn in dw._vfns]
+                vals = [float(fn(x.reshape(-1, 1))[0]) for fn in fns]
         except ex.ExprDomainError:
             continue
         if not all(math.isfinite(v) for v in vals):

@@ -238,10 +238,11 @@ def test_cone_routing_matches_direct():
 
 
 def count_expr_calls(monkeypatch) -> dict:
-    """The number of later expr.parse, expr.diff and expr.compile_vec calls
-    (a recursive diff counts once per node), by name."""
+    """The number of later expr.parse, expr.diff, expr.compile_vec and
+    expr.compile_many calls (a recursive diff counts once per node, and
+    compile_vec calls compile_many), by name."""
     counts = {}
-    for name in ("parse", "diff", "compile_vec"):
+    for name in ("parse", "diff", "compile_vec", "compile_many"):
 
         def counting(*args, name=name, fn=getattr(ex, name)):
             counts[name] = counts.get(name, 0) + 1
