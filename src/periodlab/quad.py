@@ -28,31 +28,31 @@ splits on smooth and polynomial densities than it saves on singular ones.
 One driver refines cells of the form [t0, t1] x simplex (a simplex-domain
 cell has no interval) through a priority queue, with a refinement bonus for
 cells touching the boundary: a cell bisects t or its longest simplex edge,
-whichever carries more of its error.  Cells split one at a time, but their
-children are built and evaluated in groups: when the driver pops a cell
-whose children are not yet known, it splits that cell and up to
-SPECULATE - 1 of the next queued cells at once (popped from the queue to
-look ahead and pushed back), and each cell keeps its children until it is
-popped; a cell that cannot split gets no children.  A group of simplex
-cells is then filled up to SPECULATE cells (no more than splits are left),
-breadth first, with the children it is about to create and then theirs,
-as long as they are below max_depth: a simplex cell's split, its width
-test and the float64 guard depend only on its vertices.  A prism cell's
-split direction needs its own errors, so prism groups are not filled, and
-the root's own call evaluates the root alone.  A group's children, of every
-generation, are built as arrays, as DCUHRE does on its shared subdivision:
-the halves of each generation from its stacked vertices, then for all of
-them one determinant, one matmul per rule and one set of boundary flags,
-which the guard and the evaluation share (when a cell freezes, only the
-group's own children are kept), one density call at all their nodes, and one
-batched reduction of the values to each child's value and errors.  Every
-operation acts elementwise on the stack and rounds as it would for one
-cell, and the density is elementwise, so the split order and every value
-are those of one call per split, bit for bit.  A group whose call raises
-is thrown away, fillers and all, and the popped cell's children are
-evaluated one call each, so an error arises exactly where the sequential
-driver meets it.  Absolute-value sums are tracked across refinement
-depths, and each time refinement reaches a new depth two
+whichever carries more of its error.  Each such simplex is a node of one
+longest-edge bisection tree of Delta_d per process (DCUHRE's shared
+subdivision, kept across integrals; see _Tree), which computes each node's
+halves, rule nodes, scale and flags once.  A cell holds its node's id, and
+a prism cell its t-interval too.  Cells split one at a time, but their
+children are evaluated in groups: when the driver pops a cell whose
+children are not yet known, it splits that cell and up to SPECULATE - 1 of
+the next queued cells at once (popped from the queue to look ahead and
+pushed back), and each cell keeps its children until it is popped; a cell
+that cannot split gets no children.  A group of simplex cells is then
+filled up to SPECULATE cells (no more than splits are left), breadth first,
+with the children it is about to create and then theirs, as long as they
+are below max_depth, since a simplex cell's split depends only on its node.
+A prism cell's split needs its own errors, so prism groups are not filled,
+and the root's own call evaluates the root alone.  The tree halves a
+group's missing nodes a generation at a time, then builds all their
+geometry at once (when a cell freezes, only the group's own children are
+kept); one density call evaluates all the children's nodes, and one batched
+reduction gives each child's value and errors.  Every operation rounds as
+it would for one cell, and the density is elementwise, so the split order
+and every value are those of one call per split, bit for bit.  A group
+whose call raises is thrown away, fillers and all, and the popped cell's
+children are evaluated one call each, so an error arises exactly where the
+sequential driver meets it.  Absolute-value sums are tracked across
+refinement depths, and each time refinement reaches a new depth two
 triggers test them for divergence: growth by a fixed factor, or growth at
 an undiminished rate; either ends the run there, without waiting for the
 cell budget.  That verdict is a diagnostic, not a proof: integrability is
@@ -108,6 +108,7 @@ SUSTAIN_RATIO = 0.97
 # cells whose children one density call evaluates (see _expand); beyond 16
 # the children of cells that are never popped cost more than the calls saved
 SPECULATE = 16
+_TREES: dict[int, _Tree] = {}  # the reference tree of each dimension (see _Tree)
 
 
 @dataclass(frozen=True)
@@ -299,52 +300,34 @@ class _Tracker:
 
 class _Cell:
     """A cell [t0, t1] x simplex, or the bare simplex when ``t`` is None: its
-    t-interval and vertices (rows of the arrays its group was built from),
+    t-interval, the id of its simplex in the reference tree (see _Tree),
     depth, boundary flag, value ``q``, absolute value ``a`` and errors.  A
     simplex cell's ``err_t`` is 0.  ``kids`` holds the two children once
     they are evaluated, or no children, (), when the cell cannot split."""
 
-    __slots__ = ("t", "verts", "depth", "touches", "q", "a", "err_t", "err_b", "err", "kids")
+    __slots__ = ("t", "node", "depth", "touches", "q", "a", "err_t", "err_b", "err", "kids")
 
-    def __init__(self, t, verts, depth, touches, q, a, err_t, err_b):
-        self.t, self.verts, self.depth, self.touches = t, verts, depth, touches
+    def __init__(self, t, node, depth, touches, q, a, err_t, err_b):
+        self.t, self.node, self.depth, self.touches = t, node, depth, touches
         self.q, self.a, self.err_t, self.err_b = q, a, err_t, err_b
         self.err = err_t + err_b
         self.kids = None
 
 
-def _geometry(t, verts, rules):
-    """The rule nodes (k, n, dim), volume scales (k,) and boundary flags (k,)
-    of k cells with vertices ``verts`` (k, d+1, d) and t-intervals ``t``
-    (k, 2), or None for simplex cells.  A prism cell's nodes are the 4-point
-    interval rule times the degree-7 simplex rule, then one embedded variant
-    per axis."""
-    t_rules, (b7, _), (b5, _) = rules
+def _geometry(verts, rules, edges):
+    """The degree-7 then degree-5 rule nodes (k, n, d), volume scales,
+    boundary flags and thin flags (longest of the ``edges`` narrower than
+    MIN_CELL_WIDTH; a 0-simplex always) of k simplices ``verts`` (k, d+1, d)."""
     k, _, d = verts.shape
     basis = verts[:, 1:] - verts[:, :1]  # rows verts[i] - verts[0]
     if d:
         scale = np.abs(np.linalg.det(basis.transpose(0, 2, 1)))
         touches = (verts.min(axis=(1, 2)) <= 1e-13) | (verts.sum(axis=2).max(axis=1) >= 1.0 - 1e-13)
+        thin = np.sqrt(((verts[:, edges[0]] - verts[:, edges[1]]) ** 2).sum(axis=2).max(axis=1)) < MIN_CELL_WIDTH
     else:
-        scale, touches = np.ones(k), np.zeros(k, dtype=bool)
-    bp7 = verts[:, :1] + np.matmul(b7, basis)
-    bp5 = verts[:, :1] + np.matmul(b5, basis)
-    if t is None:
-        return np.concatenate([bp7, bp5], axis=1), scale, touches
-    (t4, _), (t3, _) = t_rules
-    t0, t1 = t[:, :1], t[:, 1:]
-    touches |= (t0[:, 0] <= 1e-13) | (t1[:, 0] >= 1.0 - 1e-13)
-
-    def grid(ts, bs):  # every t node with every simplex node, t first
-        g = np.empty((k, ts.shape[1], bs.shape[1], 1 + d))
-        g[..., 0] = ts[:, :, None]
-        g[..., 1:] = bs[:, None]
-        return g.reshape(k, -1, 1 + d)
-
-    tn4 = t0 + (t1 - t0) * t4
-    tn3 = t0 + (t1 - t0) * t3
-    nodes = np.concatenate([grid(tn4, bp7), grid(tn3, bp7), grid(tn4, bp5)], axis=1)
-    return nodes, (t1[:, 0] - t0[:, 0]) * scale, touches
+        scale, touches, thin = np.ones(k), np.zeros(k, dtype=bool), np.ones(k, dtype=bool)
+    nodes = np.concatenate([verts[:, :1] + np.matmul(b, basis) for b, _ in rules], axis=1)
+    return nodes, scale, touches, thin
 
 
 def _finish(v, scale, prism: bool, rules):
@@ -372,38 +355,19 @@ def _finish(v, scale, prism: bool, rules):
     return q, a, err_t, err_b
 
 
-def _halves(t, verts, err, edges):
-    """The halves of g cells with t-intervals ``t`` (g, 2), or None for
-    simplex cells, and vertices ``verts``, as (t, verts) arrays of two rows
-    per cell, and the masks (g,) of the cells that bisect their simplex and
-    of those too thin to split.  A prism cell splits t when t carries at
-    least the simplex error (``err``: its (err_t, err_b) rows) and is wide
-    enough, else it bisects the first of its longest simplex edges
-    (``edges``: the vertex pairs i < j in order); a simplex cell always
-    bisects, so its halves depend only on its vertices.  Cells are midpoint
-    splits of the reference simplex, so equal edges compare exactly equal."""
+def _halves(verts, edges):
+    """The halves (2g, d+1, d) of g simplices ``verts``, each bisecting the
+    first of its longest ``edges`` (vertex pairs i < j in order; equal edges
+    of midpoint splits tie exactly); a 0-simplex's halves are copies of it."""
     g, d = verts.shape[0], verts.shape[2]
     kids = np.repeat(verts, 2, axis=0)
-    pairs = kids.reshape(g, 2, d + 1, d)  # each cell's two children
     if d:
-        l2 = ((verts[:, edges[0]] - verts[:, edges[1]]) ** 2).sum(axis=2)
-        e = l2.argmax(axis=1)
+        pairs = kids.reshape(g, 2, d + 1, d)  # each simplex's two halves
+        e = ((verts[:, edges[0]] - verts[:, edges[1]]) ** 2).sum(axis=2).argmax(axis=1)
         r, i, j = np.arange(g), edges[0][e], edges[1][e]
-        thin = np.sqrt(l2[r, e]) < MIN_CELL_WIDTH
         mid = 0.5 * (verts[r, i] + verts[r, j])
-        pairs[r, 0, j] = mid
-        pairs[r, 1, i] = mid
-    else:
-        thin = np.ones(g, dtype=bool)
-    if t is None:
-        return None, kids, np.ones(g, dtype=bool), thin
-    split_t = (t[:, 1] - t[:, 0] >= MIN_CELL_WIDTH) & ((err[:, 0] >= err[:, 1]) | thin)
-    pairs[split_t] = verts[split_t, None]
-    kt = np.repeat(t, 2, axis=0)
-    tm = 0.5 * (t[:, 0] + t[:, 1])
-    kt[0::2, 1] = np.where(split_t, tm, t[:, 1])
-    kt[1::2, 0] = np.where(split_t, tm, t[:, 0])
-    return kt, kids, ~split_t, thin & ~split_t
+        pairs[r, 0, j] = pairs[r, 1, i] = mid
+    return kids
 
 
 def _smoothstep(t):
@@ -411,44 +375,109 @@ def _smoothstep(t):
     return t * t * (3.0 - 2.0 * t)
 
 
+def _near_vertex(nodes, eps=0.0):
+    """Mask (k,) of the graded cells with rule nodes ``nodes`` (k, n, dim)
+    with a node whose image g(b), where the density is called, lies within
+    ``eps`` of a vertex (b: the last coordinate).  With eps = 0 the image
+    rounds onto a vertex (g(b) rounds to 1 once 1 - b is below about 4e-9):
+    such a cell is never evaluated, so every node stays interior.  With
+    float64's spacing at 1 as eps the chart's 1 - x no longer resolves x
+    (1 - x rounds to 1 once x < 5.6e-17)."""
+    x = _smoothstep(nodes[..., -1])
+    return ((x <= eps) | (x >= 1.0 - eps)).any(axis=1)
+
+
+class _Tree:
+    """The longest-edge bisection tree of the reference d-simplex that every
+    integral over Delta_d or the prism on it refines, as growable arrays by
+    node id: ``verts``, first ``child`` (children are consecutive; -1 until
+    built), the flags ``thin`` (see _geometry) and ``guard`` (_near_vertex),
+    rule ``nodes``, ``scale`` and ``touches``.  None of it depends on the
+    integrand, and integration is serial, so one tree per dimension (_TREES)
+    serves every integral; one grown past QuadConfig's default cell budget
+    starts over when an integral starts: that bounds it and changes no bit."""
+
+    def __init__(self, d: int):
+        self.rules, self.edges = (simplex_rule(d, 4), simplex_rule(d, 3)), np.triu_indices(d + 1, 1)
+        self.graded, self.size, self.built = d == 1, 1, 0
+        self.verts, self.child, self.scale = reference_vertices(d)[None], np.full(1, -1), np.empty(1)
+        self.nodes = np.empty((1, sum(len(w) for _, w in self.rules), d))
+        self.thin, self.guard, self.touches = np.empty((3, 1), dtype=bool)
+        self.finish()
+
+    def children(self, ids):
+        """The two children of each of the distinct nodes ``ids`` (k,), in order."""
+        first = self.child[ids]
+        missing = first < 0
+        if missing.any():  # halve the nodes that have none
+            new, n = ids[missing], self.size
+            self.size = m = n + 2 * len(new)
+            if m > len(self.child):  # grow every array, with room for a few more groups' nodes
+                for name in ("verts", "child", "scale", "nodes", "thin", "guard", "touches"):
+                    old = getattr(self, name)
+                    setattr(self, name, np.empty((4 * (m + 2 * SPECULATE),) + old.shape[1:], old.dtype))
+                    getattr(self, name)[:n] = old[:n]
+            self.verts[n:m], self.child[n:m] = _halves(self.verts[new], self.edges), -1
+            first[missing] = self.child[new] = np.arange(n, m, 2)
+        kids = first.repeat(2)
+        kids[1::2] += 1
+        return kids
+
+    def finish(self):
+        """Build the geometry of every node that has none yet, in one call."""
+        new = slice(self.built, self.size)
+        if self.built < self.size:
+            geometry = _geometry(self.verts[new], self.rules, self.edges)
+            self.nodes[new], self.scale[new], self.touches[new], self.thin[new] = geometry
+            self.guard[new] = _near_vertex(self.nodes[new]) if self.graded else False
+            self.built = self.size
+
+
 class _Density:
-    """The density of one integral over Delta_d or the prism, its rules and
-    the counters of its calls.  A 1-simplex, bare or under a prism, is
-    ``graded``: its density is called at the images g(b) of the rule nodes'
-    simplex coordinate b under the smoothstep and multiplied by
-    g'(b) = 6b(1 - b), so that it integrates sigma o g.  Each call takes one
-    point-last copy of its nodes, and a graded call grades its last row."""
+    """The density of one integral over Delta_d or the prism, its rules,
+    the reference tree of Delta_d and the counters of its calls.  A
+    1-simplex, bare or under a prism, is graded: its density is called
+    at the images g(b) of the rule nodes' simplex coordinate b under the
+    smoothstep and multiplied by g'(b) = 6b(1 - b), so that it integrates
+    sigma o g.  Each call takes one point-last copy of its nodes, and a
+    graded call grades its last row."""
 
     def __init__(self, density, d: int, prism: bool):
+        self.tree = _TREES.get(d)
+        if self.tree is None or self.tree.size > QuadConfig.max_cells:
+            self.tree = _TREES[d] = _Tree(d)
         t_rules = tuple((p[:, 0], w) for p, w in (simplex_rule(1, 4), simplex_rule(1, 3))) if prism else None
-        self.density, self.rules = density, (t_rules, simplex_rule(d, 4), simplex_rule(d, 3))
-        self.graded = d == 1
-        self.edges = np.triu_indices(d + 1, 1)
+        self.density, self.rules = density, (t_rules, *self.tree.rules)
         self.calls = self.cells = self.points = 0
 
-    @staticmethod
-    def near_vertex(nodes, eps=0.0):
-        """Mask (k,) of the graded cells with rule nodes ``nodes`` (k, n,
-        dim) with a node whose image g(b), where ``evaluate`` calls the
-        density, lies within ``eps`` of a vertex; b is the last coordinate,
-        and a prism cell's b nodes are its simplex rules' nodes.  With
-        eps = 0 the image rounds onto a vertex (g(b) rounds to 1 once 1 - b
-        is below about 4e-9): such a cell is never evaluated, so every node
-        stays interior.  With float64's spacing at 1 as eps the chart's
-        1 - x no longer resolves x (1 - x rounds to 1 once x < 5.6e-17)."""
-        x = _smoothstep(nodes[..., -1])
-        return ((x <= eps) | (x >= 1.0 - eps)).any(axis=1)
+    def evaluate(self, t, ids, depth) -> list:
+        """The cells with t-intervals ``t`` (None for simplex cells), tree
+        nodes ``ids`` and depths ``depth``, finished from one density call at
+        all their nodes.  A simplex cell's geometry is its node's; a prism
+        cell's nodes are the 4-point interval rule times its node's degree-7
+        rule, then one embedded variant per axis."""
+        nodes, scale, touches = self.tree.nodes[ids], self.tree.scale[ids], self.tree.touches[ids]
+        if t is not None:
+            (k, _, d), n7 = nodes.shape, len(self.rules[1][0])
+            t0, t1 = t[:, :1], t[:, 1:]
+            touches |= (t0[:, 0] <= 1e-13) | (t1[:, 0] >= 1.0 - 1e-13)
 
-    def evaluate(self, t, verts, depth, nodes, scale, touches) -> list:
-        """The cells with t-intervals ``t`` (None for simplex cells),
-        vertices ``verts``, depths ``depth`` and geometry (see _geometry),
-        finished from one density call at all their nodes."""
+            def grid(ts, bs):  # every t node with every simplex node, t first
+                g = np.empty((k, ts.shape[1], bs.shape[1], 1 + d))
+                g[..., 0] = ts[:, :, None]
+                g[..., 1:] = bs[:, None]
+                return g.reshape(k, -1, 1 + d)
+
+            tn4, tn3 = (t0 + (t1 - t0) * tr for tr, _ in self.rules[0])
+            b7, b5 = nodes[:, :n7], nodes[:, n7:]
+            nodes = np.concatenate([grid(tn4, b7), grid(tn3, b7), grid(tn4, b5)], axis=1)
+            scale = (t1[:, 0] - t0[:, 0]) * scale
         k, n, dim = nodes.shape
         self.calls += 1
         self.points += k * n
         cols = nodes.reshape(k * n, dim).T.copy()  # point-last, as the evaluators work: (dim, k * n)
         weight = 1.0
-        if self.graded:
+        if self.tree.graded:
             x = cols[-1]
             weight = 6.0 * x * (1.0 - x)
             cols[-1] = _smoothstep(x)
@@ -456,7 +485,7 @@ class _Density:
         q, a, err_t, err_b = _finish(v, scale, t is not None, self.rules)
         self.cells += k
         rows = zip(
-            [None] * k if t is None else t, verts, depth.tolist(), touches.tolist(),
+            [None] * k if t is None else zip(*t.T.tolist()), ids.tolist(), depth.tolist(), touches.tolist(),
             q.tolist(), a.tolist(), err_t.tolist(), err_b.tolist(),
         )
         return [_Cell(*row) for row in rows]
@@ -467,36 +496,46 @@ def _generations(group, room: int, max_depth: int, density: _Density):
     with the cells that split ahead of time: up to ``room`` parents in all,
     breadth first, the cells of ``group``, then the first of their children,
     then of theirs.  Only simplex cells below ``max_depth`` split ahead of
-    time: a simplex cell's children depend only on its vertices, while a
-    prism cell's split direction needs its own errors.  The tree is planned
-    from vertices alone, then every child's geometry is built at once, for
-    the float64 guard and the evaluation alike; a parent freezes when it is
-    too thin to split or, graded, when it would bisect its simplex into a
-    child with a node on a vertex (see _Density.near_vertex); if any does,
-    only ``group``'s own children are kept.  Returns (source, frozen, rows):
-    per parent, -1 for a cell of ``group`` or the index of its own row,
-    and whether it freezes; and the rows (t, verts, depth, nodes, scale,
-    touches) of the children, two per parent that splits, in parent order."""
-    t = None if group[0].t is None else np.array([c.t for c in group])
-    err = None if t is None else np.array([(c.err_t, c.err_b) for c in group])
-    verts, depth = np.array([c.verts for c in group]), np.array([c.depth for c in group])
-    gens, source, planned = [], [-1] * len(group), 0
-    while True:
-        kt, kids, bisect, frozen = _halves(t, verts, err, density.edges)
-        depth = np.repeat(depth + 1, 2)
-        gens.append((kt, kids, depth, bisect, frozen))
-        room -= len(verts)
-        parents = np.flatnonzero(depth < max_depth)[:room] if t is None and room > 0 else ()
-        if not len(parents):
-            break
-        source += (planned + parents).tolist()
-        planned += len(kids)
-        verts, depth = kids[parents], depth[parents]
-    kt, kids, depth, bisect, frozen = (a[0] if len(a) == 1 or a[0] is None else np.concatenate(a) for a in zip(*gens))
-    nodes, scale, touches = _geometry(kt, kids, density.rules)
-    if density.graded:
-        frozen |= bisect & density.near_vertex(nodes).reshape(-1, 2).any(axis=1)
-    rows = (kt, kids, depth, nodes, scale, touches)
+    time, since a simplex cell's children are its tree node's, while a prism
+    cell splits t (keeping its node) or its simplex by its own errors.  The
+    plan takes node ids alone; the tree then builds its new nodes' geometry
+    at once.  A parent that bisects freezes when its node is too thin or,
+    graded, has a child with a node on a vertex (the guard flag); if any
+    does, only ``group``'s own children are kept.  Returns (source, frozen,
+    rows): per parent, -1 for a cell of ``group`` or the index of its own
+    row, and whether it freezes; and the rows (t, ids, depth) of the
+    children, two per parent that splits, in parent order."""
+    tree = density.tree
+    ids, depth = np.array([c.node for c in group]), np.array([c.depth for c in group])
+    source, kt, bisect = [-1] * len(group), None, True
+    if group[0].t is None:
+        gens, planned = [], 0
+        while True:
+            kids = tree.children(ids)
+            depth = (depth + 1).repeat(2)
+            gens.append((ids, kids, depth))
+            room -= len(ids)
+            parents = np.flatnonzero(depth < max_depth)[:room] if room > 0 else ()
+            if not len(parents):
+                break
+            source += (planned + parents).tolist()
+            planned += len(kids)
+            ids, depth = kids[parents], depth[parents]
+        ids, kids, depth = (a[0] if len(gens) == 1 else np.concatenate(a) for a in zip(*gens))
+    else:
+        t = np.array([c.t for c in group])
+        err = np.array([(c.err_t, c.err_b) for c in group])
+        split_t = (t[:, 1] - t[:, 0] >= MIN_CELL_WIDTH) & ((err[:, 0] >= err[:, 1]) | tree.thin[ids])
+        bisect, kids, depth = ~split_t, ids.repeat(2), (depth + 1).repeat(2)
+        halved, at = np.unique(ids[bisect], return_inverse=True)  # cells may share a node
+        kids.reshape(-1, 2)[bisect] = tree.children(halved).reshape(-1, 2)[at]
+        kt = np.repeat(t, 2, axis=0)
+        tm = 0.5 * (t[:, 0] + t[:, 1])
+        kt[0::2, 1] = np.where(split_t, tm, t[:, 1])
+        kt[1::2, 0] = np.where(split_t, tm, t[:, 0])
+    tree.finish()
+    frozen = bisect & (tree.thin[ids] | tree.guard[kids].reshape(-1, 2).any(axis=1))
+    rows = (kt, kids, depth)
     if frozen.any():  # only the group's own children, none of a frozen cell's
         source, frozen = source[: len(group)], frozen[: len(group)]
         rows = tuple(None if a is None else a[: 2 * len(group)][np.repeat(~frozen, 2)] for a in rows)
@@ -534,15 +573,15 @@ def _own_children(rows, density: _Density):
     """The first two ``rows``' children, one density call each, or none when
     the parent freezes: a child whose call raises ExprDomainError with a
     node within float64's spacing at 1 of a vertex of a graded simplex (see
-    _Density.near_vertex) freezes it, since the chart is integrable there
-    but float64 cannot evaluate it.  Anywhere else the error is the input's."""
+    _near_vertex) freezes it, since the chart is integrable there but
+    float64 cannot evaluate it.  Anywhere else the error is the input's."""
     kids = []
     for m in (0, 1):
         row = [None if a is None else a[m : m + 1] for a in rows]
         try:
             kids += density.evaluate(*row)
         except ExprDomainError:
-            if not (density.graded and density.near_vertex(row[3], np.finfo(float).eps)[0]):
+            if not (density.tree.graded and _near_vertex(density.tree.nodes[row[1]], np.finfo(float).eps)[0]):
                 raise
             return ()
     return tuple(kids)
@@ -560,8 +599,8 @@ def _adapt(density, d: int, prism: bool, tol: float, cfg: QuadConfig | None) -> 
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     cfg = cfg or QuadConfig()
     density = _Density(density, d, prism)
-    t, verts = np.array([[0.0, 1.0]]) if prism else None, reference_vertices(d)[None]
-    (root,) = density.evaluate(t, verts, np.zeros(1, dtype=int), *_geometry(t, verts, density.rules))
+    zero = np.zeros(1, dtype=int)  # the root: node 0 at depth 0
+    (root,) = density.evaluate(np.array([[0.0, 1.0]]) if prism else None, zero, zero)
     heap = []
     seq = itertools.count()
 

@@ -344,22 +344,21 @@ def test_quad_config_rejects_empty_budgets():
 
 def test_longest_edge_of_a_small_cell():
     # squared edge lengths of order 1e-20 are not ties: the longest edge of
-    # this cell is (1, 2) at every scale, so the children replace vertex 2,
+    # this simplex is (1, 2) at every scale, so its halves replace vertex 2,
     # then vertex 1, by its midpoint
     cell = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]])
     for scale in (1.0, 1e-10):
         verts = scale * cell
-        group = [qd._Cell(None, verts, 0, True, 0.0, 0.0, 0.0, 0.0)]
-        source, frozen, (t, kids, depth, *_) = qd._generations(group, 1, 80, qd._Density(None, 2, False))
+        kids = qd._halves(verts[None], np.triu_indices(3, 1))
         mid = 0.5 * (verts[1] + verts[2])
-        assert (source, frozen) == ([-1], [False]) and t is None and depth.tolist() == [1, 1]
         assert np.array_equal(kids, [[verts[0], verts[1], mid], [verts[0], mid, verts[2]]])
 
 
-# The per-cell driver that the groups of _expand replace: each cell built,
-# finished and split on its own, its children only once it is popped.  The
-# batched builder must match it bit for bit, so that the refinement, and
-# every golden below, stays what it was.
+# The per-cell driver that the reference tree and the groups of _expand
+# replace: each cell built, finished and split on its own, its children only
+# once it is popped.  The tree's nodes and the batched builder must match it
+# bit for bit, so that the refinement, and every golden below, stays what it
+# was.
 
 
 class ReferenceCell:
@@ -410,18 +409,31 @@ class ReferenceCell:
             self.err_b = abs(self.q - scale * float(tw4 @ v45 @ bw5))
 
 
-def reference_halves(t, verts, err_t, err_b, rules=None):
-    """The (t, verts) of the two children, or None for a frozen cell.  Given
-    ``rules``, the cell is a graded 1-simplex, bare or under a prism, and
-    also freezes when it would bisect its simplex into a child with a node
-    whose image under the smoothstep rounds onto a vertex."""
+def longest_edge(verts):
+    """The length of the first of the longest edges, and its vertex pair."""
     best, bi, bj = -1.0, 0, 1
     for i in range(verts.shape[0]):
         for j in range(i + 1, verts.shape[0]):
             l2 = float(((verts[i] - verts[j]) ** 2).sum())
             if l2 > best:
                 best, bi, bj = l2, i, j
-    b_width = math.sqrt(best) if verts.shape[1] > 0 else 0.0
+    return (math.sqrt(best) if verts.shape[1] > 0 else 0.0), bi, bj
+
+
+def on_vertex(verts, rules):
+    """Whether a graded simplex has a rule node whose image under the
+    smoothstep rounds onto a vertex: the float64 guard's flag."""
+    b = ReferenceCell(None, verts, rules).nodes[:, -1]
+    x = b * b * (3.0 - 2.0 * b)
+    return bool(((x <= 0.0) | (x >= 1.0)).any())
+
+
+def reference_halves(t, verts, err_t, err_b, rules=None):
+    """The (t, verts) of the two children, or None for a frozen cell.  Given
+    ``rules``, the cell is a graded 1-simplex, bare or under a prism, and
+    also freezes when it would bisect its simplex into a child with a node
+    whose image under the smoothstep rounds onto a vertex."""
+    b_width, bi, bj = longest_edge(verts)
     t_wide = t is not None and t[1] - t[0] >= qd.MIN_CELL_WIDTH
     split_t = t_wide and (err_t >= err_b or b_width < qd.MIN_CELL_WIDTH)
     if not split_t and b_width < qd.MIN_CELL_WIDTH:
@@ -432,12 +444,8 @@ def reference_halves(t, verts, err_t, err_b, rules=None):
     mid = 0.5 * (verts[bi] + verts[bj])
     va, vb = verts.copy(), verts.copy()
     va[bj], vb[bi] = mid, mid
-    if rules is not None:
-        for half in (va, vb):
-            b = ReferenceCell(None, half, rules).nodes[:, -1]
-            x = b * b * (3.0 - 2.0 * b)
-            if ((x <= 0.0) | (x >= 1.0)).any():
-                return None
+    if rules is not None and (on_vertex(va, rules) or on_vertex(vb, rules)):
+        return None
     return (t, va), (t, vb)
 
 
@@ -445,41 +453,54 @@ def bits(*arrays):
     return [np.asarray(a, dtype=float).tobytes() for a in arrays]
 
 
-@st.composite
-def cell_groups(draw):
-    """(d, prism, cells): up to 8 cells (t, verts) reached from the root by
-    midpoint splits of t or of the longest edge, some down to the width at
-    which cells freeze.  Each path draws its depth, how often it splits t
-    and which child it follows from its own generator, so that deep cells
-    are as common as shallow ones."""
-    d = draw(st.integers(0, 3))
-    prism = draw(st.booleans())
-    cells = []
-    for seed in draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8)):
-        rng = np.random.default_rng(seed)
-        t, verts = ((0.0, 1.0) if prism else None), ch.reference_vertices(d)
-        p_t = rng.choice([0.1, 0.5, 0.9])
-        # paths wander inside, or keep to the first or second child, or to
-        # the far face a1 + ... + ad = 1 away from the coordinate planes
-        path = rng.choice(["random", "random", "first", "second", "far"])
-        for _ in range(rng.integers(0, 161)):
-            err_t, err_b = (1.0, 0.0) if rng.random() < p_t else (0.0, 1.0)
-            halves = reference_halves(t, verts, err_t, err_b)
-            if halves is None:
-                break
-            if path == "far":
-                t, verts = max(halves, key=lambda h: (h[1].sum(axis=1).max(initial=0.0), h[1].min(initial=0.0)))
-            else:
-                t, verts = halves[{"random": rng.integers(2), "first": 0, "second": 1}[path]]
-        cells.append((t, verts))
-    return d, prism, cells
+def descend(tree, prism, seed):
+    """(t, node, verts, depth): a cell reached from the root by midpoint
+    splits of t or of the longest edge, some down to the width at which
+    cells freeze, found in ``tree`` and by reference_halves alike.  Each
+    path draws its depth, how often it splits t and which child it follows
+    from its own generator, so that deep cells are as common as shallow ones."""
+    rng = np.random.default_rng(seed)
+    d = tree.verts.shape[2]
+    t, node, verts, depth = ((0.0, 1.0) if prism else None), 0, ch.reference_vertices(d), 0
+    p_t = rng.choice([0.1, 0.5, 0.9])
+    # paths wander inside, or keep to the first or second child, or to the
+    # far face a1 + ... + ad = 1 away from the coordinate planes
+    path = rng.choice(["random", "random", "first", "second", "far"])
+    for _ in range(rng.integers(0, 161)):
+        err_t, err_b = (1.0, 0.0) if rng.random() < p_t else (0.0, 1.0)
+        halves = reference_halves(t, verts, err_t, err_b)
+        if halves is None:
+            break
+        if path == "far":
+            k = max((0, 1), key=lambda i: (halves[i][1].sum(axis=1).max(initial=0.0), halves[i][1].min(initial=0.0)))
+        else:
+            k = {"random": rng.integers(2), "first": 0, "second": 1}[path]
+        if halves[0][0] == halves[1][0]:  # it bisects its simplex: the node's children
+            node = int(tree.children(np.array([node]))[k])
+        t, verts = halves[k]
+        depth += 1
+    tree.finish()
+    return t, node, verts, depth
+
+
+def called_at(refs, d):
+    """The points where a density is called for the cells ``refs``, and the
+    weights its values get: a 1-simplex is graded, at g(b) = 3b^2 - 2b^3
+    and weighted by g'(b) = 6b(1 - b); t is not."""
+    pts = np.concatenate([r.nodes for r in refs])
+    if d != 1:
+        return pts, 1.0
+    b = pts[:, -1]
+    pts = pts.copy()
+    pts[:, -1] = b * b * (3.0 - 2.0 * b)
+    return pts, 6.0 * b * (1.0 - b)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(cell_groups(), st.integers(0, 2**32 - 1), st.integers(-30, 30), st.booleans())
-def test_group_builder_matches_the_per_cell_driver(group, seed, exponent, vanishing):
+@given(st.integers(0, 3), st.booleans(), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8),
+       st.integers(0, 2**32 - 1), st.integers(-30, 30), st.booleans())
+def test_group_builder_matches_the_per_cell_driver(d, prism, paths, seed, exponent, vanishing):
     # a vanishing density ties err_t and err_b at 0: the tie splits t
-    d, prism, cells = group
     rng = np.random.default_rng(seed)
     seen = []
 
@@ -489,23 +510,25 @@ def test_group_builder_matches_the_per_cell_driver(group, seed, exponent, vanish
         return values
 
     dens = qd._Density(density, d, prism)
-    refs = [ReferenceCell(t, verts, dens.rules) for t, verts in cells]
-    t = np.array([c[0] for c in cells]) if prism else None
-    verts = np.stack([c[1] for c in cells])
-    nodes, scale, touches = qd._geometry(t, verts, dens.rules)
-    assert bits(*nodes) == bits(*(r.nodes for r in refs))
-    assert bits(scale) == bits([r.scale for r in refs])
-    assert touches.tolist() == [r.touches for r in refs]
+    cells = [descend(dens.tree, prism, s) for s in paths]
+    if not prism:  # the cells of one simplex integral are distinct nodes
+        cells = list({c[1]: c for c in cells}.values())
+    # every node the paths reached is the reference's simplex, with its geometry and flags
+    tree = dens.tree
+    for t, node, verts, _ in cells:
+        ref = ReferenceCell(None, verts, dens.rules)
+        assert bits(tree.verts[node], tree.nodes[node], tree.scale[node]) == bits(verts, ref.nodes, ref.scale)
+        assert tree.touches[node] == ref.touches
+        assert tree.thin[node] == (longest_edge(verts)[0] < qd.MIN_CELL_WIDTH)
+        assert tree.guard[node] == (d == 1 and on_vertex(verts, dens.rules))
 
-    built = dens.evaluate(t, verts, np.arange(len(cells)), nodes, scale, touches)
+    refs = [ReferenceCell(t, verts, dens.rules) for t, _, verts, _ in cells]
+    t = np.array([c[0] for c in cells]) if prism else None
+    built = dens.evaluate(t, np.array([c[1] for c in cells]), np.array([c[3] for c in cells]))
     ((pts, values),) = seen
-    called_at = np.concatenate([r.nodes for r in refs])
-    if d == 1:  # graded: called at g(b) = 3b^2 - 2b^3, weighted by g'(b) = 6b(1 - b); t is not
-        b = called_at[:, -1]
-        called_at = called_at.copy()
-        called_at[:, -1] = b * b * (3.0 - 2.0 * b)
-        values = values * (6.0 * b * (1.0 - b))
-    assert bits(pts) == bits(called_at)
+    at, weight = called_at(refs, d)
+    assert bits(pts) == bits(at)
+    values = values * weight
     off = 0
     for r in refs:
         r.finish(values[off : off + len(r.nodes)], dens.rules)
@@ -519,7 +542,7 @@ def test_group_builder_matches_the_per_cell_driver(group, seed, exponent, vanish
     # first, until twice as many cells as the group holds split.  If a
     # planned cell freezes, only the group's own children are evaluated
     room = 2 * len(cells)
-    source, frozen, (kt, kv, depth, nodes, scale, touches) = qd._generations(built, room, 10**6, dens)
+    source, frozen, (kt, kids, depth) = qd._generations(built, room, 10**6, dens)
     rules = dens.rules if d == 1 else None
     parents = [(r.t, r.verts, r.err_t, r.err_b, c.depth, -1) for r, c in zip(refs, built)]
     halves, expected = [], []  # the children planned; (source, frozen) of each parent
@@ -537,17 +560,18 @@ def test_group_builder_matches_the_per_cell_driver(group, seed, exponent, vanish
         expected = expected[: len(cells)]
         halves = halves[: 2 * sum(not f for _, f in expected)]
     assert list(zip(source, frozen)) == expected
-    assert bits(kv) == bits([v for _, v, _ in halves])
+    assert bits(dens.tree.verts[kids]) == bits([v for _, v, _ in halves])
     if prism:
         assert bits(kt) == bits([t for t, _, _ in halves])
     else:
         assert kt is None
     assert depth.tolist() == [k for _, _, k in halves]
     # the geometry the guard tested is the one the children are evaluated at
-    kid_refs = [ReferenceCell(t, v, dens.rules) for t, v, _ in halves]
-    assert bits(*nodes) == bits(*(r.nodes for r in kid_refs))
-    assert bits(scale) == bits([r.scale for r in kid_refs])
-    assert touches.tolist() == [r.touches for r in kid_refs]
+    if halves:
+        seen.clear()
+        dens.evaluate(kt, kids, depth)
+        ((pts, _),) = seen
+        assert bits(pts) == bits(called_at([ReferenceCell(t, v, dens.rules) for t, v, _ in halves], d)[0])
 
 
 def test_interior_evaluation_never_touches_boundary():
@@ -783,6 +807,76 @@ def test_rules_are_built_once_per_dimension_and_point_count(monkeypatch):
     monkeypatch.setattr(qd, "_gauss_jacobi_01", lambda n, alpha: built.append((n, alpha)) or build(n, alpha))
     assert record(run()) == record(first)
     assert built == []
+
+
+# Every integral over Delta_d or the prism on it refines the one reference
+# tree of Delta_d, which the process keeps: what an integral gets must not
+# depend on what was integrated before, nor on whether the tree starts over.
+HEMISPHERE = ch.ExprMap(["a1", "a2", "sqrt(1 - a1^2 - a2^2)"], 2)
+DZ_DX = fo.Form(2, 3, [((1, 3), "-1")])  # d(z dx) = dz ^ dx
+
+
+def tree_runs(budget=None):
+    """Integrals that grow the trees of dimensions 1, 2 and 3: the hemisphere
+    against d(z dx), upper_sqrt against dtheta frozen at the float64 floor,
+    the cone over sqrt_graph (a prism over Delta_1), a vertex-singular
+    3-simplex and a volume check.  ``budget`` lowers every cell budget."""
+    charts = float_floor_charts()
+    upper_sqrt, dtheta, _ = charts["upper_sqrt"]
+    cfg = budget or qd.QuadConfig()
+    return [
+        lambda: qd.integrate_simplex(HEMISPHERE, DZ_DX, 1e-8, cfg),
+        lambda: qd.integrate_simplex(upper_sqrt, dtheta, 1e-14, budget or qd.QuadConfig(max_cells=300)),
+        lambda: qd.integrate_simplex(ch.Cone(charts["sqrt_graph"][0]), form_d(2, 2), 1e-12, cfg),
+        lambda: qd.integrate_simplex(ch.ExprMap(["a1", "a2", "sqrt(a1 + a2 + a3)"], 3), form_d(3, 3), 1e-7, cfg),
+        lambda: qd.finite_volume_check(HEMISPHERE, 1e-6, cfg),
+    ]
+
+
+def tree_record(r):
+    """Each integral's value, estimates (as float.hex) and diagnostics."""
+    return [(x.value.hex(), x.error_estimate.hex(), x.abs_integral_estimate.hex(), x.diagnostics())
+            for x in (r.per_index.values() if isinstance(r, qd.VolumeReport) else [r])]
+
+
+def test_an_integral_does_not_depend_on_what_the_process_integrated_before():
+    runs = tree_runs()
+    qd._TREES.clear()
+    fresh = [tree_record(run()) for run in runs]
+    sizes = {d: tree.size for d, tree in qd._TREES.items()}
+    assert sorted(sizes) == [1, 2, 3]
+    warm = [tree_record(run()) for run in reversed(runs)][::-1]
+    # the warm trees already held every node: none is built twice
+    assert {d: tree.size for d, tree in qd._TREES.items()} == sizes
+    qd._TREES.clear()
+    restarted = [tree_record(run()) for run in runs]
+    assert fresh == warm == restarted
+
+
+def test_a_tree_past_its_cap_starts_over_and_changes_no_bit(monkeypatch):
+    # the cap is QuadConfig's default cell budget: a tree that holds more
+    # nodes starts over at the start of the next integral.  Within one
+    # integral a tree grows by the nodes of the cells it evaluates, and of
+    # those planned in a group that a freezing cell cut back
+    runs = tree_runs(qd.QuadConfig(max_cells=200))
+    expected = [tree_record(run()) for run in runs]
+    cap = 50
+    monkeypatch.setattr(qd.QuadConfig, "max_cells", cap)
+    qd._TREES.clear()
+    restarts = 0
+    for run, record_ in zip(runs, expected):
+        before = {d: (tree, tree.size) for d, tree in qd._TREES.items()}
+        r = run()
+        assert tree_record(r) == record_
+        results = r.per_index.values() if isinstance(r, qd.VolumeReport) else [r]
+        for d, tree in qd._TREES.items():
+            old, size = before.get(d, (None, 0))
+            if size > cap:  # it started over, or this run did not use it
+                assert tree is not old or tree.size == size
+                restarts += tree is not old
+            if (tree, tree.size) != (old, size):
+                assert tree.size <= cap + 1 + sum(x.cells + 2 * qd.SPECULATE for x in results)
+    assert restarts >= 2
 
 
 def test_split_cells_are_released(monkeypatch):
