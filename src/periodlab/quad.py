@@ -31,27 +31,29 @@ cells touching the boundary: a cell bisects t or its longest simplex edge,
 whichever carries more of its error.  Each such simplex is a node of one
 longest-edge bisection tree of Delta_d per process (DCUHRE's shared
 subdivision, kept across integrals; see _Tree), which computes each node's
-halves, rule nodes, scale and flags once.  A cell holds its node's id, and
-a prism cell its t-interval too.  Cells split one at a time, but their
-children are evaluated in groups: when the driver pops a cell whose
-children are not yet known, it splits that cell and up to SPECULATE - 1 of
-the next queued cells at once (popped from the queue to look ahead and
-pushed back), and each cell keeps its children until it is popped; a cell
-that cannot split gets no children.  A group of simplex cells is then
-filled up to SPECULATE cells (no more than splits are left), breadth first,
-with the children it is about to create and then theirs, as long as they
-are below max_depth, since a simplex cell's split depends only on its node.
-A prism cell's split needs its own errors, so prism groups are not filled,
-and the root's own call evaluates the root alone.  The tree halves a
-group's missing nodes a generation at a time, then builds all their
-geometry at once (when a cell freezes, only the group's own children are
-kept); one density call evaluates all the children's nodes, and one batched
-reduction gives each child's value and errors.  Every operation rounds as
-it would for one cell, and the density is elementwise, so the split order
-and every value are those of one call per split, bit for bit.  A group
-whose call raises is thrown away, fillers and all, and the popped cell's
-children are evaluated one call each, so an error arises exactly where the
-sequential driver meets it.  Absolute-value sums are tracked across
+halves, rule nodes, scale and flags once.  An integral keeps its cells as
+rows of one table (see _Density); its queue holds (priority, sequence
+number, row).  Cells split one at a time, but their children are evaluated
+in groups: when the driver pops a cell whose children are not yet known,
+it splits that cell and up to SPECULATE - 1 of the next queued cells at
+once (popped to look ahead and pushed back), and each cell keeps its
+children until it is popped; a cell that cannot split gets none.  The group
+is then filled, breadth first, with the children it is about to create and
+then theirs, below max_depth, each planned to split as its parent did: up
+to SPECULATE parents (no more than splits are left) and POINT_BUDGET points
+a call.  A simplex cell's split depends only on its node, so a simplex
+filler keeps its children; a prism filler keeps them only where its own
+errors pick the planned split, and otherwise stays without.  The root's
+own call evaluates the root alone.  The tree halves a group's missing nodes
+a generation at a time, then builds all their geometry at once (when a cell
+freezes, only the group's own children are kept); one density call
+evaluates all the children's nodes, and one batched reduction gives each
+child's value and errors.  Every operation rounds as it would for one cell,
+and the density is elementwise, so the split order and every value are
+those of one call per split, bit for bit.  A group whose call raises is
+thrown away, fillers and all, and the popped cell's children are evaluated
+one call each, so an error arises exactly where the sequential driver
+meets it.  Absolute-value sums are tracked across
 refinement depths, and each time refinement reaches a new depth two
 triggers test them for divergence: growth by a fixed factor, or growth at
 an undiminished rate; either ends the run there, without waiting for the
@@ -76,6 +78,7 @@ import functools
 import heapq
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -108,6 +111,9 @@ SUSTAIN_RATIO = 0.97
 # cells whose children one density call evaluates (see _expand); beyond 16
 # the children of cells that are never popped cost more than the calls saved
 SPECULATE = 16
+# points one density call may take (see _expand): larger calls spend much of
+# their time in the allocator
+POINT_BUDGET = 2048
 _TREES: dict[int, _Tree] = {}  # the reference tree of each dimension (see _Tree)
 
 
@@ -298,22 +304,6 @@ class _Tracker:
             self.trigger = "sustained"
 
 
-class _Cell:
-    """A cell [t0, t1] x simplex, or the bare simplex when ``t`` is None: its
-    t-interval, the id of its simplex in the reference tree (see _Tree),
-    depth, boundary flag, value ``q``, absolute value ``a`` and errors.  A
-    simplex cell's ``err_t`` is 0.  ``kids`` holds the two children once
-    they are evaluated, or no children, (), when the cell cannot split."""
-
-    __slots__ = ("t", "node", "depth", "touches", "q", "a", "err_t", "err_b", "err", "kids")
-
-    def __init__(self, t, node, depth, touches, q, a, err_t, err_b):
-        self.t, self.node, self.depth, self.touches = t, node, depth, touches
-        self.q, self.a, self.err_t, self.err_b = q, a, err_t, err_b
-        self.err = err_t + err_b
-        self.kids = None
-
-
 def _geometry(verts, rules, edges):
     """The degree-7 then degree-5 rule nodes (k, n, d), volume scales,
     boundary flags and thin flags (longest of the ``edges`` narrower than
@@ -389,10 +379,11 @@ def _near_vertex(nodes, eps=0.0):
 
 class _Tree:
     """The longest-edge bisection tree of the reference d-simplex that every
-    integral over Delta_d or the prism on it refines, as growable arrays by
-    node id: ``verts``, first ``child`` (children are consecutive; -1 until
-    built), the flags ``thin`` (see _geometry) and ``guard`` (_near_vertex),
-    rule ``nodes``, ``scale`` and ``touches``.  None of it depends on the
+    integral over Delta_d or the prism on it refines, by node id: numpy
+    arrays ``verts``, rule ``nodes``, ``scale`` and ``touches``, and lists
+    (which the planner reads one entry at a time) of the first ``child``
+    (children are consecutive; -1 until built) and the flags ``thin`` (see
+    _geometry) and ``guard`` (_near_vertex).  None of it depends on the
     integrand, and integration is serial, so one tree per dimension (_TREES)
     serves every integral; one grown past QuadConfig's default cell budget
     starts over when an integral starts: that bounds it and changes no bit."""
@@ -400,67 +391,79 @@ class _Tree:
     def __init__(self, d: int):
         self.rules, self.edges = (simplex_rule(d, 4), simplex_rule(d, 3)), np.triu_indices(d + 1, 1)
         self.graded, self.size, self.built = d == 1, 1, 0
-        self.verts, self.child, self.scale = reference_vertices(d)[None], np.full(1, -1), np.empty(1)
+        self.verts, self.scale, self.touches = reference_vertices(d)[None], np.empty(1), np.empty(1, dtype=bool)
         self.nodes = np.empty((1, sum(len(w) for _, w in self.rules), d))
-        self.thin, self.guard, self.touches = np.empty((3, 1), dtype=bool)
+        self.child, self.thin, self.guard = [-1], [], []
         self.finish()
 
-    def children(self, ids):
-        """The two children of each of the distinct nodes ``ids`` (k,), in order."""
-        first = self.child[ids]
-        missing = first < 0
-        if missing.any():  # halve the nodes that have none
-            new, n = ids[missing], self.size
-            self.size = m = n + 2 * len(new)
-            if m > len(self.child):  # grow every array, with room for a few more groups' nodes
-                for name in ("verts", "child", "scale", "nodes", "thin", "guard", "touches"):
-                    old = getattr(self, name)
-                    setattr(self, name, np.empty((4 * (m + 2 * SPECULATE),) + old.shape[1:], old.dtype))
-                    getattr(self, name)[:n] = old[:n]
-            self.verts[n:m], self.child[n:m] = _halves(self.verts[new], self.edges), -1
-            first[missing] = self.child[new] = np.arange(n, m, 2)
-        kids = first.repeat(2)
-        kids[1::2] += 1
-        return kids
+    def grow(self, ids: list):
+        """Halve the distinct childless nodes ``ids`` at once."""
+        if not ids:
+            return
+        n = self.size
+        self.size = m = n + 2 * len(ids)
+        if m > len(self.verts):  # grow every array, with room for a few more groups' nodes
+            for name in ("verts", "scale", "touches", "nodes"):
+                old = getattr(self, name)
+                setattr(self, name, np.empty((4 * (m + 2 * SPECULATE),) + old.shape[1:], old.dtype))
+                getattr(self, name)[:n] = old[:n]
+        self.verts[n:m] = _halves(self.verts[ids], self.edges)
+        self.child += [-1] * (m - n)
+        for i, first in zip(ids, range(n, m, 2)):
+            self.child[i] = first
 
     def finish(self):
         """Build the geometry of every node that has none yet, in one call."""
         new = slice(self.built, self.size)
         if self.built < self.size:
-            geometry = _geometry(self.verts[new], self.rules, self.edges)
-            self.nodes[new], self.scale[new], self.touches[new], self.thin[new] = geometry
-            self.guard[new] = _near_vertex(self.nodes[new]) if self.graded else False
+            *geometry, thin = _geometry(self.verts[new], self.rules, self.edges)
+            self.nodes[new], self.scale[new], self.touches[new] = geometry
+            self.thin += thin.tolist()
+            self.guard += (_near_vertex(self.nodes[new]) if self.graded else np.zeros_like(thin)).tolist()
             self.built = self.size
 
 
 class _Density:
     """The density of one integral over Delta_d or the prism, its rules,
-    the reference tree of Delta_d and the counters of its calls.  A
-    1-simplex, bare or under a prism, is graded: its density is called
-    at the images g(b) of the rule nodes' simplex coordinate b under the
-    smoothstep and multiplied by g'(b) = 6b(1 - b), so that it integrates
-    sigma o g.  Each call takes one point-last copy of its nodes, and a
-    graded call grades its last row."""
+    the reference tree of Delta_d, the counters of its calls and the table
+    of its cells, one row each in columns: tree ``node``, ``depth``,
+    t-interval [``t0``, ``t1``] (0 for a simplex cell), value ``q``,
+    absolute value ``a``, errors ``err_t`` (0 for a simplex cell), ``err_b``
+    and ``err``, boundary flag ``touches``, queue priority ``prio`` and the
+    row of the first ``kid`` (children are consecutive rows): -1 until the
+    children are known, 0 (the root's row, no cell's child) when the cell
+    cannot split.  A 1-simplex, bare or under a prism, is graded: its density
+    is called at the images g(b) of the rule nodes' simplex coordinate b
+    under the smoothstep and multiplied by g'(b) = 6b(1 - b), so that it
+    integrates sigma o g.  Each call takes one point-last copy of its nodes,
+    and a graded call grades its last row."""
 
     def __init__(self, density, d: int, prism: bool):
         self.tree = _TREES.get(d)
         if self.tree is None or self.tree.size > QuadConfig.max_cells:
             self.tree = _TREES[d] = _Tree(d)
         t_rules = tuple((p[:, 0], w) for p, w in (simplex_rule(1, 4), simplex_rule(1, 3))) if prism else None
-        self.density, self.rules = density, (t_rules, *self.tree.rules)
+        self.density, self.prism, self.rules = density, prism, (t_rules, *self.tree.rules)
+        n7, n5 = (len(w) for _, w in self.tree.rules)  # points per cell: 4 + 3 t-nodes, then 4 (see evaluate)
+        self.n = 7 * n7 + 4 * n5 if prism else n7 + n5
         self.calls = self.cells = self.points = 0
+        self.kid = array("i")  # -1 in each new row; every other column is filled from an array
+        self.columns = (self.node, self.depth, self.t0, self.t1, self.q, self.a, self.err_t, self.err_b, self.err,
+                        self.prio, self.touches) = tuple(array(kind) for kind in "iiddddddddb")
 
-    def evaluate(self, t, ids, depth) -> list:
-        """The cells with t-intervals ``t`` (None for simplex cells), tree
-        nodes ``ids`` and depths ``depth``, finished from one density call at
-        all their nodes.  A simplex cell's geometry is its node's; a prism
-        cell's nodes are the 4-point interval rule times its node's degree-7
-        rule, then one embedded variant per axis."""
+    def evaluate(self, node, depth, t0, t1) -> int:
+        """Append the rows of the cells with tree nodes ``node``, depths
+        ``depth`` and t-intervals [``t0``, ``t1``] (0 for simplex cells),
+        finished from one density call at all their nodes, and return the
+        first row.  A simplex cell's geometry is its node's; a prism cell's
+        nodes are the 4-point interval rule times its node's degree-7 rule,
+        then one embedded variant per axis."""
+        ids = np.array(node, dtype=np.int32)
         nodes, scale, touches = self.tree.nodes[ids], self.tree.scale[ids], self.tree.touches[ids]
-        if t is not None:
+        ta, tb = (np.array(t0), np.array(t1)) if self.prism else (np.zeros(len(ids)),) * 2
+        if self.prism:
             (k, _, d), n7 = nodes.shape, len(self.rules[1][0])
-            t0, t1 = t[:, :1], t[:, 1:]
-            touches |= (t0[:, 0] <= 1e-13) | (t1[:, 0] >= 1.0 - 1e-13)
+            touches |= (ta <= 1e-13) | (tb >= 1.0 - 1e-13)
 
             def grid(ts, bs):  # every t node with every simplex node, t first
                 g = np.empty((k, ts.shape[1], bs.shape[1], 1 + d))
@@ -468,10 +471,10 @@ class _Density:
                 g[..., 1:] = bs[:, None]
                 return g.reshape(k, -1, 1 + d)
 
-            tn4, tn3 = (t0 + (t1 - t0) * tr for tr, _ in self.rules[0])
+            tn4, tn3 = (ta[:, None] + (tb - ta)[:, None] * tr for tr, _ in self.rules[0])
             b7, b5 = nodes[:, :n7], nodes[:, n7:]
             nodes = np.concatenate([grid(tn4, b7), grid(tn3, b7), grid(tn4, b5)], axis=1)
-            scale = (t1[:, 0] - t0[:, 0]) * scale
+            scale = (tb - ta) * scale
         k, n, dim = nodes.shape
         self.calls += 1
         self.points += k * n
@@ -482,109 +485,115 @@ class _Density:
             weight = 6.0 * x * (1.0 - x)
             cols[-1] = _smoothstep(x)
         v = (self.density(cols.T) * weight).reshape(k, n)
-        q, a, err_t, err_b = _finish(v, scale, t is not None, self.rules)
+        q, a, err_t, err_b = _finish(v, scale, self.prism, self.rules)
+        err = err_t + err_b
         self.cells += k
-        rows = zip(
-            [None] * k if t is None else zip(*t.T.tolist()), ids.tolist(), depth.tolist(), touches.tolist(),
-            q.tolist(), a.tolist(), err_t.tolist(), err_b.tolist(),
-        )
-        return [_Cell(*row) for row in rows]
+        row = len(self.kid)
+        self.kid.frombytes(b"\xff" * (self.kid.itemsize * k))  # -1: every bit set
+        prio = -err * np.where(touches, BOUNDARY_BONUS, 1.0)
+        values = ids, np.array(depth, np.int32), ta, tb, q, a, err_t, err_b, err, prio, touches
+        for col, x in zip(self.columns, values):
+            col.frombytes(x.tobytes())
+        return row
+
+    def bisects(self, r: int) -> bool:
+        """Whether the cell of row ``r`` bisects its simplex rather than halve
+        t: unless t is at least MIN_CELL_WIDTH wide (a simplex cell's is not)
+        and carries at least the simplex's error, or the simplex is too thin."""
+        return not (self.t1[r] - self.t0[r] >= MIN_CELL_WIDTH
+                    and (self.err_t[r] >= self.err_b[r] or self.tree.thin[self.node[r]]))
 
 
 def _generations(group, room: int, max_depth: int, density: _Density):
-    """The children that one density call evaluates for the cells ``group``,
+    """The children that one density call evaluates for the rows ``group``,
     with the cells that split ahead of time: up to ``room`` parents in all,
     breadth first, the cells of ``group``, then the first of their children,
-    then of theirs.  Only simplex cells below ``max_depth`` split ahead of
-    time, since a simplex cell's children are its tree node's, while a prism
-    cell splits t (keeping its node) or its simplex by its own errors.  The
-    plan takes node ids alone; the tree then builds its new nodes' geometry
-    at once.  A parent that bisects freezes when its node is too thin or,
+    then of theirs.  A cell of ``group`` splits as its errors say (see
+    _Density.bisects); a child below ``max_depth`` is planned to split as
+    its parent did.  A t-split keeps the node; a bisection takes the node's
+    children, which the tree halves a generation at a time, then builds at
+    once.  A parent that bisects freezes when its node is too thin or,
     graded, has a child with a node on a vertex (the guard flag); if any
-    does, only ``group``'s own children are kept.  Returns (source, frozen,
-    rows): per parent, -1 for a cell of ``group`` or the index of its own
-    row, and whether it freezes; and the rows (t, ids, depth) of the
-    children, two per parent that splits, in parent order."""
-    tree = density.tree
-    ids, depth = np.array([c.node for c in group]), np.array([c.depth for c in group])
-    source, kt, bisect = [-1] * len(group), None, True
-    if group[0].t is None:
-        gens, planned = [], 0
-        while True:
-            kids = tree.children(ids)
-            depth = (depth + 1).repeat(2)
-            gens.append((ids, kids, depth))
-            room -= len(ids)
-            parents = np.flatnonzero(depth < max_depth)[:room] if room > 0 else ()
-            if not len(parents):
-                break
-            source += (planned + parents).tolist()
-            planned += len(kids)
-            ids, depth = kids[parents], depth[parents]
-        ids, kids, depth = (a[0] if len(gens) == 1 else np.concatenate(a) for a in zip(*gens))
-    else:
-        t = np.array([c.t for c in group])
-        err = np.array([(c.err_t, c.err_b) for c in group])
-        split_t = (t[:, 1] - t[:, 0] >= MIN_CELL_WIDTH) & ((err[:, 0] >= err[:, 1]) | tree.thin[ids])
-        bisect, kids, depth = ~split_t, ids.repeat(2), (depth + 1).repeat(2)
-        halved, at = np.unique(ids[bisect], return_inverse=True)  # cells may share a node
-        kids.reshape(-1, 2)[bisect] = tree.children(halved).reshape(-1, 2)[at]
-        kt = np.repeat(t, 2, axis=0)
-        tm = 0.5 * (t[:, 0] + t[:, 1])
-        kt[0::2, 1] = np.where(split_t, tm, t[:, 1])
-        kt[1::2, 0] = np.where(split_t, tm, t[:, 0])
+    does, only ``group``'s own children are kept.  Returns (parents, frozen,
+    kids): per parent (source, node, bisects), source -1 for a row of
+    ``group`` or else the index of its own kid, and whether it freezes; and
+    the (node, depth, t0, t1) of the children, two per parent that splits."""
+    d, tree, child = density, density.tree, density.tree.child
+    gen = [(-1, d.node[r], d.depth[r] + 1, d.t0[r], d.t1[r], d.bisects(r)) for r in group]
+    parents, kids = [], []
+    while gen:
+        tree.grow(list(dict.fromkeys(n for _, n, _, _, _, b in gen if b and child[n] < 0)))
+        room -= len(gen)
+        planned = []
+        for s, n, k, t0, t1, b in gen:
+            parents.append((s, n, b))
+            tm = 0.5 * (t0 + t1)
+            pair = ((child[n], k, t0, t1), (child[n] + 1, k, t0, t1)) if b else ((n, k, t0, tm), (n, k, tm, t1))
+            if k < max_depth:  # plan the children's own split
+                for j, (c, _, c0, c1) in enumerate(pair, len(kids)):
+                    if len(planned) < room and (b or c1 - c0 >= MIN_CELL_WIDTH):
+                        planned.append((j, c, k + 1, c0, c1, b))
+            kids += pair
+        gen = planned
     tree.finish()
-    frozen = bisect & (tree.thin[ids] | tree.guard[kids].reshape(-1, 2).any(axis=1))
-    rows = (kt, kids, depth)
-    if frozen.any():  # only the group's own children, none of a frozen cell's
-        source, frozen = source[: len(group)], frozen[: len(group)]
-        rows = tuple(None if a is None else a[: 2 * len(group)][np.repeat(~frozen, 2)] for a in rows)
-    return source, frozen.tolist(), rows
+    thin, guard = tree.thin, tree.guard
+    frozen = [b and (thin[n] or guard[child[n]] or guard[child[n] + 1]) for _, n, b in parents]
+    if any(frozen):  # only the group's own children, none of a frozen cell's
+        parents, frozen = parents[: len(group)], frozen[: len(group)]
+        kids = [kid for p, f in enumerate(frozen) if not f for kid in kids[2 * p : 2 * p + 2]]
+    return parents, frozen, kids
 
 
-def _expand(cell, heap, room: int, max_depth: int, density: _Density):
-    """Give the popped ``cell`` and up to ``room - 1`` queued cells their
-    children, and simplex children their own children in turn, up to
-    ``room`` parents in all (see _generations), all evaluated in one density
-    call.  The queued cells are those of the next SPECULATE - 1 in pop order
-    whose children are unknown and whose depth is below ``max_depth``: they
-    are popped and pushed back, and since every entry's sequence number is
-    unique, the pop order depends only on which entries the queue holds.
-    If the call raises, every child is thrown away and ``cell``'s are
-    evaluated one call each, so that an error arises exactly where the
-    driver meets it without speculation."""
+def _expand(row: int, heap, room: int, max_depth: int, density: _Density):
+    """Give the popped ``row``'s cell and up to ``room - 1`` queued cells
+    their children, and children their own in turn, up to ``room`` parents
+    and POINT_BUDGET points in all (see _generations), from one density
+    call.  The queued cells are the next SPECULATE - 1 in pop order whose
+    children are unknown and whose depth is below ``max_depth``: popped and
+    pushed back, and as every entry's sequence number is unique, the pop
+    order depends only on which entries the queue holds.  A prism filler
+    keeps its children only if its own errors pick the planned split.  If
+    the call raises, every child is thrown away and ``row``'s are evaluated
+    one call each, so that an error arises where the driver meets it."""
+    kid, depth = density.kid, density.depth
+    room = min(room, max(1, POINT_BUDGET // (2 * density.n)))
     ahead = [heapq.heappop(heap) for _ in range(min(SPECULATE - 1, len(heap)))]
-    group = [cell] + [c for _, _, c in ahead if c.kids is None and c.depth < max_depth][: room - 1]
+    group = [row] + [r for _, _, r in ahead if kid[r] < 0 and depth[r] < max_depth][: room - 1]
     for entry in ahead:
         heapq.heappush(heap, entry)
-    source, frozen, rows = _generations(group, room, max_depth, density)
+    parents, frozen, kids = _generations(group, room, max_depth, density)
     try:
-        cells = density.evaluate(*rows) if rows[2].size else []
+        first = density.evaluate(*zip(*kids)) if kids else 0
     except Exception:  # whatever it is, the popped cell's own children raise it again
-        # the queued cells stay without children; the popped cell's are the first two rows
-        cell.kids = () if frozen[0] else _own_children(rows, density)
+        # the queued cells stay without children; the popped cell's are the first two kids
+        kid[row] = 0 if frozen[0] else _own_children(kids, density)
         return
-    kids = iter(cells)
-    for p, (s, f) in enumerate(zip(source, frozen)):
-        (group[p] if s < 0 else cells[s]).kids = () if f else (next(kids), next(kids))
+    at = first
+    for p, ((s, _, b), f) in enumerate(zip(parents, frozen)):
+        r = group[p] if s < 0 else first + s
+        if f:
+            kid[r] = 0
+            continue
+        if s < 0 or not density.prism or density.bisects(r) == b:
+            kid[r] = at
+        at += 2
 
 
-def _own_children(rows, density: _Density):
-    """The first two ``rows``' children, one density call each, or none when
-    the parent freezes: a child whose call raises ExprDomainError with a
-    node within float64's spacing at 1 of a vertex of a graded simplex (see
-    _near_vertex) freezes it, since the chart is integrable there but
-    float64 cannot evaluate it.  Anywhere else the error is the input's."""
-    kids = []
-    for m in (0, 1):
-        row = [None if a is None else a[m : m + 1] for a in rows]
+def _own_children(kids, density: _Density) -> int:
+    """The row of the first of the first two ``kids``, one density call
+    each, or 0 when their parent freezes: a child whose call raises
+    ExprDomainError with a node within float64's spacing at 1 of a vertex of
+    a graded simplex (see _near_vertex) freezes it, since the chart is
+    integrable there but float64 cannot evaluate it.  Anywhere else the
+    error is the input's."""
+    for kid in kids[:2]:
         try:
-            kids += density.evaluate(*row)
+            row = density.evaluate(*zip(kid))
         except ExprDomainError:
-            if not (density.tree.graded and _near_vertex(density.tree.nodes[row[1]], np.finfo(float).eps)[0]):
+            if not (density.tree.graded and _near_vertex(density.tree.nodes[[kid[0]]], np.finfo(float).eps)[0]):
                 raise
-            return ()
-    return tuple(kids)
+            return 0
+    return row - 1
 
 
 def _adapt(density, d: int, prism: bool, tol: float, cfg: QuadConfig | None) -> QuadResult:
@@ -599,23 +608,16 @@ def _adapt(density, d: int, prism: bool, tol: float, cfg: QuadConfig | None) -> 
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     cfg = cfg or QuadConfig()
     density = _Density(density, d, prism)
-    zero = np.zeros(1, dtype=int)  # the root: node 0 at depth 0
-    (root,) = density.evaluate(np.array([[0.0, 1.0]]) if prism else None, zero, zero)
-    heap = []
-    seq = itertools.count()
-
-    def push(c):
-        bonus = BOUNDARY_BONUS if c.touches else 1.0
-        heapq.heappush(heap, (-c.err * bonus, next(seq), c))
+    density.evaluate([0], [0], [0.0], [1.0 if prism else 0.0])  # the root: node 0 at depth 0, row 0
+    q, a, e, prio, depth, kid = density.q, density.a, density.err, density.prio, density.depth, density.kid
+    heap, seq = [(prio[0], 0, 0)], itertools.count(1)
 
     def result(converged, reason, diverging=False):
         return QuadResult(value, err, abs_total, converged, splits, diverging, reason,
                           density.calls, density.cells, density.points, tracker.max_depth_seen,
                           frozen)
 
-    push(root)
-    value, err, abs_total = root.q, root.err, root.a
-    del root  # the queue holds it: once split, it must not keep the tree alive
+    value, err, abs_total = q[0], e[0], a[0]
     tracker = _Tracker()
     splits = frozen = 0
     reason = "frozen"  # the queue runs dry when every cell left is frozen
@@ -626,30 +628,28 @@ def _adapt(density, d: int, prism: bool, tol: float, cfg: QuadConfig | None) -> 
             return result(True, "tol")
         if tracker.diverging:
             break
-        _, _, cell = heapq.heappop(heap)
-        if cell.depth >= cfg.max_depth:
+        _, _, row = heapq.heappop(heap)
+        if depth[row] >= cfg.max_depth:
             frozen += 1  # its error stays in the running total
             continue
         if splits + 1 >= cfg.max_cells:
             reason = "max_cells"
             break
-        if cell.kids is None:
+        if kid[row] < 0:
             # no more cells than splits are left (the queue holds at most
             # ``splits`` cells, so short runs speculate little anyway)
-            room = min(SPECULATE, cfg.max_cells - 1 - splits)
-            _expand(cell, heap, room, cfg.max_depth, density)
-        if not cell.kids:
+            _expand(row, heap, min(SPECULATE, cfg.max_cells - 1 - splits), cfg.max_depth, density)
+        k = kid[row]
+        if not k:
             frozen += 1  # as above
             continue
-        ca, cb = cell.kids
-        cell.kids = None  # the queue holds them now: the root must not keep the tree alive
-        value += ca.q + cb.q - cell.q
-        err += ca.err + cb.err - cell.err
-        abs_total += ca.a + cb.a - cell.a
+        value += q[k] + q[k + 1] - q[row]
+        err += e[k] + e[k + 1] - e[row]
+        abs_total += a[k] + a[k + 1] - a[row]
         splits += 1
-        push(ca)
-        push(cb)
-        tracker.on_split(ca.depth, abs_total, cell.touches)
+        heapq.heappush(heap, (prio[k], next(seq), k))
+        heapq.heappush(heap, (prio[k + 1], next(seq), k + 1))
+        tracker.on_split(depth[k], abs_total, density.touches[row])
     if tracker.diverging:
         reason = "diverging:" + tracker.trigger
     converged = err <= max(tol, tol * abs(value)) and not tracker.diverging

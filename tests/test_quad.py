@@ -1,7 +1,7 @@
-import gc
 import itertools
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -429,18 +429,25 @@ def on_vertex(verts, rules):
 
 
 def reference_halves(t, verts, err_t, err_b, rules=None):
-    """The (t, verts) of the two children, or None for a frozen cell.  Given
-    ``rules``, the cell is a graded 1-simplex, bare or under a prism, and
-    also freezes when it would bisect its simplex into a child with a node
-    whose image under the smoothstep rounds onto a vertex."""
-    b_width, bi, bj = longest_edge(verts)
+    """The (t, verts) of the two children, or None for a frozen cell: the
+    cell halves t if t is at least MIN_CELL_WIDTH wide and carries at least
+    the simplex's error, or the simplex is too thin (see split_halves)."""
     t_wide = t is not None and t[1] - t[0] >= qd.MIN_CELL_WIDTH
-    split_t = t_wide and (err_t >= err_b or b_width < qd.MIN_CELL_WIDTH)
-    if not split_t and b_width < qd.MIN_CELL_WIDTH:
-        return None
+    return split_halves(t, verts, t_wide and (err_t >= err_b or longest_edge(verts)[0] < qd.MIN_CELL_WIDTH), rules)
+
+
+def split_halves(t, verts, split_t, rules=None):
+    """The (t, verts) of the two children of a cell that halves t when
+    ``split_t`` and bisects its longest simplex edge otherwise, or None when
+    the bisection freezes it: its simplex is too thin, or, given ``rules``
+    (a graded 1-simplex, bare or under a prism), a child has a node whose
+    image under the smoothstep rounds onto a vertex."""
     if split_t:
         tm = 0.5 * (t[0] + t[1])
         return ((t[0], tm), verts), ((tm, t[1]), verts)
+    b_width, bi, bj = longest_edge(verts)
+    if b_width < qd.MIN_CELL_WIDTH:
+        return None
     mid = 0.5 * (verts[bi] + verts[bj])
     va, vb = verts.copy(), verts.copy()
     va[bj], vb[bi] = mid, mid
@@ -476,7 +483,9 @@ def descend(tree, prism, seed):
         else:
             k = {"random": rng.integers(2), "first": 0, "second": 1}[path]
         if halves[0][0] == halves[1][0]:  # it bisects its simplex: the node's children
-            node = int(tree.children(np.array([node]))[k])
+            if tree.child[node] < 0:
+                tree.grow([node])
+            node = tree.child[node] + k
         t, verts = halves[k]
         depth += 1
     tree.finish()
@@ -494,6 +503,26 @@ def called_at(refs, d):
     pts = pts.copy()
     pts[:, -1] = b * b * (3.0 - 2.0 * b)
     return pts, 6.0 * b * (1.0 - b)
+
+
+def finished(cells, d, dens, pts, values):
+    """ReferenceCells of the (t, verts) ``cells``, finished from one density
+    call that met ``pts`` and returned ``values``, checked to be where the
+    per-cell driver calls the density."""
+    refs = [ReferenceCell(t, verts, dens.rules) for t, verts in cells]
+    at, weight = called_at(refs, d)
+    assert bits(pts) == bits(at)
+    values, off = values * weight, 0
+    for r in refs:
+        r.finish(values[off : off + len(r.nodes)], dens.rules)
+        off += len(r.nodes)
+    return refs
+
+
+def table_cell(dens, row):
+    """The (t, verts, depth) of the cell in ``row`` of an integral's table."""
+    t = (dens.t0[row], dens.t1[row]) if dens.prism else None
+    return t, dens.tree.verts[dens.node[row]], dens.depth[row]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -522,56 +551,76 @@ def test_group_builder_matches_the_per_cell_driver(d, prism, paths, seed, expone
         assert tree.thin[node] == (longest_edge(verts)[0] < qd.MIN_CELL_WIDTH)
         assert tree.guard[node] == (d == 1 and on_vertex(verts, dens.rules))
 
-    refs = [ReferenceCell(t, verts, dens.rules) for t, _, verts, _ in cells]
-    t = np.array([c[0] for c in cells]) if prism else None
-    built = dens.evaluate(t, np.array([c[1] for c in cells]), np.array([c[3] for c in cells]))
+    # the cells as rows of the table: a simplex cell's t-interval is [0, 0]
+    t0, t1 = zip(*[c[0] if prism else (0.0, 0.0) for c in cells])
+    first = dens.evaluate([c[1] for c in cells], [c[3] for c in cells], t0, t1)
     ((pts, values),) = seen
-    at, weight = called_at(refs, d)
-    assert bits(pts) == bits(at)
-    values = values * weight
-    off = 0
-    for r in refs:
-        r.finish(values[off : off + len(r.nodes)], dens.rules)
-        off += len(r.nodes)
-    for c, r in zip(built, refs):
-        assert bits(c.q, c.a, c.err_t, c.err_b) == bits(r.q, r.a, r.err_t, r.err_b)
-        assert c.touches == r.touches and c.err == r.err_t + r.err_b
+    refs = finished([(t, verts) for t, _, verts, _ in cells], d, dens, pts, values)
+    rows = list(range(first, first + len(cells)))
+    for row, r in zip(rows, refs):
+        got = (dens.q[row], dens.a[row], dens.err_t[row], dens.err_b[row], dens.err[row], dens.prio[row])
+        err = r.err_t + r.err_b
+        assert bits(*got) == bits(r.q, r.a, r.err_t, r.err_b, err, -err * (qd.BOUNDARY_BONUS if r.touches else 1.0))
+        assert (dens.touches[row], dens.kid[row]) == (r.touches, -1)
 
-    # the group's own split, each cell's error as finished above; simplex
-    # cells then plan the split of the first of their children, breadth
-    # first, until twice as many cells as the group holds split.  If a
-    # planned cell freezes, only the group's own children are evaluated
+    # the group's own split, each cell's error as finished above; then the
+    # children plan to split as their parents did, breadth first, until
+    # twice as many cells as the group holds split.  If a planned cell
+    # freezes, only the group's own children are evaluated
     room = 2 * len(cells)
-    source, frozen, (kt, kids, depth) = qd._generations(built, room, 10**6, dens)
     rules = dens.rules if d == 1 else None
-    parents = [(r.t, r.verts, r.err_t, r.err_b, c.depth, -1) for r, c in zip(refs, built)]
-    halves, expected = [], []  # the children planned; (source, frozen) of each parent
-    for t, v, err_t, err_b, k, row in parents:
-        h = None if v is None else reference_halves(t, v, err_t, err_b, rules)
+    plan = [(c[0], c[2], c[3], -1, None) for c in cells]  # (t, verts, depth, source, planned bisection)
+    halves, expected = [], []  # the children planned; (source, bisects, frozen) of each parent
+    for (t, v, k, source, planned), r in itertools.zip_longest(plan, refs):
+        t_wide = t is not None and t[1] - t[0] >= qd.MIN_CELL_WIDTH
+        split_t = not planned if r is None else t_wide and (r.err_t >= r.err_b or longest_edge(v)[0] < qd.MIN_CELL_WIDTH)
+        h = None if v is None else split_halves(t, v, split_t, rules)
         if v is not None:
-            expected.append((row, h is None))
-        for half_t, half_v in h or [(None, None)] * 2:
+            expected.append((source, not split_t, h is None))
+        for half_t, half_v in h or [(t, None)] * 2:
             if h is not None:
                 halves.append((half_t, half_v, k + 1))
-            if not prism and len(parents) < room:
-                parents.append((None, half_v, 0.0, 0.0, k + 1, len(halves) - 1))
-    assert len(parents) == (len(cells) if prism else room)
-    if any(f for _, f in expected):
+            if len(plan) < room and (not split_t or half_t[1] - half_t[0] >= qd.MIN_CELL_WIDTH):
+                plan.append((half_t, half_v, k + 1, len(halves) - 1, not split_t))
+    if any(f for _, _, f in expected):
         expected = expected[: len(cells)]
-        halves = halves[: 2 * sum(not f for _, f in expected)]
-    assert list(zip(source, frozen)) == expected
-    assert bits(dens.tree.verts[kids]) == bits([v for _, v, _ in halves])
+        halves = halves[: 2 * sum(not f for _, _, f in expected)]
+    seen.clear()
+    generations, plans = qd._generations, []
+    with pytest.MonkeyPatch.context() as mp:  # the budget is tested on whole integrals
+        mp.setattr(qd, "POINT_BUDGET", 10**9)
+        mp.setattr(qd, "_generations", lambda *args: plans.append(generations(*args)) or plans[-1])
+        heap = [(float(i), i, row) for i, row in enumerate(rows[1:])]  # the queued cells, in order
+        qd._expand(rows[0], heap, room, 10**6, dens)
+    ((parents, frozen, kids),) = plans
+    assert [(s, b, f) for (s, _, b), f in zip(parents, frozen)] == expected
+    assert bits(tree.verts[[c[0] for c in kids]]) == bits([v for _, v, _ in halves])
+    assert [c[1] for c in kids] == [k for _, _, k in halves]
     if prism:
-        assert bits(kt) == bits([t for t, _, _ in halves])
-    else:
-        assert kt is None
-    assert depth.tolist() == [k for _, _, k in halves]
-    # the geometry the guard tested is the one the children are evaluated at
-    if halves:
-        seen.clear()
-        dens.evaluate(kt, kids, depth)
-        ((pts, _),) = seen
-        assert bits(pts) == bits(called_at([ReferenceCell(t, v, dens.rules) for t, v, _ in halves], d)[0])
+        assert bits([c[2:] for c in kids]) == bits([t for t, _, _ in halves])
+    if not halves:
+        assert seen == [] and all(dens.kid[row] == 0 for row in rows)
+        return
+    # the geometry the guard tested is the one the children are evaluated
+    # at.  A cell of the group, or a filler whose own errors pick the split
+    # it was planned to make, keeps its children, which are the per-cell
+    # driver's; any other filler stays without
+    ((pts, values),) = seen
+    kid_refs = finished([(t, v) for t, v, _ in halves], d, dens, pts, values)
+    base = at = len(dens.kid) - len(halves)  # the first child's row
+    own = iter(zip(rows, refs))
+    for (source, bisects, f), (t, v, k, _, _) in zip(expected, plan):
+        row, r = next(own) if source < 0 else (base + source, kid_refs[source])
+        h = reference_halves(t, v, r.err_t, r.err_b, rules)
+        if f:
+            assert dens.kid[row] == 0 and h is None
+            continue
+        kept = source < 0 or (h is not None and (h[0][0] == h[1][0]) == bisects)
+        assert dens.kid[row] == (at if kept else -1)
+        for j in (0, 1) if kept else ():
+            t_j, v_j, k_j = table_cell(dens, at + j)
+            assert (t_j, bits(v_j), k_j) == (h[j][0], bits(h[j][1]), k + 1)
+        at += 2
 
 
 def test_interior_evaluation_never_touches_boundary():
@@ -753,6 +802,33 @@ def test_filled_groups_take_a_graded_chart_in_few_calls():
     assert r.density_calls <= 4
 
 
+# The cone over a tilted hemisphere chart, a prism over Delta_2 (148 points
+# a cell): 43 splits at 1e-6, in 19 density calls when prism groups held
+# only the popped and the queued cells
+HEMI_CONE = ch.Cone(ch.ExprMap(["a1 + 0.25*a2", "a2", "1.3*sqrt(1 - a1^2 - a2^2)"], 2))
+
+
+@pytest.mark.parametrize("name", ["hemisphere-cone", "cone-via-prism", "budget-with-frozen-prism"])
+def test_prism_groups_fill_and_change_no_result(name, monkeypatch):
+    # a prism filler is planned to split as its parent did and keeps its
+    # children only where its own errors pick that split: the refinement is
+    # the per-split driver's, bit for bit, in fewer calls, none of which
+    # takes more than the point budget
+    run = GOLDEN[name][0] if name in GOLDEN else lambda: qd.integrate_simplex(HEMI_CONE, form_d(3, 3), 1e-6)
+    sizes, density = [], qd.pullback_top_many
+    monkeypatch.setattr(qd, "pullback_top_many", lambda sigma, omega, pts: sizes.append(len(pts)) or density(
+        sigma, omega, pts))
+    filled = run()
+    assert 0 < max(sizes) <= qd.POINT_BUDGET
+    monkeypatch.setattr(qd, "SPECULATE", 1)
+    plain = run()
+    assert record(filled) == record(plain)
+    assert filled.density_calls < plain.density_calls and filled.cells > plain.cells
+    if name == "hemisphere-cone":
+        assert (filled.subdivisions, filled.stop_reason) == (43, "tol")
+        assert filled.density_calls < 19
+
+
 def test_speculation_batches_the_budget_call():
     r = edge_singular_budget()
     assert r.subdivisions == 999 and r.stop_reason == "max_cells"
@@ -771,21 +847,25 @@ def test_speculation_stays_inside_the_budget():
 
 @pytest.mark.parametrize("name", ["vertex-singular-2d", "budget-with-frozen-simplex", "budget-with-frozen-prism"])
 def test_the_look_ahead_restores_the_queue(name, monkeypatch):
-    # _expand pops the next SPECULATE - 1 entries to choose its group and
-    # pushes them back: the queue holds the same entries, still a heap, and
-    # the group is the first cells in pop order that can take children
+    # _expand pops the next SPECULATE - 1 entries (priority, sequence
+    # number, row) to choose its group and pushes them back: the queue holds
+    # the same entries, still a heap, and the group is the first rows in pop
+    # order whose children are unknown (kid -1), up to what room and the
+    # point budget allow
     expand, calls = qd._expand, []
 
-    def checking(cell, heap, room, max_depth, density):
-        before = sorted((key, seq, id(c)) for key, seq, c in heap)
-        ahead = [c for _, _, c in sorted(heap)[: qd.SPECULATE - 1]]
-        open_ = [c for c in ahead if c.kids is None and c.depth < max_depth]
+    def checking(row, heap, room, max_depth, density):
+        before = sorted(heap)
+        ahead = [r for _, _, r in before[: qd.SPECULATE - 1]]
+        open_ = [r for r in ahead if density.kid[r] < 0 and density.depth[r] < max_depth]
         cells = density.cells
-        expand(cell, heap, room, max_depth, density)
-        assert sorted((key, seq, id(c)) for key, seq, c in heap) == before
+        expand(row, heap, room, max_depth, density)
+        assert sorted(heap) == before
         assert all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap)))
-        assert [c.kids is not None for c in open_] == [k < room - 1 for k in range(len(open_))]
-        assert density.cells - cells <= 2 * room  # no more cells split than room allows
+        parents = min(room, max(1, qd.POINT_BUDGET // (2 * density.n)))
+        assert density.kid[row] >= 0
+        assert [density.kid[r] >= 0 for r in open_] == [k < parents - 1 for k in range(len(open_))]
+        assert density.cells - cells <= 2 * parents  # no more cells split than room allows
         calls.append(len(open_))
 
     monkeypatch.setattr(qd, "_expand", checking)
@@ -879,27 +959,24 @@ def test_a_tree_past_its_cap_starts_over_and_changes_no_bit(monkeypatch):
     assert restarts >= 2
 
 
-def test_split_cells_are_released(monkeypatch):
-    # the queue, the cached children and the cell popped when the budget ran
-    # out hold the only live cells: a split cell, and the tree above it, are
-    # freed.  The queue held the root and one more cell per split (no frozen
-    # cell was popped), less that last popped cell
-    live = []
-    result = qd.QuadResult
-    # cells that an earlier test still holds are not this run's; held here,
-    # so that no cell of the run can take the id of one that is freed
-    before = [o for o in gc.get_objects() if isinstance(o, qd._Cell)]
-    old = {id(o) for o in before}
+def test_the_cell_table_stays_small():
+    # an integral keeps every cell it evaluates as a row of compact columns:
+    # at 5,000 cells the edge-singular 2-simplex (10,041 rows) peaks at no
+    # more than its cells took as objects (1.93 MB), on a tree that already
+    # holds every node it needs.  Rows as lists of floats took 3.41 MB
+    def run():
+        return qd.integrate_simplex(ch.ExprMap(["a1", "sqrt(a2)"], 2), form_d(2, 2), 1e-5, qd.QuadConfig(max_cells=5000))
 
-    def count_cells(*fields):  # the driver builds its result at the end of the run
-        live.append(sum(isinstance(o, qd._Cell) and id(o) not in old for o in gc.get_objects()))
-        return result(*fields)
-
-    monkeypatch.setattr(qd, "QuadResult", count_cells)
-    r = edge_singular_budget()
-    cached = r.cells - 1 - 2 * r.subdivisions  # evaluated, never applied
-    assert r.frozen_cells == 0 and r.stop_reason == "max_cells"
-    assert len(live) == 1 and live[0] <= 1 + r.subdivisions + cached
+    qd._TREES.clear()
+    run()
+    tracemalloc.start()
+    try:
+        r = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (r.subdivisions, r.stop_reason, r.cells) == (4999, "max_cells", 10041)
+    assert peak <= 1.93e6
 
 
 def test_speculative_errors_fall_back_to_the_cells_own_children(monkeypatch):
