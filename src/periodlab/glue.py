@@ -25,6 +25,7 @@ from .chains import (
     AffineSimplex, Composed, SingularSimplex, face_map, flag_simplex, interior_grid,
     reference_vertices,
 )
+from .expr import ExprDomainError
 from .homology import SimplicialComplex, maximal_flags
 
 __all__ = [
@@ -73,10 +74,11 @@ def invert_simplex_map(f: SingularSimplex, y):
     target or an (n, ambient) batch of them; x has the matching shape.
 
     Exact linear solve for affine maps; damped Gauss-Newton with multistart
-    from barycentric seeds otherwise, all points of the batch at once.  A
-    point that meets the tolerance takes one more Gauss-Newton step, kept
-    only if it lowers the residual.  Raises InputCompatibilityError when no
-    start converges for some point (its target is not in the image)."""
+    from barycentric seeds otherwise, on all rows of the batch at once, each
+    as it would be alone.  A trial step off f's domain is rejected, and a
+    point that meets the tolerance takes one more step, kept only if it
+    lowers the residual.  Raises InputCompatibilityError when no start
+    converges for some point (its target is not in the image)."""
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
         return invert_simplex_map(f, y[None])[0]
@@ -100,18 +102,13 @@ def invert_simplex_map(f: SingularSimplex, y):
         res = _max_abs(r)
         live = res > lim
         for _ in range(NEWTON_MAX_ITER):
-            idx = np.flatnonzero(live)
-            if idx.size == 0:
+            if not live.any():
                 break
-            x[idx], r[idx], res[idx], moved = _gauss_newton(f, x[idx], yt[idx], r[idx], res[idx])
-            live[idx] = moved & (res[idx] > lim[idx])
+            live &= _gauss_newton(f, x, yt, r, res, live) & (res > lim)
         done = res <= lim
-        polish = np.flatnonzero(done & (res > 0.0))
-        if polish.size:
-            # one more step past the tolerance, kept where it helps
-            x[polish], r[polish], res[polish], _ = _gauss_newton(
-                f, x[polish], yt[polish], r[polish], res[polish], min_lam=0.5
-            )
+        polish = done & (res > 0.0)
+        if polish.any():  # one more step past the tolerance, kept where it helps
+            _gauss_newton(f, x, yt, r, res, polish, min_lam=0.5)
         best[todo] = np.minimum(best[todo], res)
         out[todo[done]] = x[done]
         todo = todo[~done]
@@ -122,24 +119,36 @@ def invert_simplex_map(f: SingularSimplex, y):
     )
 
 
-def _gauss_newton(f, x, y, r, res, min_lam: float = 1e-12):
-    """One damped Gauss-Newton step per row: the step length halves from 1
-    while the residual does not drop and it stays above ``min_lam``.
-    Returns the new x, r, res and whether each row moved."""
-    step = -_lstsq(f.jacobian_many(x), r[:, :, None])[:, :, 0]
-    moved = np.zeros(x.shape[0], dtype=bool)
-    pending = np.arange(x.shape[0])
-    lam = 1.0
-    while pending.size and lam > min_lam:
-        xn = _project_to_simplex(x[pending] + lam * step[pending])
-        rn = f.evaluate_many(xn) - y[pending]
+def _gauss_newton(f, x, y, r, res, rows, min_lam: float = 1e-12):
+    """One damped Gauss-Newton step on the rows of the nonempty mask ``rows``, in
+    place: a row's step length halves from 1 while its residual does not drop and
+    stays above ``min_lam``.  Returns the mask of the rows that moved."""
+    at = slice(None) if rows.all() else np.flatnonzero(rows)  # all rows: no gathers
+    step = -_lstsq(f.jacobian_many(x[at]), r[at][:, :, None])[:, :, 0]
+    moved, lam = np.zeros_like(rows), 1.0
+    while lam > min_lam:
+        xn = _project_to_simplex(x[at] + lam * step)
+        rn = _trial_values(f, xn) - y[at]
         resn = _max_abs(rn)
-        ok = resn < res[pending]
-        acc = pending[ok]
+        ok = resn < res[at]
+        if ok.all():
+            x[at], r[at], res[at], moved[at] = xn, rn, resn, True
+            break
+        at = np.arange(len(x))[at]
+        acc = at[ok]
         x[acc], r[acc], res[acc], moved[acc] = xn[ok], rn[ok], resn[ok], True
-        pending = pending[~ok]
-        lam *= 0.5
-    return x, r, res, moved
+        at, step, lam = at[~ok], step[~ok], lam * 0.5
+    return moved
+
+
+def _trial_values(f, x):
+    """f at trial points x, where a point off f's domain gets inf values: a rejected step."""
+    try:
+        return f.evaluate_many(x)
+    except ExprDomainError:
+        if len(x) > 1:
+            return np.vstack([_trial_values(f, x[k : k + 1]) for k in range(len(x))])
+        return np.full((1, f.ambient), np.inf)
 
 
 def _lstsq(J: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -161,11 +170,11 @@ class GluedMap(SingularSimplex):
     the reference simplex of the source simplex and interpolated against the
     v-part; the w-mass a -> 0 limit is the evaluation of the v-part alone.
     The Jacobian is exact: Dg = (Dh1^T Dh1)^{-1} Dh1^T Dh2 by the implicit
-    function theorem, chained through the interpolation.  Every batch
-    inverts g once, at tau's vertex 0 where the w-mass vanishes (a failed
-    inverse there comes before h1's value errors), and asks h1 once, for its
-    values and whatever else the batch wants; a batch of values alone stops
-    before the chain rule.
+    function theorem, chained through the interpolation.  Every batch inverts
+    g once, at tau's vertex 0 where the w-mass vanishes, before h1's value
+    errors; over a vertex tau, g is one point, inverted on the first nonempty
+    batch and kept unless it fails.  Each batch asks h1 once, for its values
+    and whatever else it wants; a batch of values alone stops before the chain rule.
     """
 
     def __init__(self, h1_sigma: SingularSimplex, h2_tau: SingularSimplex,
@@ -200,8 +209,14 @@ class GluedMap(SingularSimplex):
 
     def _g(self, u_std: np.ndarray) -> np.ndarray:
         """Reference coordinates in sigma's simplex of h1^{-1}(h2(u)), for a
-        batch of points u of tau's simplex."""
+        batch of points u of tau's simplex; over a vertex tau, one point."""
+        if self.h2_tau.dim == 0 and len(u_std):
+            return np.repeat(self._g_vertex, len(u_std), axis=0)
         return invert_simplex_map(self.h1_sigma, self.h2_tau.evaluate_many(u_std))
+
+    @functools.cached_property
+    def _g_vertex(self) -> np.ndarray:
+        return invert_simplex_map(self.h1_sigma, self.h2_tau.evaluate_many(np.zeros((1, 0))))
 
     def batch(self, cols, values=True, jacobian=True):
         # on (n, ...) batches, as the matmuls of the chain rule and _lstsq

@@ -11,6 +11,7 @@ from periodlab import glue as gl
 from periodlab import homology as hm
 from periodlab import periods as pe
 from periodlab import quad as qd
+from periodlab.expr import ExprDomainError
 
 
 def arc(theta0, theta1):
@@ -100,6 +101,106 @@ def test_a_newton_inverse_through_a_composed_map_asks_its_outer_map_for_what_it_
     # that came with its values made 13
     assert (public.count("evaluate_many"), public.count("jacobian_many")) == (7, 6)
     assert np.abs(composed.evaluate_many(x) - targets).max() <= 1e-12
+
+
+def reference_invert_simplex_map(f, y):
+    """invert_simplex_map as it was before its rows were updated in place
+    under masks: every step gathers its live rows and scatters them back.
+    Its unchanged affine branch is left out."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim == 1:
+        return reference_invert_simplex_map(f, y[None])[0]
+    scale = 1.0 + gl._max_abs(y)
+    d = f.dim
+    centre = np.full(d, 1.0 / (d + 1))
+    seeds = [centre] + [0.9 * v + 0.1 * centre for v in ch.reference_vertices(d)]
+    out = np.empty((y.shape[0], d))
+    best = np.full(y.shape[0], np.inf)
+    todo = np.arange(y.shape[0])
+    for seed in seeds:
+        yt, lim = y[todo], gl.NEWTON_TOL * scale[todo]
+        x = np.tile(seed, (todo.size, 1))
+        r = f.evaluate_many(x) - yt
+        res = gl._max_abs(r)
+        live = res > lim
+        for _ in range(gl.NEWTON_MAX_ITER):
+            idx = np.flatnonzero(live)
+            if idx.size == 0:
+                break
+            x[idx], r[idx], res[idx], moved = reference_gauss_newton(f, x[idx], yt[idx], r[idx], res[idx])
+            live[idx] = moved & (res[idx] > lim[idx])
+        done = res <= lim
+        polish = np.flatnonzero(done & (res > 0.0))
+        if polish.size:
+            x[polish], r[polish], res[polish], _ = reference_gauss_newton(
+                f, x[polish], yt[polish], r[polish], res[polish], min_lam=0.5
+            )
+        best[todo] = np.minimum(best[todo], res)
+        out[todo[done]] = x[done]
+        todo = todo[~done]
+        if todo.size == 0:
+            return out
+    raise gl.InputCompatibilityError(
+        f"Newton inverse failed: residual {best[todo].max():.3e} at tolerance {gl.NEWTON_TOL:.1e}"
+    )
+
+
+def reference_gauss_newton(f, x, y, r, res, min_lam=1e-12):
+    step = -gl._lstsq(f.jacobian_many(x), r[:, :, None])[:, :, 0]
+    moved = np.zeros(x.shape[0], dtype=bool)
+    pending = np.arange(x.shape[0])
+    lam = 1.0
+    while pending.size and lam > min_lam:
+        xn = gl._project_to_simplex(x[pending] + lam * step[pending])
+        rn = f.evaluate_many(xn) - y[pending]
+        resn = gl._max_abs(rn)
+        ok = resn < res[pending]
+        acc = pending[ok]
+        x[acc], r[acc], res[acc], moved[acc] = xn[ok], rn[ok], resn[ok], True
+        pending = pending[~ok]
+        lam *= 0.5
+    return x, r, res, moved
+
+
+CAP = ch.ExprMap(["cos(pi*a2/2)*(1 - a2 - 2*a1)/(1 - a2)", "sin(pi*a2/2)"], 2)
+ORACLE_BATCHES = [
+    # the cap: interior rows from the centre seed, its two regular vertices,
+    # points on its edges, and its centre, an exact hit (residual 0, no polish)
+    (CAP, [[0.2, 0.3], [0.6, 0.1], [0.05, 0.9], [0.0, 0.0], [1.0, 0.0], [0.5, 0.0], [0.0, 0.5],
+           [0.4, 0.6], [1 / 3, 1 / 3]]),
+    # the cap composed with an affine map, its vertices and an edge point
+    (ch.Composed(CAP, ch.AffineSimplex([[0.2, 0.1], [0.7, 0.1], [0.2, 0.6]])),
+     [[0.3, 0.3], [0.1, 0.7], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [1 / 3, 1 / 3]]),
+    # a circle arc of 1.9 pi: t >= 0.975 needs the seed near vertex 1
+    (ch.ExprMap(["cos(19/10*pi*t)", "sin(19/10*pi*t)"], 1), [[0.1], [0.5], [0.975], [0.99], [0.0], [1.0]]),
+    # a wave: 0.275 and 0.28 converge from a later seed after short steps
+    # (2^-12 for 0.28), and 0.9 and 0.98 backtrack to a step of 1/4
+    (ch.ExprMap(["t", "sin(9*t)/3"], 1), [[0.275], [0.28], [0.5], [0.9], [0.98], [0.1], [0.0], [1.0]]),
+    # half steps from the centre from 0.71 on
+    (ch.ExprMap(["t", "exp(4*t)"], 1), [[0.71], [0.75], [0.2], [0.5]]),
+    # a cubic fold whose first full steps overshoot
+    (ch.ExprMap(["a1 + 3*a2^2", "a2 + 2*a1^3"], 2), [[0.13, 0.58], [0.77, 0.12], [0.72, 0.12], [0.2, 0.2]]),
+]
+
+
+@pytest.mark.parametrize("f, pts", ORACLE_BATCHES)
+def test_the_inverse_is_the_reference_bit_for_bit(f, pts):
+    targets = f.evaluate_many(np.array(pts))
+    x = gl.invert_simplex_map(f, targets)
+    np.testing.assert_array_equal(x, reference_invert_simplex_map(f, targets))
+    for y, xk in zip(targets, x):  # and each row as it would be alone
+        np.testing.assert_array_equal(xk, reference_invert_simplex_map(f, y))
+
+
+@pytest.mark.parametrize("target", [[0.0, -0.5], [1.5, 0.2]])
+def test_an_unreachable_target_fails_the_inverse_as_the_reference_does(target):
+    # one row off the image among rows that converge: the same message
+    targets = np.vstack([CAP.evaluate_many(np.array([[0.2, 0.3], [0.6, 0.1]])), [target]])
+    with pytest.raises(gl.InputCompatibilityError) as ref:
+        reference_invert_simplex_map(CAP, targets)
+    with pytest.raises(gl.InputCompatibilityError) as new:
+        gl.invert_simplex_map(CAP, targets)
+    assert str(new.value) == str(ref.value)
 
 
 def test_least_squares_solves_each_system_alone():
@@ -455,11 +556,14 @@ def test_a_glued_pullback_inverts_g_once_per_batch(monkeypatch):
     assert len(inversions) == r.density_calls == 2
     assert (r.value.hex(), r.error_estimate.hex(), r.subdivisions) == (
         "0x1.e28c731dd951ap-1", "0x1.0f3c204300000p-24", 9)
-    # a batch with points of zero w-mass too: there the one inverse takes tau's vertex 0
+    # a batch with points of zero w-mass too, over a vertex tau: the first
+    # batch inverts tau's one point, and a second batch inverts nothing
     inversions.clear()
     pts = np.array([[0.3, 0.0], [0.2, 0.5], [0.0, 0.0], [0.6, 0.0], [0.1, 0.1]])
-    values_and_jacobians(glued_fan(), pts)
-    assert inversions == [5]
+    fan = glued_fan()
+    values_and_jacobians(fan, pts)
+    values_and_jacobians(fan, pts[::-1])
+    assert inversions == [1]
 
 
 def test_a_glued_batch_of_values_alone_inverts_g_once_over_all_its_points(monkeypatch):
@@ -485,6 +589,67 @@ def test_a_failed_glued_inverse_raises_as_the_two_batches_do():
     with pytest.raises(gl.InputCompatibilityError) as one:
         values_and_jacobians(ev, pts)
     assert str(one.value) == str(two.value)
+
+
+def test_a_glued_map_over_a_vertex_keeps_the_bytes_of_a_fresh_map(monkeypatch):
+    inversions = []
+    monkeypatch.setattr(gl, "invert_simplex_map", lambda f, y, invert=gl.invert_simplex_map: (
+        inversions.append(len(y)) or invert(f, y)))
+    fan = glued_fan()
+    # an empty first batch neither fails nor fills the memo
+    vals, jacs = values_and_jacobians(fan, np.zeros((0, 2)))
+    assert (vals.shape, jacs.shape, "_g_vertex" in vars(fan)) == ((0, 2), (0, 2, 2), False)
+    first = np.array([[0.3, 0.0], [0.2, 0.5], [0.0, 0.0], [0.6, 0.0], [0.1, 0.1]])
+    second = np.array([[0.25, 0.25], [0.7, 0.1], [0.0, 0.4]])
+    for pts in (first, second):
+        got = values_and_jacobians(fan, pts)
+        fresh = values_and_jacobians(glued_fan(), pts)
+        for a, b in zip(got, fresh):
+            assert a.tobytes() == b.tobytes()
+    assert inversions == [0, 1, 1, 1]  # the empty batch's, the first batch's, one per fresh map
+    # the memo is each row of a batch of tau's point, as an inverse of all of them makes it
+    u = np.zeros((4, 0))
+    assert fan._g(u).tobytes() == gl.invert_simplex_map(fan.h1_sigma, fan.h2_tau.evaluate_many(u)).tobytes()
+
+
+def test_a_failed_inverse_over_a_vertex_is_not_memoised(monkeypatch):
+    t2 = gl.Triangulation(hm.SimplicialComplex([(0,)]), {(0,): point(5.0, 5.0)}, marks={"B": {(0,)}})
+    G = gl.glue(upper_semicircle(), t2, {(0,): (0,)})
+    ev = next(e for e in G.evaluators.values() if isinstance(e, gl.GluedMap))
+    assert ev.h2_tau.dim == 0
+    inversions = []
+    monkeypatch.setattr(gl, "invert_simplex_map", lambda f, y, invert=gl.invert_simplex_map: (
+        inversions.append(len(y)) or invert(f, y)))
+    errors = []
+    for _ in range(2):
+        with pytest.raises(gl.InputCompatibilityError) as err:
+            values_and_jacobians(ev, np.array([[0.25], [0.5]]))
+        errors.append(str(err.value))
+    assert errors[0] == errors[1] and inversions == [1, 1]
+
+
+@pytest.mark.parametrize("target, residual", [((5.0, 5.0), "4.613e+00"), ((0.0, 1.2), "2.000e-01")])
+def test_a_target_above_the_caps_apex_is_not_in_its_image(target, residual):
+    # a backtracking trial projected onto the apex, where the cap divides by
+    # zero, is rejected instead of ending the inverse in a domain error
+    with pytest.raises(gl.InputCompatibilityError) as err:
+        gl.invert_simplex_map(CAP, np.array(target))
+    assert str(err.value) == f"Newton inverse failed: residual {residual} at tolerance 1.0e-12"
+
+
+def test_a_trial_off_the_domain_is_rejected_and_moves_no_other_row():
+    # from the centre seed, the full step for t = 0.26 lands at t = 0.18,
+    # below the square root's domain; its half step is taken instead
+    f = ch.ExprMap(["t", "sqrt(t - 1/4)"], 1)
+    targets = f.evaluate_many(np.array([[0.26], [0.8]]))
+    with pytest.raises(ExprDomainError):
+        reference_invert_simplex_map(f, targets)
+    x = gl.invert_simplex_map(f, targets)
+    assert np.abs(f.evaluate_many(x) - targets).max() <= 1e-12
+    np.testing.assert_array_equal(x[1], reference_invert_simplex_map(f, targets[1]))
+    # a seed off the domain still ends the inverse in its domain error
+    with pytest.raises(ExprDomainError):
+        gl.invert_simplex_map(ch.ExprMap(["t", "1/(2*t - 1)"], 1), np.array([0.2, -5 / 3]))
 
 
 def test_glued_circle_period_converges_at_1e_10():
