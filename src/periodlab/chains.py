@@ -52,24 +52,11 @@ def reference_vertices(d: int) -> np.ndarray:
     return np.vstack([np.zeros((1, d)), np.eye(d)])
 
 
-GRID_SHRINK = 1e-3  # interior_grid keeps points at least this far inside the far face
-
-
 def interior_grid(d: int, m: int = 3) -> np.ndarray:
     """(n, d) deterministic strictly-interior sample points of the open d-simplex,
     at ``m`` steps per axis (every sampled check in the library uses 3)."""
-    if d == 0:
-        return np.zeros((1, 0))
-    pts = []
-    for idx in itertools.product(range(1, m + 1), repeat=d):
-        if sum(idx) > m + d:
-            continue
-        p = np.array(idx, dtype=float) / (m + d + 1)
-        if p.sum() < 1.0 - GRID_SHRINK:
-            pts.append(p)
-    if not pts:
-        pts = [np.full(d, 1.0 / (2 * d + 2))]
-    return np.array(pts)
+    idx = [i for i in itertools.product(range(1, m + 1), repeat=d) if sum(i) <= m + d]
+    return np.array(idx, dtype=float) / (m + d + 1)
 
 
 def _cols(points) -> np.ndarray:

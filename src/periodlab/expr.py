@@ -602,10 +602,10 @@ def diff(e: Expr, i: int) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Structural zero test used by the forms module when merging coefficients:
-# flatten an additive tree into signed addends and cancel structurally equal
-# pairs.  This is the only "simplification" beyond constant folding and it
-# never rewrites user expressions.
+# Like terms, for the forms module's merge of coefficients: flatten an
+# additive tree into signed addends and pool structurally equal ones.  This
+# is the only "simplification" beyond constant folding and it never rewrites
+# user expressions.
 # ---------------------------------------------------------------------------
 
 
@@ -624,15 +624,21 @@ def _addends(e: Expr, sign: int, out: list):
         out.append((sign, e))
 
 
-def is_structurally_zero(e: Expr) -> bool:
-    terms: list = []
-    _addends(e, 1, terms)
+def like_terms(signed) -> list:
+    """The (sign, term) pairs with structurally equal terms pooled, in
+    first-seen order: each keeps its first-seen term and sums the signs."""
     pool: list = []
-    for s, t in terms:
+    for s, t in signed:
         for k, (s2, t2) in enumerate(pool):
             if t2 == t:
-                pool[k] = (s2 + s, t)
+                pool[k] = (s2 + s, t2)
                 break
         else:
             pool.append((s, t))
-    return all(s == 0 for s, _ in pool)
+    return pool
+
+
+def is_structurally_zero(e: Expr) -> bool:
+    terms: list = []
+    _addends(e, 1, terms)
+    return all(s == 0 for s, _ in like_terms(terms))

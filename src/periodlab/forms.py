@@ -38,23 +38,16 @@ def _merge_terms(raw, degree, ambient):
             raise ValueError(f"multi-index {idx} must be strictly increasing")
         if idx and not (1 <= idx[0] and idx[-1] <= ambient):
             raise ValueError(f"multi-index {idx} out of range for ambient {ambient}")
-        pool = pools.setdefault(idx, [])
-        for k, (s2, c2) in enumerate(pool):
-            if c2 == coeff:
-                pool[k] = (s2 + sign, c2)
-                break
-        else:
-            pool.append((sign, coeff))
+        pools.setdefault(idx, []).append((sign, coeff))
     terms = []
     for idx in sorted(pools):
-        addends = [(s, c) for s, c in pools[idx] if s != 0]
-        if not addends:
-            continue
         acc = None
-        for s, c in addends:
+        for s, c in ex.like_terms(pools[idx]):
+            if s == 0:
+                continue
             piece = ex.mul(ex.const(s), c) if s != 1 else c
             acc = piece if acc is None else ex.add(acc, piece)
-        if ex.is_structurally_zero(acc):
+        if acc is None or ex.is_structurally_zero(acc):
             continue
         terms.append((idx, acc))
     return tuple(terms)

@@ -287,13 +287,12 @@ class Triangulation:
         ev = self.evaluators.get(s)
         if ev is not None:
             return ev
-        # restrict the evaluator of the carrier simplex
+        # restrict the evaluator of the carrier simplex: the face's vertices
+        # are one-vertex faces of the carrier
         parent = self._carriers.get(s)
         if parent is None:
             raise KeyError(f"no evaluator covers simplex {s}")
-        ref = reference_vertices(len(parent) - 1)
-        pos = [parent.index(v) for v in s]
-        return Composed(self.evaluators[parent], AffineSimplex(ref[pos]))
+        return Composed(self.evaluators[parent], flag_simplex(parent, [(v,) for v in s]))
 
     def vertex_point(self, v) -> np.ndarray:
         return self.evaluator_for((v,)).evaluate(np.zeros(0))

@@ -135,7 +135,11 @@ def _evaluator(desc: dict, path: str, maps: dict) -> SingularSimplex:
     try:
         if kind == "expr":
             comps = _get(desc, "components", list, path, items=str)
-            return _expr_map(maps, comps, _dim(desc, comps, path))
+            dim = _dim(desc, comps, path)
+            try:
+                return _expr_map(maps, comps, dim)
+            except ex.ExprSyntaxError as err:
+                raise ManifestError(str(err), f"{path}/components") from err
         if kind == "affine":
             rows = _get(desc, "vertices", list, path, items=list)
             for i, row in enumerate(rows):
@@ -186,22 +190,12 @@ class Manifest:
         for i, entry in enumerate(_get(data, "simplices", list, path, [])):
             p = f"{path}/simplices/{i}"
             name = self._fresh(_get(entry, "name", str, p), p)
-            comps = _get(entry, "components", list, p, items=str)
-            _expect(
-                self.ambient == 0 or len(comps) == self.ambient,
-                f"expected {self.ambient} components, found {len(comps)}",
-                f"{p}/components",
-            )
-            dim = _dim(entry, comps, p)
-            try:
-                self.simplices[name] = _expr_map(maps, comps, dim)
-            except ex.ExprSyntaxError as err:
-                raise ManifestError(str(err), f"{p}/components") from err
+            self.simplices[name] = self._named_map({**entry, "kind": "expr"}, p, maps)
 
         for i, entry in enumerate(_get(data, "derived_simplices", list, path, [])):
             p = f"{path}/derived_simplices/{i}"
             name = self._fresh(_get(entry, "name", str, p), p)
-            self.simplices[name] = _evaluator(_get(entry, "map", dict, p), f"{p}/map", maps)
+            self.simplices[name] = self._named_map(_get(entry, "map", dict, p), f"{p}/map", maps)
 
         for i, entry in enumerate(_get(data, "chains", list, path, [])):
             p = f"{path}/chains/{i}"
@@ -255,7 +249,7 @@ class Manifest:
                 _expect(simplex in K, f"simplex {simplex} not in complex", f"{ep}/simplex")
                 _expect(simplex not in evaluators, f"simplex {simplex} has a second evaluator", f"{ep}/simplex")
                 if "map" in ee:
-                    ev, where = _evaluator(ee["map"], f"{ep}/map", maps), f"{ep}/map"
+                    ev, where = self._named_map(ee["map"], f"{ep}/map", maps), f"{ep}/map"
                 else:
                     ref, where = _get(ee, "named", str, ep), f"{ep}/named"
                     _expect(ref in self.simplices, f"unresolved simplex {ref!r}", where)
@@ -274,6 +268,13 @@ class Manifest:
                 self.triangulations[name] = Triangulation(K, evaluators, marks)
             except ValueError as err:
                 raise ManifestError(str(err), p) from err
+
+    def _named_map(self, desc, path: str, maps: dict) -> SingularSimplex:
+        """The map that ``desc`` describes, which must land in R^ambient_dim."""
+        ev = _evaluator(desc, path, maps)
+        _expect(self.ambient in (0, ev.ambient),
+                f"a map into R^{ev.ambient} in a manifest of ambient_dim {self.ambient}", path)
+        return ev
 
     def _fresh(self, name: str, path: str) -> str:
         taken = (

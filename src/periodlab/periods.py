@@ -66,29 +66,28 @@ def form_is_closed(omega: Form, rng_seed: int = 20260808) -> bool:
 def _closed_samples(dw: Form, rng_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The indices of the first CLOSED_SAMPLES of CLOSED_SAMPLES * 50 seeded
     candidates in [-2, 2]^n at which every coefficient of dw is defined and
-    finite, and the coefficients there.  The first CLOSED_SAMPLES * 2
-    candidates are evaluated in one batch, and all of them in one batch
-    only when too few of those are finite; a form with a hole in its
-    domain, where a batch raises, is evaluated one candidate at a time,
-    only as far as needed."""
+    finite, and the coefficients there.  The candidates are evaluated in
+    batches of CLOSED_SAMPLES * 2, in order, until enough of them are
+    finite; a batch that raises (a form with a hole in its domain) is
+    evaluated one candidate at a time."""
     rng = np.random.default_rng(rng_seed)
     points = rng.uniform(-2.0, 2.0, (CLOSED_SAMPLES * 50, dw.ambient))
+    values = np.full((len(points), len(dw.terms)), np.nan)
+    found = 0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is outside the domain too
-        try:
-            values = dw.coefficients_many(points[: CLOSED_SAMPLES * 2])
-            if np.isfinite(values).all(axis=1).sum() < CLOSED_SAMPLES:
-                values = dw.coefficients_many(points)
-        except ExprDomainError:
-            values = np.full((len(points), len(dw.terms)), np.nan)
-            found = 0
-            for i, x in enumerate(points):
-                try:
-                    values[i] = dw.coefficients_many(x[None])[0]
-                except ExprDomainError:
-                    continue  # outside the form's domain
-                found += bool(np.isfinite(values[i]).all())
-                if found == CLOSED_SAMPLES:
-                    break
+        for start in range(0, len(points), CLOSED_SAMPLES * 2):
+            batch = slice(start, start + CLOSED_SAMPLES * 2)
+            try:
+                values[batch] = dw.coefficients_many(points[batch])
+            except ExprDomainError:
+                for i in range(start, batch.stop):
+                    try:
+                        values[i] = dw.coefficients_many(points[i, None])[0]
+                    except ExprDomainError:
+                        continue  # outside the form's domain
+            found += np.isfinite(values[batch]).all(axis=1).sum()
+            if found >= CLOSED_SAMPLES:
+                break
     kept = np.flatnonzero(np.isfinite(values).all(axis=1))[:CLOSED_SAMPLES]
     return kept, values[kept]
 
@@ -97,7 +96,6 @@ def _closed_samples(dw: Form, rng_seed: int) -> tuple[np.ndarray, np.ndarray]:
 class GeometricCycle:
     name: str
     chain: Chain
-    provenance: str = "hand-built"
 
     def check_closed(self):
         if self.chain.degree == 0:
@@ -166,16 +164,14 @@ def period_matrix(
     jobs: int = 1,
     check_seed: int = 20260808,
 ) -> PeriodMatrix:
-    """Pair each cycle with each closed form; rejects non-cycles and
-    non-closed forms with diagnostics.  Entries are integrated one after
-    another; ``jobs`` is accepted and has no effect."""
-    named_forms = [(f"form{i}", w) if isinstance(w, Form) else w for i, w in enumerate(forms)]
+    """Pair each cycle with each closed form of ``forms``, a list of (name,
+    Form) pairs; rejects non-cycles and non-closed forms with diagnostics.
+    Entries are integrated one after another; ``jobs`` is accepted and has
+    no effect."""
     for cyc in cycles:
         cyc.check_closed()
-    for name, w in named_forms:
+    for name, w in forms:
         if not form_is_closed(w, rng_seed=check_seed):
             raise NotClosedError(f"form {name!r} is not closed")
-    entries = [
-        [chain_integral(cyc.chain, w, tol, config) for _, w in named_forms] for cyc in cycles
-    ]
-    return PeriodMatrix([c.name for c in cycles], [n for n, _ in named_forms], entries)
+    entries = [[chain_integral(cyc.chain, w, tol, config) for _, w in forms] for cyc in cycles]
+    return PeriodMatrix([c.name for c in cycles], [n for n, _ in forms], entries)

@@ -764,6 +764,32 @@ MALFORMED_INPUTS = {
                            {"simplex": [0, 1], "named": "s"}]}]),
         "/triangulations/0/evaluators/0/named: a dim-2 evaluator on the simplex (0, 1)",
     ),
+    # a named map outside R^ambient_dim loaded, and check-volume integrated
+    # it in R^3 with exit 0; homology loaded the triangulation with exit 0
+    "derived-map-past-ambient": (
+        ["check-volume", "{}", "--simplex", "p"],
+        _manifest_with(derived_simplices=[
+            {"name": "p", "map": {"kind": "expr", "dim": 1, "components": ["t", "t", "t"]}}]),
+        "/derived_simplices/0/map: a map into R^3 in a manifest of ambient_dim 2",
+    ),
+    "triangulation-map-past-ambient": (
+        ["homology", "{}", "--complex", "K"],
+        _manifest_with(triangulations=[{"name": "T", "complex": "K", "evaluators": [
+            {"simplex": [0, 1], "map": {"kind": "expr", "dim": 1, "components": ["t", "t", "t"]}}
+        ]}]),
+        "/triangulations/0/evaluators/0/map: a map into R^3 in a manifest of ambient_dim 2",
+    ),
+    "simplex-past-ambient": (
+        ["check-volume", "{}", "--simplex", "s"],
+        _manifest_with(simplices=[{"name": "s", "dim": 1, "components": ["t", "t", "t"]}]),
+        "/simplices/0: a map into R^3 in a manifest of ambient_dim 2",
+    ),
+    # a syntax error in a map of any name is reported at its components
+    "derived-map-syntax": (
+        ["check-volume", "{}", "--simplex", "p"],
+        _manifest_with(derived_simplices=[{"name": "p", "map": {"kind": "expr", "dim": 1, "components": ["t+²", "t"]}}]),
+        "/derived_simplices/0/map/components: unexpected character '²' (at offset 2)",
+    ),
     # no nonzero d-form lives on R^n for d > n; at dim 10^6 the load alone
     # ran for minutes, differentiating each component by each coordinate
     "simplex-dim-past-ambient": (

@@ -60,8 +60,7 @@ def circle_trig():
 def circle_sqrt():
     upper = ch.ExprMap(["1 - 2*t", "sqrt(1 - (1 - 2*t)^2)"], 1)
     lower = ch.ExprMap(["2*t - 1", "-sqrt(1 - (2*t - 1)^2)"], 1)
-    return pe.GeometricCycle("gamma_semialg", ch.Chain(1, [(upper, 1), (lower, 1)]),
-                             provenance="semialgebraic graph arcs")
+    return pe.GeometricCycle("gamma_semialg", ch.Chain(1, [(upper, 1), (lower, 1)]))
 
 
 def test_circle_period_is_two_pi():
@@ -108,6 +107,11 @@ def test_non_cycle_rejected():
 
 # closed, but d(omega) overflows to infinity for a1 > 0.87: resampled
 OVERFLOWING = fo.Form(1, 2, [((1,), "a2*exp(16*a1)"), ((2,), "exp(16*a1)*2^1000*2^(-1000)/16")])
+# the same, shifted: d(omega) overflows for a1 > -1.13, on most of [-2, 2]^2,
+# so that 45 of the first 200 candidates are finite and the 100 accepted
+# ones reach past them
+MOSTLY_OVERFLOWING = fo.Form(1, 2, [((1,), "a2*exp(16*a1 + 32)"),
+                                    ((2,), "exp(16*a1 + 32)*2^1000*2^(-1000)/16")])
 
 
 def test_closedness_checks():
@@ -147,12 +151,14 @@ def per_point_closedness(omega, rng_seed=20260808):
     fo.Form(1, 2, [((1,), "a2"), ((2,), "a1")]),  # closed symbolically: nothing sampled
     fo.Form(1, 2, [((1,), "a2*a2")]),
     OVERFLOWING,
+    MOSTLY_OVERFLOWING,
     # d(a1*a2*log(a1)): closed where a1 > 0, and the batch raises on the rest
     fo.Form(1, 2, [((1,), "(log(a1) + 1)*a2"), ((2,), "a1*log(a1)")]),
     fo.Form(1, 2, [((1,), "a2*log(a1)")]),  # not closed where a1 > 0
     # closed, but defined on 1% of the candidates only: runs out of samples
     fo.Form(1, 2, [((1,), "(log(a1 - 1.96) + 1)*a2"), ((2,), "(a1 - 1.96)*log(a1 - 1.96)")]),
-], ids=["winding", "symbolic", "not-closed", "overflow", "log-hole", "log-hole-not-closed", "sparse-domain"])
+], ids=["winding", "symbolic", "not-closed", "overflow", "mostly-overflow", "log-hole", "log-hole-not-closed",
+        "sparse-domain"])
 def test_batched_closedness_matches_the_per_point_check(omega):
     verdict, accepted = per_point_closedness(omega)
     assert pe.form_is_closed(omega) == verdict
