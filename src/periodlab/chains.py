@@ -313,7 +313,8 @@ def face_map(d: int, i: int) -> AffineSimplex:
 
 
 class Chain:
-    """Formal integer combination of singular simplices of one dimension."""
+    """Formal integer combination of singular simplices of one dimension,
+    all maps into one ambient space."""
 
     def __init__(self, degree: int, terms=None):
         self.degree = degree
@@ -329,6 +330,8 @@ class Chain:
             raise ValueError("simplex dimension does not match chain degree")
         if sigma.domain != "simplex":
             raise ValueError("chains hold simplex-domain maps only")
+        if self.terms and sigma.ambient != (first := next(iter(self.terms))).ambient:
+            raise ValueError(f"a map into R^{sigma.ambient} in a chain of maps into R^{first.ambient}")
         new = self.terms.get(sigma, 0) + n
         if new == 0:
             self.terms.pop(sigma, None)

@@ -83,10 +83,11 @@ def domain_site(where: str):
 class Expr:
     """One AST node.  ``value`` holds the Fraction of a constant, the 1-based
     index of a variable, or the Fraction exponent of a pow node.  Nodes are
-    immutable and compare by (kind, args, value).  The hash is computed on
-    first use from the value's integer ratio, which agrees with equality and
-    skips ``Fraction.__hash__``; the repr is computed once it is asked for.
-    Neither walks the tree again."""
+    immutable and compare by (kind, args, value).  The hash is computed at
+    construction from the kind, the children's hashes and the value's
+    integer ratio, which agrees with equality and skips
+    ``Fraction.__hash__``; nodes whose hashes differ are unequal without a
+    walk.  The repr is computed once it is asked for."""
 
     __slots__ = ("kind", "args", "value", "_hash", "_repr")
 
@@ -96,6 +97,7 @@ class Expr:
         _set_kind(self, kind)
         _set_args(self, args)
         _set_value(self, value)
+        _set_hash(self, hash((kind, args, None if value is None else value.as_integer_ratio())))
 
     def __setattr__(self, name, *_):
         raise AttributeError(f"Expr is immutable: cannot change {name!r}")
@@ -105,16 +107,11 @@ class Expr:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.kind == other.kind and self.value == other.value and self.args == other.args
+        return (self._hash == other._hash and self.kind == other.kind and self.value == other.value
+                and self.args == other.args)
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            v = self.value
-            h = hash((self.kind, self.args, None if v is None else v.as_integer_ratio()))
-            _set_hash(self, h)
-            return h
+        return self._hash
 
     def __repr__(self):
         try:

@@ -211,6 +211,9 @@ class Manifest:
                 if degree is None:
                     degree = sigma.dim
                 _expect(sigma.dim == degree, "mixed dimensions in chain", f"{tp}/simplex")
+                ambient = (terms[0][0] if terms else sigma).ambient
+                _expect(sigma.ambient == ambient, f"a map into R^{sigma.ambient} in a chain of maps into R^{ambient}",
+                        f"{tp}/simplex")
                 terms.append((sigma, coeff))
             _expect(degree is not None, "empty chain needs an explicit degree", p)
             self.chains[name] = Chain(degree, terms)

@@ -66,30 +66,32 @@ def form_is_closed(omega: Form, rng_seed: int = 20260808) -> bool:
 def _closed_samples(dw: Form, rng_seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The indices of the first CLOSED_SAMPLES of CLOSED_SAMPLES * 50 seeded
     candidates in [-2, 2]^n at which every coefficient of dw is defined and
-    finite, and the coefficients there.  The candidates are evaluated in
-    batches of CLOSED_SAMPLES * 2, in order, until enough of them are
-    finite; a batch that raises (a form with a hole in its domain) is
-    evaluated one candidate at a time."""
+    finite, and the coefficients there.  The candidates are drawn and
+    evaluated in batches of CLOSED_SAMPLES * 2, in order, until enough of
+    them are finite; a batch that raises (a form with a hole in its domain)
+    is evaluated one candidate at a time."""
     rng = np.random.default_rng(rng_seed)
-    points = rng.uniform(-2.0, 2.0, (CLOSED_SAMPLES * 50, dw.ambient))
-    values = np.full((len(points), len(dw.terms)), np.nan)
-    found = 0
+    size = CLOSED_SAMPLES * 2
+    kept, rows, found = [], [], 0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is outside the domain too
-        for start in range(0, len(points), CLOSED_SAMPLES * 2):
-            batch = slice(start, start + CLOSED_SAMPLES * 2)
+        for start in range(0, CLOSED_SAMPLES * 50, size):
+            points = rng.uniform(-2.0, 2.0, (size, dw.ambient))
             try:
-                values[batch] = dw.coefficients_many(points[batch])
+                values = dw.coefficients_many(points)
             except ExprDomainError:
-                for i in range(start, batch.stop):
+                values = np.full((size, len(dw.terms)), np.nan)
+                for i in range(size):
                     try:
                         values[i] = dw.coefficients_many(points[i, None])[0]
                     except ExprDomainError:
                         continue  # outside the form's domain
-            found += np.isfinite(values[batch]).all(axis=1).sum()
+            ok = np.flatnonzero(np.isfinite(values).all(axis=1))
+            kept.append(start + ok)
+            rows.append(values[ok])
+            found += len(ok)
             if found >= CLOSED_SAMPLES:
                 break
-    kept = np.flatnonzero(np.isfinite(values).all(axis=1))[:CLOSED_SAMPLES]
-    return kept, values[kept]
+    return np.concatenate(kept)[:CLOSED_SAMPLES], np.concatenate(rows)[:CLOSED_SAMPLES]
 
 
 @dataclass

@@ -231,6 +231,16 @@ def test_chain_merging_uses_structural_equality():
     assert (c - c.scale(1)).is_zero()
 
 
+def test_a_chain_holds_maps_into_one_ambient_space():
+    plane, space = ch.ExprMap(["t", "t"], 1), ch.ExprMap(["t", "t", "t"], 1)
+    with pytest.raises(ValueError, match=r"a map into R\^3 in a chain of maps into R\^2"):
+        ch.Chain(1, [(plane, 1), (space, 1)])
+    with pytest.raises(ValueError):
+        ch.Chain.of(space) + ch.Chain.of(plane)
+    # a chain whose terms cancelled holds no map, and takes any ambient
+    assert (ch.Chain.of(plane) - ch.Chain.of(plane) + ch.Chain.of(space)).terms == {space: 1}
+
+
 def test_prism_map_refuses_boundary_and_cone():
     prism = ch.PrismMap(ch.ExprMap(["t"], 1))
     with pytest.raises(ValueError):

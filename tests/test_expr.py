@@ -1,5 +1,8 @@
 import math
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -81,6 +84,19 @@ def test_nodes_are_immutable_and_rebuild_when_pickled():
     assert ex.Expr("const", value=2) == ex.const(2) and hash(ex.Expr("const", value=2)) == hash(ex.const(2))
     with pytest.raises(ValueError):
         ex.Expr("tan", (e,))
+
+
+def test_a_node_hashes_once_at_construction_and_pickles_across_processes():
+    # the hash is set when the node is built, from its children's; a pickle
+    # rebuilds the nodes, so a process with other string hashes gets its own
+    e = ex.parse("sin(a1)^2/3 + 1.25*a2", 2)
+    assert e._hash == hash(("add", e.args, None)) and e.args[0]._hash == hash(e.args[0])
+    assert e != ex.parse("sin(a1)^2/3 + 1.25*a1", 2)
+    code = ("import pickle, sys; from periodlab import expr as ex; e = pickle.loads(sys.stdin.buffer.read()); "
+            "f = ex.parse('sin(a1)^2/3 + 1.25*a2', 2); assert e == f and hash(e) == hash(f)")
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run([sys.executable, "-c", code], input=pickle.dumps(e), env=env, check=True)
 
 
 def test_t_is_alias_for_a1():

@@ -784,6 +784,15 @@ MALFORMED_INPUTS = {
         _manifest_with(simplices=[{"name": "s", "dim": 1, "components": ["t", "t", "t"]}]),
         "/simplices/0: a map into R^3 in a manifest of ambient_dim 2",
     ),
+    # without ambient_dim, a chain of maps into R^2 and R^3 loaded, and
+    # subdivide wrote a manifest that was itself an input error
+    "chain-of-two-ambients": (
+        ["subdivide", "{}", "--chain", "c"],
+        {"schema": "periodlab/1", "simplices": [{"name": "a", "dim": 1, "components": ["t", "t"]},
+                                                {"name": "b", "dim": 1, "components": ["t", "t", "t"]}],
+         "chains": [{"name": "c", "terms": [{"simplex": "a"}, {"simplex": "b", "coeff": -1}]}]},
+        "/chains/0/terms/1/simplex: a map into R^3 in a chain of maps into R^2",
+    ),
     # a syntax error in a map of any name is reported at its components
     "derived-map-syntax": (
         ["check-volume", "{}", "--simplex", "p"],

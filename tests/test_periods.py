@@ -169,6 +169,38 @@ def test_batched_closedness_matches_the_per_point_check(omega):
         assert values.shape == (len(kept), len(dw.terms))
 
 
+def up_front_closed_samples(dw, rng_seed=20260808):
+    """The closedness samples drawn all at once, CLOSED_SAMPLES * 50
+    candidates, and evaluated one candidate at a time."""
+    points = np.random.default_rng(rng_seed).uniform(-2.0, 2.0, (pe.CLOSED_SAMPLES * 50, dw.ambient))
+    values = np.full((len(points), len(dw.terms)), np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, p in enumerate(points):
+            try:
+                values[i] = dw.coefficients_many(p[None])[0]
+            except ex.ExprDomainError:
+                pass
+    kept = np.flatnonzero(np.isfinite(values).all(axis=1))[: pe.CLOSED_SAMPLES]
+    return kept, values[kept]
+
+
+@pytest.mark.parametrize("omega", [
+    fo.Form(0, 1, [((), "exp(200*a1^2)")]),  # d of it overflows where |a1| > 1.9
+    fo.Form(0, 1, [((), "log(a1)")]),
+    fo.Form(1, 2, [((1,), "(log(a1) + 1)*a2"), ((2,), "a1*log(a1)")]),
+    fo.Form(1, 3, [((1,), "a2*a3"), ((2,), "sqrt(a3)*a1"), ((3,), "a1")]),
+    fo.Form(2, 4, [((1, 2), "a3*log(a4 - 1.9)"), ((3, 4), "a1/a2")]),
+], ids=["1-d-overflow", "1-d-log", "2-d-log-hole", "3-d-sqrt", "4-d-sparse"])
+def test_closedness_samples_drawn_per_batch_are_the_up_front_draw(omega):
+    # each batch of candidates comes from the one seeded generator when it
+    # is evaluated; the stream, and so every kept index and value, is the
+    # one that drawing every candidate first gives, bit for bit
+    dw = fo.exterior_derivative(omega)
+    kept, values = pe._closed_samples(dw, 20260808)
+    ref_kept, ref_values = up_front_closed_samples(dw)
+    assert kept.tolist() == ref_kept.tolist() and values.tobytes() == ref_values.tobytes()
+
+
 def test_identical_representatives_agree_exactly():
     c = circle_trig()
     cmp = compare_representatives(c, c, [("dtheta", winding_form())], 1e-8)

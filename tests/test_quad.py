@@ -591,7 +591,7 @@ def test_group_builder_matches_the_per_cell_driver(d, prism, paths, seed, expone
         mp.setattr(qd, "POINT_BUDGET", 10**9)
         mp.setattr(qd, "_generations", lambda *args: plans.append(generations(*args)) or plans[-1])
         heap = [(float(i), i, row) for i, row in enumerate(rows[1:])]  # the queued cells, in order
-        qd._expand(rows[0], heap, room, 10**6, dens)
+        qd._expand(rows[0], heap, room, 0.0, 10**6, dens)
     ((parents, frozen, kids),) = plans
     assert [(s, b, f) for (s, _, b), f in zip(parents, frozen)] == expected
     assert bits(tree.verts[[c[0] for c in kids]]) == bits([v for _, v, _ in halves])
@@ -773,11 +773,31 @@ def test_a_tree_cut_at_max_depth_freezes_its_leaves():
     assert (r.cells, r.points) == (15, 15 * 7)
 
 
-@pytest.mark.parametrize("name", list(GOLDEN) + ["upper_sqrt", "tsin_graph", "edge-singular"])
+# The left side of Stokes for z dx on a tilted hemisphere chart at 1e-10,
+# the longest integral of the stokes-cones benchmark: 1,026 splits, which
+# took 72 density calls with a look-ahead of SPECULATE - 1 entries
+HEMI_TILTED = ch.ExprMap(["a1 + 0.25*a2", "a2", "1.3*sqrt(1 - a1^2 - a2^2)"], 2)
+HEMISPHERE_LEFT = ("0x1.cb56e797749ddp-3", "0x1.b786cc63f696ep-34", "0x1.0af7a05750e39p-2", 1026)
+
+
+def hemisphere_left():
+    return qd.integrate_simplex(HEMI_TILTED, fo.exterior_derivative(fo.Form(1, 3, [((1,), "a3")])), 1e-10)
+
+
+def edge_singular_long():
+    """The edge-singular 2-simplex at 1e-5 with 5,000 cells."""
+    return qd.integrate_simplex(ch.ExprMap(["a1", "sqrt(a2)"], 2), form_d(2, 2), 1e-5, qd.QuadConfig(max_cells=5000))
+
+
+@pytest.mark.parametrize("name", list(GOLDEN) + ["upper_sqrt", "tsin_graph", "edge-singular",
+                                  "hemisphere-left", "edge-singular-long"])
 def test_speculation_changes_no_result(name, monkeypatch):
     # the filled groups, groups of queued cells only, and one density call
-    # per split, as a driver without speculation makes, refine alike
-    runs = {**circle_budget_runs(), "edge-singular": edge_singular_budget}
+    # per split, as a driver without speculation makes, refine alike; the
+    # last two runs, and edge-singular, pass 4 * SPECULATE splits, where the
+    # look-ahead is sized by the error above tolerance
+    runs = {**circle_budget_runs(), "edge-singular": edge_singular_budget, "hemisphere-left": hemisphere_left,
+            "edge-singular-long": edge_singular_long}
     run = GOLDEN[name][0] if name in GOLDEN else runs[name]
     batched = run()
     generations = qd._generations
@@ -791,6 +811,19 @@ def test_speculation_changes_no_result(name, monkeypatch):
     assert plain.density_calls == 1 + plain.subdivisions
     assert plain.cells == 1 + 2 * plain.subdivisions
     assert batched.cells >= plain.cells and unfilled.cells >= plain.cells
+
+
+def test_a_long_integral_looks_ahead_as_far_as_its_error_needs():
+    # past 4 * SPECULATE splits a group takes the queued cells whose errors,
+    # with the popped cell's, sum below the error above tolerance: the same
+    # bits in fewer calls.  72 and 1,253 calls with SPECULATE - 1 queued
+    # cells a group
+    r = hemisphere_left()
+    assert (r.value.hex(), r.error_estimate.hex(), r.abs_integral_estimate.hex(), r.subdivisions) == HEMISPHERE_LEFT
+    assert r.density_calls <= 50
+    r = qd.integrate_simplex(ch.ExprMap(["a1", "sqrt(a2)"], 2), form_d(2, 2), 1e-5)
+    assert (r.value.hex(), r.subdivisions, r.stop_reason) == ("0x1.54e5ef684d558p-1", 19999, "max_cells")
+    assert r.density_calls <= 600
 
 
 def test_filled_groups_take_a_graded_chart_in_few_calls():
@@ -845,34 +878,49 @@ def test_speculation_stays_inside_the_budget():
     assert (r.subdivisions, r.density_calls, r.cells) == (2, 3, 7)
 
 
-@pytest.mark.parametrize("name", ["vertex-singular-2d", "budget-with-frozen-simplex", "budget-with-frozen-prism"])
+@pytest.mark.parametrize("name", ["vertex-singular-2d", "budget-with-frozen-simplex", "budget-with-frozen-prism",
+                                  "hemisphere-left"])
 def test_the_look_ahead_restores_the_queue(name, monkeypatch):
-    # _expand pops the next SPECULATE - 1 entries (priority, sequence
-    # number, row) to choose its group and pushes them back: the queue holds
-    # the same entries, still a heap, and the group is the first rows in pop
-    # order whose children are unknown (kid -1), up to what room and the
-    # point budget allow
-    expand, calls = qd._expand, []
+    # _expand pops entries (priority, sequence number, row) to choose its
+    # group and pushes them back: the queue holds the same entries, still a
+    # heap.  It pops the next SPECULATE - 1 entries, and past them more only
+    # while the errors of the popped cell and of the entries popped so far
+    # sum below the error above tolerance (``excess``, 0 until the integral
+    # has made 4 * SPECULATE splits) and at least two thirds of the cells
+    # it looked at joined the group.  The group is the popped rows whose
+    # children are unknown (kid -1), up to what room, 4 * SPECULATE and the
+    # point budget allow; no other queued cell gets children
+    expand, groups = qd._expand, []
 
-    def checking(row, heap, room, max_depth, density):
+    def checking(row, heap, room, excess, max_depth, density):
         before = sorted(heap)
-        ahead = [r for _, _, r in before[: qd.SPECULATE - 1]]
-        open_ = [r for r in ahead if density.kid[r] < 0 and density.depth[r] < max_depth]
+        parents = min(room, 4 * qd.SPECULATE, max(1, qd.POINT_BUDGET // (2 * density.n)))
+        open_ = [r for _, _, r in before if density.kid[r] < 0 and density.depth[r] < max_depth]
+        group, popped = [row], density.err[row]
+        for i, (_, _, r) in enumerate(before):
+            past = i >= qd.SPECULATE - 1  # past the fixed look-ahead: the error and the yield decide
+            if len(group) == parents or past and not (popped < excess and 3 * len(group) >= 2 * (i + 1)):
+                break
+            popped += density.err[r]
+            group += [r] if r in open_ else []
         cells = density.cells
-        expand(row, heap, room, max_depth, density)
+        expand(row, heap, room, excess, max_depth, density)
         assert sorted(heap) == before
         assert all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap)))
-        parents = min(room, max(1, qd.POINT_BUDGET // (2 * density.n)))
         assert density.kid[row] >= 0
-        assert [density.kid[r] >= 0 for r in open_] == [k < parents - 1 for k in range(len(open_))]
-        assert density.cells - cells <= 2 * parents  # no more cells split than room allows
-        calls.append(len(open_))
+        assert [density.kid[r] >= 0 for r in open_] == [r in group for r in open_]
+        assert excess >= 0.0 and density.cells - cells <= 2 * max(len(group), min(parents, qd.SPECULATE))
+        groups.append((len(group), excess))
 
     monkeypatch.setattr(qd, "_expand", checking)
-    run, (value, err, abs_int, splits) = GOLDEN[name]
+    run, (value, err, abs_int, splits) = GOLDEN[name] if name in GOLDEN else (hemisphere_left, HEMISPHERE_LEFT)
     r = run()
     assert (r.value.hex(), r.subdivisions) == (value, splits)
-    assert max(calls) > 0  # some groups took queued cells
+    assert max(n for n, _ in groups) > 1  # some groups took queued cells
+    # the root's split looks SPECULATE - 1 entries ahead; a long run's later splits look further
+    assert groups[0][1] == 0.0 and any(excess > 0.0 for _, excess in groups) == (splits > 4 * qd.SPECULATE)
+    if name == "hemisphere-left":
+        assert max(n for n, _ in groups) > qd.SPECULATE
 
 
 def test_rules_are_built_once_per_dimension_and_point_count(monkeypatch):
@@ -964,14 +1012,11 @@ def test_the_cell_table_stays_small():
     # at 5,000 cells the edge-singular 2-simplex (10,041 rows) peaks at no
     # more than its cells took as objects (1.93 MB), on a tree that already
     # holds every node it needs.  Rows as lists of floats took 3.41 MB
-    def run():
-        return qd.integrate_simplex(ch.ExprMap(["a1", "sqrt(a2)"], 2), form_d(2, 2), 1e-5, qd.QuadConfig(max_cells=5000))
-
     qd._TREES.clear()
-    run()
+    edge_singular_long()
     tracemalloc.start()
     try:
-        r = run()
+        r = edge_singular_long()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
