@@ -4,6 +4,14 @@ Smith normal form of the small block that is left.
 Everything is exact: boundary matrices have entries in {-1, 0, 1}, and all
 arithmetic runs over Python's arbitrary-precision integers.  Orientation of an
 abstract simplex is its increasing vertex order.
+
+A complex adds every k-subset of each simplex to one set per dimension, then
+sorts and indexes them.  ``homology`` builds each degree's boundary columns
+once, as sparse dicts without the rows the degree below paired off.  A pivot
+step clears the pivot's row from each other column in it by one loop over
+the pivot column, which also updates the row index, and records the column
+operation; representatives are lifted through the records in one backward
+pass.
 """
 
 from __future__ import annotations
@@ -33,19 +41,19 @@ class SimplicialComplex:
     """
 
     def __init__(self, simplices):
-        by_dim: dict[int, set] = {}
+        faces: list[set] = []  # faces[d]: the d-simplices
         for s in simplices:
-            s = tuple(sorted(set(s)))
+            s = tuple(sorted(s))
             if not s:
                 raise ValueError("empty simplex")
-            for k in range(1, len(s) + 1):
-                for face in itertools.combinations(s, k):
-                    by_dim.setdefault(k - 1, set()).add(face)
-        self.dim = max(by_dim) if by_dim else -1
-        self.simplices = {d: sorted(by_dim.get(d, ())) for d in range(self.dim + 1)}
-        self._index = {
-            d: {s: i for i, s in enumerate(self.simplices[d])} for d in range(self.dim + 1)
-        }
+            if len(set(s)) < len(s):
+                raise ValueError(f"repeated vertex in simplex {s}")
+            faces += [set() for _ in range(len(s) - len(faces))]
+            for k in range(len(s)):
+                faces[k].update(itertools.combinations(s, k + 1))
+        self.dim = len(faces) - 1
+        self.simplices = {d: sorted(f) for d, f in enumerate(faces)}
+        self._index = {d: dict(zip(s, range(len(s)))) for d, s in self.simplices.items()}
 
     def cells(self) -> list:
         """Every simplex, by dimension, then sorted order."""
@@ -74,10 +82,12 @@ class SimplicialComplex:
         return f"<SimplicialComplex cells={counts}>"
 
 
-def _boundary_columns(K: SimplicialComplex, d: int) -> list:
-    """The columns of ``boundary_matrix(K, d)`` as dicts, row -> nonzero entry."""
-    index = K._index[d - 1]
-    return [{index[s[:i] + s[i + 1 :]]: (-1) ** i for i in range(d + 1)} for s in K.simplices[d]]
+def _boundary_columns(K: SimplicialComplex, d: int, drop=()) -> list:
+    """The columns of ``boundary_matrix(K, d)`` as dicts, row -> nonzero
+    entry, without the rows in ``drop``."""
+    index, signs = K._index[d - 1], [(i, (-1) ** i) for i in range(d + 1)]
+    return [{row: sign for i, sign in signs if (row := index[s[:i] + s[i + 1 :]]) not in drop}
+            for s in K.simplices[d]]
 
 
 def boundary_matrix(K: SimplicialComplex, d: int):
@@ -204,53 +214,59 @@ class HomologyResult:
         }
 
 
-def _add_to(dst: dict, src: dict, c: int) -> None:
-    """dst += c * src for sparse integer vectors; zero entries are dropped."""
-    for k, v in src.items():
-        w = dst.get(k, 0) + c * v
-        if w:
-            dst[k] = w
-        else:
-            del dst[k]
-
-
 def _eliminate(cols: list) -> tuple:
     """Gaussian elimination of sparse integer columns (row -> entry dicts),
     in place, on +-1 pivots: shortest column first, on its unit entry in the
     shortest row, until no column left has a unit entry.  Returns the pivots
-    (column -> row) and, per column, the combination of original columns it
-    is now the image of.  Non-pivot columns end as their Schur complement."""
+    (column -> row) and the column operations, in order: (x, b, c) for
+    ``cols[x] += c * cols[b]``.  Non-pivot columns end as their Schur
+    complement."""
     rows: dict = {}
     for j, col in enumerate(cols):
         for i in col:
             rows.setdefault(i, {})[j] = None
-    chains = [{j: 1} for j in range(len(cols))]
-    pivots = {}
+    ops, pivots = [], {}
     heap = sorted((len(col), j) for j, col in enumerate(cols) if col)  # a sorted list is a heap
     while heap:
         n, b = heapq.heappop(heap)
         col = cols[b]
         if b in pivots or len(col) != n:
             continue  # stale entry: the column changed after it was queued
-        a = min((i for i, v in col.items() if v in (1, -1)), key=lambda i: (len(rows[i]), i), default=None)
-        if a is None:
+        units = [(len(rows[i]), i) for i, v in col.items() if v in (1, -1)]
+        if not units:
             continue
+        a = min(units)[1]
         pivots[b] = a
         for i in col:
             del rows[i][b]
         for x in rows.pop(a):
             cx = cols[x]
             c = -cx[a] * col[a]  # clears row a: col[a] is +-1
-            _add_to(cx, col, c)
-            for i in col:  # keep the row index in step with cx
-                if i in cx:
+            for i, v in col.items():  # cx += c * col, the row index kept in step
+                w = cx.get(i, 0) + c * v
+                if w:
+                    cx[i] = w
                     rows[i][x] = None
-                elif i != a:
-                    rows[i].pop(x, None)
-            _add_to(chains[x], chains[b], c)
+                else:
+                    del cx[i]
+                    if i != a:  # row a has left the index
+                        del rows[i][x]
+            ops.append((x, b, c))
             if cx:
                 heapq.heappush(heap, (len(cx), x))
-    return pivots, chains
+    return pivots, ops
+
+
+def _lift(ops: list, coeffs: dict) -> dict:
+    """The combination of original columns (column -> nonzero coefficient)
+    whose image is the sum of coeffs[x] * cols[x] after the column
+    operations ``ops``.  One backward pass, updating ``coeffs``: each
+    ``cols[x] += c * cols[b]`` adds c times what b is the image of to what x
+    is, and b was a pivot, never changed again, by then."""
+    for x, b, c in reversed(ops):
+        if x in coeffs:
+            coeffs[b] = coeffs.get(b, 0) + c * coeffs[x]
+    return {j: c for j, c in coeffs.items() if c}
 
 
 def homology(K: SimplicialComplex) -> HomologyResult:
@@ -264,16 +280,16 @@ def homology(K: SimplicialComplex) -> HomologyResult:
     operations).  Generators lift to cycles of K through the elimination's
     column operations: a deterministic Z-basis of the free part."""
     left = [list(range(K.n_cells(0)))]  # cells no pivot has paired off
-    blocks, lifts, pivots = [], [[{x: 1} for x in left[0]]], {}
+    blocks, ops, pivots = [], [[]], {}
     for d in range(1, K.dim + 1):
         # rows the degree below paired off (its pivot columns) are dropped
-        cols = [{i: v for i, v in col.items() if i not in pivots} for col in _boundary_columns(K, d)]
-        pivots, chains = _eliminate(cols)
+        cols = _boundary_columns(K, d, pivots)
+        pivots, done = _eliminate(cols)
         paired = set(pivots.values())
         left[d - 1] = [x for x in left[d - 1] if x not in paired]
         left.append([x for x in range(len(cols)) if x not in pivots])
         blocks.append(cols)
-        lifts.append(chains)
+        ops.append(done)
     betti, torsion, reps = [], {}, {}
     basis = coords = _identity(len(left[0]))  # kernel of the block below
     for d in range(K.dim + 1):
@@ -289,10 +305,7 @@ def homology(K: SimplicialComplex) -> HomologyResult:
             next_basis = coords = _identity(len(above))
         reps[d] = []
         for g in list(zip(*basis))[r:]:
-            chain: dict = {}
-            for x, c in zip(left[d], g):
-                if c:
-                    _add_to(chain, lifts[d][x], c)
+            chain = _lift(ops[d], {x: c for x, c in zip(left[d], g) if c})
             reps[d].append([(K.simplices[d][i], c) for i, c in sorted(chain.items())])
         betti.append(len(reps[d]))
         basis = next_basis

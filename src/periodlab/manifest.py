@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps's own quoting of a str
 
 import numpy as np
 
@@ -75,11 +76,11 @@ def _dim(obj, comps, path) -> int:
 
 def _simplices(vals, path, within=None) -> list:
     """Vertex tuples of a list of simplices, each a non-empty list of
-    integers and, if given, a simplex of the complex ``within``."""
+    distinct integers and, if given, a simplex of the complex ``within``."""
     _expect(isinstance(vals, list), "expected a list of simplices", path)
     for k, s in enumerate(vals):
-        if not (isinstance(s, list) and set(map(type, s)) == {int}):
-            raise ManifestError("a simplex is a non-empty list of integer vertices", f"{path}/{k}")
+        if not (isinstance(s, list) and set(map(type, s)) == {int} and len(set(s)) == len(s)):
+            raise ManifestError("a simplex is a non-empty list of distinct integer vertices", f"{path}/{k}")
         _expect(within is None or s in within, "not a simplex of the complex", f"{path}/{k}")
     return [tuple(s) for s in vals]
 
@@ -185,6 +186,7 @@ class Manifest:
         self.forms: dict[str, Form] = {}
         self.complexes: dict[str, SimplicialComplex] = {}
         self.triangulations: dict[str, Triangulation] = {}
+        self._names: set = set()  # every name taken so far, in any section
         maps: dict = {}  # (components, dim) -> its one ExprMap, for this load only
 
         for i, entry in enumerate(_get(data, "simplices", list, path, [])):
@@ -280,11 +282,8 @@ class Manifest:
         return ev
 
     def _fresh(self, name: str, path: str) -> str:
-        taken = (
-            set(self.simplices) | set(self.chains) | set(self.forms)
-            | set(self.complexes) | set(self.triangulations)
-        )
-        _expect(name not in taken, f"duplicate name {name!r}", f"{path}/name")
+        _expect(name not in self._names, f"duplicate name {name!r}", f"{path}/name")
+        self._names.add(name)
         return name
 
     def resolve(self, section: str, name: str):
@@ -353,31 +352,38 @@ def triangulation_to_manifest(name: str, T: Triangulation) -> dict:
 
 
 def _canon(obj, out: list):
-    if isinstance(obj, dict):
+    t = type(obj)  # exact types first; float with its subclasses; then bool, None, numpy, subclasses
+    if t is int:
+        out.append(str(obj))
+    elif t is list or t is tuple:
+        out.append("[")
+        for item in obj:
+            _canon(item, out)
+            out.append(",")
+        out[-1] = "]" if obj else "[]"  # over the last comma, or the bracket
+    elif t is str:
+        out.append(_quote(obj))
+    elif t is dict:
         out.append("{")
-        for k, key in enumerate(sorted(obj)):
-            if k:
-                out.append(",")
-            out.append(json.dumps(str(key)))
+        for key in sorted(obj):
+            out.append(_quote(str(key)))
             out.append(":")
             _canon(obj[key], out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for k, item in enumerate(obj):
-            if k:
-                out.append(",")
-            _canon(item, out)
-        out.append("]")
-    elif isinstance(obj, bool) or obj is None:
-        out.append(json.dumps(obj))
+            out.append(",")
+        out[-1] = "}" if obj else "{}"
     elif isinstance(obj, float):
         # JSON has no NaN or infinity; a non-finite result reads as null
         out.append(f"{obj:.17g}" if math.isfinite(obj) else "null")
+    elif isinstance(obj, dict):
+        _canon({key: obj[key] for key in obj}, out)
+    elif isinstance(obj, (list, tuple)):
+        _canon(list(obj), out)
+    elif isinstance(obj, bool) or obj is None:
+        out.append(json.dumps(obj))
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(_quote(obj))
     else:
         raise TypeError(f"cannot serialise {type(obj).__name__}")
 

@@ -2,6 +2,7 @@ import contextlib
 import itertools
 import math
 import random
+import re
 import signal
 
 import pytest
@@ -135,6 +136,13 @@ def test_complex_closure_and_ordering():
     assert K.simplices[0] == [(0,), (1,), (2,)]
     assert K.simplices[1] == [(0, 1), (0, 2), (1, 2)]
     assert (0, 1) in K and (0, 1, 2) in K
+
+
+def test_complex_rejects_an_empty_simplex_and_a_repeated_vertex():
+    # (0, 0, 1) was read as the edge (0, 1)
+    for tops, message in (([()], "empty simplex"), ([(0, 0, 1), (1, 2)], "repeated vertex in simplex (0, 0, 1)")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            hm.SimplicialComplex(tops)
 
 
 def test_boundary_matrix_hollow_triangle():

@@ -1,5 +1,7 @@
 import argparse
+import collections
 import functools
+import hashlib
 import json
 import math
 import pathlib
@@ -9,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from test_chains import random_interior_point
 
 from periodlab import chains as ch
@@ -53,6 +56,26 @@ def test_duplicate_name_rejected_with_path():
     with pytest.raises(mf.ManifestError) as err:
         mf.Manifest(data)
     assert "/simplices/1/name" in str(err.value)
+
+
+def test_a_name_is_taken_across_sections():
+    simplex = {"name": "x", "dim": 1, "components": ["t"]}
+
+    def chain(name):
+        return {"name": name, "terms": [{"simplex": "x"}]}
+
+    data = {"schema": "periodlab/1", "ambient_dim": 1, "simplices": [simplex], "chains": [chain("x")]}
+    with pytest.raises(mf.ManifestError) as err:
+        mf.Manifest(data)
+    assert str(err.value) == "/chains/0/name: duplicate name 'x'"
+    # a name taken two sections earlier: a complex named like the chain
+    data["chains"] = [chain("c")]
+    data["complexes"] = [{"name": "c", "simplices": [[0, 1]]}]
+    with pytest.raises(mf.ManifestError) as err:
+        mf.Manifest(data)
+    assert str(err.value) == "/complexes/0/name: duplicate name 'c'"
+    del data["complexes"]
+    assert set(mf.Manifest(data).chains) == {"c"}
 
 
 def test_unresolved_reference_rejected():
@@ -151,6 +174,95 @@ def test_canonical_json_fixed_format():
     assert mf.canonical_json({"v": 1.0 / 3.0}) == '{"v":0.33333333333333331}\n'
 
 
+def _reference_canon(obj, out: list):
+    """The report writer as a chain of isinstance tests, the reference for
+    the bytes that ``canonical_json`` writes."""
+    if isinstance(obj, dict):
+        out.append("{")
+        for k, key in enumerate(sorted(obj)):
+            if k:
+                out.append(",")
+            out.append(json.dumps(str(key)))
+            out.append(":")
+            _reference_canon(obj[key], out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for k, item in enumerate(obj):
+            if k:
+                out.append(",")
+            _reference_canon(item, out)
+        out.append("]")
+    elif isinstance(obj, bool) or obj is None:
+        out.append(json.dumps(obj))
+    elif isinstance(obj, float):
+        out.append(f"{obj:.17g}" if math.isfinite(obj) else "null")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    else:
+        raise TypeError(f"cannot serialise {type(obj).__name__}")
+
+
+def _reference_json(obj) -> str:
+    out: list = []
+    _reference_canon(obj, out)
+    return "".join(out) + "\n"
+
+
+class _Tag(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u20ac\U0001f600\ud800'), st.characters()))
+_JSON_LEAVES = st.one_of(
+    _TEXT,
+    st.integers(),
+    st.integers(2**63 - 2, 2**70) | st.integers(-(2**70), -(2**63) + 2),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16]),
+    st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    _TEXT.map(_Tag),
+    st.integers().map(_Count),
+)
+_UNSUPPORTED = st.sampled_from([{1, 2}, b"x", 1j, np.float32(0.5), np.bool_(True), np.array([1.0]), object()])
+
+
+def _json_values(leaves):
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=5),
+            st.lists(inner, max_size=5).map(tuple),
+            st.dictionaries(_TEXT, inner, max_size=5),
+            st.dictionaries(st.integers(), inner, max_size=3),
+            st.dictionaries(_TEXT, inner, max_size=3).map(collections.OrderedDict),
+        ),
+        max_leaves=25,
+    )
+
+
+@settings(derandomize=True, max_examples=250, deadline=None, database=None)
+@given(_json_values(_JSON_LEAVES) | _json_values(_JSON_LEAVES | _UNSUPPORTED))
+def test_canonical_json_writes_the_bytes_of_the_reference_writer(obj):
+    try:
+        want = _reference_json(obj)
+    except TypeError as err:
+        with pytest.raises(TypeError) as got:
+            mf.canonical_json(obj)
+        assert str(got.value) == str(err)
+    else:
+        assert mf.canonical_json(obj) == want
+
+
 def test_cli_homology_exit_codes_and_values():
     res = run_cli(["homology", "manifests/torus.json", "--complex", "T7", "--deterministic"])
     assert res.returncode == 0
@@ -160,6 +272,24 @@ def test_cli_homology_exit_codes_and_values():
     out = json.loads(res.stdout)
     assert out["results"]["homology"]["betti"] == [1, 0, 0]
     assert out["results"]["homology"]["torsion"]["1"] == [2]
+
+
+# sha256 of the reports of RP^2 (torsion [2]) and of the 7-vertex torus (two
+# H_1 generators) after one subdivision: a changed pivot order, lift or
+# writer changes the representatives or the bytes
+PINNED_HOMOLOGY_REPORTS = {
+    ("complexes.json", "rp2_6"): "e7b5b3f776322bc7db3748da5d575024d3492428a4102502b5da4bcca08bf6c5",
+    ("torus.json", "T7"): "26217ef8f32392a3df0532c08dad00d34c736a7061d8a92d4af1a4e48ebfcbe7",
+}
+
+
+@pytest.mark.parametrize("manifest, name", sorted(PINNED_HOMOLOGY_REPORTS))
+def test_cli_homology_report_of_a_subdivision_is_pinned(manifest, name, tmp_path, capsys):
+    sd = str(tmp_path / "sd.json")
+    assert cli.run(["subdivide", str(MANIFESTS / manifest), "--complex", name, "--out", sd]) == 0
+    assert cli.run(["homology", sd, "--complex", f"{name}_sd", "--deterministic"]) == 0
+    report = capsys.readouterr().out
+    assert hashlib.sha256(report.encode()).hexdigest() == PINNED_HOMOLOGY_REPORTS[manifest, name]
 
 
 def test_cli_periods_circle():
@@ -665,6 +795,12 @@ MALFORMED_INPUTS = {
         ["homology", "{}", "--complex", "K"],
         {"complexes": [{"name": "K", "simplices": [[0, "a"]]}]},
         "/complexes/0/simplices/0",
+    ),
+    # [0, 0, 1] was read as the edge [0, 1], and homology exited 0
+    "complex-repeated-vertex": (
+        ["homology", "{}", "--complex", "K"],
+        {"complexes": [{"name": "K", "simplices": [[0, 0, 1], [1, 2]]}]},
+        "/complexes/0/simplices/0: a simplex is a non-empty list of distinct integer vertices",
     ),
     "complex-simplex-int": (
         ["homology", "{}", "--complex", "K"],
