@@ -26,9 +26,11 @@ from . import homology as hm
 from .expr import ExprDomainError, domain_site
 from .glue import InputCompatibilityError, Triangulation, glue as glue_op
 from .manifest import (
+    SCHEMA,
     ManifestError,
     canonical_json,
-    evaluator_to_dict,
+    complex_manifest,
+    derived_manifest,
     load_glue_table,
     load_manifest,
     triangulation_to_manifest,
@@ -54,7 +56,7 @@ def _emit(args, out) -> None:
 
 def _report(args, results: dict, **config) -> dict:
     rep = {
-        "schema": "periodlab/1",
+        "schema": SCHEMA,
         "command": args.command,
         "config": {**config, "deterministic": args.deterministic},
         "results": results,
@@ -68,6 +70,8 @@ def _quadrature(args) -> tuple[QuadConfig, dict]:
     """The refinement budget of a quadrature command, and its flags for the report."""
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if not 0 < args.tol < float("inf"):  # nan too
+        raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     cfg = QuadConfig() if args.max_depth is None else QuadConfig(max_depth=args.max_depth)
     return cfg, {"tol": args.tol, "max_depth": args.max_depth, "jobs": args.jobs}
 
@@ -94,10 +98,10 @@ def _check_volume(args) -> int:
 
 def _check_stokes(args) -> int:
     cfg, config = _quadrature(args)
+    if (args.chain is None) == (args.simplex is None):
+        raise ValueError("check-stokes needs exactly one of --chain/--simplex")
     man = load_manifest(args.manifest)
     omega = man.resolve("forms", args.form)
-    if (args.chain is None) == (args.simplex is None):
-        raise ManifestError("check-stokes needs exactly one of --chain/--simplex")
     if args.chain is not None:
         chain = man.resolve("chains", args.chain)
         with domain_site(f"chain {args.chain!r}"):
@@ -136,43 +140,23 @@ def _homology(args) -> int:
 
 
 def _cone(args) -> int:
-    sigma = load_manifest(args.manifest).resolve("simplices", args.simplex)
-    cone = ch.Cone(sigma)
-    _emit(args, {
-        "schema": "periodlab/1",
-        "ambient_dim": cone.ambient,
-        "derived_simplices": [{"name": f"{args.simplex}_cone", "map": evaluator_to_dict(cone)}],
-    })
+    cone = ch.Cone(load_manifest(args.manifest).resolve("simplices", args.simplex))
+    _emit(args, derived_manifest(cone.ambient, [(f"{args.simplex}_cone", cone)]))
     return EXIT_PASS
 
 
 def _subdivide(args) -> int:
-    man = load_manifest(args.manifest)
     if (args.chain is None) == (args.complex_ is None):
-        raise ManifestError("subdivide needs exactly one of --chain/--complex")
+        raise ValueError("subdivide needs exactly one of --chain/--complex")
+    man = load_manifest(args.manifest)
     if args.chain is not None:
         sd = ch.barycentric_subdivide(man.resolve("chains", args.chain))
-        derived = []
-        terms = []
-        for k, (sigma, n) in enumerate(sd.items()):
-            name = f"{args.chain}_sd_{k}"
-            derived.append({"name": name, "map": evaluator_to_dict(sigma)})
-            terms.append({"simplex": name, "coeff": n})
-        _emit(args, {
-            "schema": "periodlab/1",
-            "ambient_dim": next(iter(sd.terms)).ambient if sd.terms else man.ambient,
-            "derived_simplices": derived,
-            "chains": [{"name": f"{args.chain}_sd", "degree": sd.degree, "terms": terms}],
-        })
+        pieces = [(f"{args.chain}_sd_{k}", sigma) for k, (sigma, _) in enumerate(sd.items())]
+        ambient = pieces[0][1].ambient if pieces else man.ambient
+        _emit(args, derived_manifest(ambient, pieces, [(f"{args.chain}_sd", sd)]))
     else:
         Ksd = hm.barycentric_subdivide_complex(man.resolve("complexes", args.complex_))
-        _emit(args, {
-            "schema": "periodlab/1",
-            "complexes": [{
-                "name": f"{args.complex_}_sd",
-                "simplices": [list(s) for s in hm.maximal_simplices(Ksd)],
-            }],
-        })
+        _emit(args, complex_manifest(f"{args.complex_}_sd", Ksd))
     return EXIT_PASS
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "ExprSyntaxError",
     "ExprDomainError",
     "domain_site",
+    "values_or_fill",
     "parse",
     "to_string",
     "compile_expr",
@@ -67,6 +68,20 @@ class ExprDomainError(ExprError):
     def __init__(self, message: str, subexpr: "Expr"):
         super().__init__(f"{message} in {to_string(subexpr)}")
         self.subexpr = subexpr
+
+
+def values_or_fill(fn: Callable, x: np.ndarray, fill: float, width: int) -> np.ndarray:
+    """``fn(x)``, an (n, width) array, at a batch of n points; where that
+    raises ExprDomainError, each point alone, and a point off the domain gets
+    a row of ``fill``."""
+    try:
+        return fn(x)
+    except ExprDomainError:
+        out = np.full((len(x), width), fill)
+        for k in range(len(x)) if len(x) > 1 else ():  # a lone point has raised already
+            with contextlib.suppress(ExprDomainError):
+                out[k] = fn(x[k : k + 1])[0]
+        return out
 
 
 @contextlib.contextmanager

@@ -25,7 +25,7 @@ from .chains import (
     AffineSimplex, Composed, SingularSimplex, face_map, flag_simplex, interior_grid,
     reference_vertices,
 )
-from .expr import ExprDomainError
+from .expr import values_or_fill
 from .homology import SimplicialComplex, maximal_flags
 
 __all__ = [
@@ -128,7 +128,7 @@ def _gauss_newton(f, x, y, r, res, rows, min_lam: float = 1e-12):
     moved, lam = np.zeros_like(rows), 1.0
     while lam > min_lam:
         xn = _project_to_simplex(x[at] + lam * step)
-        rn = _trial_values(f, xn) - y[at]
+        rn = values_or_fill(f.evaluate_many, xn, np.inf, f.ambient) - y[at]  # inf: a rejected step
         resn = _max_abs(rn)
         ok = resn < res[at]
         if ok.all():
@@ -139,16 +139,6 @@ def _gauss_newton(f, x, y, r, res, rows, min_lam: float = 1e-12):
         x[acc], r[acc], res[acc], moved[acc] = xn[ok], rn[ok], resn[ok], True
         at, step, lam = at[~ok], step[~ok], lam * 0.5
     return moved
-
-
-def _trial_values(f, x):
-    """f at trial points x, where a point off f's domain gets inf values: a rejected step."""
-    try:
-        return f.evaluate_many(x)
-    except ExprDomainError:
-        if len(x) > 1:
-            return np.vstack([_trial_values(f, x[k : k + 1]) for k in range(len(x))])
-        return np.full((1, f.ambient), np.inf)
 
 
 def _lstsq(J: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -3,8 +3,11 @@
 A manifest is one JSON document naming simplices (component expressions),
 chains, forms, abstract complexes, and triangulations (complex + evaluator
 descriptions + marks).  Validation failures carry JSON-pointer-style paths.
-Evaluator descriptions close over every map a command emits (expression,
-affine, cone, composed, glued), so emitted manifests re-ingest without loss.
+Every manifest a command emits is written here: ``derived_manifest`` (a cone,
+a subdivided chain), ``complex_manifest`` (a subdivided complex) and
+``triangulation_to_manifest`` (a glue).  Evaluator descriptions close over
+every map they hold (expression, affine, cone, composed, glued), so emitted
+manifests re-ingest without loss.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ __all__ = [
     "load_glue_table",
     "evaluator_to_dict",
     "evaluator_from_dict",
+    "derived_manifest",
+    "complex_manifest",
     "triangulation_to_manifest",
     "canonical_json",
 ]
@@ -61,17 +66,6 @@ def _get(obj, key, types, path, default=_expect, items=None):
         bad = next((i for i, x in enumerate(val) if not isinstance(x, items) or isinstance(x, bool)), None)
         _expect(bad is None, "item has wrong type", f"{path}/{key}/{bad}")
     return val
-
-
-def _dim(obj, comps, path) -> int:
-    """``obj["dim"]`` of a map with components ``comps``: at most their
-    number, the ambient dimension, since no nonzero d-form lives on R^n for
-    d > n.  Checked before the map differentiates each component by each
-    coordinate."""
-    dim = _get(obj, "dim", int, path)
-    _expect(0 <= dim <= len(comps), f"dim must be between 0 and the ambient dimension {len(comps)}",
-            f"{path}/dim")
-    return dim
 
 
 def _simplices(vals, path, within=None) -> list:
@@ -118,15 +112,6 @@ def evaluator_to_dict(ev: SingularSimplex) -> dict:
     raise ManifestError(f"evaluator type {type(ev).__name__} is not serialisable")
 
 
-def _expr_map(maps: dict, comps: list, dim: int) -> ExprMap:
-    """The one ExprMap of (comps, dim) among the maps of one manifest load:
-    parsed once and compiled at most once, whoever names it."""
-    key = (tuple(comps), dim)
-    if key not in maps:
-        maps[key] = ExprMap(comps, dim)
-    return maps[key]
-
-
 def evaluator_from_dict(desc: dict, path: str = "/evaluator") -> SingularSimplex:
     return _evaluator(desc, path, {})
 
@@ -136,11 +121,19 @@ def _evaluator(desc: dict, path: str, maps: dict) -> SingularSimplex:
     try:
         if kind == "expr":
             comps = _get(desc, "components", list, path, items=str)
-            dim = _dim(desc, comps, path)
-            try:
-                return _expr_map(maps, comps, dim)
-            except ex.ExprSyntaxError as err:
-                raise ManifestError(str(err), f"{path}/components") from err
+            # at most the ambient dimension, the number of components, since no
+            # nonzero d-form lives on R^n for d > n; checked before the map
+            # differentiates each component by each coordinate
+            dim = _get(desc, "dim", int, path)
+            _expect(0 <= dim <= len(comps), f"dim must be between 0 and the ambient dimension {len(comps)}",
+                    f"{path}/dim")
+            key = (tuple(comps), dim)  # one ExprMap per load, parsed once and compiled at most once
+            if key not in maps:
+                try:
+                    maps[key] = ExprMap(comps, dim)
+                except ex.ExprSyntaxError as err:
+                    raise ManifestError(str(err), f"{path}/components") from err
+            return maps[key]
         if kind == "affine":
             rows = _get(desc, "vertices", list, path, items=list)
             for i, row in enumerate(rows):
@@ -186,22 +179,26 @@ class Manifest:
         self.forms: dict[str, Form] = {}
         self.complexes: dict[str, SimplicialComplex] = {}
         self.triangulations: dict[str, Triangulation] = {}
-        self._names: set = set()  # every name taken so far, in any section
         maps: dict = {}  # (components, dim) -> its one ExprMap, for this load only
+        names: set = set()  # every name taken so far, in any section
 
-        for i, entry in enumerate(_get(data, "simplices", list, path, [])):
-            p = f"{path}/simplices/{i}"
-            name = self._fresh(_get(entry, "name", str, p), p)
+        def entries(section):
+            """(pointer, name, entry) of each entry of the section, in order,
+            whose name no entry before it has taken, in any section."""
+            for i, entry in enumerate(_get(data, section, list, path, [])):
+                p = f"{path}/{section}/{i}"
+                name = _get(entry, "name", str, p)
+                _expect(name not in names, f"duplicate name {name!r}", f"{p}/name")
+                names.add(name)
+                yield p, name, entry
+
+        for p, name, entry in entries("simplices"):
             self.simplices[name] = self._named_map({**entry, "kind": "expr"}, p, maps)
 
-        for i, entry in enumerate(_get(data, "derived_simplices", list, path, [])):
-            p = f"{path}/derived_simplices/{i}"
-            name = self._fresh(_get(entry, "name", str, p), p)
+        for p, name, entry in entries("derived_simplices"):
             self.simplices[name] = self._named_map(_get(entry, "map", dict, p), f"{p}/map", maps)
 
-        for i, entry in enumerate(_get(data, "chains", list, path, [])):
-            p = f"{path}/chains/{i}"
-            name = self._fresh(_get(entry, "name", str, p), p)
+        for p, name, entry in entries("chains"):
             terms = []
             degree = _get(entry, "degree", int, p, None)
             for j, term in enumerate(_get(entry, "terms", list, p)):
@@ -220,9 +217,7 @@ class Manifest:
             _expect(degree is not None, "empty chain needs an explicit degree", p)
             self.chains[name] = Chain(degree, terms)
 
-        for i, entry in enumerate(_get(data, "forms", list, path, [])):
-            p = f"{path}/forms/{i}"
-            name = self._fresh(_get(entry, "name", str, p), p)
+        for p, name, entry in entries("forms"):
             degree = _get(entry, "degree", int, p)
             terms = []
             for j, term in enumerate(_get(entry, "terms", list, p)):
@@ -234,16 +229,12 @@ class Manifest:
             except (ex.ExprError, ValueError) as err:
                 raise ManifestError(str(err), p) from err
 
-        for i, entry in enumerate(_get(data, "complexes", list, path, [])):
-            p = f"{path}/complexes/{i}"
-            name = self._fresh(_get(entry, "name", str, p), p)
+        for p, name, entry in entries("complexes"):
             simplices = _get(entry, "simplices", list, p)
             _expect(bool(simplices), "complex needs at least one simplex", f"{p}/simplices")
             self.complexes[name] = SimplicialComplex(_simplices(simplices, f"{p}/simplices"))
 
-        for i, entry in enumerate(_get(data, "triangulations", list, path, [])):
-            p = f"{path}/triangulations/{i}"
-            name = self._fresh(_get(entry, "name", str, p), p)
+        for p, name, entry in entries("triangulations"):
             cref = _get(entry, "complex", str, p)
             _expect(cref in self.complexes, f"unresolved complex {cref!r}", f"{p}/complex")
             K = self.complexes[cref]
@@ -281,11 +272,6 @@ class Manifest:
                 f"a map into R^{ev.ambient} in a manifest of ambient_dim {self.ambient}", path)
         return ev
 
-    def _fresh(self, name: str, path: str) -> str:
-        _expect(name not in self._names, f"duplicate name {name!r}", f"{path}/name")
-        self._names.add(name)
-        return name
-
     def resolve(self, section: str, name: str):
         table = getattr(self, section)
         if name not in table:
@@ -318,17 +304,29 @@ def load_glue_table(path) -> tuple[dict, str]:
     return containment, _get(table, "mark", str, "", "B")
 
 
+def derived_manifest(ambient: int, named_maps, chains=None) -> dict:
+    """The manifest of the derived simplices ``named_maps``, (name, map) pairs
+    in the given order, and of the ``chains``, (name, Chain) pairs whose terms
+    name those maps."""
+    names = {ev: name for name, ev in named_maps}
+    man = {"schema": SCHEMA, "ambient_dim": ambient,
+           "derived_simplices": [{"name": name, "map": evaluator_to_dict(ev)} for name, ev in named_maps]}
+    if chains is not None:
+        man["chains"] = [{"name": name, "degree": c.degree,
+                          "terms": [{"simplex": names[sigma], "coeff": n} for sigma, n in c.items()]}
+                         for name, c in chains]
+    return man
+
+
+def complex_manifest(name: str, K: SimplicialComplex) -> dict:
+    """The manifest of the one complex ``K``, listed by its maximal simplices."""
+    return {"schema": SCHEMA, "complexes": [{"name": name, "simplices": [list(s) for s in maximal_simplices(K)]}]}
+
+
 def triangulation_to_manifest(name: str, T: Triangulation) -> dict:
-    K = T.complex
     return {
-        "schema": SCHEMA,
+        **complex_manifest(f"{name}_complex", T.complex),
         "ambient_dim": T.ambient,
-        "complexes": [
-            {
-                "name": f"{name}_complex",
-                "simplices": [list(s) for s in maximal_simplices(K)],
-            }
-        ],
         "triangulations": [
             {
                 "name": name,

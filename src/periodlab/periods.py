@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chains import Chain, boundary, interior_grid
-from .expr import ExprDomainError
+from .expr import values_or_fill
 from .forms import Form, exterior_derivative
 from .quad import QuadConfig, QuadResult, integrate_simplex
 
@@ -76,15 +76,7 @@ def _closed_samples(dw: Form, rng_seed: int) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is outside the domain too
         for start in range(0, CLOSED_SAMPLES * 50, size):
             points = rng.uniform(-2.0, 2.0, (size, dw.ambient))
-            try:
-                values = dw.coefficients_many(points)
-            except ExprDomainError:
-                values = np.full((size, len(dw.terms)), np.nan)
-                for i in range(size):
-                    try:
-                        values[i] = dw.coefficients_many(points[i, None])[0]
-                    except ExprDomainError:
-                        continue  # outside the form's domain
+            values = values_or_fill(dw.coefficients_many, points, np.nan, len(dw.terms))
             ok = np.flatnonzero(np.isfinite(values).all(axis=1))
             kept.append(start + ok)
             rows.append(values[ok])

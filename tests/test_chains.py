@@ -137,6 +137,18 @@ def test_cone_faces_match_raw_composition():
             assert np.abs(structural.evaluate(b) - raw.evaluate(b)).max() <= 1e-12
 
 
+def test_cone_over_a_point_has_the_cone_point_as_its_face_1():
+    # a cone over a point is a segment from the origin: face 0 is the point,
+    # face 1 the origin, as an affine 0-simplex
+    point = ch.AffineSimplex(np.array([[1.0, 2.0]]))
+    cone = ch.Cone(point)
+    assert cone.face(0) is point
+    apex = cone.face(1)
+    assert isinstance(apex, ch.AffineSimplex) and apex.dim == 0 and apex.ambient == 2
+    assert (apex.evaluate_many(np.zeros((1, 0))) == [[0.0, 0.0]]).all()
+    assert (cone.evaluate_many(np.zeros((1, 1))) == [[0.0, 0.0]]).all()
+
+
 def test_cone_boundary_identity():
     # d >= 1: boundary(cone(s)) = s - cone(boundary(s))
     arc = ch.ExprMap(["cos(pi*t)", "sin(pi*t)"], 1)

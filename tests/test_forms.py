@@ -9,6 +9,7 @@ from test_chains import random_interior_point
 from periodlab import chains as ch
 from periodlab import expr as ex
 from periodlab import forms as fo
+from periodlab import quad
 
 
 def test_exterior_derivative_x_dy():
@@ -288,6 +289,44 @@ def test_closed_form_3x3_minors_are_exact_to_a_few_ulps(scale):
     assert (got[100:120] == 0.0).all()
     if scale == 1.0:
         assert (np.abs(got - np.linalg.det(sub)) <= 4 * ulp).all()
+
+
+def leibniz_det(m):
+    """det(m) as the signed sum over permutations; exact for integer entries."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * np.prod([m[i][perm[i]] for i in range(n)])
+    return total
+
+
+@pytest.mark.parametrize("ambient, idx", [(4, (1, 2, 3, 4)), (5, (1, 2, 4, 5))])
+def test_affine_4_simplex_density_is_the_integer_determinant(ambient, idx):
+    # four-by-four minors take np.linalg.det: the density of an affine map
+    # of Delta_4 is the determinant of the rows idx of its linear part, and
+    # its integral that over 4! = 24, the volume of Delta_4
+    vertices = np.array([[0, 0, 0, 0, 1], [2, 1, 0, 0, -1], [0, 1, 3, 0, 2],
+                         [1, 0, 1, 1, 0], [0, 2, 0, 5, 3]])[:, :ambient]
+    linear = (vertices[1:] - vertices[0]).T
+    det = leibniz_det([[int(x) for x in linear[i - 1]] for i in idx])
+    assert det != 0
+    sigma = ch.AffineSimplex(vertices.astype(float))
+    omega = fo.Form(4, ambient, [(idx, "1")])
+    points = np.array([random_interior_point(4, np.random.default_rng(k)) for k in range(5)])
+    assert np.abs(fo.pullback_top_many(sigma, omega, points) - det).max() <= 1e-12 * abs(det)
+    res = quad.integrate_simplex(sigma, omega, 1e-10)
+    assert res.converged and abs(res.value - det / 24) <= 1e-12 * abs(det)
+
+
+def test_nonlinear_4_simplex_density_is_the_leibniz_determinant_of_its_jacobian():
+    sigma = ch.ExprMap(["a1 + a2^2", "a2*a3 + sin(a1)", "a3 + a4*a1", "exp(a4)*a2 + a3^3"], 4)
+    omega = fo.Form(4, 4, [((1, 2, 3, 4), "1 + a1*a2")])
+    rng = np.random.default_rng(4)
+    points = np.array([random_interior_point(4, rng) for _ in range(20)])
+    x, jac = sigma.evaluate_many(points), sigma.jacobian_many(points)
+    expected = [(1 + p[0] * p[1]) * leibniz_det(j) for p, j in zip(x, jac)]
+    assert fo.pullback_top_many(sigma, omega, points) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_decompose_constant_profile_has_no_B():

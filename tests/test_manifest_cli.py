@@ -292,6 +292,43 @@ def test_cli_homology_report_of_a_subdivision_is_pinned(manifest, name, tmp_path
     assert hashlib.sha256(report.encode()).hexdigest() == PINNED_HOMOLOGY_REPORTS[manifest, name]
 
 
+# sha256 of every manifest the CLI emits, recorded when cli.py still built
+# them by hand; "{}" in argv reads as the path of EMPTY_CHAIN
+EMPTY_CHAIN = {"schema": "periodlab/1", "ambient_dim": 2, "chains": [{"name": "e", "degree": 1, "terms": []}]}
+PINNED_EMITTED_MANIFESTS = {
+    "cone sqrt_graph": (["cone", "circle.json", "--simplex", "sqrt_graph"],
+                        "f29a0b7d6ea1935edf48092c5c35b0bd06991f6fb1f2572a57c3ffbe4f11bbe6"),
+    "cone para": (["cone", "circle.json", "--simplex", "para"],
+                  "5d56431d1ea2c50b2742b3e225c38b1b702a6501ac9e0f8e09245ff55bda0cc8"),
+    "subdivide gamma": (["subdivide", "circle.json", "--chain", "gamma"],
+                        "21122e3db71a56f4c58ee2665dcbe4107e25e8450d3e559b29d41db3195bf7ee"),
+    "subdivide gamma_semialg": (["subdivide", "circle.json", "--chain", "gamma_semialg"],
+                                "a75f4dca6983e21b3f54ee241d38b42becd5e022a1c2696723dd78ac77379a91"),
+    "subdivide square": (["subdivide", "square.json", "--chain", "square"],
+                         "3a2b58ba76f3a2d07361af5153c3cc3db989892760fab45ec0bf858a421af878"),
+    "subdivide empty chain": (["subdivide", "{}", "--chain", "e"],
+                              "9c45cc3fbfe0f38d2f555b4ca888133d1fd226b6856c5bdaf453ceb71bab223d"),
+    "subdivide T7": (["subdivide", "torus.json", "--complex", "T7"],
+                     "5beb377e6ac38cece52b3ef1800567057608ccea742c10ffff589763a4aa0641"),
+    "subdivide rp2_6": (["subdivide", "complexes.json", "--complex", "rp2_6"],
+                        "9d1c7907891246acbecf91a94ea08ff263a657c624786c84af5ea985a8f5cb3c"),
+    "glue circle halves": (["glue", "circle_upper.json", "circle_lower.json", "--table", "circle_btable.json"],
+                           "504f99f8bea9982614f701f58343c163e478976f1fc9ed0a5ccf03bcfb68caf5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_EMITTED_MANIFESTS))
+def test_cli_emitted_manifest_is_pinned(case, tmp_path):
+    argv, digest = PINNED_EMITTED_MANIFESTS[case]
+    empty, out = tmp_path / "empty.json", tmp_path / "out.json"
+    empty.write_text(json.dumps(EMPTY_CHAIN))
+    files = {a: str(MANIFESTS / a) for a in argv if a.endswith(".json")} | {"{}": str(empty)}
+    assert cli.run([files.get(a, a) for a in argv] + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    if argv[1] == "{}":  # an empty subdivision still lists its (no) derived simplices
+        assert json.loads(out.read_text())["derived_simplices"] == []
+
+
 def test_cli_periods_circle():
     res = run_cli(
         ["periods", "manifests/circle.json", "--cycles", "gamma", "--forms", "dtheta",
@@ -685,6 +722,33 @@ def test_cli_invalid_quadrature_input_is_input_error(argv, capsys):
     assert rc == 2
     assert err.startswith("error:") and "Traceback" not in err
     assert elapsed < 1.0
+    if "--tol" in argv:  # the flag and the value the user typed, not the library's tol/100
+        assert err == f"error: --tol must be finite and positive, got {float(argv[argv.index('--tol') + 1])}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check-stokes", str(MANIFESTS / "circle.json"), "--form", "f_xy"],
+         "check-stokes needs exactly one of --chain/--simplex"),
+        (["check-stokes", str(MANIFESTS / "circle.json"), "--form", "f_xy", "--chain", "gamma",
+          "--simplex", "sqrt_graph"], "check-stokes needs exactly one of --chain/--simplex"),
+        (["subdivide", str(MANIFESTS / "torus.json")], "subdivide needs exactly one of --chain/--complex"),
+        (["subdivide", str(MANIFESTS / "torus.json"), "--chain", "cycle_a", "--complex", "T7"],
+         "subdivide needs exactly one of --chain/--complex"),
+        (["check-stokes", str(MANIFESTS / "circle.json"), "--simplex", "sqrt_graph", "--form", "f_xy",
+          "--tol", "-1"], "--tol must be finite and positive, got -1.0"),
+        (["periods", str(MANIFESTS / "circle.json"), "--cycles", "gamma", "--forms", "dtheta", "--tol", "-1"],
+         "--tol must be finite and positive, got -1.0"),
+    ],
+    ids=["check-stokes neither", "check-stokes both", "subdivide neither", "subdivide both",
+         "check-stokes tol", "periods tol"],
+)
+def test_cli_flag_error_names_the_flag_and_no_manifest_pointer(argv, message, capsys):
+    # a selector error once read "error: /: ...", a JSON pointer into no
+    # manifest, and a --tol of -1 "got -0.01", the tolerance the library saw
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 QUADRATURE_FLAGS = {"--tol", "--max-depth", "--jobs"}
@@ -1046,6 +1110,19 @@ def test_cli_malformed_input_is_input_error(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith(f"error: {where}") and "Traceback" not in err
+
+
+def test_cli_triangulation_in_two_ambient_spaces_is_an_input_error(tmp_path, capsys):
+    # without ambient_dim no map is checked against the manifest's space, so
+    # the triangulation's own check is the one that fires
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"schema": "periodlab/1", "complexes": [{"name": "K", "simplices": [[0, 1], [1, 2]]}],
+                                "triangulations": [{"name": "T", "complex": "K", "evaluators": [
+                                    {"simplex": [0, 1], "map": {"kind": "affine", "vertices": [[0, 0], [1, 0]]}},
+                                    {"simplex": [1, 2], "map": {"kind": "affine", "vertices": [[1, 0, 0], [1, 1, 0]]}},
+                                ]}]}))
+    assert cli.run(["homology", str(path), "--complex", "K"]) == 2
+    assert capsys.readouterr().err == "error: /triangulations/0: evaluators must share one ambient space\n"
 
 
 def test_cli_a_digit_that_is_not_decimal_is_an_input_error_at_its_pointer(tmp_path, capsys):
