@@ -118,9 +118,6 @@ class ExprMap(SingularSimplex):
         self.ambient = len(self.components)
         self._programs = {}
 
-    # own bindings of the adapters, in every class: perfbench's tracer wraps them per class
-    evaluate_many, jacobian_many = SingularSimplex.evaluate_many, SingularSimplex.jacobian_many
-
     def batch(self, cols, values=True, jacobian=True):
         # one program per asked pair, of the values, then the Jacobian row by row,
         # compiled on first use: a manifest loads all its simplices, a command evaluates few
@@ -154,8 +151,6 @@ class AffineSimplex(SingularSimplex):
         self.ambient = v.shape[1]
         self._linear = (v[1:] - v[0]).T if self.dim > 0 else np.zeros((self.ambient, 0))
 
-    evaluate_many, jacobian_many = SingularSimplex.evaluate_many, SingularSimplex.jacobian_many
-
     def batch(self, cols, values=True, jacobian=True):
         # the matmul takes C-contiguous (n, dim) points: BLAS sums a
         # transposed batch into R^1 in another order
@@ -188,8 +183,6 @@ class Cone(SingularSimplex):
         self.inner = inner
         self.dim = inner.dim + 1
         self.ambient = inner.ambient
-
-    evaluate_many, jacobian_many = SingularSimplex.evaluate_many, SingularSimplex.jacobian_many
 
     def batch(self, cols, values=True, jacobian=True):
         a = cols.sum(axis=0)
@@ -236,8 +229,6 @@ class PrismMap(SingularSimplex):
         self.dim = inner.dim + 1
         self.ambient = inner.ambient
 
-    evaluate_many, jacobian_many = SingularSimplex.evaluate_many, SingularSimplex.jacobian_many
-
     def batch(self, cols, values=True, jacobian=True):
         f = 1.0 - cols[0]
         ivals, ijac = self.inner.batch(cols[1:], jacobian=jacobian)
@@ -280,8 +271,6 @@ class Composed(SingularSimplex):
         self.ambient = outer.ambient
         self.domain = inner.domain  # a prism under an outer map is still a prism
 
-    evaluate_many, jacobian_many = SingularSimplex.evaluate_many, SingularSimplex.jacobian_many
-
     def batch(self, cols, values=True, jacobian=True):
         # the order of the calls: inner and outer values, outer and inner
         # Jacobians; the outer map computes its values only when asked
@@ -300,6 +289,12 @@ class Composed(SingularSimplex):
 
     def key(self):
         return ("composed", self.outer.key(), self.inner.key())
+
+
+# own bindings of the adapters, in every class: perfbench's tracer wraps them per class
+for _cls in (ExprMap, AffineSimplex, Cone, PrismMap, Composed):
+    _cls.evaluate_many, _cls.jacobian_many = SingularSimplex.evaluate_many, SingularSimplex.jacobian_many
+del _cls
 
 
 def face_map(d: int, i: int) -> AffineSimplex:

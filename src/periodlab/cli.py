@@ -35,9 +35,9 @@ from .manifest import (
     load_manifest,
     triangulation_to_manifest,
 )
-from .periods import GeometricCycle, NotClosedError, period_matrix
+from .periods import GeometricCycle, period_matrix
 from .quad import QuadConfig, finite_volume_check
-from .stokes import NonManifoldError, check_chain, stokes_residual
+from .stokes import check_chain, stokes_residual
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -72,6 +72,8 @@ def _quadrature(args) -> tuple[QuadConfig, dict]:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if not 0 < args.tol < float("inf"):  # nan too
         raise ValueError(f"--tol must be finite and positive, got {args.tol}")
+    if args.max_depth is not None and args.max_depth < 0:
+        raise ValueError(f"--max-depth must be at least 0, got {args.max_depth}")
     cfg = QuadConfig() if args.max_depth is None else QuadConfig(max_depth=args.max_depth)
     return cfg, {"tol": args.tol, "max_depth": args.max_depth, "jobs": args.jobs}
 
@@ -118,6 +120,8 @@ def _check_stokes(args) -> int:
 
 def _periods(args) -> int:
     cfg, config = _quadrature(args)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     man = load_manifest(args.manifest)
     cycles = [GeometricCycle(name, man.resolve("chains", name)) for name in args.cycles.split(",")]
     forms = [(name, man.resolve("forms", name)) for name in args.forms.split(",")]
@@ -249,8 +253,7 @@ def run(argv=None) -> int:
     try:
         with np.errstate(all="ignore"):  # an overflow shows in the report itself
             return args.handler(args)
-    except (ManifestError, NotClosedError, InputCompatibilityError, NonManifoldError,
-            ExprDomainError, OSError, ValueError) as err:
+    except (InputCompatibilityError, ExprDomainError, OSError, ValueError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_INPUT
 

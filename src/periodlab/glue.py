@@ -284,9 +284,6 @@ class Triangulation:
             raise KeyError(f"no evaluator covers simplex {s}")
         return Composed(self.evaluators[parent], flag_simplex(parent, [(v,) for v in s]))
 
-    def vertex_point(self, v) -> np.ndarray:
-        return self.evaluator_for((v,)).evaluate(np.zeros(0))
-
     def validate(self):
         """Sampled structural checks: shared-face agreement of top evaluators
         and injectivity.  Each top is evaluated once, on the interior grid and

@@ -66,13 +66,6 @@ class SimplicialComplex:
     def n_cells(self, d: int) -> int:
         return len(self.simplices.get(d, []))
 
-    def index_of(self, simplex) -> int:
-        s = tuple(sorted(simplex))
-        return self._index[len(s) - 1][s]
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * self.n_cells(d) for d in range(self.dim + 1))
-
     def __contains__(self, simplex):
         s = tuple(sorted(simplex))
         return s in self._index.get(len(s) - 1, {})

@@ -30,7 +30,6 @@ __all__ = [
     "load_manifest",
     "load_glue_table",
     "evaluator_to_dict",
-    "evaluator_from_dict",
     "derived_manifest",
     "complex_manifest",
     "triangulation_to_manifest",
@@ -112,10 +111,6 @@ def evaluator_to_dict(ev: SingularSimplex) -> dict:
     raise ManifestError(f"evaluator type {type(ev).__name__} is not serialisable")
 
 
-def evaluator_from_dict(desc: dict, path: str = "/evaluator") -> SingularSimplex:
-    return _evaluator(desc, path, {})
-
-
 def _evaluator(desc: dict, path: str, maps: dict) -> SingularSimplex:
     kind = _get(desc, "kind", str, path)
     try:
@@ -169,11 +164,11 @@ def _evaluator(desc: dict, path: str, maps: dict) -> SingularSimplex:
 
 
 class Manifest:
-    def __init__(self, data: dict, path: str = ""):
-        _expect(isinstance(data, dict), "manifest must be a JSON object", path)
-        schema = _get(data, "schema", str, path, SCHEMA)
-        _expect(schema == SCHEMA, f"unsupported schema {schema!r}", f"{path}/schema")
-        self.ambient = _get(data, "ambient_dim", int, path, 0)
+    def __init__(self, data: dict):
+        _expect(isinstance(data, dict), "manifest must be a JSON object", "")
+        schema = _get(data, "schema", str, "", SCHEMA)
+        _expect(schema == SCHEMA, f"unsupported schema {schema!r}", "/schema")
+        self.ambient = _get(data, "ambient_dim", int, "", 0)
         self.simplices: dict[str, SingularSimplex] = {}
         self.chains: dict[str, Chain] = {}
         self.forms: dict[str, Form] = {}
@@ -185,8 +180,8 @@ class Manifest:
         def entries(section):
             """(pointer, name, entry) of each entry of the section, in order,
             whose name no entry before it has taken, in any section."""
-            for i, entry in enumerate(_get(data, section, list, path, [])):
-                p = f"{path}/{section}/{i}"
+            for i, entry in enumerate(_get(data, section, list, "", [])):
+                p = f"/{section}/{i}"
                 name = _get(entry, "name", str, p)
                 _expect(name not in names, f"duplicate name {name!r}", f"{p}/name")
                 names.add(name)

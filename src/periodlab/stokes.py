@@ -69,7 +69,7 @@ def stokes_residual(
     """
     d = sigma.dim
     if omega.degree != d - 1:
-        raise ValueError("stokes_residual needs deg(omega) == dim(sigma) - 1")
+        raise ValueError(f"stokes_residual needs a degree-{d - 1} form, got degree {omega.degree}")
     lhs = integrate_simplex(sigma, exterior_derivative(omega), tol / 100.0, config)
     rhs_faces = []
     rhs = 0.0

@@ -514,7 +514,7 @@ def test_subdivide_triangulation_puts_each_vertex_at_its_barycenter():
             top = next(t for t in T.top_simplices() if set(cells[v]) <= set(t))
             ref = ch.reference_vertices(len(top) - 1)
             bary = ref[[top.index(x) for x in cells[v]]].mean(axis=0)
-            assert np.abs(sd.vertex_point(v) - T.evaluators[top].evaluate(bary)).max() <= 1e-12
+            assert np.abs(sd.evaluator_for((v,)).evaluate(np.zeros(0)) - T.evaluators[top].evaluate(bary)).max() <= 1e-12
         assert sd.validate()["face_agreement"] <= 1e-12
         assert hm.homology(sd.complex).betti == hm.homology(T.complex).betti
 
@@ -824,7 +824,7 @@ def test_cover_and_triangulate_three_arcs():
     G.validate()
     # the glued loop really closes up on the unit circle
     for s in G.complex.simplices[0]:
-        assert np.hypot(*G.vertex_point(s[0])) == pytest.approx(1.0, abs=1e-9)
+        assert np.hypot(*G.evaluator_for(s).evaluate(np.zeros(0))) == pytest.approx(1.0, abs=1e-9)
     all_simplices = {s for d in range(G.complex.dim + 1) for s in G.complex.simplices[d]}
     tagged = set()
     for name, members in G.marks.items():

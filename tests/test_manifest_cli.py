@@ -113,7 +113,8 @@ def test_evaluator_descriptions_roundtrip():
     for ev in (sigma, cone, composed, ch.face_map(3, 2)):
         desc = mf.evaluator_to_dict(ev)
         desc2 = json.loads(json.dumps(desc))
-        back = mf.evaluator_from_dict(desc2)
+        man = mf.Manifest({"schema": "periodlab/1", "derived_simplices": [{"name": "ev", "map": desc2}]})
+        back = man.simplices["ev"]
         assert back.dim == ev.dim and back.ambient == ev.ambient
         for _ in range(15):
             p = random_interior_point(ev.dim, rng)
@@ -314,6 +315,10 @@ PINNED_EMITTED_MANIFESTS = {
                         "9d1c7907891246acbecf91a94ea08ff263a657c624786c84af5ea985a8f5cb3c"),
     "glue circle halves": (["glue", "circle_upper.json", "circle_lower.json", "--table", "circle_btable.json"],
                            "504f99f8bea9982614f701f58343c163e478976f1fc9ed0a5ccf03bcfb68caf5"),
+    # each piece's one triangulation, named
+    "glue circle halves by name": (["glue", "circle_upper.json", "circle_lower.json", "--table", "circle_btable.json",
+                                    "--t1", "upper", "--t2", "lower"],
+                                   "504f99f8bea9982614f701f58343c163e478976f1fc9ed0a5ccf03bcfb68caf5"),
 }
 
 
@@ -338,6 +343,21 @@ def test_cli_periods_circle():
     out = json.loads(res.stdout)
     value = out["results"]["periods"]["values"][0][0]
     assert abs(value - 2 * np.pi) <= 1e-6
+
+
+def test_cli_periods_of_a_0_cycle(tmp_path, capsys):
+    # a 0-cycle is closed without a boundary check; its period is the
+    # form's value at its points, weighted by their coefficients
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps({
+        "schema": "periodlab/1", "ambient_dim": 2,
+        "simplices": [{"name": "p", "dim": 0, "components": ["1", "0"]}],
+        "chains": [{"name": "c", "terms": [{"simplex": "p", "coeff": 3}]}],
+        "forms": [{"name": "two", "degree": 0, "terms": [{"indices": [], "coeff": "2"}]}],
+    }))
+    assert cli.run(["periods", str(points), "--cycles", "c", "--forms", "two", "--deterministic"]) == 0
+    periods = json.loads(capsys.readouterr().out)["results"]["periods"]
+    assert (periods["values"], periods["converged"]) == ([[6]], True)
 
 
 def test_cli_periods_csv():
@@ -1097,6 +1117,38 @@ MALFORMED_INPUTS = {
             "kind": "composed", "of": {"kind": "expr", "dim": 2, "components": ["a1", "a2"]}, "inner": _PRISM,
         }}]),
         "/derived_simplices/0/map/inner: unknown evaluator kind 'prism'",
+    ),
+    # below: input errors that already exited 2, pinned so that each message keeps its pointer or flag
+    "composed-inner-off-the-outer-domain": (
+        ["check-volume", "{}", "--simplex", "p"],
+        _manifest_with(derived_simplices=[{"name": "p", "map": {
+            "kind": "composed", "of": {"kind": "expr", "dim": 2, "components": ["a1", "a2"]},
+            "inner": {"kind": "affine", "vertices": [[0, 0, 0], [1, 0, 0]]},
+        }}]),
+        "/derived_simplices/0/map: inner map must land in the outer domain",
+    ),
+    # the cases below read no file written from their JSON
+    "manifest-not-json": (
+        ["homology", str(ROOT / "pyproject.toml"), "--complex", "K"], {}, "/: invalid JSON: ",
+    ),
+    "glue-t1-unresolved": (
+        _circle_glue(str(MANIFESTS / "circle_btable.json")) + ["--t1", "nope"], {},
+        "/triangulations: unresolved reference 'nope'",
+    ),
+    "glue-piece-without-a-triangulation": (
+        ["glue", str(MANIFESTS / "circle.json"), str(MANIFESTS / "circle_lower.json"),
+         "--table", str(MANIFESTS / "circle_btable.json")], {},
+        "/triangulations: manifest must contain exactly one triangulation",
+    ),
+    # the flag and the value the user typed, not the library's QuadConfig or numpy's seed check
+    "max-depth-negative": (SQRT_GRAPH_CHECK + ["--max-depth", "-1"], {}, "--max-depth must be at least 0, got -1\n"),
+    "seed-negative": (
+        ["periods", str(MANIFESTS / "circle.json"), "--cycles", "gamma", "--forms", "dtheta", "--seed", "-1"], {},
+        "--seed must be a non-negative integer, got -1\n",
+    ),
+    "stokes-form-of-the-wrong-degree": (
+        ["check-stokes", str(MANIFESTS / "circle.json"), "--simplex", "sqrt_graph", "--form", "dtheta"], {},
+        "stokes_residual needs a degree-0 form, got degree 1\n",
     ),
 }
 
